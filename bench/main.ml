@@ -54,52 +54,10 @@ let inject_slowdown =
   | None -> 0.0
   | Some s -> ( try float_of_string s with _ -> 0.0)
 
-(* the record format is fixed and self-emitted, so a naive field scan is
-   enough -- no JSON parser in the bench binary *)
-let find_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let field_num line key =
-  match find_sub line (Printf.sprintf "\"%s\":" key) with
-  | None -> None
-  | Some i ->
-    let start = i + String.length key + 3 in
-    let stop = ref start in
-    let n = String.length line in
-    while
-      !stop < n
-      && (match line.[!stop] with
-          | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-          | _ -> false)
-    do
-      incr stop
-    done;
-    (try Some (float_of_string (String.sub line start (!stop - start)))
-     with _ -> None)
-
-let has_sub line sub = find_sub line (Printf.sprintf "\"sub\":\"%s\"" sub) <> None
-
 (* baseline = first recorded ratio for this sub, None on a fresh file *)
 let record_baseline path sub =
   if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let base = ref None in
-    (try
-       while !base = None do
-         let line = input_line ic in
-         if has_sub line sub then base := field_num line "ratio"
-       done
-     with End_of_file -> ());
-    close_in ic;
-    !base
-  end
+  else Obs.Bench_log.baseline (Obs.Bench_log.read path) (Some sub)
 
 let record_note ~exp ~sub ~ratio ~floor =
   match !record_dir with
@@ -133,6 +91,21 @@ let record_note ~exp ~sub ~ratio ~floor =
     else
       Format.printf "(inject %s/%s: compared %.3f, nothing appended)@." exp sub
         compared
+
+(* wall time of one call *)
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let v = f () in
+  (v, Unix.gettimeofday () -. t0)
+
+(* the first result and the best of [k] wall times, so one scheduler
+   hiccup does not fail a wall-clock gate *)
+let best_of k f =
+  let v, t = time f in
+  let rec go i best =
+    if i >= k then best else go (i + 1) (Float.min best (snd (time f)))
+  in
+  (v, go 1 t)
 
 let sleep_of tech wl =
   BP.Sleep_fet
@@ -1147,11 +1120,6 @@ let par ~fast () =
   let jobs = max 2 (Par.Pool.default_jobs ()) in
   Format.printf
     "available cores: %d; parallel runs use --jobs %d@." cores jobs;
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
   (* identical-output assertions run at every core count; the >= 2x
      speedup assertion only where the acceptance criterion applies (a
      machine with at least 4 cores) -- on fewer cores the honest
@@ -1211,11 +1179,6 @@ let cache_exp ~fast () =
   Format.printf
     "a warm repeat of an identical sweep must return bit-identical \
      measurements at >= 3x the cold speed@.";
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
   let check name ~engine c ~vectors ~wls =
     let run ctx () = Mtcmos.Sizing.sweep ~ctx c ~vectors ~wls in
     let base = Eval.Ctx.with_engine engine Eval.Ctx.default in
@@ -1300,11 +1263,6 @@ let runner_exp ~fast () =
       Format.eprintf "runner: bad spec: %s@." e;
       exit 1
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
   let run ?journal ?fresh ?stop_after ctx () =
     match Runner.run ~ctx ?journal ?fresh ?stop_after spec with
     | Ok o -> o
@@ -1378,26 +1336,15 @@ let obs_exp ~fast () =
      disabled run is exactly what a PR-3-era caller gets (the no-op
      handle), so the measured on-vs-off gap upper-bounds what the
      instrumentation added to the uninstrumented baseline *)
-  let best_of_3 f =
-    let time () =
-      let t0 = Unix.gettimeofday () in
-      let v = f () in
-      (v, Unix.gettimeofday () -. t0)
-    in
-    let v, t1 = time () in
-    let _, t2 = time () in
-    let _, t3 = time () in
-    (v, Float.min t1 (Float.min t2 t3))
-  in
   let dump_last = ref "" in
   let check name ~engine c ~vectors ~wls =
     (* no cache: every point re-simulates, so the timing compares the
        instrumented hot paths themselves *)
     let run ctx () = Mtcmos.Sizing.sweep ~ctx c ~vectors ~wls in
     let base = Eval.Ctx.with_engine engine Eval.Ctx.default in
-    let off, t_off = best_of_3 (run base) in
+    let off, t_off = best_of 3 (run base) in
     let obs = Obs.create ~trace:true () in
-    let on_res, t_on = best_of_3 (run (Eval.Ctx.with_obs obs base)) in
+    let on_res, t_on = best_of 3 (run (Eval.Ctx.with_obs obs base)) in
     let overhead = 100.0 *. (t_on -. t_off) /. Float.max 1e-9 t_off in
     (* compare (not =): NaN fields must still count as identical *)
     let identical = compare off on_res = 0 in
@@ -1461,9 +1408,9 @@ let obs_exp ~fast () =
     ignore (run_chain (Eval.Ctx.with_obs obs base) ());
     obs
   in
-  let _, t_trace = best_of_3 traced in
+  let _, t_trace = best_of 3 traced in
   let _, t_prof =
-    best_of_3 (fun () ->
+    best_of 3 (fun () ->
         Obs.Prof.to_collapsed (Obs.profile (traced ())))
   in
   let prof_overhead =
@@ -1542,10 +1489,9 @@ let serve_exp ~fast () =
     !bad
   in
   let fleet cache =
-    let t0 = Unix.gettimeofday () in
-    let ds = List.init clients (fun c -> Domain.spawn (workload cache c)) in
-    let bad = List.fold_left (fun a d -> a + Domain.join d) 0 ds in
-    (bad, Unix.gettimeofday () -. t0)
+    time (fun () ->
+        let ds = List.init clients (fun c -> Domain.spawn (workload cache c)) in
+        List.fold_left (fun a d -> a + Domain.join d) 0 ds)
   in
   (* best-of-3 so one scheduler hiccup does not fail the gate; the
      cache persists across repeats, so repeats run all-hits — the
@@ -1605,11 +1551,6 @@ let scale_exp ~fast () =
      switched/falling scans; event = one Event_sim.step touching only \
      dirty gates.  Totals must be identical; >= 10k-gate circuits must \
      show >= 5x.@.";
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
   let module L = Netlist.Logic_sim in
   let module E = Netlist.Event_sim in
   let check name c =
@@ -1710,21 +1651,11 @@ let speed_exp ~fast () =
     "deck 1: explicit series-RC ladder, `Reduce eliminates the chain \
      interior exactly; deck 2: sleep-gated ripple adder through \
      Spice_ref, `Reduce_bypass adds the quiescent-device bypass and \
-     LTE stepping.  Gates: `Off bit-identical through the Opts record, \
+     LTE stepping.  Gates: `Off bit-identical whether Opts are given at \
+     prepare time or per call, \
      fast modes inside their bands, >= 5x wall-clock on both decks.@.";
   let module T = Netlist.Transistor in
   let module E = Spice.Engine in
-  (* best-of-2 so one scheduler hiccup does not fail a wall-clock gate *)
-  let time f =
-    let once () =
-      let t0 = Unix.gettimeofday () in
-      let v = f () in
-      (v, Unix.gettimeofday () -. t0)
-    in
-    let v, t1 = once () in
-    let _, t2 = once () in
-    (v, Float.min t1 t2)
-  in
   (* --- deck 1: RC ladder, `Off vs `Reduce ------------------------------ *)
   let segments = if fast then 300 else 600 in
   let r = 1000.0 and c = 1e-13 in
@@ -1764,19 +1695,20 @@ let speed_exp ~fast () =
         (Spice.Diag.failure_to_string f);
       exit 1
   in
-  (* `Off twice: once through the legacy wrapper, once through the Opts
-     record — these must agree bit for bit *)
-  let wrapper_res =
-    let eng = E.prepare netlist in
-    E.transient ~dt ~record:(E.Nodes [ probe ]) eng ~t_stop
+  (* `Off twice: once with the options given per call, once with them
+     fixed at prepare time (run_ladder) — these must agree bit for bit *)
+  let per_call_res =
+    E.transient (E.prepare netlist) ~t_stop
+      ~opts:E.Opts.(default |> with_dt dt |> with_record (E.Nodes [ probe ]))
   in
-  let res_off, t_off = time (fun () -> run_ladder `Off) in
-  let res_red, t_red = time (fun () -> run_ladder `Reduce) in
+  let res_off, t_off = best_of 2 (fun () -> run_ladder `Off) in
+  let res_red, t_red = best_of 2 (fun () -> run_ladder `Reduce) in
   let off_identical =
-    let xa = E.final_solution wrapper_res and xb = E.final_solution res_off in
+    let xa = E.final_solution per_call_res
+    and xb = E.final_solution res_off in
     Array.length xa = Array.length xb
     && Array.for_all2 Float.equal xa xb
-    && E.steps_taken wrapper_res = E.steps_taken res_off
+    && E.steps_taken per_call_res = E.steps_taken res_off
   in
   let ladder_dev =
     let w0 = E.waveform res_off probe and w1 = E.waveform res_red probe in
@@ -1805,8 +1737,8 @@ let speed_exp ~fast () =
     in
     SR.run_ints ~config ac ~before:vec_lo ~after:vec_hi
   in
-  let run0, t_a_off = time (fun () -> run_adder `Off) in
-  let run1, t_a_fb = time (fun () -> run_adder `Reduce_bypass) in
+  let run0, t_a_off = best_of 2 (fun () -> run_adder `Off) in
+  let run1, t_a_fb = best_of 2 (fun () -> run_adder `Reduce_bypass) in
   (* calibrated band: 120 mV (10 % of the 1.2 V rail) inside a +-25 ps
      time tube — a coarser LTE step placement shifts a full-rail edge
      by a few ps, which a purely vertical band would misread as a
@@ -1857,7 +1789,8 @@ let speed_exp ~fast () =
   (* --- gates ----------------------------------------------------------- *)
   if not off_identical then begin
     Format.eprintf
-      "speed: `Off through Opts differs from the legacy wrapper@.";
+      "speed: `Off through prepare-time Opts differs from per-call \
+       ?opts@.";
     exit 1
   end;
   if ladder_dev > 1e-6 then begin
@@ -1919,12 +1852,11 @@ let select_exp ~fast () =
     let w_paper = Netlist.Circuit.total_pulldown_wl circuit in
     let leak_paper = single_device_leak tech circuit ~sleep_wl:w_paper in
     let ctx = Eval.Ctx.(default |> with_jobs jobs) in
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Mtcmos.Selective.optimize ~ctx ~clusters ~max_passes circuit
-        ~delay_budget:0.10
+    let r, dt =
+      time (fun () ->
+          Mtcmos.Selective.optimize ~ctx ~clusters ~max_passes circuit
+            ~delay_budget:0.10)
     in
-    let dt = Unix.gettimeofday () -. t0 in
     let low =
       Array.fold_left (fun a h -> if h then a else a + 1) 0
         r.Mtcmos.Selective.vt_high

@@ -1,14 +1,21 @@
 (* mtsize: the MTCMOS sleep-transistor sizing tool as a CLI.
 
-   Subcommands:
+   Subcommands include:
      sweep         delay/degradation vs W/L for a circuit and vector set
      size          minimum W/L for a target degradation
      worst-vectors rank input transitions by MTCMOS susceptibility
+     search        stochastic worst-vector hunt
+     select        selective-MTCMOS co-optimization
      simulate      one transition in detail (waveform summary)
      compare       switch-level vs transistor-level on one transition
      estimate      the naive baselines (sum-of-widths, peak-current)
-     run           a declarative batch of the above through one shared
-                   evaluation context, with journaled resume *)
+     run           a declarative batch of jobs through one shared
+                   evaluation context, with journaled resume
+
+   sweep, size, worst-vectors, search and select are one-job batches:
+   their flags build a Runner.Spec job, which runs through
+   Runner.exec_job, the path `run` and `serve` use for every job.
+   Exit codes: 2 for bad input, 1 for a failed or infeasible job. *)
 
 open Cmdliner
 
@@ -72,16 +79,9 @@ let newton_budget_term =
   in
   Arg.(value & opt int 0 & info [ "newton-budget" ] ~docv:"N" ~doc)
 
-let policy_of_budget n =
-  if n > 0 then
-    Some (Spice.Recover.with_newton_budget n Spice.Recover.default)
-  else if n < 0 then
-    or_die (Error (Printf.sprintf "--newton-budget %d: must be positive" n))
-  else None
-
 let print_resilience stats =
-  if stats.Mtcmos.Resilience.attempted > 0 then
-    Format.printf "%a@." Mtcmos.Resilience.pp_report stats
+  if stats.Eval.Resilience.attempted > 0 then
+    Format.printf "%a@." Eval.Resilience.pp_report stats
 
 (* Worker-domain count for the parallel subcommands.  0 (the default)
    means "one worker per available core"; results are identical whatever
@@ -94,11 +94,6 @@ let jobs_term =
   in
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let resolve_jobs n =
-  if n = 0 then Par.Pool.default_jobs ()
-  else if n > 0 then n
-  else or_die (Error (Printf.sprintf "--jobs %d: must be >= 0" n))
-
 let engine_term =
   let doc =
     "Delay engine: $(b,bp) (the fast switch-level breakpoint tool, the \
@@ -107,10 +102,17 @@ let engine_term =
   Arg.(
     value & opt (some string) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
-let resolve_engine name =
-  match name with
-  | None -> Eval.Engine.Breakpoint
-  | Some s -> or_die (Eval.Engine.of_string s)
+(* --engine / --jobs / --newton-budget are the job-file overrides of the
+   same names, range-checked by the same Runner.Spec check *)
+let overrides_of ?engine ?(jobs = 0) ?(budget = 0) () =
+  let ov =
+    { Runner.Spec.engine =
+        Option.map (fun s -> or_die (Eval.Engine.of_string s)) engine;
+      jobs = Some (if jobs = 0 then Par.Pool.default_jobs () else jobs);
+      newton_budget = (if budget = 0 then None else Some budget) }
+  in
+  or_die (Runner.Spec.check_overrides ~flag:"--" ov);
+  ov
 
 let fast_term =
   let doc =
@@ -135,7 +137,8 @@ type cache_opts = {
   show_stats : bool;
 }
 
-let cache_term =
+(* [shards] is a term so that serve can stripe the cache it loads *)
+let cache_term_with shards =
   let on =
     let doc =
       "Enable the evaluation cache.  This is the default; the flag \
@@ -161,22 +164,28 @@ let cache_term =
     let doc = "Print cache hit/miss/eviction counters at the end." in
     Arg.(value & flag & info [ "cache-stats" ] ~doc)
   in
-  let make on off file show =
+  let make on off file show shards =
     ignore on;
+    (match shards with
+     | Some n when n < 1 || n > 256 ->
+       or_die (Error (Printf.sprintf "--cache-shards %d: must be in [1, 256]" n))
+     | _ -> ());
     if off then { cache = None; cache_file = None; show_stats = show }
     else
       let c =
         match file with
         | Some f when Sys.file_exists f ->
-          (try Eval.Cache.load f
+          (try Eval.Cache.load ?shards f
            with Failure m | Sys_error m ->
              prerr_endline ("mtsize: ignoring cache file: " ^ m);
-             Eval.Cache.create ())
-        | _ -> Eval.Cache.create ()
+             Eval.Cache.create ?shards ())
+        | _ -> Eval.Cache.create ?shards ()
       in
       { cache = Some c; cache_file = file; show_stats = show }
   in
-  Term.(const make $ on $ off $ file $ show)
+  Term.(const make $ on $ off $ file $ show $ shards)
+
+let cache_term = cache_term_with (Term.const None)
 
 let finish_cache co =
   match (co.cache, co.cache_file) with
@@ -294,47 +303,78 @@ let finish_obs ?co oo =
    | Some f -> Obs.write_profile oo.obs f);
   if oo.report then print_string (Obs.report oo.obs)
 
-let ctx_of ?policy ?stats ?(obs = Obs.disabled) ?(fast = `Off) ~engine ~jobs
-    co =
+let ctx_of ?(fast = `Off) ~obs co =
   let ctx =
-    Eval.Ctx.default
-    |> Eval.Ctx.with_engine engine
-    |> Eval.Ctx.with_fast fast
-    |> Eval.Ctx.with_jobs jobs
-    |> Eval.Ctx.with_obs obs
-  in
-  let ctx =
-    match policy with Some p -> Eval.Ctx.with_policy p ctx | None -> ctx
-  in
-  let ctx =
-    match stats with
-    | Some s ->
-      (* the root accumulator (and only the root — worker shards merge
-         into it) mirrors its counts into the registry *)
-      if Obs.metrics_on obs then Mtcmos.Resilience.attach_obs s obs;
-      Eval.Ctx.with_stats s ctx
-    | None -> ctx
+    Eval.Ctx.default |> Eval.Ctx.with_fast fast |> Eval.Ctx.with_obs obs
   in
   match co.cache with Some c -> Eval.Ctx.with_cache c ctx | None -> ctx
+
+(* ---- the one-job subcommands ---------------------------------------------- *)
+
+let pp_pair ppf (before, after) =
+  let fmt g = String.concat "," (List.map (fun (_, v) -> string_of_int v) g) in
+  Format.fprintf ppf "(%s)->(%s)" (fmt before) (fmt after)
+
+let print_answer ?vx_peak = function
+  | Runner.Sweep_answer ms ->
+    List.iter (Format.printf "%a@." Mtcmos.Sizing.pp_measurement) ms
+  | Runner.Size_answer { target; wl; measurement } ->
+    Format.printf "minimum W/L for %.1f%% degradation: %.1f@."
+      (100.0 *. target) wl;
+    Format.printf "%a@." Mtcmos.Sizing.pp_measurement measurement
+  | Runner.Worst_answer { wl; pairs_examined; ranked } ->
+    Format.printf "ranking %d vector pairs at W/L = %.0f...@." pairs_examined
+      wl;
+    List.iter
+      (fun (r : Mtcmos.Vectors.ranking) ->
+        Format.printf "%a  delay %s  degradation %.1f%%  vx %s@." pp_pair
+          r.Mtcmos.Vectors.pair
+          (Phys.Units.to_eng_string ~unit:"s" r.Mtcmos.Vectors.delay)
+          (100.0 *. r.Mtcmos.Vectors.degradation)
+          (Phys.Units.to_eng_string ~unit:"V" r.Mtcmos.Vectors.vx_peak))
+      ranked
+  | Runner.Search_answer { outcome = o; _ } ->
+    Format.printf "worst found: %a score %.4g (%d evaluations)@." pp_pair
+      o.Mtcmos.Search.pair o.Mtcmos.Search.score o.Mtcmos.Search.evaluations
+  | Runner.Select_answer { result; _ } ->
+    Format.printf "%a@." (Mtcmos.Selective.pp_result ?vx_peak) result
+  | (Runner.Characterize_answer _ | Runner.Monte_carlo_answer _) as a ->
+    print_endline (Runner.Json.to_string (Runner.answer_json a))
+
+(* Run a subcommand's flags as a one-job batch through Runner.exec_job
+   (after the same Spec.check a job file passes) and [render] the
+   answer.  The cache and observability output are written either way;
+   a failed job exits 1 with its error. *)
+let exec_one ?(fast = "off") ?(render = fun _ a -> print_answer a) ~overrides
+    co oo (tech, bc) kind =
+  or_die (Runner.Spec.check ~flag:"--" kind);
+  let ctx = ctx_of ~fast:(resolve_fast fast) ~obs:oo.obs co in
+  let job =
+    { Runner.Spec.id = "cli"; circuit = Some bc.name; kind; overrides }
+  in
+  let result, stats = Runner.exec_job ctx tech (Some bc) job in
+  (match result with
+   | Ok a -> render ctx a
+   (* the cache and obs output still follow: --cache-file must persist
+      even on the infeasible path *)
+   | Error m -> prerr_endline ("mtsize: " ^ m));
+  print_resilience stats;
+  finish_cache co;
+  finish_obs ~co oo;
+  if Result.is_error result then exit 1
 
 (* ---- subcommands ---------------------------------------------------------- *)
 
 let sweep_cmd =
   let run tech_name circuit_name vectors wls engine fast budget jobs co oo =
-    let _tech, bc, vecs = or_die (setup tech_name circuit_name vectors) in
-    let stats = Mtcmos.Resilience.create () in
-    let ctx =
-      ctx_of ?policy:(policy_of_budget budget) ~stats ~obs:oo.obs
-        ~fast:(resolve_fast fast) ~engine:(resolve_engine engine)
-        ~jobs:(resolve_jobs jobs) co
+    let tech, bc, _ = or_die (setup tech_name circuit_name vectors) in
+    let overrides = overrides_of ?engine ~jobs ~budget () in
+    let render _ a =
+      Format.printf "%s: %a@." bc.name Netlist.Circuit.pp_stats bc.circuit;
+      print_answer a
     in
-    Format.printf "%s: %a@." bc.name Netlist.Circuit.pp_stats bc.circuit;
-    Mtcmos.Sizing.sweep ~ctx bc.circuit ~vectors:vecs ~wls
-    |> List.iter (fun m ->
-           Format.printf "%a@." Mtcmos.Sizing.pp_measurement m);
-    print_resilience stats;
-    finish_cache co;
-    finish_obs ~co oo
+    exec_one ~fast ~render ~overrides co oo (tech, bc)
+      (Runner.Spec.Sweep { wls; vectors })
   in
   let wls_term =
     let doc = "Sleep W/L values to sweep." in
@@ -352,48 +392,28 @@ let sweep_cmd =
 let size_cmd =
   let run tech_name circuit_name vectors target engine fast budget jobs
       repair co oo =
-    let _tech, bc, vecs = or_die (setup tech_name circuit_name vectors) in
-    let stats = Mtcmos.Resilience.create () in
-    let ctx =
-      ctx_of ?policy:(policy_of_budget budget) ~stats ~obs:oo.obs
-        ~fast:(resolve_fast fast) ~engine:(resolve_engine engine)
-        ~jobs:(resolve_jobs jobs) co
+    let tech, bc, _ = or_die (setup tech_name circuit_name vectors) in
+    let overrides = overrides_of ?engine ~jobs ~budget () in
+    (* --repair transforms the circuit; the job itself is a plain size *)
+    let repaired =
+      if repair then Some (Mtcmos.Resize.fix_weak_drivers bc.circuit) else None
     in
-    let infeasible = ref false in
-    (try
-       if repair then begin
-         let r =
-           Mtcmos.Resize.repair_and_size ~ctx bc.circuit ~vectors:vecs
-             ~target
-         in
-         if r.Mtcmos.Resize.repair.Mtcmos.Resize.upsized <> [] then
-           Format.printf "repaired %d weak driver(s) in %d pass(es)@."
-             (List.length r.Mtcmos.Resize.repair.Mtcmos.Resize.upsized)
-             r.Mtcmos.Resize.repair.Mtcmos.Resize.iterations;
-         Format.printf "minimum W/L for %.1f%% degradation: %.1f@."
-           (100.0 *. target) r.Mtcmos.Resize.wl;
-         Format.printf "%a@." Mtcmos.Sizing.pp_measurement
-           r.Mtcmos.Resize.measurement
-       end
-       else begin
-         let wl =
-           Mtcmos.Sizing.size_for_degradation ~ctx bc.circuit ~vectors:vecs
-             ~target
-         in
-         let m = Mtcmos.Sizing.delay_at ~ctx bc.circuit ~vectors:vecs ~wl in
-         Format.printf "minimum W/L for %.1f%% degradation: %.1f@."
-           (100.0 *. target) wl;
-         Format.printf "%a@." Mtcmos.Sizing.pp_measurement m
-       end
-     with Not_found ->
-       (* fall through: the work done bisecting is still worth saving —
-          --cache-file must persist even on the failure path *)
-       prerr_endline "mtsize: no feasible size in [0.5, 4096]";
-       infeasible := true);
-    print_resilience stats;
-    finish_cache co;
-    finish_obs ~co oo;
-    if !infeasible then exit 1
+    let render _ a =
+      (match repaired with
+       | Some r when r.Mtcmos.Resize.upsized <> [] ->
+         Format.printf "repaired %d weak driver(s) in %d pass(es)@."
+           (List.length r.Mtcmos.Resize.upsized)
+           r.Mtcmos.Resize.iterations
+       | _ -> ());
+      print_answer a
+    in
+    let bc =
+      match repaired with
+      | Some r -> { bc with circuit = r.Mtcmos.Resize.circuit }
+      | None -> bc
+    in
+    exec_one ~fast ~render ~overrides co oo (tech, bc)
+      (Runner.Spec.Size { target; vectors })
   in
   let target_term =
     let doc = "Degradation budget as a fraction (0.05 = 5%)." in
@@ -415,36 +435,8 @@ let size_cmd =
 let worst_cmd =
   let run tech_name circuit_name wl top sample co oo =
     let tech, bc, _ = or_die (setup tech_name circuit_name []) in
-    let total_bits = List.fold_left ( + ) 0 bc.widths in
-    let pairs =
-      if 2 * total_bits <= 14 then
-        Mtcmos.Vectors.enumerate_pairs ~widths:bc.widths
-      else Mtcmos.Vectors.random_pairs ~widths:bc.widths sample
-    in
-    let sleep =
-      Mtcmos.Breakpoint_sim.Sleep_fet
-        (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl
-           ~vdd:tech.Device.Tech.vdd)
-    in
-    Format.printf "ranking %d vector pairs at W/L = %.0f...@."
-      (List.length pairs) wl;
-    let ctx = ctx_of ~obs:oo.obs ~engine:Eval.Engine.Breakpoint ~jobs:1 co in
-    let ranked = Mtcmos.Vectors.worst ~ctx bc.circuit ~sleep ~pairs ~top in
-    List.iter
-      (fun r ->
-        let fmt g =
-          String.concat ","
-            (List.map (fun (_, v) -> string_of_int v) g)
-        in
-        let before, after = r.Mtcmos.Vectors.pair in
-        Format.printf "(%s)->(%s)  delay %s  degradation %.1f%%  vx %s@."
-          (fmt before) (fmt after)
-          (Phys.Units.to_eng_string ~unit:"s" r.Mtcmos.Vectors.delay)
-          (100.0 *. r.Mtcmos.Vectors.degradation)
-          (Phys.Units.to_eng_string ~unit:"V" r.Mtcmos.Vectors.vx_peak))
-      ranked;
-    finish_cache co;
-    finish_obs ~co oo
+    exec_one ~overrides:(overrides_of ~jobs:1 ()) co oo (tech, bc)
+      (Runner.Spec.Worst_vectors { wl; top; sample })
   in
   let wl_term =
     let doc = "Sleep transistor W/L." in
@@ -507,15 +499,16 @@ let simulate_cmd =
 let compare_cmd =
   let run tech_name circuit_name vectors wl fast budget jobs co oo =
     let _tech, bc, vecs = or_die (setup tech_name circuit_name vectors) in
-    let jobs = resolve_jobs jobs in
+    let ov = overrides_of ~jobs ~budget () in
     (* both engines share one cache (distinct key spaces); the spice
        path's internal bp estimates can hit the bp run's entries *)
-    let bp_ctx = ctx_of ~obs:oo.obs ~engine:Eval.Engine.Breakpoint ~jobs co in
+    let bp_ctx = Runner.with_overrides ov (ctx_of ~obs:oo.obs co) in
     let bp = Mtcmos.Sizing.delay_at ~ctx:bp_ctx bc.circuit ~vectors:vecs ~wl in
-    let stats = Mtcmos.Resilience.create () in
-    let sp_ctx =
-      ctx_of ?policy:(policy_of_budget budget) ~stats ~obs:oo.obs
-        ~fast:(resolve_fast fast) ~engine:Eval.Engine.Spice_level ~jobs co
+    let sp_ctx, stats =
+      Eval.Ctx.for_job
+        (Runner.with_overrides
+           { ov with engine = Some Eval.Engine.Spice_level }
+           (ctx_of ~fast:(resolve_fast fast) ~obs:oo.obs co))
     in
     let sp = Mtcmos.Sizing.delay_at ~ctx:sp_ctx bc.circuit ~vectors:vecs ~wl in
     Format.printf "switch-level:     %a@." Mtcmos.Sizing.pp_measurement bp;
@@ -551,7 +544,7 @@ let estimate_cmd =
     if ip > 0.0 then
       Format.printf "peak-current estimate:  W/L = %.1f@."
         (Mtcmos.Estimators.peak_current_wl tech ~i_peak:ip ~v_budget:vb);
-    let ctx = ctx_of ~obs:oo.obs ~engine:Eval.Engine.Breakpoint ~jobs:1 co in
+    let ctx = ctx_of ~obs:oo.obs co in
     let wl =
       Mtcmos.Sizing.size_for_degradation ~ctx bc.circuit ~vectors:vecs
         ~target:0.05
@@ -608,45 +601,24 @@ let sta_cmd =
     Term.(const run $ tech_term $ circuit_term $ wl_term $ obs_term)
 
 let select_cmd =
-  let run tech_name circuit_name vectors budget clusters objective passes
-      bounce engine fast jobs co oo =
-    let _tech, bc, vecs = or_die (setup tech_name circuit_name vectors) in
-    if budget < 0.0 then
-      or_die
-        (Error (Printf.sprintf "--delay-budget %g: must be >= 0" budget));
-    if clusters < 1 then
-      or_die (Error (Printf.sprintf "--clusters %d: must be >= 1" clusters));
-    if passes < 0 then
-      or_die (Error (Printf.sprintf "--passes %d: must be >= 0" passes));
+  let run tech_name circuit_name vectors delay_budget clusters objective
+      passes bounce engine fast jobs co oo =
+    let tech, bc, vecs = or_die (setup tech_name circuit_name vectors) in
     let objective =
-      match Mtcmos.Selective.objective_of_string objective with
-      | Some o -> o
-      | None ->
-        or_die
-          (Error
-             (Printf.sprintf "unknown objective %S (leakage | area | mixed)"
-                objective))
+      or_die (Runner.Catalog.select_objective_of_name objective)
     in
-    let ctx =
-      ctx_of ~obs:oo.obs ~fast:(resolve_fast fast)
-        ~engine:(resolve_engine engine) ~jobs:(resolve_jobs jobs) co
+    let render ctx a =
+      let vx_peak =
+        match a with
+        | Runner.Select_answer { result; _ } when bounce ->
+          Some (Mtcmos.Selective.bounce ~ctx bc.circuit result ~vectors:vecs)
+        | _ -> None
+      in
+      print_answer ?vx_peak a
     in
-    let bounce_vectors = if bounce then Some vecs else None in
-    (try
-       let r =
-         Mtcmos.Selective.optimize ~ctx ~objective ~clusters
-           ~max_passes:passes ?bounce_vectors bc.circuit
-           ~delay_budget:budget
-       in
-       Format.printf "%a@." Mtcmos.Selective.pp_result r;
-       finish_cache co;
-       finish_obs ~co oo
-     with Not_found ->
-       prerr_endline
-         "mtsize: delay budget infeasible even all-low-Vt at W/L 4096";
-       finish_cache co;
-       finish_obs ~co oo;
-       exit 1)
+    exec_one ~fast ~render ~overrides:(overrides_of ?engine ~jobs ()) co oo
+      (tech, bc)
+      (Runner.Spec.Select { delay_budget; clusters; objective; passes })
   in
   let budget_term =
     let doc =
@@ -794,31 +766,11 @@ let search_cmd =
   let run tech_name circuit_name wl restarts objective engine fast jobs co
       oo =
     let tech, bc, _ = or_die (setup tech_name circuit_name []) in
-    let sleep =
-      Mtcmos.Breakpoint_sim.Sleep_fet
-        (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl
-           ~vdd:tech.Device.Tech.vdd)
-    in
     let objective = or_die (Runner.Catalog.objective_of_name objective) in
-    let stats = Mtcmos.Resilience.create () in
-    let ctx =
-      ctx_of ~stats ~obs:oo.obs ~fast:(resolve_fast fast)
-        ~engine:(resolve_engine engine) ~jobs:(resolve_jobs jobs) co
-    in
-    let o =
-      Mtcmos.Search.hill_climb ~ctx ~restarts bc.circuit ~sleep
-        ~widths:bc.widths objective
-    in
-    let fmt g =
-      String.concat "," (List.map (fun (_, v) -> string_of_int v) g)
-    in
-    let before, after = o.Mtcmos.Search.pair in
-    Format.printf "worst found: (%s)->(%s) score %.4g (%d evaluations)@."
-      (fmt before) (fmt after) o.Mtcmos.Search.score
-      o.Mtcmos.Search.evaluations;
-    print_resilience stats;
-    finish_cache co;
-    finish_obs ~co oo
+    (* seed and max-iters stay at the job-file defaults *)
+    exec_one ~fast ~overrides:(overrides_of ?engine ~jobs ()) co oo (tech, bc)
+      (Runner.Spec.Search
+         { wl; objective; restarts; seed = 17; max_iters = 400 })
   in
   let wl_term =
     let doc = "Sleep transistor W/L." in
@@ -1019,8 +971,9 @@ let run_cmd =
     (* The CLI flags are the outermost defaults: a job file's (defaults
        ...) form overrides them, and a per-job override wins over both. *)
     let ctx =
-      ctx_of ?policy:(policy_of_budget budget) ~obs:oo.obs
-        ~engine:(resolve_engine engine) ~jobs:(resolve_jobs jobs) co
+      Runner.with_overrides
+        (overrides_of ?engine ~jobs ~budget ())
+        (ctx_of ~obs:oo.obs co)
     in
     let stop_after = if stop_after > 0 then Some stop_after else None in
     let outcome =
@@ -1100,35 +1053,18 @@ let port_term =
   Arg.(value & opt (some int) None & info [ "port" ] ~docv:"PORT" ~doc)
 
 let serve_cmd =
-  let run socket port spool depth workers shards max_requests recover_only
-      engine jobs budget co oo =
+  let run socket port spool depth workers max_requests recover_only engine
+      jobs budget co oo =
     let endpoint = endpoint_of socket port in
     if depth < 1 then or_die (Error "--queue-depth must be >= 1");
     if workers < 1 then or_die (Error "--workers must be >= 1");
-    if shards < 1 then or_die (Error "--cache-shards must be >= 1");
-    (* the daemon shares one cache across worker threads: stripe it so
-       concurrent batches do not serialize on a single lock *)
-    let co =
-      { co with
-        cache =
-          (match co.cache with
-           | None -> None
-           | Some _ ->
-             Some
-               (match co.cache_file with
-                | Some f when Sys.file_exists f ->
-                  (try Eval.Cache.load ~shards f
-                   with Failure m | Sys_error m ->
-                     prerr_endline ("mtsize: ignoring cache file: " ^ m);
-                     Eval.Cache.create ~shards ())
-                | _ -> Eval.Cache.create ~shards ())) }
-    in
     (* /metrics needs a live registry even when no --metrics flag was
        given locally *)
     let obs = if Obs.enabled oo.obs then oo.obs else Obs.create () in
     let ctx =
-      ctx_of ?policy:(policy_of_budget budget) ~obs
-        ~engine:(resolve_engine engine) ~jobs:(resolve_jobs jobs) co
+      Runner.with_overrides
+        (overrides_of ?engine ~jobs ~budget ())
+        (ctx_of ~obs co)
     in
     let cfg =
       { Serve.Daemon.endpoint;
@@ -1175,6 +1111,9 @@ let serve_cmd =
     in
     Arg.(value & opt int 16 & info [ "cache-shards" ] ~docv:"N" ~doc)
   in
+  (* the daemon shares one cache across worker threads: stripe it so
+     concurrent batches do not serialize on a single lock *)
+  let cache_term = cache_term_with Term.(const Option.some $ shards_term) in
   let max_requests_term =
     let doc =
       "Drain and exit after $(docv) finished requests (0 = serve \
@@ -1199,7 +1138,7 @@ let serve_cmd =
           after a crash.  GET /metrics and /healthz are served on the \
           same socket.  SIGTERM/SIGINT drain gracefully.")
     Term.(const run $ socket_term $ port_term $ spool_term $ depth_term
-          $ workers_term $ shards_term $ max_requests_term
+          $ workers_term $ max_requests_term
           $ recover_only_term $ engine_term $ jobs_term $ newton_budget_term
           $ cache_term $ obs_term)
 
@@ -1312,43 +1251,6 @@ let bench_history_cmd =
      measurement: every recorded ratio against the first (baseline)
      entry, flagging >20% degradations the way the bench regression
      gate does. *)
-  let find_sub line pat =
-    let n = String.length line and m = String.length pat in
-    let rec go i =
-      if i + m > n then None
-      else if String.sub line i m = pat then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let field_str line key =
-    let pat = Printf.sprintf "\"%s\":\"" key in
-    match find_sub line pat with
-    | None -> None
-    | Some i ->
-      let start = i + String.length pat in
-      (match String.index_from_opt line start '"' with
-       | Some stop -> Some (String.sub line start (stop - start))
-       | None -> None)
-  in
-  let field_num line key =
-    let pat = Printf.sprintf "\"%s\":" key in
-    match find_sub line pat with
-    | None -> None
-    | Some i ->
-      let start = i + String.length pat in
-      let stop = ref start in
-      let n = String.length line in
-      while
-        !stop < n
-        && (match line.[!stop] with
-            | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-            | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub line start (!stop - start))
-  in
   let run dir =
     let entries = try Sys.readdir dir with Sys_error _ -> [||] in
     Array.sort compare entries;
@@ -1366,41 +1268,36 @@ let bench_history_cmd =
               ".json"
           in
           Format.printf "== %s (%s) ==@." exp name;
-          let lines =
-            try
-              String.split_on_char '\n'
-                (In_channel.with_open_bin (Filename.concat dir name)
-                   In_channel.input_all)
-              |> List.filter (fun l -> String.trim l <> "")
+          let log =
+            try Obs.Bench_log.read (Filename.concat dir name)
             with Sys_error m ->
               Format.printf "  unreadable: %s@." m;
               []
           in
-          (* baseline = first recorded ratio per measurement *)
-          let baselines = Hashtbl.create 8 in
           List.iter
-            (fun line ->
-              let sub = Option.value ~default:"-" (field_str line "sub") in
-              match field_num line "ratio" with
+            (fun (e : Obs.Bench_log.entry) ->
+              match e.Obs.Bench_log.ratio with
               | None -> Format.printf "  (unparseable entry)@."
               | Some ratio ->
-                if not (Hashtbl.mem baselines sub) then
-                  Hashtbl.replace baselines sub ratio;
-                let base = Hashtbl.find baselines sub in
+                let sub = e.Obs.Bench_log.sub in
+                let base =
+                  Option.value ~default:ratio (Obs.Bench_log.baseline log sub)
+                in
                 let delta =
                   if base > 0.0 then 100.0 *. ((ratio /. base) -. 1.0)
                   else 0.0
                 in
                 let at =
-                  match field_num line "at" with
+                  match e.Obs.Bench_log.at with
                   | Some v -> Printf.sprintf "%.0f" v
                   | None -> "-"
                 in
                 let flag = if ratio < 0.8 *. base then "  << REGRESSION" else "" in
                 Format.printf
                   "  %-24s at %-12s ratio %8.3f  (baseline %.3f, %+.1f%%)%s@."
-                  sub at ratio base delta flag)
-            lines
+                  (Option.value ~default:"-" sub)
+                  at ratio base delta flag)
+            log
         end)
       entries;
     if !shown = 0 then

@@ -48,7 +48,7 @@ val score :
     switches).  With [Eval.Spice_level] the transistor-level reference
     scores the transition under the context's recovery policy; a
     transient that fails even after recovery scores 0 and is recorded
-    as a [Resilience.Scored_zero] skip — distinct from the honest
+    as a [Eval.Resilience.Scored_zero] skip — distinct from the honest
     nothing-switches zero, which records a plain success — so a hunt
     over thousands of vectors survives individual failures without
     conflating the two cases.

@@ -31,7 +31,6 @@ type result = {
   flips_to_low : int;
   reclaimed : int;
   moves : int;
-  vx_peak : float option;
 }
 
 let gating ~vt_high ~cluster_of_gate ~sleep_wl =
@@ -232,7 +231,7 @@ let endpoint_counts circuit =
     gates
 
 let optimize ?(ctx = Eval.Ctx.default) ?(objective = Leakage) ?(clusters = 4)
-    ?(max_passes = 2) ?bounce_vectors circuit ~delay_budget =
+    ?(max_passes = 2) circuit ~delay_budget =
   if delay_budget < 0.0 then
     invalid_arg "Selective.optimize: delay_budget < 0";
   if clusters < 1 then invalid_arg "Selective.optimize: clusters < 1";
@@ -241,7 +240,6 @@ let optimize ?(ctx = Eval.Ctx.default) ?(objective = Leakage) ?(clusters = 4)
   if n = 0 then invalid_arg "Selective.optimize: circuit has no gates";
   let obs = ctx.Eval.Ctx.obs in
   Obs.Span.with_ obs "selective.optimize" @@ fun () ->
-  let tech = C.tech circuit in
   let body_effect = ctx.Eval.Ctx.body_effect in
   let pd = pulldowns circuit in
   let base_sta = Sta.analyze ~body_effect circuit in
@@ -462,40 +460,6 @@ let optimize ?(ctx = Eval.Ctx.default) ?(objective = Leakage) ?(clusters = 4)
     let area = sleep_area circuit ~sleep_wl:wls_final in
     (leakage, area, objective_value circuit objective ~leakage ~area)
   in
-  let vx_peak =
-    match bounce_vectors with
-    | None -> None
-    | Some vectors ->
-      let sleeps =
-        Array.append
-          (Array.map
-             (fun wl ->
-               if wl > 0.0 then
-                 Breakpoint_sim.Sleep_fet
-                   (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl
-                      ~vdd:tech.Device.Tech.vdd)
-               else Breakpoint_sim.Cmos)
-             wls_final)
-          [| Breakpoint_sim.Cmos |]
-      in
-      let block_of_gate gid =
-        if vt.(gid) then k' else cluster_final.(gid)
-      in
-      let config =
-        { Breakpoint_sim.default_config with
-          Breakpoint_sim.body_effect;
-          partition = Some { Breakpoint_sim.block_of_gate; sleeps } }
-      in
-      Some
-        (List.fold_left
-           (fun acc (before, after) ->
-             let r =
-               Breakpoint_sim.simulate_ints ~config ~obs circuit ~before
-                 ~after
-             in
-             Float.max acc (Breakpoint_sim.vx_peak r))
-           0.0 vectors)
-  in
   Obs.incr ~by:(Atomic.get evals) obs "selective.evaluations";
   Obs.incr ~by:!flips obs "selective.flips";
   Obs.incr ~by:!reclaimed obs "selective.reclaims";
@@ -516,10 +480,41 @@ let optimize ?(ctx = Eval.Ctx.default) ?(objective = Leakage) ?(clusters = 4)
     evaluations = Atomic.get evals;
     flips_to_low = !flips;
     reclaimed = !reclaimed;
-    moves = !moved;
-    vx_peak }
+    moves = !moved }
 
-let pp_result ppf r =
+let bounce ?(ctx = Eval.Ctx.default) circuit r ~vectors =
+  let tech = C.tech circuit in
+  let k = Array.length r.sleep_wl in
+  let sleeps =
+    Array.append
+      (Array.map
+         (fun wl ->
+           if wl > 0.0 then
+             Breakpoint_sim.Sleep_fet
+               (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl
+                  ~vdd:tech.Device.Tech.vdd)
+           else Breakpoint_sim.Cmos)
+         r.sleep_wl)
+      [| Breakpoint_sim.Cmos |]
+  in
+  let block_of_gate gid =
+    if r.vt_high.(gid) then k else r.cluster_of_gate.(gid)
+  in
+  let config =
+    { Breakpoint_sim.default_config with
+      Breakpoint_sim.body_effect = ctx.Eval.Ctx.body_effect;
+      partition = Some { Breakpoint_sim.block_of_gate; sleeps } }
+  in
+  List.fold_left
+    (fun acc (before, after) ->
+      let r =
+        Breakpoint_sim.simulate_ints ~config ~obs:ctx.Eval.Ctx.obs circuit
+          ~before ~after
+      in
+      Float.max acc (Breakpoint_sim.vx_peak r))
+    0.0 vectors
+
+let pp_result ?vx_peak ppf r =
   let n = Array.length r.vt_high in
   let low = Array.fold_left (fun a h -> if h then a else a + 1) 0 r.vt_high in
   Format.fprintf ppf "@[<v>";
@@ -553,7 +548,7 @@ let pp_result ppf r =
   Format.fprintf ppf "objective      %s = %.6g@,"
     (objective_name r.objective)
     r.objective_value;
-  (match r.vx_peak with
+  (match vx_peak with
    | None -> ()
    | Some vx -> Format.fprintf ppf "vx peak        %.6g V@," vx);
   Format.fprintf ppf "evaluations    %d (flips %d, reclaims %d, moves %d)"

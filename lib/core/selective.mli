@@ -73,9 +73,6 @@ type result = {
   flips_to_low : int;  (** phase-A high->low swaps *)
   reclaimed : int;     (** phase-B low->high swaps kept *)
   moves : int;         (** phase-C cluster moves kept *)
-  vx_peak : float option;
-      (** worst virtual-ground bounce of the final answer over
-          [bounce_vectors], when given *)
 }
 
 val gating :
@@ -142,7 +139,6 @@ val optimize :
   ?objective:objective ->
   ?clusters:int ->
   ?max_passes:int ->
-  ?bounce_vectors:Sizing.vector_pair list ->
   Netlist.Circuit.t ->
   delay_budget:float ->
   result
@@ -154,14 +150,24 @@ val optimize :
     scoring), the evaluation cache and the observability handle
     (["selective.optimize"] span; [selective.evaluations] /
     [selective.flips] / [selective.reclaims] / [selective.moves]
-    counters).  With [bounce_vectors], the final answer also gets a
-    {!Breakpoint_sim} ground-bounce check ([vx_peak]) under a partition
-    with one [Sleep_fet] per sized cluster and high-Vt cells on the
-    real ground.
+    counters).
     @raise Invalid_argument on [delay_budget < 0], [clusters < 1],
     [max_passes < 0] or a gate-free circuit.
     @raise Not_found when the budget is infeasible even all-low-Vt at
     the maximum device size. *)
 
-val pp_result : Format.formatter -> result -> unit
-(** Deterministic multi-line summary (the [mtsize select] output). *)
+val bounce :
+  ?ctx:Eval.Ctx.t ->
+  Netlist.Circuit.t ->
+  result ->
+  vectors:Sizing.vector_pair list ->
+  float
+(** Worst virtual-ground bounce of an answer over [vectors]: one
+    {!Breakpoint_sim} run per transition under a partition with one
+    [Sleep_fet] per sized cluster and high-Vt cells on the real
+    ground.  [ctx] supplies the body-effect flag and the observability
+    handle. *)
+
+val pp_result : ?vx_peak:float -> Format.formatter -> result -> unit
+(** Deterministic multi-line summary (the [mtsize select] output),
+    with a [vx peak] line when [vx_peak] (from {!bounce}) is given. *)

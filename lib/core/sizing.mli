@@ -78,6 +78,8 @@ val size_for_degradation :
     [wl_lo, wl_hi] (defaults 0.5 and 4096).  With a cache in the
     context the repeated baseline and probe evaluations hit across
     calls (and across [sweep]/[delay_at] of the same points).
-    @raise Not_found when even [wl_hi] misses the target. *)
+    @raise Not_found when even [wl_hi] misses the target.
+    @raise Failure when no vector switches an output (the ideal-ground
+    delay is 0, so degradation is undefined). *)
 
 val pp_measurement : Format.formatter -> measurement -> unit

@@ -134,7 +134,7 @@ module Pool : sig
       evaluated with that state, and after all workers have joined,
       [merge] is called on each state {e in worker order} in the
       caller's domain.  This is how sweeps thread
-      [Mtcmos.Resilience] / [Spice.Diag] accumulators through a
+      [Eval.Resilience] / [Spice.Diag] accumulators through a
       parallel region without locks: worker-local recording, exact
       merged totals.
 

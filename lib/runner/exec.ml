@@ -82,6 +82,30 @@ let resilience_json (s : Eval.Resilience.t) =
 
 (* ---- per-job execution ------------------------------------------- *)
 
+type answer =
+  | Sweep_answer of Mtcmos.Sizing.measurement list
+  | Size_answer of {
+      target : float;
+      wl : float;
+      measurement : Mtcmos.Sizing.measurement;
+    }
+  | Worst_answer of {
+      wl : float;
+      pairs_examined : int;
+      ranked : Mtcmos.Vectors.ranking list;
+    }
+  | Search_answer of {
+      wl : float;
+      objective : Mtcmos.Search.objective;
+      outcome : Mtcmos.Search.outcome;
+    }
+  | Characterize_answer of {
+      gate : Netlist.Gate.kind;
+      points : Mtcmos.Characterize.point list;
+    }
+  | Monte_carlo_answer of { wl : float; n : int; stats : Mtcmos.Variation.stats }
+  | Select_answer of { delay_budget : float; result : Mtcmos.Selective.result }
+
 let sleep_of tech ~wl =
   Mtcmos.Breakpoint_sim.Sleep_fet
     (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl
@@ -92,8 +116,8 @@ let vectors_or_fail ~widths strs =
   | Ok v -> v
   | Error e -> failwith e
 
-(* the job body; raises Failure on any per-job error *)
-let exec_kind ctx tech (bc : C.bench_circuit option) (job : Spec.job) =
+(* the job body; raises on any per-job error *)
+let answer ctx tech (bc : C.bench_circuit option) (job : Spec.job) =
   let circuit () =
     match bc with
     | Some bc -> bc
@@ -103,8 +127,7 @@ let exec_kind ctx tech (bc : C.bench_circuit option) (job : Spec.job) =
   | Spec.Sweep { wls; vectors } ->
     let bc = circuit () in
     let vecs = vectors_or_fail ~widths:bc.C.widths vectors in
-    let ms = Mtcmos.Sizing.sweep ~ctx bc.C.circuit ~vectors:vecs ~wls in
-    Json.Obj [ ("measurements", Json.Arr (List.map measurement_json ms)) ]
+    Sweep_answer (Mtcmos.Sizing.sweep ~ctx bc.C.circuit ~vectors:vecs ~wls)
   | Spec.Size { target; vectors } ->
     let bc = circuit () in
     let vecs = vectors_or_fail ~widths:bc.C.widths vectors in
@@ -113,11 +136,10 @@ let exec_kind ctx tech (bc : C.bench_circuit option) (job : Spec.job) =
          ~target
      with
      | wl ->
-       let m = Mtcmos.Sizing.delay_at ~ctx bc.C.circuit ~vectors:vecs ~wl in
-       Json.Obj
-         [ ("target", Json.Float target);
-           ("wl", Json.Float wl);
-           ("measurement", measurement_json m) ]
+       let measurement =
+         Mtcmos.Sizing.delay_at ~ctx bc.C.circuit ~vectors:vecs ~wl
+       in
+       Size_answer { target; wl; measurement }
      | exception Not_found -> failwith "no feasible size in [0.5, 4096]")
   | Spec.Worst_vectors { wl; top; sample } ->
     let bc = circuit () in
@@ -131,27 +153,17 @@ let exec_kind ctx tech (bc : C.bench_circuit option) (job : Spec.job) =
       Mtcmos.Vectors.worst ~ctx bc.C.circuit ~sleep:(sleep_of tech ~wl)
         ~pairs ~top
     in
-    Json.Obj
-      [ ("wl", Json.Float wl);
-        ("pairs_examined", Json.Int (List.length pairs));
-        ("ranked", Json.Arr (List.map ranking_json ranked)) ]
+    Worst_answer { wl; pairs_examined = List.length pairs; ranked }
   | Spec.Search { wl; objective; restarts; seed; max_iters } ->
     let bc = circuit () in
-    let o =
+    let outcome =
       Mtcmos.Search.hill_climb ~seed ~restarts ~max_iters ~ctx bc.C.circuit
         ~sleep:(sleep_of tech ~wl) ~widths:bc.C.widths objective
     in
-    Json.Obj
-      [ ("wl", Json.Float wl);
-        ("objective", Json.Str (C.objective_name objective));
-        ("worst", Json.Str (C.vector_string o.Mtcmos.Search.pair));
-        ("score", Json.Float o.Mtcmos.Search.score);
-        ("evaluations", Json.Int o.Mtcmos.Search.evaluations) ]
+    Search_answer { wl; objective; outcome }
   | Spec.Characterize { gate; loads; ramps } ->
     let points = Mtcmos.Characterize.gate ~ctx ?loads ?ramps tech gate in
-    Json.Obj
-      [ ("gate", Json.Str (Netlist.Gate.name gate));
-        ("points", Json.Arr (List.map point_json points)) ]
+    Characterize_answer { gate; points }
   | Spec.Monte_carlo { wl; n; seed; vector } ->
     let bc = circuit () in
     let vec =
@@ -162,9 +174,45 @@ let exec_kind ctx tech (bc : C.bench_circuit option) (job : Spec.job) =
          | Ok v -> v
          | Error e -> failwith e)
     in
-    let st =
+    let stats =
       Mtcmos.Variation.monte_carlo ~ctx ~seed ~n bc.C.circuit ~wl ~vector:vec
     in
+    Monte_carlo_answer { wl; n; stats }
+  | Spec.Select { delay_budget; clusters; objective; passes } ->
+    let bc = circuit () in
+    (match
+       Mtcmos.Selective.optimize ~ctx ~objective ~clusters
+         ~max_passes:passes bc.C.circuit ~delay_budget
+     with
+     | result -> Select_answer { delay_budget; result }
+     | exception Not_found ->
+       failwith "delay budget infeasible even all-low-Vt at W/L 4096")
+
+let answer_json = function
+  | Sweep_answer ms ->
+    Json.Obj [ ("measurements", Json.Arr (List.map measurement_json ms)) ]
+  | Size_answer { target; wl; measurement } ->
+    Json.Obj
+      [ ("target", Json.Float target);
+        ("wl", Json.Float wl);
+        ("measurement", measurement_json measurement) ]
+  | Worst_answer { wl; pairs_examined; ranked } ->
+    Json.Obj
+      [ ("wl", Json.Float wl);
+        ("pairs_examined", Json.Int pairs_examined);
+        ("ranked", Json.Arr (List.map ranking_json ranked)) ]
+  | Search_answer { wl; objective; outcome = o } ->
+    Json.Obj
+      [ ("wl", Json.Float wl);
+        ("objective", Json.Str (C.objective_name objective));
+        ("worst", Json.Str (C.vector_string o.Mtcmos.Search.pair));
+        ("score", Json.Float o.Mtcmos.Search.score);
+        ("evaluations", Json.Int o.Mtcmos.Search.evaluations) ]
+  | Characterize_answer { gate; points } ->
+    Json.Obj
+      [ ("gate", Json.Str (Netlist.Gate.name gate));
+        ("points", Json.Arr (List.map point_json points)) ]
+  | Monte_carlo_answer { wl; n; stats = st } ->
     Json.Obj
       [ ("wl", Json.Float wl);
         ("n", Json.Int n);
@@ -172,75 +220,76 @@ let exec_kind ctx tech (bc : C.bench_circuit option) (job : Spec.job) =
         ("vx", summary_json st.Mtcmos.Variation.vx_summary);
         ( "degradation_p95",
           Json.Float st.Mtcmos.Variation.degradation_p95 ) ]
-  | Spec.Select { delay_budget; clusters; objective; passes } ->
-    let bc = circuit () in
-    (match
-       Mtcmos.Selective.optimize ~ctx ~objective ~clusters
-         ~max_passes:passes bc.C.circuit ~delay_budget
-     with
-     | r ->
-       let low =
-         Array.fold_left
-           (fun a h -> if h then a else a + 1)
-           0 r.Mtcmos.Selective.vt_high
-       in
-       let cluster_json c wl =
-         let m = r.Mtcmos.Selective.members.(c) in
-         let lowc =
-           Array.fold_left
-             (fun a g -> if r.Mtcmos.Selective.vt_high.(g) then a else a + 1)
-             0 m
-         in
-         Json.Obj
-           [ ("wl", Json.Float wl);
-             ("gates", Json.Int (Array.length m));
-             ("low_vt", Json.Int lowc) ]
-       in
-       Json.Obj
-         [ ("delay_budget", Json.Float delay_budget);
-           ("objective", Json.Str (Mtcmos.Selective.objective_name objective));
-           ("base_delay", Json.Float r.Mtcmos.Selective.base_delay);
-           ("budget", Json.Float r.Mtcmos.Selective.budget);
-           ("arrival", Json.Float r.Mtcmos.Selective.arrival);
-           ("slack", Json.Float r.Mtcmos.Selective.slack);
-           ("low_vt", Json.Int low);
-           ( "high_vt",
-             Json.Int (Array.length r.Mtcmos.Selective.vt_high - low) );
-           ( "clusters",
-             Json.Arr
-               (Array.to_list
-                  (Array.mapi cluster_json r.Mtcmos.Selective.sleep_wl)) );
-           ("leakage", Json.Float r.Mtcmos.Selective.leakage);
-           ( "ungated_leakage",
-             Json.Float r.Mtcmos.Selective.ungated_leakage );
-           ("area", Json.Float r.Mtcmos.Selective.area);
-           ( "objective_value",
-             Json.Float r.Mtcmos.Selective.objective_value );
-           ("evaluations", Json.Int r.Mtcmos.Selective.evaluations);
-           ("flips_to_low", Json.Int r.Mtcmos.Selective.flips_to_low);
-           ("reclaimed", Json.Int r.Mtcmos.Selective.reclaimed);
-           ("moves", Json.Int r.Mtcmos.Selective.moves) ]
-     | exception Not_found ->
-       failwith "delay budget infeasible even all-low-Vt at W/L 4096")
+  | Select_answer { delay_budget; result = r } ->
+    let low =
+      Array.fold_left
+        (fun a h -> if h then a else a + 1)
+        0 r.Mtcmos.Selective.vt_high
+    in
+    let cluster_json c wl =
+      let m = r.Mtcmos.Selective.members.(c) in
+      let lowc =
+        Array.fold_left
+          (fun a g -> if r.Mtcmos.Selective.vt_high.(g) then a else a + 1)
+          0 m
+      in
+      Json.Obj
+        [ ("wl", Json.Float wl);
+          ("gates", Json.Int (Array.length m));
+          ("low_vt", Json.Int lowc) ]
+    in
+    Json.Obj
+      [ ("delay_budget", Json.Float delay_budget);
+        ( "objective",
+          Json.Str
+            (Mtcmos.Selective.objective_name r.Mtcmos.Selective.objective) );
+        ("base_delay", Json.Float r.Mtcmos.Selective.base_delay);
+        ("budget", Json.Float r.Mtcmos.Selective.budget);
+        ("arrival", Json.Float r.Mtcmos.Selective.arrival);
+        ("slack", Json.Float r.Mtcmos.Selective.slack);
+        ("low_vt", Json.Int low);
+        ("high_vt", Json.Int (Array.length r.Mtcmos.Selective.vt_high - low));
+        ( "clusters",
+          Json.Arr
+            (Array.to_list (Array.mapi cluster_json r.Mtcmos.Selective.sleep_wl))
+        );
+        ("leakage", Json.Float r.Mtcmos.Selective.leakage);
+        ("ungated_leakage", Json.Float r.Mtcmos.Selective.ungated_leakage);
+        ("area", Json.Float r.Mtcmos.Selective.area);
+        ("objective_value", Json.Float r.Mtcmos.Selective.objective_value);
+        ("evaluations", Json.Int r.Mtcmos.Selective.evaluations);
+        ("flips_to_low", Json.Int r.Mtcmos.Selective.flips_to_low);
+        ("reclaimed", Json.Int r.Mtcmos.Selective.reclaimed);
+        ("moves", Json.Int r.Mtcmos.Selective.moves) ]
 
 let error_message = function
   | Failure m -> m
   | Invalid_argument m -> "invalid argument: " ^ m
   | e -> Printexc.to_string e
 
-(* effective per-job context: job override > spec defaults > base ctx *)
-let job_ctx base (defaults : Spec.overrides) (job : Spec.job) =
-  let pick f = Option.fold ~none:(f defaults) ~some:Option.some (f job.Spec.overrides) in
-  let engine = pick (fun o -> o.Spec.engine) in
-  let jobs = pick (fun o -> o.Spec.jobs) in
-  let budget = pick (fun o -> o.Spec.newton_budget) in
-  let ctx = Eval.Ctx.override ?engine ?jobs base in
-  match budget with
+let with_overrides (ov : Spec.overrides) ctx =
+  let ctx = Eval.Ctx.override ?engine:ov.Spec.engine ?jobs:ov.Spec.jobs ctx in
+  match ov.Spec.newton_budget with
   | Some n when n > 0 ->
     Eval.Ctx.with_policy
       (Spice.Recover.with_newton_budget n ctx.Eval.Ctx.policy)
       ctx
   | _ -> ctx
+
+(* effective per-job context: job override > spec defaults > base ctx *)
+let job_ctx base (defaults : Spec.overrides) (job : Spec.job) =
+  let pick f = Option.fold ~none:(f defaults) ~some:Option.some (f job.Spec.overrides) in
+  with_overrides
+    { Spec.engine = pick (fun o -> o.Spec.engine);
+      jobs = pick (fun o -> o.Spec.jobs);
+      newton_budget = pick (fun o -> o.Spec.newton_budget) }
+    base
+
+let exec_job ?(defaults = Spec.no_overrides) ctx tech bc job =
+  let jctx, stats = Eval.Ctx.for_job (job_ctx ctx defaults job) in
+  match answer jctx tech bc job with
+  | a -> (Ok a, stats)
+  | exception e -> (Error (error_message e), stats)
 
 (* ---- the run loop ------------------------------------------------ *)
 
@@ -336,26 +385,22 @@ let run ?(ctx = Eval.Ctx.default) ?journal ?(fresh = false) ?stop_after
               interrupted := true;
               raise Exit
             | _ -> ());
-           let jctx = job_ctx ctx spec.Spec.defaults job in
-           let jctx, stats = Eval.Ctx.for_job jctx in
            let bc =
              Option.bind job.Spec.circuit (fun id ->
                  List.assoc_opt id circuits)
            in
-           let result =
+           let result, stats =
              Obs.Span.with_ obs "runner.job" (fun () ->
-                 match exec_kind jctx tech bc job with
-                 | payload -> Ok payload
-                 | exception e -> Error (error_message e))
+                 exec_job ~defaults:spec.Spec.defaults ctx tech bc job)
            in
            let status, tail =
              match result with
-             | Ok payload ->
+             | Ok a ->
                let s =
                  if stats.Eval.Resilience.skipped > 0 then Degraded
                  else Clean
                in
-               (s, [ ("result", payload) ] @ resilience_json stats)
+               (s, [ ("result", answer_json a) ] @ resilience_json stats)
              | Error msg -> (Failed, [ ("error", Json.Str msg) ])
            in
            let frag =

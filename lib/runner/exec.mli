@@ -28,6 +28,53 @@ type outcome = {
   interrupted : bool;  (** stopped early by [?stop_after] *)
 }
 
+(** A job's typed answer, one case per {!Spec.kind}. *)
+type answer =
+  | Sweep_answer of Mtcmos.Sizing.measurement list
+  | Size_answer of {
+      target : float;
+      wl : float;  (** smallest W/L meeting [target] *)
+      measurement : Mtcmos.Sizing.measurement;  (** verified at [wl] *)
+    }
+  | Worst_answer of {
+      wl : float;
+      pairs_examined : int;
+      ranked : Mtcmos.Vectors.ranking list;
+    }
+  | Search_answer of {
+      wl : float;
+      objective : Mtcmos.Search.objective;
+      outcome : Mtcmos.Search.outcome;
+    }
+  | Characterize_answer of {
+      gate : Netlist.Gate.kind;
+      points : Mtcmos.Characterize.point list;
+    }
+  | Monte_carlo_answer of { wl : float; n : int; stats : Mtcmos.Variation.stats }
+  | Select_answer of { delay_budget : float; result : Mtcmos.Selective.result }
+
+val answer_json : answer -> Json.t
+(** The ["result"] field of the job's manifest entry. *)
+
+val with_overrides : Spec.overrides -> Eval.Ctx.t -> Eval.Ctx.t
+(** Apply engine / worker-count / Newton-budget overrides to a context;
+    a budget [n > 0] caps the recovery policy's Newton iterations. *)
+
+val exec_job :
+  ?defaults:Spec.overrides ->
+  Eval.Ctx.t ->
+  Device.Tech.t ->
+  Catalog.bench_circuit option ->
+  Spec.job ->
+  (answer, string) result * Eval.Resilience.t
+(** Run one job: the single execution path of {!run} and of the
+    analysis subcommands, which build a one-job {!Spec.job} from their
+    flags.  The context gets the job's overrides (falling back to
+    [defaults]) and a fresh resilience accumulator
+    ({!Eval.Ctx.for_job}), returned for the caller's report.  Any
+    exception inside the job (infeasible size or budget, bad vector,
+    solver failure) becomes [Error message]. *)
+
 val run :
   ?ctx:Eval.Ctx.t ->
   ?journal:string ->

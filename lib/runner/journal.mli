@@ -10,8 +10,8 @@
     truncated payload, or a missing terminating newline — and {!load}
     tolerates all three by dropping the torn tail; that job simply
     re-runs.  Truncating a valid journal at {e any} byte offset never
-    makes {!load} raise.  Unframed legacy lines
-    ([<id> <fragment-json>]) still load. *)
+    makes {!load} raise.  A line without a length header counts as
+    damage. *)
 
 val magic : string
 

@@ -132,22 +132,61 @@ let strings what args =
   in
   go [] args
 
+(* ---- range checks ---------------------------------------------- *)
+
+(* One check for counts and sizes, shared by the job-file parser and the
+   CLI subcommands: the first failing (ok, message) rule is the error.
+   [flag] prefixes field names ("--" on the command line). *)
+let first_error rules =
+  match List.find_opt (fun (ok, _) -> not ok) rules with
+  | Some (_, msg) -> Error msg
+  | None -> Ok ()
+
+let at_least ~flag name v min =
+  (v >= min, Printf.sprintf "%s%s %d: must be >= %d" flag name v min)
+
+let check_overrides ?(flag = "") (ov : overrides) =
+  let opt name min = Option.map (fun v -> at_least ~flag name v min) in
+  first_error
+    (List.filter_map Fun.id
+       [ opt "jobs" 1 ov.jobs; opt "newton-budget" 0 ov.newton_budget ])
+
+let check ?(flag = "") kind =
+  let at_least = at_least ~flag in
+  let positive wl = (wl > 0.0, Printf.sprintf "W/L %g: must be > 0" wl) in
+  first_error
+    (match kind with
+     | Sweep { wls; _ } -> List.map positive wls
+     | Size _ | Characterize _ -> []
+     | Worst_vectors { wl; top; sample } ->
+       [ positive wl; at_least "top" top 1; at_least "sample" sample 1 ]
+     | Search { wl; restarts; max_iters; _ } ->
+       [ positive wl;
+         at_least "restarts" restarts 1;
+         at_least "max-iters" max_iters 1 ]
+     | Monte_carlo { wl; n; _ } -> [ positive wl; at_least "n" n 1 ]
+     | Select { delay_budget; clusters; passes; _ } ->
+       [ ( delay_budget >= 0.0,
+           Printf.sprintf "%sdelay-budget %g: must be >= 0" flag delay_budget );
+         at_least "clusters" clusters 1;
+         at_least "passes" passes 0 ])
+
 (* fold override fields out of a field list, returning the rest *)
 let split_overrides fields =
   let rec go ov rest = function
-    | [] -> Ok (ov, List.rev rest)
+    | [] ->
+      let* () = check_overrides ov in
+      Ok (ov, List.rev rest)
     | ("engine", args) :: tl ->
       let* a = atom1 "engine" args in
       let* e = Eval.Engine.of_string a in
       go { ov with engine = Some e } rest tl
     | ("jobs", args) :: tl ->
       let* j = int1 "jobs" args in
-      if j < 1 then Error (Printf.sprintf "(jobs %d): must be >= 1" j)
-      else go { ov with jobs = Some j } rest tl
+      go { ov with jobs = Some j } rest tl
     | ("newton-budget", args) :: tl ->
       let* n = int1 "newton-budget" args in
-      if n < 0 then Error (Printf.sprintf "(newton-budget %d): must be >= 0" n)
-      else go { ov with newton_budget = Some n } rest tl
+      go { ov with newton_budget = Some n } rest tl
     | f :: tl -> go ov (f :: rest) tl
   in
   go no_overrides [] fields
@@ -264,8 +303,7 @@ let parse_kind kname fields =
         let* a = atom1 "vector" args in
         Ok (Some a)
     in
-    if n < 1 then Error "(n ...): must be >= 1"
-    else Ok (Monte_carlo { wl; n; seed; vector })
+    Ok (Monte_carlo { wl; n; seed; vector })
   | "select" ->
     let* () =
       known fields
@@ -282,10 +320,7 @@ let parse_kind kname fields =
         let* a = atom1 "objective" args in
         Catalog.select_objective_of_name a
     in
-    if delay_budget < 0.0 then Error "(delay-budget ...): must be >= 0"
-    else if clusters < 1 then Error "(clusters ...): must be >= 1"
-    else if passes < 0 then Error "(passes ...): must be >= 0"
-    else Ok (Select { delay_budget; clusters; objective; passes })
+    Ok (Select { delay_budget; clusters; objective; passes })
   | other ->
     Error
       (Printf.sprintf
@@ -318,6 +353,11 @@ let parse_job = function
       let* circuit = circuit_ref fields in
       let fields = List.remove_assoc "circuit" fields in
       let* kind = parse_kind kname fields in
+      let* () =
+        Result.map_error
+          (fun e -> Printf.sprintf "job %s %s: %s" kname id e)
+          (check kind)
+      in
       (match (needs_circuit kind, circuit) with
        | true, None ->
          Error

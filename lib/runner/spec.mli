@@ -64,6 +64,17 @@ type t = {
 
 val kind_name : kind -> string
 
+val check : ?flag:string -> kind -> (unit, string) result
+(** The range check every job passes, from a job file or a command
+    line: each W/L > 0; [top], [sample], [restarts], [max-iters], [n]
+    and [clusters] >= 1; [passes] >= 0; [delay-budget] >= 0.  Size's
+    [target] is not checked (a negative one is the infeasible case).
+    [flag] (default [""]) prefixes field names in the message, e.g.
+    ["--"] to name command-line flags. *)
+
+val check_overrides : ?flag:string -> overrides -> (unit, string) result
+(** [jobs] >= 1 and [newton-budget] >= 0, same message style. *)
+
 val parse_string : string -> (t, string) result
 val parse_file : string -> (t, string) result
 

@@ -1137,29 +1137,14 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
     flush ~failed:true;
     Error f
 
-let transient_r ?opts ?integration ?dt ?record ?max_newton ?x0 ?uic
-    ?adaptive ?policy ?telemetry ?obs t ~t_stop =
+let transient_r ?opts ?x0 ?telemetry ?obs t ~t_stop =
+  (* the fast mode is structural: fixed at prepare time *)
   let o = Option.value opts ~default:t.opts in
-  let o =
-    { o with
-      Opts.integration = Option.value integration ~default:o.Opts.integration;
-      dt = (match dt with Some _ -> dt | None -> o.Opts.dt);
-      record = Option.value record ~default:o.Opts.record;
-      max_newton = Option.value max_newton ~default:o.Opts.max_newton;
-      uic = Option.value uic ~default:o.Opts.uic;
-      adaptive = Option.value adaptive ~default:o.Opts.adaptive;
-      policy = Option.value policy ~default:o.Opts.policy;
-      (* the fast mode is structural: fixed at prepare time *)
-      fast = t.opts.Opts.fast }
-  in
+  let o = { o with Opts.fast = t.opts.Opts.fast } in
   transient_opts ?x0 ?telemetry ?obs t ~o ~t_stop
 
-let transient ?integration ?dt ?record ?max_newton ?x0 ?uic ?adaptive t
-    ~t_stop =
-  match
-    transient_r ?integration ?dt ?record ?max_newton ?x0 ?uic ?adaptive t
-      ~t_stop
-  with
+let transient ?opts ?x0 t ~t_stop =
+  match transient_r ?opts ?x0 t ~t_stop with
   | Ok res -> res
   | Error f -> raise (No_convergence (Diag.failure_to_string f))
 

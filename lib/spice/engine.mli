@@ -145,14 +145,7 @@ type result
 
 val transient_r :
   ?opts:Opts.t ->
-  ?integration:integration ->
-  ?dt:float ->
-  ?record:record ->
-  ?max_newton:int ->
   ?x0:float array ->
-  ?uic:bool ->
-  ?adaptive:bool ->
-  ?policy:Recover.policy ->
   ?telemetry:Diag.telemetry ->
   ?obs:Obs.t ->
   t ->
@@ -160,16 +153,14 @@ val transient_r :
   (result, Diag.failure) Stdlib.result
 (** Simulate from a [dc_r] initial condition at [t = 0] to [t_stop].
 
-    Options resolve in precedence order: the individual optional
-    arguments (deprecated, kept as thin wrappers for existing callers),
-    then [?opts], then the prepare-time options.  The [fast] mode is
-    always the prepare-time one (it is structural).
+    [?opts] replaces the prepare-time options for this call; the [fast]
+    mode is always the prepare-time one (it is structural).
 
-    [dt] defaults to {!default_dt}; [x0] seeds the DC solve.  With
-    [uic] (default false) the DC solve is skipped entirely and [x0] is
+    [Opts.dt] defaults to {!default_dt}; [x0] seeds the DC solve.  With
+    [Opts.uic] (default false) the DC solve is skipped entirely and [x0] is
     taken as the initial state — the integrator settles any
     inconsistency within a few steps, which is how very large blocks
-    whose cold DC diverges are simulated.  With [adaptive] (default
+    whose cold DC diverges are simulated.  With [Opts.adaptive] (default
     false) the step size floats in [dt/16, 8*dt] on a Newton-iteration-
     count heuristic, trading exact step placement for speed.  Under
     [`Reduce_bypass] the step is instead driven by a local-truncation-
@@ -191,17 +182,12 @@ val transient_r :
     [dt > t_stop]. *)
 
 val transient :
-  ?integration:integration ->
-  ?dt:float ->
-  ?record:record ->
-  ?max_newton:int ->
+  ?opts:Opts.t ->
   ?x0:float array ->
-  ?uic:bool ->
-  ?adaptive:bool ->
   t ->
   t_stop:float ->
   result
-(** {!transient_r} with the default policy.
+(** {!transient_r}, raising instead of returning [Error].
     @raise No_convergence when a step fails even after every recovery
     strategy. *)
 

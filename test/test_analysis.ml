@@ -295,12 +295,11 @@ let test_adaptive_stepping () =
     (Netlist.Transistor.Cap { pos = n; neg = Netlist.Transistor.ground; c });
   let netlist = Netlist.Transistor.freeze b in
   let eng = Spice.Engine.prepare netlist in
-  let fixed =
-    Spice.Engine.transient eng ~t_stop:(5.0 *. tau) ~dt:(tau /. 200.0)
-  in
+  let opts = Spice.Engine.Opts.(with_dt (tau /. 200.0) default) in
+  let fixed = Spice.Engine.transient eng ~t_stop:(5.0 *. tau) ~opts in
   let adaptive =
-    Spice.Engine.transient ~adaptive:true eng ~t_stop:(5.0 *. tau)
-      ~dt:(tau /. 200.0)
+    Spice.Engine.transient eng ~t_stop:(5.0 *. tau)
+      ~opts:(Spice.Engine.Opts.with_adaptive true opts)
   in
   Alcotest.(check bool)
     (Printf.sprintf "fewer steps (%d vs %d)"

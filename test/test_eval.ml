@@ -193,14 +193,14 @@ let test_memo_replays_stats () =
   let compute stats =
     (match stats with
      | Some s ->
-       Mtcmos.Resilience.record_success ~stats:s telemetry;
-       Mtcmos.Resilience.record_skip ~stats:s
-         ~kind:Mtcmos.Resilience.Estimated ~label:"vec0" failure
+       Eval.Resilience.record_success ~stats:s telemetry;
+       Eval.Resilience.record_skip ~stats:s
+         ~kind:Eval.Resilience.Estimated ~label:"vec0" failure
      | None -> ());
     42.0
   in
   let call () =
-    let stats = Mtcmos.Resilience.create () in
+    let stats = Eval.Resilience.create () in
     let v =
       C.memo ~cache:c ~stats
         ~key:(lazy "stats-test")
@@ -218,18 +218,18 @@ let test_memo_replays_stats () =
   List.iter
     (fun (what, f) ->
       Alcotest.(check int) (what ^ " replayed") (f s1) (f s2))
-    [ ("attempted", fun s -> s.Mtcmos.Resilience.attempted);
-      ("direct", fun s -> s.Mtcmos.Resilience.direct);
-      ("skipped", fun s -> s.Mtcmos.Resilience.skipped);
-      ("fallback", fun s -> s.Mtcmos.Resilience.fallback) ];
+    [ ("attempted", fun s -> s.Eval.Resilience.attempted);
+      ("direct", fun s -> s.Eval.Resilience.direct);
+      ("skipped", fun s -> s.Eval.Resilience.skipped);
+      ("fallback", fun s -> s.Eval.Resilience.fallback) ];
   Alcotest.(check (list (pair string bool)))
     "skip labels replayed"
     (List.map
-       (fun (l, k, _) -> (l, k = Mtcmos.Resilience.Estimated))
-       s1.Mtcmos.Resilience.skips)
+       (fun (l, k, _) -> (l, k = Eval.Resilience.Estimated))
+       s1.Eval.Resilience.skips)
     (List.map
-       (fun (l, k, _) -> (l, k = Mtcmos.Resilience.Estimated))
-       s2.Mtcmos.Resilience.skips)
+       (fun (l, k, _) -> (l, k = Eval.Resilience.Estimated))
+       s2.Eval.Resilience.skips)
 
 (* ---- save / load ---------------------------------------------------------- *)
 
@@ -449,15 +449,15 @@ let test_engine_names () =
 
 let chain n = (Fixtures.chain n).Circuits.Chain.circuit
 
-let resilience_totals (s : Mtcmos.Resilience.t) =
-  ( s.Mtcmos.Resilience.attempted,
-    s.Mtcmos.Resilience.direct,
-    s.Mtcmos.Resilience.recovered,
-    s.Mtcmos.Resilience.skipped,
-    s.Mtcmos.Resilience.fallback,
-    s.Mtcmos.Resilience.scored_zero,
-    s.Mtcmos.Resilience.strategies,
-    List.map (fun (l, n, _) -> (l, n)) s.Mtcmos.Resilience.skips )
+let resilience_totals (s : Eval.Resilience.t) =
+  ( s.Eval.Resilience.attempted,
+    s.Eval.Resilience.direct,
+    s.Eval.Resilience.recovered,
+    s.Eval.Resilience.skipped,
+    s.Eval.Resilience.fallback,
+    s.Eval.Resilience.scored_zero,
+    s.Eval.Resilience.strategies,
+    List.map (fun (l, n, _) -> (l, n)) s.Eval.Resilience.skips )
 
 (* a spice sweep under a strangled Newton budget exercises recovery and
    fallback paths; cold, warm, and cache-off runs must agree on both the
@@ -468,7 +468,7 @@ let test_spice_sweep_cold_warm_off () =
   let wls = [ 2.0; 10.0 ] in
   let policy = Spice.Recover.with_newton_budget 4 Spice.Recover.default in
   let run ctx =
-    let stats = Mtcmos.Resilience.create () in
+    let stats = Eval.Resilience.create () in
     let ctx = E.Ctx.with_stats stats ctx in
     let ms = Mtcmos.Sizing.sweep ~ctx c ~vectors:[ vec ] ~wls in
     (ms, resilience_totals stats)

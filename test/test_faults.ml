@@ -27,6 +27,10 @@ let check_diagnosis ~what (f : D.failure) =
     true
     (String.length (D.failure_to_string f) > 0)
 
+(* per-call analysis options: step and watched node *)
+let opts ~dt watch =
+  E.Opts.(default |> with_dt dt |> with_record (E.Nodes [ watch ]))
+
 (* recover-or-diagnose, one test per fault class *)
 let transient_case fault () =
   let case = F.inject ~tech fault in
@@ -34,8 +38,8 @@ let transient_case fault () =
   let eng = E.prepare case.F.netlist in
   let tm = D.create_telemetry () in
   match
-    E.transient_r eng ~dt:case.F.dt ~t_stop:case.F.t_stop
-      ~record:(E.Nodes [ case.F.watch ]) ~telemetry:tm
+    E.transient_r eng ~t_stop:case.F.t_stop
+      ~opts:(opts ~dt:case.F.dt case.F.watch) ~telemetry:tm
   with
   | Ok res ->
     Alcotest.(check bool)
@@ -82,8 +86,9 @@ let strict_never_raises () =
          Alcotest.failf "%s: strict dc_r leaked exception %s"
            (F.name case.F.fault) (Printexc.to_string e));
       match
-        E.transient_r ~policy:R.strict eng ~dt:case.F.dt
-          ~t_stop:case.F.t_stop ~record:(E.Nodes [ case.F.watch ])
+        E.transient_r eng ~t_stop:case.F.t_stop
+          ~opts:
+            (E.Opts.with_policy R.strict (opts ~dt:case.F.dt case.F.watch))
       with
       | Ok _ | Error _ -> ()
       | exception e ->
@@ -152,8 +157,7 @@ let transient_dt_validation () =
   Alcotest.check_raises "dt > t_stop rejected"
     (Invalid_argument "Engine.transient: dt > t_stop") (fun () ->
       ignore
-        (E.transient_r eng ~dt:2e-9 ~t_stop:1e-9
-           ~record:(E.Nodes [ watch ])))
+        (E.transient_r eng ~t_stop:1e-9 ~opts:(opts ~dt:2e-9 watch)))
 
 (* bounded effort: even the pathological corpus must finish quickly.
    Generous wall-clock bound — this guards against hangs, not speed. *)
@@ -164,8 +168,8 @@ let corpus_terminates_quickly () =
       let eng = E.prepare case.F.netlist in
       ignore (E.dc_r eng);
       ignore
-        (E.transient_r eng ~dt:case.F.dt ~t_stop:case.F.t_stop
-           ~record:(E.Nodes [ case.F.watch ])))
+        (E.transient_r eng ~t_stop:case.F.t_stop
+           ~opts:(opts ~dt:case.F.dt case.F.watch)))
     (F.corpus ~tech);
   let elapsed = Sys.time () -. t0 in
   Alcotest.(check bool)

@@ -124,7 +124,7 @@ let test_resilience_counters_match_sequential () =
     Spice.Recover.with_newton_budget 4 Spice.Recover.default
   in
   let run jobs =
-    let stats = Mtcmos.Resilience.create () in
+    let stats = Eval.Resilience.create () in
     let ms =
       Mtcmos.Sizing.sweep
         ~ctx:
@@ -138,13 +138,13 @@ let test_resilience_counters_match_sequential () =
   let ms1, s1 = run 1 in
   let ms2, s2 = run 2 in
   Alcotest.(check bool) "measurements identical" true (ms1 = ms2);
-  let counters (s : Mtcmos.Resilience.t) =
-    ( s.Mtcmos.Resilience.attempted,
-      s.Mtcmos.Resilience.direct,
-      s.Mtcmos.Resilience.recovered,
-      s.Mtcmos.Resilience.skipped,
-      s.Mtcmos.Resilience.fallback,
-      s.Mtcmos.Resilience.scored_zero )
+  let counters (s : Eval.Resilience.t) =
+    ( s.Eval.Resilience.attempted,
+      s.Eval.Resilience.direct,
+      s.Eval.Resilience.recovered,
+      s.Eval.Resilience.skipped,
+      s.Eval.Resilience.fallback,
+      s.Eval.Resilience.scored_zero )
   in
   Alcotest.(check (pair int (pair int (pair int (pair int (pair int int))))))
     "counters identical"
@@ -153,16 +153,16 @@ let test_resilience_counters_match_sequential () =
     (let a, b, c', d, e, f = counters s2 in
      (a, (b, (c', (d, (e, f))))));
   Alcotest.(check (list (pair string int)))
-    "recovery strategies identical" s1.Mtcmos.Resilience.strategies
-    s2.Mtcmos.Resilience.strategies;
-  let skip_tags (s : Mtcmos.Resilience.t) =
-    List.map (fun (label, _, _) -> label) s.Mtcmos.Resilience.skips
+    "recovery strategies identical" s1.Eval.Resilience.strategies
+    s2.Eval.Resilience.strategies;
+  let skip_tags (s : Eval.Resilience.t) =
+    List.map (fun (label, _, _) -> label) s.Eval.Resilience.skips
   in
   Alcotest.(check (list string))
     "skip labels identical" (skip_tags s1) (skip_tags s2);
   Alcotest.(check bool)
     "something was attempted" true
-    (s1.Mtcmos.Resilience.attempted > 0)
+    (s1.Eval.Resilience.attempted > 0)
 
 (* the Search.score zero-conflation fix: a transient that fails after
    recovery scores 0 AND is recorded as a Scored_zero skip, while an
@@ -176,7 +176,7 @@ let test_scored_zero_distinct_from_quiet_zero () =
       (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl:6.0 ~vdd:1.2)
   in
   (* nothing switches: before = after *)
-  let quiet = Mtcmos.Resilience.create () in
+  let quiet = Eval.Resilience.create () in
   let s_quiet =
     Mtcmos.Search.score
       ~ctx:
@@ -186,16 +186,16 @@ let test_scored_zero_distinct_from_quiet_zero () =
       ([ (1, 0) ], [ (1, 0) ])
   in
   Alcotest.(check (float 0.0)) "quiet zero" 0.0 s_quiet;
-  Alcotest.(check int) "quiet: no skips" 0 quiet.Mtcmos.Resilience.skipped;
+  Alcotest.(check int) "quiet: no skips" 0 quiet.Eval.Resilience.skipped;
   Alcotest.(check int)
-    "quiet: no scored-zero" 0 quiet.Mtcmos.Resilience.scored_zero;
+    "quiet: no scored-zero" 0 quiet.Eval.Resilience.scored_zero;
   Alcotest.(check bool)
     "quiet: analyses succeeded" true
-    (quiet.Mtcmos.Resilience.attempted > 0
-    && quiet.Mtcmos.Resilience.direct + quiet.Mtcmos.Resilience.recovered
-       = quiet.Mtcmos.Resilience.attempted);
+    (quiet.Eval.Resilience.attempted > 0
+    && quiet.Eval.Resilience.direct + quiet.Eval.Resilience.recovered
+       = quiet.Eval.Resilience.attempted);
   (* transient failure: a one-iteration Newton budget cannot converge *)
-  let broken = Mtcmos.Resilience.create () in
+  let broken = Eval.Resilience.create () in
   let s_broken =
     Mtcmos.Search.score
       ~ctx:
@@ -209,12 +209,12 @@ let test_scored_zero_distinct_from_quiet_zero () =
   Alcotest.(check (float 0.0)) "failure scores zero" 0.0 s_broken;
   Alcotest.(check bool)
     "failure recorded as scored-zero" true
-    (broken.Mtcmos.Resilience.scored_zero > 0);
+    (broken.Eval.Resilience.scored_zero > 0);
   Alcotest.(check int)
     "scored-zero skips are the only skips"
-    broken.Mtcmos.Resilience.skipped broken.Mtcmos.Resilience.scored_zero;
+    broken.Eval.Resilience.skipped broken.Eval.Resilience.scored_zero;
   (* and the report names them *)
-  let report = Mtcmos.Resilience.report_string broken in
+  let report = Eval.Resilience.report_string broken in
   Alcotest.(check bool)
     "report mentions scored-0 candidates" true
     (let re = "scored 0" in

@@ -173,7 +173,10 @@ let prop_transient_samples_finite =
       in
       let inst = Netlist.Expand.expand c ~stimuli in
       let eng = Spice.Engine.prepare inst.Netlist.Expand.netlist in
-      match Spice.Engine.transient_r eng ~t_stop:1e-9 ~dt:10e-12 with
+      match
+        Spice.Engine.transient_r eng ~t_stop:1e-9
+          ~opts:Spice.Engine.Opts.(with_dt 10e-12 default)
+      with
       | Error _ -> true (* a structured failure is an acceptable outcome *)
       | Ok res ->
         Array.for_all
@@ -198,9 +201,13 @@ let prop_result_api_never_raises =
       let eng = Spice.Engine.prepare case.Spice.Faults.netlist in
       match
         ( Spice.Engine.dc_r eng,
-          Spice.Engine.transient_r eng ~dt:case.Spice.Faults.dt
-            ~t_stop:case.Spice.Faults.t_stop
-            ~record:(Spice.Engine.Nodes [ case.Spice.Faults.watch ]) )
+          Spice.Engine.transient_r eng ~t_stop:case.Spice.Faults.t_stop
+            ~opts:
+              Spice.Engine.Opts.(
+                default
+                |> with_dt case.Spice.Faults.dt
+                |> with_record
+                     (Spice.Engine.Nodes [ case.Spice.Faults.watch ])) )
       with
       | (Ok _ | Error _), (Ok _ | Error _) -> true
       | exception _ -> false)
@@ -232,7 +239,7 @@ let prop_score_jobs_invariant =
     (fun v ->
       let pair = ([ (1, v land 1) ], [ (1, (v lsr 1) land 1) ]) in
       let run jobs =
-        let stats = Mtcmos.Resilience.create () in
+        let stats = Eval.Resilience.create () in
         let s =
           Mtcmos.Search.score
             ~ctx:
@@ -242,10 +249,10 @@ let prop_score_jobs_invariant =
             c ~sleep Mtcmos.Search.Max_degradation pair
         in
         ( s,
-          stats.Mtcmos.Resilience.attempted,
-          stats.Mtcmos.Resilience.direct,
-          stats.Mtcmos.Resilience.recovered,
-          stats.Mtcmos.Resilience.scored_zero )
+          stats.Eval.Resilience.attempted,
+          stats.Eval.Resilience.direct,
+          stats.Eval.Resilience.recovered,
+          stats.Eval.Resilience.scored_zero )
       in
       run 1 = run 2)
 

@@ -133,6 +133,38 @@ let test_spec_rejections () =
   rejects "empty batch" "(batch (tech 07um))";
   rejects "bad job id" "(batch (tech 07um) (circuit c chain) (job sweep \"a b\" (circuit c)))"
 
+(* the range check shared with the CLI flags: one case per rule, and
+   the message names the offending field *)
+let test_spec_range_checks () =
+  let rejects field job =
+    let src =
+      Printf.sprintf "(batch (tech 07um) (circuit c adder1) %s)" job
+    in
+    match Runner.Spec.parse_string src with
+    | Ok _ -> Alcotest.failf "%s was accepted" job
+    | Error e ->
+      let n = String.length field in
+      let rec mentions i =
+        i + n <= String.length e
+        && (String.sub e i n = field || mentions (i + 1))
+      in
+      if not (mentions 0) then
+        Alcotest.failf "%s: error %S does not name %s" job e field
+  in
+  rejects "restarts" "(job search h (circuit c) (restarts 0))";
+  rejects "max-iters" "(job search h (circuit c) (max-iters 0))";
+  rejects "top" "(job worst-vectors w (circuit c) (top -2))";
+  rejects "sample" "(job worst-vectors w (circuit c) (sample -1))";
+  rejects "W/L" "(job sweep s (circuit c) (wls 5 -3))";
+  rejects "W/L" "(job search h (circuit c) (wl 0))";
+  (* size's target is deliberately unchecked: negative is infeasible *)
+  match
+    Runner.Spec.parse_string
+      "(batch (tech 07um) (circuit c chain) (job size z (circuit c) (target -1)))"
+  with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "negative target rejected: %s" e
+
 (* --- Journal -------------------------------------------------------- *)
 
 let test_journal_round_trip () =
@@ -278,6 +310,29 @@ let test_failure_isolation () =
   Alcotest.(check bool) "ok neighbour present" true
     (mem {|"id":"s_also_ok","kind":"sweep","circuit":"c","status":"ok"|})
 
+(* A vector that switches no output has no ideal-ground delay to
+   degrade: the size job must fail and say why, not finish "ok" with a
+   NaN degradation at the top of the bisection range. *)
+let test_size_without_switching_fails () =
+  let src =
+    {|(batch (tech 07um) (circuit c chain)
+       (job size z (circuit c) (vectors "0->0")))|}
+  in
+  let s =
+    match Runner.Spec.parse_string src with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "parse: %s" e
+  in
+  let o = run_exn s in
+  Alcotest.(check int) "failed" 1 o.Runner.failed;
+  let probe = "switch no output" in
+  let hay = o.Runner.manifest and np = String.length probe in
+  let rec find i =
+    i + np <= String.length hay
+    && (String.sub hay i np = probe || find (i + 1))
+  in
+  Alcotest.(check bool) "error names the cause" true (find 0)
+
 (* Cancellation at job boundaries + fragment streaming: the serve
    daemon's contract.  A cancelled run reports interrupted, journals
    what it finished, and a resume completes to the uninterrupted
@@ -389,6 +444,7 @@ let suite =
       test_spec_fingerprint_ignores_layout;
     Alcotest.test_case "spec rejects malformed batches" `Quick
       test_spec_rejections;
+    Alcotest.test_case "spec range checks" `Quick test_spec_range_checks;
     Alcotest.test_case "journal round trip + torn tail" `Quick
       test_journal_round_trip;
     Alcotest.test_case "journal truncation fuzz (every offset)" `Quick
@@ -396,6 +452,8 @@ let suite =
     Alcotest.test_case "catalog round trips" `Quick test_catalog_round_trips;
     Alcotest.test_case "per-job failure isolation" `Quick
       test_failure_isolation;
+    Alcotest.test_case "size without a switching output fails" `Quick
+      test_size_without_switching_fails;
     Alcotest.test_case "cancel at job boundary + fragment streaming"
       `Quick test_cancel_and_streaming;
     Alcotest.test_case "runner obs metrics" `Quick test_runner_metrics;

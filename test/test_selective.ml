@@ -85,16 +85,11 @@ let test_objectives () =
 
 let test_bounce_check () =
   let c = Fixtures.adder_circuit 4 in
-  let r =
-    Sel.optimize ~bounce_vectors:[ Fixtures.low_high [ 4; 4 ] ] c
-      ~delay_budget:0.1
-  in
+  let r = Sel.optimize c ~delay_budget:0.1 in
   check_result c r;
-  match r.Sel.vx_peak with
-  | None -> Alcotest.fail "expected a vx_peak with bounce_vectors"
-  | Some vx ->
-    Alcotest.(check bool) "bounce peak positive and below vdd" true
-      (vx > 0.0 && vx < tech.Device.Tech.vdd)
+  let vx = Sel.bounce c r ~vectors:[ Fixtures.low_high [ 4; 4 ] ] in
+  Alcotest.(check bool) "bounce peak positive and below vdd" true
+    (vx > 0.0 && vx < tech.Device.Tech.vdd)
 
 let test_infeasible_raises () =
   let c = Fixtures.chain6 () in

@@ -65,7 +65,10 @@ let test_transient_interiors_exact () =
       let run fast =
         let eng = prep netlist fast in
         let res =
-          match E.transient_r ~integration ~dt eng ~t_stop with
+          match
+            E.transient_r eng ~t_stop
+              ~opts:E.Opts.(default |> with_integration integration |> with_dt dt)
+          with
           | Ok r -> r
           | Error f -> Alcotest.failf "transient: %s" (Spice.Diag.failure_to_string f)
         in
@@ -140,42 +143,33 @@ let test_default_dt_from_tau () =
     "floor at t_stop/50000" (t_stop /. 50000.0)
     (E.default_dt eng ~t_stop)
 
-(* The legacy optional arguments are thin wrappers over Opts: same
-   values, bit-identical trajectory. *)
-let test_wrappers_bit_identical () =
+(* The two routes for analysis options: fixed at prepare time, or
+   given per call with [?opts].  Same values, bit-identical trajectory. *)
+let test_opts_routes_bit_identical () =
   let netlist, _, _ = ladder () in
   let tau = 1e-10 in
-  let eng = E.prepare netlist in
-  let via_args =
-    E.transient ~integration:E.Trapezoidal ~dt:(tau /. 20.0) eng
-      ~t_stop:(20.0 *. tau)
+  let opts =
+    E.Opts.(default |> with_integration E.Trapezoidal |> with_dt (tau /. 20.0))
   in
-  let eng2 =
-    E.prepare
-      ~opts:
-        E.Opts.(
-          default
-          |> with_integration E.Trapezoidal
-          |> with_dt (tau /. 20.0))
-      netlist
-  in
-  let via_opts =
-    match E.transient_r eng2 ~t_stop:(20.0 *. tau) with
+  let run eng ?opts () =
+    match E.transient_r eng ?opts ~t_stop:(20.0 *. tau) with
     | Ok r -> r
     | Error f -> Alcotest.failf "transient: %s" (Spice.Diag.failure_to_string f)
   in
-  let xa = E.final_solution via_args and xo = E.final_solution via_opts in
+  let per_call = run (E.prepare netlist) ~opts () in
+  let at_prepare = run (E.prepare ~opts netlist) () in
+  let xa = E.final_solution per_call and xo = E.final_solution at_prepare in
   Alcotest.(check int) "same unknowns" (Array.length xa) (Array.length xo);
   Array.iteri
     (fun i v ->
       if not (Float.equal v xo.(i)) then
         Alcotest.failf "unknown %d: %h vs %h" i v xo.(i))
     xa;
-  Alcotest.(check int) "same steps" (E.steps_taken via_args)
-    (E.steps_taken via_opts);
+  Alcotest.(check int) "same steps" (E.steps_taken per_call)
+    (E.steps_taken at_prepare);
   Alcotest.(check int) "same newton effort"
-    (E.newton_iterations via_args)
-    (E.newton_iterations via_opts)
+    (E.newton_iterations per_call)
+    (E.newton_iterations at_prepare)
 
 (* [`Off] through the Sizing front end: bit-identical across worker
    counts and cache states (the cache key digests the fast mode, so an
@@ -281,7 +275,7 @@ let suite =
       `Quick test_dc_ground_anchored_chain;
     Alcotest.test_case "default dt derives from fastest RC tau" `Quick
       test_default_dt_from_tau;
-    Alcotest.test_case "legacy wrappers == Opts record (bit-identical)"
-      `Quick test_wrappers_bit_identical;
+    Alcotest.test_case "prepare Opts == per-call ?opts (bit-identical)"
+      `Quick test_opts_routes_bit_identical;
     seeded prop_off_jobs_cache_invariant;
     seeded prop_bypass_within_band ]
