@@ -1,9 +1,11 @@
 (* Experiment harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md's experiment index) plus the ablations, and
-   runs Bechamel microbenchmarks of the two engines.
+   checks the table of CI gates (speed and quality floors).
 
      dune exec bench/main.exe            -- everything
      dune exec bench/main.exe fig10 cpu  -- selected experiments
+     dune exec bench/main.exe obs fast   -- gate rows; exit 1 if any
+                                            floor fails
      dune exec bench/main.exe fast       -- everything, skipping the
                                             slowest transistor-level runs
 
@@ -32,65 +34,6 @@ let maybe_csv name table =
     let path = Filename.concat dir (name ^ ".csv") in
     Phys.Table.write_csv table ~path;
     Format.printf "(csv written to %s)@." path
-
-(* ---- bench history --------------------------------------------------------
-
-   `dune exec bench/main.exe -- record[=DIR] ...` appends every gated
-   experiment's headline ratio to DIR/BENCH_<exp>.json (one JSON object
-   per line) and compares it against the stored baseline -- the FIRST
-   recorded ratio for that (experiment, sub) pair.  The run fails when
-   a compared ratio sits below its gate floor or has degraded more than
-   20% against the baseline.  `mtsize bench-history` renders the files.
-
-   MTSIZE_BENCH_INJECT_SLOWDOWN=<fraction> scales the compared ratio
-   down (0.25 -> 25% slower than measured) to prove the regression gate
-   trips; injected runs never append, so the history stays honest. *)
-
-let record_dir : string option ref = ref None
-let record_failed = ref false
-
-let inject_slowdown =
-  match Sys.getenv_opt "MTSIZE_BENCH_INJECT_SLOWDOWN" with
-  | None -> 0.0
-  | Some s -> ( try float_of_string s with _ -> 0.0)
-
-(* baseline = first recorded ratio for this sub, None on a fresh file *)
-let record_baseline path sub =
-  if not (Sys.file_exists path) then None
-  else Obs.Bench_log.baseline (Obs.Bench_log.read path) (Some sub)
-
-let record_note ~exp ~sub ~ratio ~floor =
-  match !record_dir with
-  | None -> ()
-  | Some dir ->
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    let path = Filename.concat dir (Printf.sprintf "BENCH_%s.json" exp) in
-    let compared = ratio *. (1.0 -. inject_slowdown) in
-    let base = record_baseline path sub in
-    if compared < floor then begin
-      Format.eprintf "record %s/%s: ratio %.3f below floor %.3f@." exp sub
-        compared floor;
-      record_failed := true
-    end;
-    (match base with
-     | Some b when compared < 0.8 *. b ->
-       Format.eprintf
-         "record %s/%s: ratio %.3f degraded > 20%% vs baseline %.3f@." exp sub
-         compared b;
-       record_failed := true
-     | _ -> ());
-    if inject_slowdown = 0.0 then begin
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      Printf.fprintf oc
-        {|{"experiment":"%s","sub":"%s","ratio":%.6f,"floor":%.3f,"at":%.0f}|}
-        exp sub ratio floor (Unix.time ());
-      output_char oc '\n';
-      close_out oc;
-      Format.printf "(recorded %s/%s ratio %.3f -> %s)@." exp sub ratio path
-    end
-    else
-      Format.printf "(inject %s/%s: compared %.3f, nothing appended)@." exp sub
-        compared
 
 (* wall time of one call *)
 let time f =
@@ -1110,140 +1053,154 @@ let extras ~fast () =
        -- the slew and compound-gate@.   margin matters)@."
   end
 
-(* ---- PAR: sequential vs parallel sweep/hunt ------------------------------------ *)
+(* ---- CI gates -----------------------------------------------------------------
 
-let par ~fast () =
-  header "PAR: deterministic parallel sweep engine, sequential vs domains";
-  let cores = Domain.recommended_domain_count () in
-  (* at least 2 domains even on a single-core host, so the
-     identical-output assertion always exercises the real parallel path *)
-  let jobs = max 2 (Par.Pool.default_jobs ()) in
-  Format.printf
-    "available cores: %d; parallel runs use --jobs %d@." cores jobs;
-  (* identical-output assertions run at every core count; the >= 2x
-     speedup assertion only where the acceptance criterion applies (a
-     machine with at least 4 cores) -- on fewer cores the honest
-     numbers are still printed *)
-  let report name t_seq t_par equal =
-    let speedup = t_seq /. t_par in
-    Format.printf
-      "{\"experiment\": \"par/%s\", \"jobs\": %d, \"t_seq_s\": %.3f, \
-       \"t_par_s\": %.3f, \"speedup\": %.2f, \"identical\": %b}@."
-      name jobs t_seq t_par speedup equal;
-    if not equal then begin
-      Format.eprintf "par/%s: parallel result differs from sequential@." name;
-      exit 1
-    end;
-    if cores >= 4 && jobs >= 4 && speedup < 2.0 then begin
-      Format.eprintf
-        "par/%s: speedup %.2fx < 2x at --jobs %d on a %d-core host@." name
-        speedup jobs cores;
-      exit 1
-    end;
-    record_note ~exp:"par" ~sub:name ~ratio:speedup ~floor:2.0
+   Every speed or quality floor CI holds the code to, as one table.  A
+   row runs its workload and returns one record of numeric fields per
+   sub-measurement; its floors bound fields by name.  The checker
+   prints each sub as a JSON line, then fails the run once every row
+   has finished, naming each broken floor.  Correctness (bit identity
+   across jobs, cache and resume; trace validity; the chain-deck
+   fast-transient bands) is held by the test suite, not here; the
+   bypass band on the sleep-gated adder is a speed-row floor. *)
+
+type floor = {
+  field : string;
+  bound : [ `At_least of float | `At_most of float ];
+  only_if : (string * float) list;  (* applies when each field >= value *)
+}
+
+type gate = {
+  name : string;
+  run : fast:bool -> (string * (string * float) list) list;
+  floors : floor list;
+}
+
+let at_least ?(only_if = []) field v = { field; bound = `At_least v; only_if }
+let at_most field v = { field; bound = `At_most v; only_if = [] }
+
+let ratio a b = a /. Float.max 1e-9 b
+
+(* [k] back-to-back pairs of runs of [f] and [g] after one warm-up run
+   of each, the order flipping every pair; returns the median
+   processor time of each and the median of the per-pair ratios g/f.
+   A pair shares one host state, so its ratio cancels the drift a
+   shared host adds to both sides; processor time leaves out the time
+   the process spent descheduled. *)
+let paired k f g =
+  let cpu h =
+    Gc.full_major ();
+    let t0 = Sys.time () in
+    ignore (h ());
+    Sys.time () -. t0
   in
-  (* W/L sweep of the 8x8 multiplier over both paper vectors *)
+  ignore (cpu f);
+  ignore (cpu g);
+  let runs =
+    List.init k (fun i ->
+        if i mod 2 = 0 then
+          let tf = cpu f in
+          (tf, cpu g)
+        else
+          let tg = cpu g in
+          (cpu f, tg))
+  in
+  let median l = List.nth (List.sort compare l) (List.length l / 2) in
+  ( median (List.map fst runs),
+    median (List.map snd runs),
+    median (List.map (fun (tf, tg) -> ratio tg tf) runs) )
+
+(* the bp adder-8 workload shared by the cache and obs rows *)
+let adder8_c =
+  (Circuits.Ripple_adder.make t07 ~bits:8).Circuits.Ripple_adder.circuit
+
+let adder8_vecs n =
+  List.init n (fun i -> ((i * 37) land 255, (i * 101) land 255))
+
+let adder8_vectors n =
+  List.map
+    (fun (a, b) -> ([ (8, a); (8, b) ], [ (8, 255 - a); (8, b lxor 170) ]))
+    (adder8_vecs n)
+
+let adder8_wls = [ 2.0; 4.0; 6.0; 10.0; 16.0; 25.0; 40.0; 80.0 ]
+
+let chain8_c =
+  (Circuits.Chain.inverter_chain t07 ~length:8).Circuits.Chain.circuit
+
+let chain_vectors = [ ([ (1, 0) ], [ (1, 1) ]); ([ (1, 1) ], [ (1, 0) ]) ]
+
+let chain_wls ~fast =
+  if fast then [ 5.0; 20.0 ] else [ 2.0; 5.0; 10.0; 20.0; 50.0 ]
+
+(* sequential vs parallel sizing sweep and worst-vector hunt *)
+let par_gate ~fast =
+  let cores = Domain.recommended_domain_count () in
+  (* at least 2 domains even on a single-core host, so the parallel
+     path is always the one timed *)
+  let jobs = max 2 (Par.Pool.default_jobs ()) in
+  let sub name run =
+    let _, t_seq = time (run 1) in
+    let _, t_par = time (run jobs) in
+    ( name,
+      [ ("cores", float cores); ("jobs", float jobs); ("t_seq_s", t_seq);
+        ("t_par_s", t_par); ("speedup", ratio t_seq t_par) ] )
+  in
   let wls =
     if fast then [ 30.0; 60.0; 100.0; 170.0; 300.0; 500.0 ]
     else [ 20.0; 30.0; 45.0; 60.0; 80.0; 100.0; 130.0; 170.0; 220.0;
            300.0; 400.0; 500.0 ]
   in
-  let vectors = [ mult_vec_a; mult_vec_b ] in
-  let sweep j () =
-    Mtcmos.Sizing.sweep ~ctx:Eval.Ctx.(default |> with_jobs j) mult_c
-      ~vectors ~wls
+  let sweep =
+    sub "sizing-sweep-mult8" (fun j () ->
+        Mtcmos.Sizing.sweep ~ctx:Eval.Ctx.(default |> with_jobs j) mult_c
+          ~vectors:[ mult_vec_a; mult_vec_b ] ~wls)
   in
-  let ms_seq, t_seq = time (sweep 1) in
-  let ms_par, t_par = time (sweep jobs) in
-  report "sizing-sweep-mult8" t_seq t_par (ms_seq = ms_par);
-  (* worst-vector hunt on the same multiplier *)
-  let sleep60 = sleep_of t03 60.0 in
-  let hunt j () =
-    Mtcmos.Search.hill_climb ~seed:2 ~restarts:(if fast then 4 else 8)
-      ~max_iters:(if fast then 100 else 250)
-      ~ctx:Eval.Ctx.(default |> with_jobs j)
-      mult_c ~sleep:sleep60 ~widths:[ 8; 8 ] Mtcmos.Search.Max_degradation
+  let hunt =
+    sub "search-hunt-mult8" (fun j () ->
+        Mtcmos.Search.hill_climb ~seed:2 ~restarts:(if fast then 4 else 8)
+          ~max_iters:(if fast then 100 else 250)
+          ~ctx:Eval.Ctx.(default |> with_jobs j)
+          mult_c ~sleep:(sleep_of t03 60.0) ~widths:[ 8; 8 ]
+          Mtcmos.Search.Max_degradation)
   in
-  let h_seq, ht_seq = time (hunt 1) in
-  let h_par, ht_par = time (hunt jobs) in
-  report "search-hunt-mult8" ht_seq ht_par (h_seq = h_par);
-  Format.printf
-    "hunt found score %.4g in %d evaluations (same at --jobs 1 and \
-     --jobs %d)@."
-    h_par.Mtcmos.Search.score h_par.Mtcmos.Search.evaluations jobs
+  [ sweep; hunt ]
 
-(* ---- CACHE: content-addressed evaluation cache, cold vs warm ------------------- *)
-
-let cache_exp ~fast () =
-  header "CACHE: evaluation cache, cold vs warm repeated sizing sweeps";
-  Format.printf
-    "a warm repeat of an identical sweep must return bit-identical \
-     measurements at >= 3x the cold speed@.";
-  let check name ~engine c ~vectors ~wls =
-    let run ctx () = Mtcmos.Sizing.sweep ~ctx c ~vectors ~wls in
+(* a warm repeat of a sizing sweep through the evaluation cache *)
+let cache_gate ~fast =
+  let sub name ~engine c ~vectors ~wls =
     let base = Eval.Ctx.with_engine engine Eval.Ctx.default in
-    (* reference: no cache at all *)
-    let off, _ = time (run base) in
+    let run ctx () = Mtcmos.Sizing.sweep ~ctx c ~vectors ~wls in
+    (* an uncached pass first, so the cold run pays no one-time setup *)
+    ignore (run base ());
     let cache = Eval.Cache.create () in
     let ctx = Eval.Ctx.with_cache cache base in
-    let cold, t_cold = time (run ctx) in
-    let warm, t_warm = time (run ctx) in
+    let _, t_cold = time (run ctx) in
+    let _, t_warm = time (run ctx) in
     let k = Eval.Cache.counters cache in
-    (* compare (not =): NaN fields must still count as identical *)
-    let identical = compare cold off = 0 && compare warm off = 0 in
-    let speedup = t_cold /. Float.max 1e-9 t_warm in
-    Format.printf
-      "{\"experiment\": \"cache/%s\", \"t_cold_s\": %.4f, \"t_warm_s\": \
-       %.4f, \"speedup\": %.1f, \"identical\": %b, \"hits\": %d, \
-       \"misses\": %d}@."
-      name t_cold t_warm speedup identical k.Eval.Cache.hits
-      k.Eval.Cache.misses;
-    if not identical then begin
-      Format.eprintf "cache/%s: cached sweep differs from uncached@." name;
-      exit 1
-    end;
-    if k.Eval.Cache.hits = 0 then begin
-      Format.eprintf "cache/%s: warm run never hit the cache@." name;
-      exit 1
-    end;
-    if speedup < 3.0 then begin
-      Format.eprintf "cache/%s: warm speedup %.1fx < 3x@." name speedup;
-      exit 1
-    end;
-    record_note ~exp:"cache" ~sub:name ~ratio:speedup ~floor:3.0
+    ( name,
+      [ ("t_cold_s", t_cold); ("t_warm_s", t_warm);
+        ("speedup", ratio t_cold t_warm);
+        ("hits", float k.Eval.Cache.hits);
+        ("misses", float k.Eval.Cache.misses) ] )
   in
-  let chain = Circuits.Chain.inverter_chain t07 ~length:8 in
-  check "sweep-chain-spice" ~engine:Eval.Spice_level
-    chain.Circuits.Chain.circuit
-    ~vectors:[ ([ (1, 0) ], [ (1, 1) ]); ([ (1, 1) ], [ (1, 0) ]) ]
-    ~wls:(if fast then [ 5.0; 20.0 ] else [ 2.0; 5.0; 10.0; 20.0; 50.0 ]);
-  (* the breakpoint engine is fast, so the workload must be big enough
-     that simulation (not sweep bookkeeping) dominates the cold run *)
-  let adder8 = Circuits.Ripple_adder.make t07 ~bits:8 in
-  let vectors =
-    List.init 32 (fun i ->
-        let a = (i * 37) land 255 and b = (i * 101) land 255 in
-        ([ (8, a); (8, b) ], [ (8, 255 - a); (8, b lxor 170) ]))
+  let chain =
+    sub "sweep-chain-spice" ~engine:Eval.Spice_level chain8_c
+      ~vectors:chain_vectors ~wls:(chain_wls ~fast)
   in
-  check "sweep-adder8-bp" ~engine:Eval.Breakpoint
-    adder8.Circuits.Ripple_adder.circuit ~vectors
-    ~wls:[ 2.0; 4.0; 6.0; 10.0; 16.0; 25.0; 40.0; 80.0 ]
+  (* big enough that simulation, not sweep bookkeeping, dominates *)
+  let adder =
+    sub "sweep-adder8-bp" ~engine:Eval.Breakpoint adder8_c
+      ~vectors:(adder8_vectors 32) ~wls:adder8_wls
+  in
+  [ chain; adder ]
 
-(* ---- RUNNER: batch engine, shared-cache warmup, resume identity ---------- *)
-
-let runner_exp ~fast () =
-  header "RUNNER: batch engine, shared-cache warmup, resume identity";
-  Format.printf
-    "a warm re-run of a batch through the shared evaluation cache must \
-     produce a byte-identical manifest at >= 3x the cold speed; the \
-     manifest must not move with --jobs, and an interrupted run resumed \
-     from its journal must match an uninterrupted one byte for byte@.";
-  (* the cache_exp workloads, spelled as a job file: the spice chain-8
-     sweep and the 32-vector bp adder-8 sweep *)
+(* the cache row's two sweeps as one job file, cold vs warm *)
+let runner_gate ~fast =
   let vecs =
-    List.init 32 (fun i ->
-        let a = (i * 37) land 255 and b = (i * 101) land 255 in
+    List.map
+      (fun (a, b) ->
         Printf.sprintf "\"%d,%d->%d,%d\"" a b (255 - a) (b lxor 170))
+      (adder8_vecs 32)
   in
   let src =
     Printf.sprintf
@@ -1257,313 +1214,124 @@ let runner_exp ~fast () =
       (String.concat " " vecs)
   in
   let spec =
-    match Runner.Spec.parse_string src with
-    | Ok s -> s
-    | Error e ->
-      Format.eprintf "runner: bad spec: %s@." e;
-      exit 1
+    match Runner.Spec.parse_string src with Ok s -> s | Error e -> failwith e
   in
-  let run ?journal ?fresh ?stop_after ctx () =
-    match Runner.run ~ctx ?journal ?fresh ?stop_after spec with
-    | Ok o -> o
-    | Error e ->
-      Format.eprintf "runner: %s@." e;
-      exit 1
+  let ctx = Eval.Ctx.with_cache (Eval.Cache.create ()) Eval.Ctx.default in
+  let run () =
+    match Runner.run ~ctx spec with Ok o -> o | Error e -> failwith e
   in
-  let cache = Eval.Cache.create () in
-  let ctx = Eval.Ctx.with_cache cache Eval.Ctx.default in
-  let cold, t_cold = time (run ctx) in
-  let warm, t_warm = time (run ctx) in
-  let speedup = t_cold /. Float.max 1e-9 t_warm in
-  let warm_identical = String.equal cold.Runner.manifest warm.Runner.manifest in
-  (* the manifest is --jobs-invariant (fresh cache so work really runs) *)
-  let j4 =
-    run (Eval.Ctx.with_jobs 4 (Eval.Ctx.with_cache (Eval.Cache.create ())
-           Eval.Ctx.default)) ()
-  in
-  let jobs_invariant = String.equal cold.Runner.manifest j4.Runner.manifest in
-  (* interrupt after the first job, resume from the journal *)
-  let journal = Filename.temp_file "mtsize-bench" ".journal" in
-  let interrupted = run ~journal ~fresh:true ~stop_after:1 ctx () in
-  let resumed = run ~journal ctx () in
-  Sys.remove journal;
-  let resume_identical =
-    String.equal cold.Runner.manifest resumed.Runner.manifest
-  in
-  Format.printf
-    "{\"experiment\": \"runner/batch\", \"t_cold_s\": %.4f, \"t_warm_s\": \
-     %.4f, \"speedup\": %.1f, \"warm_identical\": %b, \"jobs_invariant\": \
-     %b, \"resumed_jobs\": %d, \"resume_identical\": %b}@."
-    t_cold t_warm speedup warm_identical jobs_invariant
-    interrupted.Runner.executed resume_identical;
-  if not warm_identical then begin
-    Format.eprintf "runner: warm manifest differs from cold@.";
-    exit 1
-  end;
-  if not jobs_invariant then begin
-    Format.eprintf "runner: manifest moved with --jobs@.";
-    exit 1
-  end;
-  if not resume_identical then begin
-    Format.eprintf "runner: resumed manifest differs from uninterrupted@.";
-    exit 1
-  end;
-  if interrupted.Runner.executed <> 1 || not interrupted.Runner.interrupted
-  then begin
-    Format.eprintf "runner: stop_after did not interrupt after one job@.";
-    exit 1
-  end;
-  if resumed.Runner.replayed <> 1 then begin
-    Format.eprintf "runner: resume re-ran a journaled job@.";
-    exit 1
-  end;
-  if speedup < 3.0 then begin
-    Format.eprintf "runner: warm batch speedup %.1fx < 3x@." speedup;
-    exit 1
-  end;
-  record_note ~exp:"runner" ~sub:"batch" ~ratio:speedup ~floor:3.0
+  let _, t_cold = time run in
+  let _, t_warm = time run in
+  [ ( "batch",
+      [ ("t_cold_s", t_cold); ("t_warm_s", t_warm);
+        ("speedup", ratio t_cold t_warm) ] ) ]
 
-(* ---- OBS: observability overhead, identical output, trace validity ------------- *)
-
-let obs_exp ~fast () =
-  header "OBS: observability layer, overhead gate and trace validation";
-  Format.printf
-    "fully-enabled observability (metrics + tracing) must cost < 5%% \
-     over the default disabled path on the same workloads, return \
-     bit-identical measurements, and emit a trace that passes the \
-     trace-check validator@.";
-  (* best-of-3 so one scheduler hiccup does not fail the gate; the
-     disabled run is exactly what a PR-3-era caller gets (the no-op
-     handle), so the measured on-vs-off gap upper-bounds what the
-     instrumentation added to the uninstrumented baseline *)
-  let dump_last = ref "" in
-  let check name ~engine c ~vectors ~wls =
-    (* no cache: every point re-simulates, so the timing compares the
-       instrumented hot paths themselves *)
-    let run ctx () = Mtcmos.Sizing.sweep ~ctx c ~vectors ~wls in
+(* fully enabled observability (metrics + tracing) over the disabled
+   default, and the profile pass over the traced run it reads *)
+let obs_gate ~fast =
+  let sub name ~engine c ~vectors ~wls =
+    (* no cache: every point re-simulates the instrumented hot paths *)
     let base = Eval.Ctx.with_engine engine Eval.Ctx.default in
-    let off, t_off = best_of 3 (run base) in
-    let obs = Obs.create ~trace:true () in
-    let on_res, t_on = best_of 3 (run (Eval.Ctx.with_obs obs base)) in
-    let overhead = 100.0 *. (t_on -. t_off) /. Float.max 1e-9 t_off in
-    (* compare (not =): NaN fields must still count as identical *)
-    let identical = compare off on_res = 0 in
-    let trace_file = Filename.temp_file ("obs-" ^ name) ".json" in
-    Obs.write_trace obs trace_file;
-    let trace_ok =
-      match Obs.Trace.validate_file trace_file with
-      | Ok _ -> true
-      | Error msgs ->
-        List.iter (fun m -> Format.eprintf "obs/%s: %s@." name m) msgs;
-        false
+    let run ctx () = ignore (Mtcmos.Sizing.sweep ~ctx c ~vectors ~wls) in
+    (* 101 pairs: on a busy 2-vCPU host single pairs spread 0.5x-1.5x,
+       and the median of 41 still moved -3 %..+4 % between runs *)
+    let t_off, t_on, r =
+      paired 101 (run base) (fun () ->
+          run (Eval.Ctx.with_obs (Obs.create ~trace:true ()) base) ())
     in
-    Sys.remove trace_file;
-    dump_last := Obs.metrics_jsonl obs;
-    Format.printf
-      "{\"experiment\": \"obs/%s\", \"t_off_s\": %.4f, \"t_on_s\": %.4f, \
-       \"overhead_pct\": %.2f, \"identical\": %b, \"trace_ok\": %b}@."
-      name t_off t_on overhead identical trace_ok;
-    if not identical then begin
-      Format.eprintf "obs/%s: observed run differs from disabled run@." name;
-      exit 1
-    end;
-    if not trace_ok then begin
-      Format.eprintf "obs/%s: emitted trace failed validation@." name;
-      exit 1
-    end;
-    if overhead > 5.0 then begin
-      Format.eprintf "obs/%s: overhead %.2f%% > 5%%@." name overhead;
-      exit 1
-    end;
-    record_note ~exp:"obs" ~sub:name
-      ~ratio:(t_off /. Float.max 1e-9 t_on)
-      ~floor:0.95
+    ( name,
+      [ ("t_off_s", t_off); ("t_on_s", t_on);
+        ("overhead_pct", 100.0 *. (r -. 1.0)) ] )
   in
-  let chain = Circuits.Chain.inverter_chain t07 ~length:8 in
-  let chain_vectors = [ ([ (1, 0) ], [ (1, 1) ]); ([ (1, 1) ], [ (1, 0) ]) ] in
-  let chain_wls =
-    if fast then [ 5.0; 20.0 ] else [ 2.0; 5.0; 10.0; 20.0; 50.0 ]
+  let chain =
+    sub "sweep-chain-spice" ~engine:Eval.Spice_level chain8_c
+      ~vectors:chain_vectors ~wls:(chain_wls ~fast)
   in
-  check "sweep-chain-spice" ~engine:Eval.Spice_level
-    chain.Circuits.Chain.circuit ~vectors:chain_vectors ~wls:chain_wls;
-  let adder8 = Circuits.Ripple_adder.make t07 ~bits:8 in
-  let vectors =
-    List.init (if fast then 16 else 32) (fun i ->
-        let a = (i * 37) land 255 and b = (i * 101) land 255 in
-        ([ (8, a); (8, b) ], [ (8, 255 - a); (8, b lxor 170) ]))
+  let adder =
+    sub "sweep-adder8-bp" ~engine:Eval.Breakpoint adder8_c
+      ~vectors:(adder8_vectors (if fast then 16 else 32)) ~wls:adder8_wls
   in
-  check "sweep-adder8-bp" ~engine:Eval.Breakpoint
-    adder8.Circuits.Ripple_adder.circuit ~vectors
-    ~wls:[ 2.0; 4.0; 6.0; 10.0; 16.0; 25.0; 40.0; 80.0 ];
-  Format.printf "metrics registry after the adder8 run:@.%s" !dump_last;
-  (* the profile is a pure post-run pass over the span sink, so
-     --profile must cost < 2% over an otherwise identical traced run *)
-  let run_chain ctx () =
-    Mtcmos.Sizing.sweep ~ctx chain.Circuits.Chain.circuit
-      ~vectors:chain_vectors ~wls:chain_wls
-  in
+  (* --profile is a pure post-run pass over the span sink, so its cost
+     is the pass itself, timed against the traced run it reads *)
   let base = Eval.Ctx.with_engine Eval.Spice_level Eval.Ctx.default in
-  let traced () =
-    let obs = Obs.create ~trace:true () in
-    ignore (run_chain (Eval.Ctx.with_obs obs base) ());
-    obs
+  let rec profiled k t_trace t_prof =
+    if k = 0 then (t_trace, t_prof)
+    else
+      let obs = Obs.create ~trace:true () in
+      let _, tt =
+        time (fun () ->
+            Mtcmos.Sizing.sweep ~ctx:(Eval.Ctx.with_obs obs base) chain8_c
+              ~vectors:chain_vectors ~wls:(chain_wls ~fast))
+      in
+      let _, tp = time (fun () -> Obs.Prof.to_collapsed (Obs.profile obs)) in
+      profiled (k - 1) (Float.min t_trace tt) (Float.min t_prof tp)
   in
-  let _, t_trace = best_of 3 traced in
-  let _, t_prof =
-    best_of 3 (fun () ->
-        Obs.Prof.to_collapsed (Obs.profile (traced ())))
-  in
-  let prof_overhead =
-    100.0 *. (t_prof -. t_trace) /. Float.max 1e-9 t_trace
-  in
-  Format.printf
-    "{\"experiment\": \"obs/profiler\", \"t_trace_s\": %.4f, \
-     \"t_profile_s\": %.4f, \"overhead_pct\": %.2f}@."
-    t_trace t_prof prof_overhead;
-  if prof_overhead > 2.0 then begin
-    Format.eprintf "obs/profiler: overhead %.2f%% > 2%%@." prof_overhead;
-    exit 1
-  end;
-  record_note ~exp:"obs" ~sub:"profiler"
-    ~ratio:(t_trace /. Float.max 1e-9 t_prof)
-    ~floor:0.98;
-  (* the disabled handle threaded through a full run must stay silent:
-     no metrics, no spans, an empty profile *)
-  let off = Obs.disabled in
-  ignore (run_chain (Eval.Ctx.with_obs off base) ());
-  let prof = Obs.profile off in
-  let silent =
-    String.equal (Obs.metrics_jsonl off) ""
-    && Obs.Prof.paths prof = []
-    && String.equal (Obs.Prof.to_collapsed prof) ""
-  in
-  Format.printf "{\"experiment\": \"obs/disabled\", \"silent\": %b}@." silent;
-  if not silent then begin
-    Format.eprintf "obs/disabled: disabled handle emitted events@.";
-    exit 1
-  end
+  let t_trace, t_prof = profiled 3 infinity infinity in
+  [ chain; adder;
+    ( "profiler",
+      [ ("t_trace_s", t_trace); ("t_profile_s", t_prof);
+        ("profile_overhead_pct", 100.0 *. ratio t_prof t_trace) ] ) ]
 
-(* ---- SERVE: sharded-cache contention under concurrent clients ------------------ *)
-
-let serve_exp ~fast () =
-  header "SERVE: sharded evaluation cache under concurrent clients";
-  Format.printf
-    "the daemon funnels every request through one shared evaluation \
-     cache; eight concurrent clients hammering it must reach >= 2x the \
-     aggregate throughput on the 16-shard lock-striped table versus \
-     the single-mutex table, and every hit must return exactly the \
-     floats its miss stored@.";
-  let clients = 8 in
-  let keyspace = 1024 in
+(* eight concurrent clients on one evaluation cache: the 16-shard
+   lock-striped table against a single mutex *)
+let serve_gate ~fast =
+  let clients = 8 and keyspace = 1024 in
   let ops = if fast then 30_000 else 150_000 in
-  (* precomputed keys and values: the per-op work is the cache call
-     itself, so the timing compares lock contention, not sprintf; the
-     leading byte varies so keys stripe across shards like real
-     digests *)
+  (* precomputed keys and values, so the timing compares lock
+     contention, not sprintf; the leading byte varies so keys stripe
+     across shards like real digests *)
   let keys =
     Array.init keyspace (fun i ->
-        Printf.sprintf "%c/serve-bench/%04d"
-          (Char.chr ((i * 131) land 255))
-          i)
+        Printf.sprintf "%c/serve-bench/%04d" (Char.chr ((i * 131) land 255)) i)
   in
   let vals =
     Array.init keyspace (fun i ->
         [| (float_of_int i *. 1.5) +. 0.25; float_of_int (i land 7) |])
   in
-  let workload cache c () =
-    (* each client walks the shared keyspace from its own offset so the
-       fleet is never in lock step on one shard *)
-    let bad = ref 0 in
+  (* each client walks the keyspace from its own offset, so the fleet
+     is never in lock step on one shard *)
+  let client cache c () =
     for n = 0 to ops - 1 do
       let i = (n + (c * 131)) mod keyspace in
       match Eval.Cache.find cache keys.(i) with
-      | Some e ->
-        if
-          Array.length e.Eval.Cache.floats <> 2
-          || e.Eval.Cache.floats.(0) <> vals.(i).(0)
-        then incr bad
+      | Some _ -> ()
       | None ->
         Eval.Cache.store cache keys.(i)
           { Eval.Cache.floats = vals.(i); stats = None }
-    done;
-    !bad
+    done
   in
-  let fleet cache =
-    time (fun () ->
-        let ds = List.init clients (fun c -> Domain.spawn (workload cache c)) in
-        List.fold_left (fun a d -> a + Domain.join d) 0 ds)
-  in
-  (* best-of-3 so one scheduler hiccup does not fail the gate; the
-     cache persists across repeats, so repeats run all-hits — the
-     daemon's steady state *)
+  (* best of 3 fleets on one cache: repeats run all-hits, the daemon's
+     steady state *)
   let best shards =
     let cache = Eval.Cache.create ~shards () in
-    let rec go best bad_total k =
-      if k = 0 then (cache, bad_total, best)
-      else
-        let bad, t = fleet cache in
-        go (Float.min best t) (bad_total + bad) (k - 1)
+    let fleet () =
+      List.iter Domain.join
+        (List.init clients (fun c -> Domain.spawn (client cache c)))
     in
-    go infinity 0 3
+    snd (best_of 3 fleet)
   in
-  let c1, bad1, t1 = best 1 in
-  let c16, bad16, t16 = best 16 in
-  let total_ops = 3 * clients * ops in
-  let accounted c =
-    let k = Eval.Cache.counters c in
-    k.Eval.Cache.hits + k.Eval.Cache.misses = total_ops
-  in
-  let speedup = t1 /. Float.max 1e-9 t16 in
-  let cores = Domain.recommended_domain_count () in
-  Format.printf
-    "{\"experiment\": \"serve/cache-contention\", \"clients\": %d, \
-     \"ops_per_client\": %d, \"t_single_s\": %.4f, \"t_sharded_s\": \
-     %.4f, \"speedup\": %.2f, \"lookups_ok\": %b, \"cores\": %d}@."
-    clients ops t1 t16 speedup
-    (bad1 = 0 && bad16 = 0)
-    cores;
-  if bad1 > 0 || bad16 > 0 then begin
-    Format.eprintf "serve: %d lookups returned foreign floats@."
-      (bad1 + bad16);
-    exit 1
-  end;
-  if not (accounted c1 && accounted c16) then begin
-    Format.eprintf "serve: merged hit+miss counters do not sum to %d@."
-      total_ops;
-    exit 1
-  end;
-  if cores >= 4 && speedup < 2.0 then begin
-    Format.eprintf
-      "serve: sharded cache only %.2fx the single lock at %d clients \
-       (gate: 2x)@."
-      speedup clients;
-    exit 1
-  end;
-  record_note ~exp:"serve" ~sub:"cache-contention" ~ratio:speedup ~floor:2.0
+  let t1 = best 1 in
+  let t16 = best 16 in
+  [ ( "cache-contention",
+      [ ("clients", float clients); ("ops_per_client", float ops);
+        ("cores", float (Domain.recommended_domain_count ()));
+        ("t_single_s", t1); ("t_sharded_s", t16);
+        ("speedup", ratio t1 t16) ] ) ]
 
-(* ---- SCALE: event-driven core vs dense passes on 10k+-gate circuits ------------ *)
-
-let scale_exp ~fast () =
-  header
-    "SCALE: event-driven switch-level core vs dense whole-netlist passes";
-  Format.printf
-    "per vector step: dense = one full Logic_sim.eval plus \
-     switched/falling scans; event = one Event_sim.step touching only \
-     dirty gates.  Totals must be identical; >= 10k-gate circuits must \
-     show >= 5x.@.";
+(* per vector step: dense = one full Logic_sim.eval plus switched and
+   falling scans; event = one Event_sim.step touching only dirty gates *)
+let scale_gate ~fast =
   let module L = Netlist.Logic_sim in
   let module E = Netlist.Event_sim in
-  let check name c =
+  let sub name c =
     let inputs = Array.length (Netlist.Circuit.inputs c) in
     let gates = Netlist.Circuit.num_gates c in
     let steps = if fast then 200 else 400 in
     let st = Random.State.make [| 19 |] in
-    (* a realistic step sequence: mostly small perturbations (2 flips),
-       with a half-the-inputs burst every 16th step so the worklist also
-       sees wide events *)
+    (* mostly small perturbations (2 flips), with a half-the-inputs
+       burst every 16th step so the worklist also sees wide events *)
     let vecs = Array.make (steps + 1) [||] in
-    vecs.(0) <-
-      Array.init inputs (fun _ -> S.of_bool (Random.State.bool st));
+    vecs.(0) <- Array.init inputs (fun _ -> S.of_bool (Random.State.bool st));
     for i = 1 to steps do
       let v = Array.copy vecs.(i - 1) in
       let flips = if i mod 16 = 0 then max 1 (inputs / 2) else 2 in
@@ -1582,7 +1350,7 @@ let scale_exp ~fast () =
         fall := !fall + List.length (L.falling_gates c !prev s);
         prev := s
       done;
-      (!sw, !fall, !prev)
+      (!sw, !fall)
     in
     let es = E.of_circuit c in
     let event () =
@@ -1595,68 +1363,43 @@ let scale_exp ~fast () =
         touched := !touched + List.length m.E.touched;
         state := m.E.post
       done;
-      (!sw, !fall, !touched, !state)
+      !touched
     in
-    let (d_sw, d_fall, d_final), t_dense = time dense in
-    let (e_sw, e_fall, e_touched, e_final), t_event = time event in
-    let identical =
-      d_sw = e_sw && d_fall = e_fall
-      && Array.for_all2 S.equal d_final (E.levels es e_final)
-    in
-    let speedup = t_dense /. Float.max 1e-9 t_event in
-    let touched_frac =
-      float_of_int e_touched /. float_of_int (steps * gates)
-    in
-    Format.printf
-      "{\"experiment\": \"scale/%s\", \"gates\": %d, \"steps\": %d, \
-       \"activity\": %d, \"falling\": %d, \"touched_frac\": %.4f, \
-       \"t_dense_s\": %.3f, \"t_event_s\": %.3f, \"speedup\": %.1f, \
-       \"identical\": %b}@."
-      name gates steps d_sw d_fall touched_frac t_dense t_event speedup
-      identical;
-    if not identical then begin
-      Format.eprintf
-        "scale/%s: event-driven totals differ from dense (activity %d \
-         vs %d, falling %d vs %d)@."
-        name e_sw d_sw e_fall d_fall;
-      exit 1
-    end;
-    if gates >= 10_000 && speedup < 5.0 then begin
-      Format.eprintf "scale/%s: speedup %.1fx < 5x at %d gates@." name
-        speedup gates;
-      exit 1
-    end;
-    if gates >= 10_000 then
-      record_note ~exp:"scale" ~sub:name ~ratio:speedup ~floor:5.0
+    let (activity, falling), t_dense = time dense in
+    let touched, t_event = time event in
+    ( name,
+      [ ("gates", float gates); ("steps", float steps);
+        ("activity", float activity); ("falling", float falling);
+        ("touched_frac", float touched /. float (steps * gates));
+        ("t_dense_s", t_dense); ("t_event_s", t_event);
+        ("speedup", ratio t_dense t_event) ] )
   in
-  let ks = Circuits.Kogge_stone.make t07 ~bits:128 in
-  check "kogge-stone-128" ks.Circuits.Kogge_stone.circuit;
-  let mu = Circuits.Csa_multiplier.make t07 ~bits:16 in
-  check "csa-mult-16" mu.Circuits.Csa_multiplier.circuit;
   let cloud g =
     (Circuits.Random_logic.make ~seed:3 t07 ~inputs:64 ~gates:g)
       .Circuits.Random_logic.circuit
   in
-  check "random-cloud-12k" (cloud 12_000);
-  if not fast then begin
-    check "random-cloud-50k" (cloud 50_000);
-    check "random-cloud-100k" (cloud 100_000)
-  end
+  let ks =
+    sub "kogge-stone-128"
+      (Circuits.Kogge_stone.make t07 ~bits:128).Circuits.Kogge_stone.circuit
+  in
+  let mu =
+    sub "csa-mult-16"
+      (Circuits.Csa_multiplier.make t07 ~bits:16)
+        .Circuits.Csa_multiplier.circuit
+  in
+  let c12 = sub "random-cloud-12k" (cloud 12_000) in
+  if fast then [ ks; mu; c12 ]
+  else
+    let c50 = sub "random-cloud-50k" (cloud 50_000) in
+    [ ks; mu; c12; c50; sub "random-cloud-100k" (cloud 100_000) ]
 
-(* ---- SPEED: fast transient path (chain reduction + latency bypass) ------------- *)
-
-let speed_exp ~fast () =
-  header "SPEED: fast transient path vs the unreduced engine";
-  Format.printf
-    "deck 1: explicit series-RC ladder, `Reduce eliminates the chain \
-     interior exactly; deck 2: sleep-gated ripple adder through \
-     Spice_ref, `Reduce_bypass adds the quiescent-device bypass and \
-     LTE stepping.  Gates: `Off bit-identical whether Opts are given at \
-     prepare time or per call, \
-     fast modes inside their bands, >= 5x wall-clock on both decks.@.";
+(* deck 1: explicit series-RC ladder, `Off vs `Reduce (exact chain
+   elimination); deck 2: sleep-gated ripple adder through Spice_ref,
+   `Off vs `Reduce_bypass (quiescent-device bypass + LTE stepping),
+   which also reports the bypass run's accuracy against `Off *)
+let speed_gate ~fast =
   let module T = Netlist.Transistor in
   let module E = Spice.Engine in
-  (* --- deck 1: RC ladder, `Off vs `Reduce ------------------------------ *)
   let segments = if fast then 300 else 600 in
   let r = 1000.0 and c = 1e-13 in
   let b = T.builder () in
@@ -1675,91 +1418,56 @@ let speed_exp ~fast () =
       T.add b (T.Cap { pos = n; neg = T.ground; c }))
     nodes;
   let netlist = T.freeze b in
-  let probe = nodes.(segments - 1) in
   let tau = r *. c in
   let t_stop = 6.0 *. tau *. float_of_int segments /. 10.0 in
-  let dt = tau /. 2.0 in
-  let run_ladder mode =
-    let eng =
-      E.prepare
-        ~opts:
-          E.Opts.(
-            default |> with_fast mode |> with_dt dt
-            |> with_record (E.Nodes [ probe ]))
-        netlist
+  let run_ladder mode () =
+    let opts =
+      E.Opts.(
+        default |> with_fast mode |> with_dt (tau /. 2.0)
+        |> with_record (E.Nodes [ nodes.(segments - 1) ]))
     in
-    match E.transient_r eng ~t_stop with
+    match E.transient_r (E.prepare ~opts netlist) ~t_stop with
     | Ok res -> res
-    | Error f ->
-      Format.eprintf "speed/ladder (%s): %s@." (E.Opts.fast_to_string mode)
-        (Spice.Diag.failure_to_string f);
-      exit 1
+    | Error f -> failwith (Spice.Diag.failure_to_string f)
   in
-  (* `Off twice: once with the options given per call, once with them
-     fixed at prepare time (run_ladder) — these must agree bit for bit *)
-  let per_call_res =
-    E.transient (E.prepare netlist) ~t_stop
-      ~opts:E.Opts.(default |> with_dt dt |> with_record (E.Nodes [ probe ]))
-  in
-  let res_off, t_off = best_of 2 (fun () -> run_ladder `Off) in
-  let res_red, t_red = best_of 2 (fun () -> run_ladder `Reduce) in
-  let off_identical =
-    let xa = E.final_solution per_call_res
-    and xb = E.final_solution res_off in
-    Array.length xa = Array.length xb
-    && Array.for_all2 Float.equal xa xb
-    && E.steps_taken per_call_res = E.steps_taken res_off
-  in
-  let ladder_dev =
-    let w0 = E.waveform res_off probe and w1 = E.waveform res_red probe in
-    Array.fold_left
-      (fun acc (t, v0) ->
-        Float.max acc (Float.abs (Phys.Pwl.value_at w1 t -. v0)))
-      0.0
-      (Phys.Pwl.sample w0 ~t0:0.0 ~t1:t_stop ~n:256)
-  in
-  let ladder_speedup = t_off /. Float.max 1e-9 t_red in
-  Format.printf
-    "{\"experiment\": \"speed/rc-ladder\", \"segments\": %d, \"steps\": \
-     %d, \"t_off_s\": %.3f, \"t_reduce_s\": %.3f, \"speedup\": %.1f, \
-     \"max_dev_v\": %.3e, \"off_bit_identical\": %b}@."
-    segments (E.steps_taken res_off) t_off t_red ladder_speedup ladder_dev
-    off_identical;
-  (* --- deck 2: sleep-gated ripple adder, `Off vs `Reduce_bypass -------- *)
+  let res_off, t_off = best_of 2 (run_ladder `Off) in
+  let _, t_red = best_of 2 (run_ladder `Reduce) in
   let bits = if fast then 4 else 8 in
-  let add = Circuits.Ripple_adder.make t07 ~bits in
-  let ac = add.Circuits.Ripple_adder.circuit in
-  let vec_lo = [ (bits, 0); (bits, 0) ] in
-  let vec_hi = [ (bits, (1 lsl bits) - 1); (bits, 1) ] in
-  let run_adder mode =
-    let config =
-      { SR.default_config with SR.sleep = sleep_of t07 12.0; fast = mode }
-    in
-    SR.run_ints ~config ac ~before:vec_lo ~after:vec_hi
+  let ac =
+    (Circuits.Ripple_adder.make t07 ~bits).Circuits.Ripple_adder.circuit
   in
-  let run0, t_a_off = best_of 2 (fun () -> run_adder `Off) in
-  let run1, t_a_fb = best_of 2 (fun () -> run_adder `Reduce_bypass) in
-  (* calibrated band: 120 mV (10 % of the 1.2 V rail) inside a +-25 ps
-     time tube — a coarser LTE step placement shifts a full-rail edge
-     by a few ps, which a purely vertical band would misread as a
-     volt-scale error; measured worst case on this deck is ~90 mV, on
-     the slow sleep-gated settling edge *)
-  let v_band = 0.12 and t_tube = 25e-12 in
-  let d_band_rel = 0.10 and d_band_abs = 20e-12 in
+  let run_adder fast () =
+    let config =
+      { SR.default_config with SR.sleep = sleep_of t07 12.0; fast }
+    in
+    SR.run_ints ~config ac ~before:[ (bits, 0); (bits, 0) ]
+      ~after:[ (bits, (1 lsl bits) - 1); (bits, 1) ]
+  in
+  let run0 = run_adder `Off () and run1 = run_adder `Reduce_bypass () in
+  (* 9 pairs like the obs row: a best-of-2 wall time of the ~60 ms
+     bypass run read 4.4x-8x on a 2-vCPU host, the paired median
+     5.5x-5.9x *)
+  let t_a_fb, t_a_off, adder_speedup =
+    paired 9 (run_adder `Reduce_bypass) (run_adder `Off)
+  in
+  (* worst output deviation of the bypass run inside a +-25 ps time
+     tube: a coarser LTE step placement shifts a full-rail edge by a
+     few ps, which a purely vertical band would misread as a
+     volt-scale error *)
+  let t_tube = 25e-12 in
   let tube_dev w0 w1 =
     Array.fold_left
       (fun (acc, at) (t, v0) ->
         let best = ref infinity in
         for k = -4 to 4 do
           let t' = t +. (float_of_int k /. 4.0 *. t_tube) in
-          best :=
-            Float.min !best (Float.abs (Phys.Pwl.value_at w1 t' -. v0))
+          best := Float.min !best (Float.abs (Phys.Pwl.value_at w1 t' -. v0))
         done;
         if !best > acc then (!best, t) else (acc, at))
       (0.0, 0.0)
       (Phys.Pwl.sample w0 ~t0:0.0 ~t1:SR.default_config.SR.t_stop ~n:128)
   in
-  let adder_dev, worst_net, worst_t =
+  let max_dev, worst_net, worst_t =
     Array.fold_left
       (fun (acc, wn, wt) net ->
         let d, t =
@@ -1769,298 +1477,191 @@ let speed_exp ~fast () =
       (0.0, -1, 0.0)
       (Netlist.Circuit.outputs ac)
   in
-  let delay_drift =
+  (* critical-delay drift in units of its band, max(10 %, 20 ps) *)
+  let drift =
     match (SR.critical_delay run0, SR.critical_delay run1) with
     | Some (_, d0), Some (_, d1) ->
-      Float.abs (d1 -. d0) /. Float.max d_band_abs (d_band_rel *. d0)
+      Float.abs (d1 -. d0) /. Float.max 20e-12 (0.10 *. d0)
     | None, None -> 0.0
     | Some _, None | None, Some _ -> infinity
   in
-  let adder_speedup = t_a_off /. Float.max 1e-9 t_a_fb in
-  Format.printf
-    "{\"experiment\": \"speed/sleep-adder%d\", \"t_off_s\": %.3f, \
-     \"t_bypass_s\": %.3f, \"speedup\": %.1f, \"newton_off\": %d, \
-     \"newton_bypass\": %d, \"max_dev_v\": %.4f, \"worst_net\": %d, \
-     \"worst_t_s\": %.3e, \"delay_drift_frac\": %.2f}@."
-    bits t_a_off t_a_fb adder_speedup
-    (SR.newton_iterations run0)
-    (SR.newton_iterations run1)
-    adder_dev worst_net worst_t delay_drift;
-  (* --- gates ----------------------------------------------------------- *)
-  if not off_identical then begin
-    Format.eprintf
-      "speed: `Off through prepare-time Opts differs from per-call \
-       ?opts@.";
-    exit 1
-  end;
-  if ladder_dev > 1e-6 then begin
-    Format.eprintf "speed: ladder reduction deviates %.3e V (> 1e-6)@."
-      ladder_dev;
-    exit 1
-  end;
-  if adder_dev > v_band then begin
-    Format.eprintf "speed: bypass deviates %.4f V (> %.2f band)@."
-      adder_dev v_band;
-    exit 1
-  end;
-  if delay_drift > 1.0 then begin
-    Format.eprintf "speed: bypass critical delay outside its band@.";
-    exit 1
-  end;
-  if ladder_speedup < 5.0 then begin
-    Format.eprintf "speed: rc-ladder speedup %.1fx < 5x@." ladder_speedup;
-    exit 1
-  end;
-  if adder_speedup < 5.0 then begin
-    Format.eprintf "speed: sleep-adder speedup %.1fx < 5x@." adder_speedup;
-    exit 1
-  end;
-  record_note ~exp:"speed" ~sub:"rc-ladder" ~ratio:ladder_speedup ~floor:5.0;
-  record_note ~exp:"speed"
-    ~sub:(Printf.sprintf "sleep-adder%d" bits)
-    ~ratio:adder_speedup ~floor:5.0
+  [ ( "rc-ladder",
+      [ ("segments", float segments); ("steps", float (E.steps_taken res_off));
+        ("t_off_s", t_off); ("t_reduce_s", t_red);
+        ("speedup", ratio t_off t_red) ] );
+    ( Printf.sprintf "sleep-adder%d" bits,
+      [ ("t_off_s", t_a_off); ("t_bypass_s", t_a_fb);
+        ("speedup", adder_speedup);
+        ("newton_off", float (SR.newton_iterations run0));
+        ("newton_bypass", float (SR.newton_iterations run1));
+        ("max_dev_v", max_dev); ("worst_net", float worst_net);
+        ("worst_t_s", worst_t); ("delay_drift_frac", drift) ] ) ]
 
-(* ---- selective Vt + clustering gate --------------------------------------------- *)
-
-(* paper 2 baseline: one shared sleep device sized by the
-   sum-of-internal-widths rule, its standby leakage given by the same
-   subthreshold card the optimizer prices itself with *)
-let single_device_leak tech circuit ~sleep_wl =
-  snd
-    (Device.Leakage.standby_comparison ~low_vt:tech.Device.Tech.nmos
-       ~high_vt:tech.Device.Tech.sleep_nmos
-       ~total_width_wl:(Netlist.Circuit.total_pulldown_wl circuit)
-       ~sleep_wl ~vdd:tech.Device.Tech.vdd)
-
-let select_exp ~fast () =
-  header
-    "SELECT: slack-driven Vt assignment + sleep clustering vs the paper's \
-     single shared device";
-  Format.printf
-    "gate: selective co-optimization must cut standby leakage >= 2x \
-     against the sum-of-widths@.shared device at the same 10%% delay \
-     budget; the answer must be bit-identical across jobs@.";
-  let signature (r : Mtcmos.Selective.result) =
-    ( r.Mtcmos.Selective.leakage, r.Mtcmos.Selective.arrival,
-      Array.to_list r.Mtcmos.Selective.vt_high,
-      Array.to_list r.Mtcmos.Selective.sleep_wl,
-      Array.to_list r.Mtcmos.Selective.cluster_of_gate,
-      r.Mtcmos.Selective.evaluations )
-  in
-  let run ~name circuit ~clusters ~max_passes ~jobs =
+(* selective Vt + sleep clustering against the paper's single shared
+   device, sized by the sum-of-widths rule and priced by the same
+   subthreshold card, at a 10% delay budget *)
+let select_gate ~fast =
+  let sub name circuit ~clusters ~max_passes ~jobs =
     let tech = Netlist.Circuit.tech circuit in
     let w_paper = Netlist.Circuit.total_pulldown_wl circuit in
-    let leak_paper = single_device_leak tech circuit ~sleep_wl:w_paper in
-    let ctx = Eval.Ctx.(default |> with_jobs jobs) in
+    let _, leak_paper =
+      Device.Leakage.standby_comparison ~low_vt:tech.Device.Tech.nmos
+        ~high_vt:tech.Device.Tech.sleep_nmos ~total_width_wl:w_paper
+        ~sleep_wl:w_paper ~vdd:tech.Device.Tech.vdd
+    in
     let r, dt =
       time (fun () ->
-          Mtcmos.Selective.optimize ~ctx ~clusters ~max_passes circuit
-            ~delay_budget:0.10)
+          Mtcmos.Selective.optimize ~ctx:Eval.Ctx.(default |> with_jobs jobs)
+            ~clusters ~max_passes circuit ~delay_budget:0.10)
     in
     let low =
       Array.fold_left (fun a h -> if h then a else a + 1) 0
         r.Mtcmos.Selective.vt_high
     in
-    let total_wl =
-      Array.fold_left ( +. ) 0.0 r.Mtcmos.Selective.sleep_wl
-    in
-    let ratio = leak_paper /. r.Mtcmos.Selective.leakage in
-    Format.printf
-      "  %-8s paper W/L %-6.0f leak %-10s | selective leak %-10s (W/L \
-       %.1f over %d clusters, %d/%d low-Vt) ratio %.3fx slack %s \
-       [%.1f s, jobs=%d]@."
-      name w_paper
-      (eng ~unit:"A" leak_paper)
-      (eng ~unit:"A" r.Mtcmos.Selective.leakage)
-      total_wl
-      (Array.length r.Mtcmos.Selective.sleep_wl)
-      low
-      (Array.length r.Mtcmos.Selective.vt_high)
-      ratio
-      (eng ~unit:"s" r.Mtcmos.Selective.slack)
-      dt jobs;
-    (r, ratio)
+    ( name,
+      [ ("paper_wl", w_paper); ("paper_leak_a", leak_paper);
+        ("leak_a", r.Mtcmos.Selective.leakage);
+        ("sleep_wl", Array.fold_left ( +. ) 0.0 r.Mtcmos.Selective.sleep_wl);
+        ("clusters", float (Array.length r.Mtcmos.Selective.sleep_wl));
+        ("low_vt_gates", float low);
+        ("gates", float (Netlist.Circuit.num_gates circuit));
+        ("slack_s", r.Mtcmos.Selective.slack);
+        ("leak_cut", leak_paper /. r.Mtcmos.Selective.leakage);
+        ("t_s", dt); ("jobs", float jobs) ] )
   in
-  (* adder8 at the defaults, both worker counts: the determinism
-     contract says the whole answer is a pure function of the spec *)
-  let a8 =
-    (Circuits.Ripple_adder.make t07 ~bits:8).Circuits.Ripple_adder.circuit
-  in
-  let r1, ratio_a8 = run ~name:"adder8" a8 ~clusters:4 ~max_passes:2 ~jobs:1 in
-  let r4, _ = run ~name:"adder8" a8 ~clusters:4 ~max_passes:2 ~jobs:4 in
-  if signature r1 <> signature r4 then begin
-    Format.eprintf "select: adder8 answer differs between jobs=1 and jobs=4@.";
-    exit 1
-  end;
-  Format.printf "  adder8 jobs=1 vs jobs=4: bit-identical@.";
-  if ratio_a8 < 2.0 then begin
-    Format.eprintf "select: adder8 leakage ratio %.3f < 2x@." ratio_a8;
-    exit 1
-  end;
-  (* kogge32: the wide log-depth netlist where clustering actually has
-     to work for its keep; more refinement passes in the full run *)
-  let k32 =
-    (Circuits.Kogge_stone.make t07 ~bits:32).Circuits.Kogge_stone.circuit
-  in
+  let a8 = sub "adder8" adder8_c ~clusters:4 ~max_passes:2 ~jobs:1 in
+  (* the wide log-depth netlist where clustering has to work for its
+     keep; more refinement passes in the full run *)
   let clusters, max_passes = if fast then (2, 4) else (4, 6) in
-  let _, ratio_k32 = run ~name:"kogge32" k32 ~clusters ~max_passes ~jobs:4 in
-  if ratio_k32 < 2.0 then begin
-    Format.eprintf "select: kogge32 leakage ratio %.3f < 2x@." ratio_k32;
-    exit 1
-  end;
-  record_note ~exp:"select" ~sub:"adder8" ~ratio:ratio_a8 ~floor:2.0;
-  record_note ~exp:"select" ~sub:"kogge32" ~ratio:ratio_k32 ~floor:2.0
+  let k32 =
+    sub "kogge32"
+      (Circuits.Kogge_stone.make t07 ~bits:32).Circuits.Kogge_stone.circuit
+      ~clusters ~max_passes ~jobs:4
+  in
+  [ a8; k32 ]
 
-(* ---- Bechamel microbenchmarks -------------------------------------------------- *)
+let gates =
+  [ { name = "par"; run = par_gate;
+      floors =
+        [ at_least "speedup" 2.0 ~only_if:[ ("cores", 4.0); ("jobs", 4.0) ] ] };
+    { name = "cache"; run = cache_gate; floors = [ at_least "speedup" 3.0 ] };
+    { name = "runner"; run = runner_gate; floors = [ at_least "speedup" 3.0 ] };
+    { name = "obs"; run = obs_gate;
+      floors =
+        [ at_most "overhead_pct" 5.0; at_most "profile_overhead_pct" 2.0 ] };
+    { name = "serve"; run = serve_gate;
+      floors = [ at_least "speedup" 2.0 ~only_if:[ ("cores", 4.0) ] ] };
+    { name = "scale"; run = scale_gate;
+      floors = [ at_least "speedup" 5.0 ~only_if:[ ("gates", 10_000.0) ] ] };
+    (* the bypass band: 120 mV (10 % of the 1.2 V rail) in the time
+       tube, ~90 mV measured on the slow sleep-gated settling edge *)
+    { name = "speed"; run = speed_gate;
+      floors =
+        [ at_least "speedup" 5.0; at_most "max_dev_v" 0.12;
+          at_most "delay_drift_frac" 1.0 ] };
+    { name = "select"; run = select_gate;
+      floors = [ at_least "leak_cut" 2.0 ] } ]
 
-let bechamel () =
-  header "BECHAMEL: engine microbenchmarks (one kernel per experiment)";
-  let open Bechamel in
-  let tree_kernel () =
-    ignore
-      (BP.simulate_ints
-         ~config:(BP.mtcmos_config t07 ~wl:8.0)
-         tree_c ~before:(fst tree_vec) ~after:(snd tree_vec))
+let json_num v =
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.4g" v
+
+(* the message for floor [f] when [sub]'s fields break it *)
+let broken ~sub fields f =
+  let field k = List.assoc_opt k fields in
+  let armed =
+    List.for_all
+      (fun (k, min) -> match field k with Some v -> v >= min | None -> false)
+      f.only_if
   in
-  let adder_kernel () =
-    ignore
-      (BP.simulate_ints
-         ~config:(BP.mtcmos_config t07 ~wl:10.0)
-         adder_c ~before:[ (3, 1); (3, 5) ] ~after:[ (3, 6); (3, 5) ])
+  let holds, rel, b =
+    match f.bound with
+    | `At_least b -> ((fun v -> v >= b), "<", b)
+    | `At_most b -> ((fun v -> v <= b), ">", b)
   in
-  let mult_kernel () =
-    ignore
-      (BP.simulate_ints
-         ~config:(BP.mtcmos_config t03 ~wl:170.0)
-         mult_c ~before:(fst mult_vec_a) ~after:(snd mult_vec_a))
-  in
-  let vground_kernel =
-    let cfg = Mtcmos.Vground.config t07 in
-    let gates =
-      List.init 9 (fun _ -> { Mtcmos.Vground.beta_wl = 1.5; vin = 1.2 })
+  match field f.field with
+  | Some v when armed && not (holds v) ->
+    Some
+      (Printf.sprintf "%s: %s %s %s %s" sub f.field (json_num v) rel
+         (json_num b))
+  | _ -> None
+
+(* run one row: a JSON line per sub, then every floor it broke; a
+   floor naming a field no sub reports fails too, so a renamed field
+   cannot disarm it *)
+let check_gate ~fast g =
+  header ("GATE " ^ g.name);
+  match g.run ~fast with
+  | exception e -> [ Printf.sprintf "%s: %s" g.name (Printexc.to_string e) ]
+  | subs ->
+    let broken_floors =
+      List.concat_map
+        (fun (sub, fields) ->
+          let sub = g.name ^ "/" ^ sub in
+          Format.printf "{\"experiment\": \"%s\"%s}@." sub
+            (String.concat ""
+               (List.map
+                  (fun (k, v) -> Printf.sprintf ", \"%s\": %s" k (json_num v))
+                  fields));
+          List.filter_map (broken ~sub fields) g.floors)
+        subs
     in
-    fun () -> ignore (Mtcmos.Vground.solve_resistor cfg ~r:1000.0 gates)
-  in
-  let spice_kernel =
-    let ch = Circuits.Chain.inverter_chain t07 ~length:2 in
-    let c = ch.Circuits.Chain.circuit in
-    fun () ->
-      ignore
-        (SR.run ~config:{ SR.default_config with SR.t_stop = 1e-9 } c
-           ~before:[| Netlist.Signal.L0 |] ~after:[| Netlist.Signal.L1 |])
-  in
-  let tests =
-    [ Test.make ~name:"fig10/tree-switch-level" (Staged.stage tree_kernel);
-      Test.make ~name:"fig13/adder-switch-level" (Staged.stage adder_kernel);
-      Test.make ~name:"fig7/mult8-switch-level" (Staged.stage mult_kernel);
-      Test.make ~name:"eq5/vground-solve" (Staged.stage vground_kernel);
-      Test.make ~name:"cpu/spice-2-inverter-1ns" (Staged.stage spice_kernel) ]
-  in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) ()
+    let reported k =
+      List.exists (fun (_, fields) -> List.mem_assoc k fields) subs
     in
-    Benchmark.all cfg instances test
-  in
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      Hashtbl.iter
-        (fun name raw ->
-          match
-            Analyze.one
-              (Analyze.ols ~bootstrap:0 ~r_square:false
-                 ~predictors:[| Measure.run |])
-              Toolkit.Instance.monotonic_clock raw
-          with
-          | ols ->
-            (match Analyze.OLS.estimates ols with
-             | Some [ est ] ->
-               Format.printf "  %-28s %s/run@." name
-                 (eng ~unit:"s" (est *. 1e-9))
-             | Some _ | None -> Format.printf "  %-28s (no estimate)@." name))
-        results)
-    tests
+    let unknown =
+      List.concat_map
+        (fun f ->
+          List.filter_map
+            (fun k ->
+              if reported k then None
+              else Some (Printf.sprintf "%s: no sub reports %s" g.name k))
+            (f.field :: List.map fst f.only_if))
+        g.floors
+    in
+    broken_floors @ unknown
 
 (* ---- driver -------------------------------------------------------------------- *)
 
-let all ~fast () =
-  fig5 ();
-  fig10 ();
-  fig11 ();
-  fig7 ~fast ();
-  table1 ();
-  fig13 ();
-  fig14 ~fast ();
-  cpu ~fast ();
-  ablations ();
-  design_space ();
-  extras ~fast ();
-  par ~fast ();
-  cache_exp ~fast ();
-  runner_exp ~fast ();
-  obs_exp ~fast ();
-  serve_exp ~fast ();
-  scale_exp ~fast ();
-  speed_exp ~fast ();
-  select_exp ~fast ();
-  bechamel ()
+let figures =
+  [ ("fig5", fun ~fast:_ -> fig5); ("fig10", fun ~fast:_ -> fig10);
+    ("fig11", fun ~fast:_ -> fig11); ("fig7", fun ~fast -> fig7 ~fast);
+    ("table1", fun ~fast:_ -> table1); ("fig13", fun ~fast:_ -> fig13);
+    ("fig14", fun ~fast -> fig14 ~fast); ("cpu", fun ~fast -> cpu ~fast);
+    ("ablations", fun ~fast:_ -> ablations);
+    ("design-space", fun ~fast:_ -> design_space);
+    ("extras", fun ~fast -> extras ~fast) ]
 
+(* no names: every figure, then every gate row *)
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let fast = List.mem "fast" args in
+  let is_csv a = String.length a > 4 && String.sub a 0 4 = "csv=" in
   List.iter
     (fun a ->
-      if String.length a > 4 && String.sub a 0 4 = "csv=" then
-        csv_dir := Some (String.sub a 4 (String.length a - 4));
-      if a = "record" then record_dir := Some ".";
-      if String.length a > 7 && String.sub a 0 7 = "record=" then
-        record_dir := Some (String.sub a 7 (String.length a - 7)))
+      if is_csv a then csv_dir := Some (String.sub a 4 (String.length a - 4)))
     args;
-  let args =
-    List.filter
-      (fun a ->
-        a <> "fast" && a <> "record"
-        && not (String.length a > 4 && String.sub a 0 4 = "csv=")
-        && not (String.length a > 7 && String.sub a 0 7 = "record="))
-      args
+  let failed = ref [] in
+  let gate g = failed := !failed @ check_gate ~fast g in
+  let run name =
+    match
+      ( List.assoc_opt name figures,
+        List.find_opt (fun g -> g.name = name) gates )
+    with
+    | Some f, _ -> f ~fast ()
+    | None, Some g -> gate g
+    | None, None ->
+      Format.eprintf "unknown experiment %S (%s)@." name
+        (String.concat " "
+           (List.map fst figures @ List.map (fun g -> g.name) gates));
+      exit 2
   in
-  (match args with
-  | [] -> all ~fast ()
-  | names ->
-    List.iter
-      (fun name ->
-        match name with
-        | "fig5" -> fig5 ()
-        | "fig7" -> fig7 ~fast ()
-        | "table1" -> table1 ()
-        | "fig10" -> fig10 ()
-        | "fig11" -> fig11 ()
-        | "fig13" -> fig13 ()
-        | "fig14" -> fig14 ~fast ()
-        | "cpu" -> cpu ~fast ()
-        | "ablations" -> ablations ()
-        | "design-space" -> design_space ()
-        | "extras" -> extras ~fast ()
-        | "par" -> par ~fast ()
-        | "cache" -> cache_exp ~fast ()
-        | "runner" -> runner_exp ~fast ()
-        | "obs" -> obs_exp ~fast ()
-        | "serve" -> serve_exp ~fast ()
-        | "scale" -> scale_exp ~fast ()
-        | "speed" -> speed_exp ~fast ()
-        | "select" -> select_exp ~fast ()
-        | "bechamel" -> bechamel ()
-        | other ->
-          Format.eprintf
-            "unknown experiment %S (fig5 fig7 table1 fig10 fig11 fig13 \
-             fig14 cpu ablations extras par cache runner obs serve \
-             scale speed select bechamel)@."
-            other;
-          exit 2)
-      names);
-  if !record_failed then begin
-    Format.eprintf "bench: recorded regression gate failed@.";
+  (match List.filter (fun a -> a <> "fast" && not (is_csv a)) args with
+   | [] ->
+     List.iter (fun (_, f) -> f ~fast ()) figures;
+     List.iter gate gates
+   | names -> List.iter run names);
+  if !failed <> [] then begin
+    List.iter (Format.eprintf "gate failed: %s@.") !failed;
     exit 1
   end

@@ -1245,79 +1245,6 @@ let trace_check_cmd =
           with the embedded registry counters.  Exit 1 on any failure.")
     Term.(const run $ file_term)
 
-let bench_history_cmd =
-  (* Read the BENCH_<experiment>.json files `bench ... record[=DIR]`
-     appends to, and show the performance trajectory per gated
-     measurement: every recorded ratio against the first (baseline)
-     entry, flagging >20% degradations the way the bench regression
-     gate does. *)
-  let run dir =
-    let entries = try Sys.readdir dir with Sys_error _ -> [||] in
-    Array.sort compare entries;
-    let shown = ref 0 in
-    Array.iter
-      (fun name ->
-        if
-          String.starts_with ~prefix:"BENCH_" name
-          && Filename.check_suffix name ".json"
-        then begin
-          incr shown;
-          let exp =
-            Filename.chop_suffix
-              (String.sub name 6 (String.length name - 6))
-              ".json"
-          in
-          Format.printf "== %s (%s) ==@." exp name;
-          let log =
-            try Obs.Bench_log.read (Filename.concat dir name)
-            with Sys_error m ->
-              Format.printf "  unreadable: %s@." m;
-              []
-          in
-          List.iter
-            (fun (e : Obs.Bench_log.entry) ->
-              match e.Obs.Bench_log.ratio with
-              | None -> Format.printf "  (unparseable entry)@."
-              | Some ratio ->
-                let sub = e.Obs.Bench_log.sub in
-                let base =
-                  Option.value ~default:ratio (Obs.Bench_log.baseline log sub)
-                in
-                let delta =
-                  if base > 0.0 then 100.0 *. ((ratio /. base) -. 1.0)
-                  else 0.0
-                in
-                let at =
-                  match e.Obs.Bench_log.at with
-                  | Some v -> Printf.sprintf "%.0f" v
-                  | None -> "-"
-                in
-                let flag = if ratio < 0.8 *. base then "  << REGRESSION" else "" in
-                Format.printf
-                  "  %-24s at %-12s ratio %8.3f  (baseline %.3f, %+.1f%%)%s@."
-                  (Option.value ~default:"-" sub)
-                  at ratio base delta flag)
-            log
-        end)
-      entries;
-    if !shown = 0 then
-      Format.printf
-        "no BENCH_*.json files in %s (record some with: bench <exp> \
-         record)@."
-        dir
-  in
-  let dir_term =
-    let doc = "Directory holding the recorded BENCH_*.json files." in
-    Arg.(value & pos 0 string "." & info [] ~docv:"DIR" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "bench-history"
-       ~doc:
-         "Show the recorded bench measurement history (written by \
-          $(b,bench <experiment> record)): every entry's gated ratio \
-          against its stored baseline, flagging >20% degradations.")
-    Term.(const run $ dir_term)
-
 let () =
   let info =
     Cmd.info "mtsize" ~version:"1.0.0"
@@ -1329,5 +1256,4 @@ let () =
           [ sweep_cmd; size_cmd; worst_cmd; simulate_cmd; compare_cmd;
             estimate_cmd; sta_cmd; select_cmd; energy_cmd; wakeup_cmd;
             deck_cmd; lint_cmd; search_cmd; workload_cmd; dot_cmd;
-            trace_check_cmd; scale_cmd; run_cmd; serve_cmd; submit_cmd;
-            bench_history_cmd ]))
+            trace_check_cmd; scale_cmd; run_cmd; serve_cmd; submit_cmd ]))

@@ -69,21 +69,6 @@ let vector_key ~before ~after =
   K.ints b after;
   K.contents b
 
-let selective_key c ~body_effect ~vt_high ~block_of_gate ~sleep_wl =
-  let b = K.create () in
-  K.string b (circuit_key c);
-  K.bool b body_effect;
-  K.int b (Array.length vt_high);
-  Array.iter (K.bool b) vt_high;
-  K.int b (Array.length block_of_gate);
-  Array.iter (K.int b) block_of_gate;
-  K.int b (Array.length sleep_wl);
-  Array.iter (K.float b) sleep_wl;
-  let inner = K.create () in
-  K.string inner "sel1";
-  K.string inner (K.contents b);
-  K.digest inner
-
 let digest ~tag parts =
   let b = K.create () in
   K.string b tag;

@@ -31,20 +31,6 @@ val sp_config_key : Spice_ref.config -> string
 val vector_key : before:(int * int) list -> after:(int * int) list -> string
 (** Framed bytes for an input transition. *)
 
-val selective_key :
-  Netlist.Circuit.t ->
-  body_effect:bool ->
-  vt_high:bool array ->
-  block_of_gate:int array ->
-  sleep_wl:float array ->
-  string
-(** Complete key for one gating-aware STA evaluation (see
-    {!Sta.gating}): circuit digest + body effect + the full per-gate Vt
-    and cluster assignment + every cluster device size.  [Selective]
-    memoizes its arrival evaluations under this key, so bisection probes
-    that revisit a state — across passes, workers or warm-cache runs —
-    are served from memory with identical floats. *)
-
 val digest : tag:string -> string list -> string
 (** Assemble framed parts under a distinguishing tag into the final
     16-byte key. *)

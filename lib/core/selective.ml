@@ -117,23 +117,10 @@ let worst_arrival sta circuit =
 
 let arrival ?(ctx = Eval.Ctx.default) circuit ~vt_high ~cluster_of_gate
     ~sleep_wl =
-  let body_effect = ctx.Eval.Ctx.body_effect in
-  let compute _ =
-    let g = gating ~vt_high ~cluster_of_gate ~sleep_wl in
-    worst_arrival (Sta.analyze ~body_effect ~gating:g circuit) circuit
-  in
-  match ctx.Eval.Ctx.cache with
-  | None -> compute None
-  | Some _ ->
-    Eval.Cache.memo ?cache:ctx.Eval.Ctx.cache
-      ~key:
-        (lazy
-          (Cached.selective_key circuit ~body_effect ~vt_high
-             ~block_of_gate:cluster_of_gate ~sleep_wl))
-      ~arity:1
-      ~to_floats:(fun a -> [| a |])
-      ~of_floats:(fun a -> a.(0))
-      compute
+  let g = gating ~vt_high ~cluster_of_gate ~sleep_wl in
+  worst_arrival
+    (Sta.analyze ~body_effect:ctx.Eval.Ctx.body_effect ~gating:g circuit)
+    circuit
 
 (* Geometric bisection for the smallest feasible device: [hi] is known
    feasible, [lo] is tried first; invariantly returns a feasible size.

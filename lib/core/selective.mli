@@ -22,14 +22,13 @@
     from {!Hierarchy.by_level}, empty bands compacted away) are refined
     by moving gates between devices, which pays because gates behind
     different devices never co-load one rail (see {!Sta.gating}).
-    Every evaluation is a gating-aware {!Sta.analyze}, cached under
-    {!Cached.selective_key}.
+    Every evaluation is a gating-aware {!Sta.analyze}.
 
     {b Determinism contract}: the loop is purely greedy with fixed
     candidate orders and exact float comparisons — the result is
     bit-identical across [jobs], cache on/off/warm, and repeated runs.
-    [evaluations] counts logical arrival queries (including cache hits),
-    so it is part of the contract too.
+    [evaluations] counts arrival queries, so it is part of the contract
+    too.
 
     {b Greedy bound}: on the differential suite's fixture classes
     (chains and fanout trees of at most 12 gates, at the optimizer's
@@ -88,8 +87,7 @@ val arrival :
   cluster_of_gate:int array ->
   sleep_wl:float array ->
   float
-(** Worst primary-output arrival of one gated configuration (cached
-    under {!Cached.selective_key} when the context has a cache). *)
+(** Worst primary-output arrival of one gated configuration. *)
 
 val standby_leakage :
   Netlist.Circuit.t ->
@@ -147,7 +145,7 @@ val optimize :
     (0.1 = 10 %); [clusters] (default 4) seeds the {!Hierarchy.by_level}
     partition; [max_passes] (default 2) bounds the reclaim/move
     refinement rounds.  [ctx] supplies [jobs] (parallel candidate
-    scoring), the evaluation cache and the observability handle
+    scoring), [body_effect] and the observability handle
     (["selective.optimize"] span; [selective.evaluations] /
     [selective.flips] / [selective.reclaims] / [selective.moves]
     counters).

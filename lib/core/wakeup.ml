@@ -133,13 +133,18 @@ let simulate ?v_threshold ?(t_stop = 20e-9) circuit ~wl =
   in
   let x0 = Spice.Engine.initial_guess eng hints in
   let res =
-    Spice.Engine.transient eng ~t_stop ~x0
-      ~opts:
-        Spice.Engine.Opts.(
-          default
-          |> with_dt (t_stop /. 4000.0)
-          |> with_record (Spice.Engine.Nodes [ vg_node ])
-          |> with_uic true)
+    match
+      Spice.Engine.transient_r eng ~t_stop ~x0
+        ~opts:
+          Spice.Engine.Opts.(
+            default
+            |> with_dt (t_stop /. 4000.0)
+            |> with_record (Spice.Engine.Nodes [ vg_node ])
+            |> with_uic true)
+    with
+    | Ok res -> res
+    | Error f ->
+      raise (Spice.Engine.No_convergence (Spice.Diag.failure_to_string f))
   in
   let w = Spice.Engine.waveform res vg_node in
   match

@@ -9,7 +9,6 @@ module Metrics = Metrics
 module Trace = Trace
 module Prof = Prof
 module Report = Report
-module Bench_log = Bench_log
 
 type t = {
   metrics_on : bool;

@@ -655,11 +655,6 @@ let dc_r ?(time = 0.0) ?x0 ?policy ?opts ?telemetry ?(obs = Obs.disabled) t =
     in
     walk policy.Recover.dc_strategies
 
-let dc ?time ?x0 t =
-  match dc_r ?time ?x0 t with
-  | Ok x -> x
-  | Error f -> raise (No_convergence (Diag.failure_to_string f))
-
 let initial_guess t assignments =
   let x = Array.make t.sys.Mna.n_unknowns 0.0 in
   List.iter
@@ -1142,11 +1137,6 @@ let transient_r ?opts ?x0 ?telemetry ?obs t ~t_stop =
   let o = Option.value opts ~default:t.opts in
   let o = { o with Opts.fast = t.opts.Opts.fast } in
   transient_opts ?x0 ?telemetry ?obs t ~o ~t_stop
-
-let transient ?opts ?x0 t ~t_stop =
-  match transient_r ?opts ?x0 t ~t_stop with
-  | Ok res -> res
-  | Error f -> raise (No_convergence (Diag.failure_to_string f))
 
 let waveform res node =
   match Hashtbl.find_opt res.recorded node with

@@ -16,13 +16,12 @@
     with a local-truncation-error controller.  [`Off] (the default) is
     bit-identical to the historical engine.
 
-    Each analysis exists in two forms: a [Result]-typed variant
-    ({!dc_r}, {!transient_r}) returning [Ok result] or a structured
-    [Error Diag.failure], and the historical raising form ({!dc},
-    {!transient}) which is a thin wrapper that raises {!No_convergence}
-    with the rendered diagnosis. *)
+    Each analysis ({!dc_r}, {!transient_r}) returns [Ok result] or a
+    structured [Error Diag.failure]. *)
 
 exception No_convergence of string
+(** Raised with the rendered [Diag.failure] by callers that cannot
+    recover from one. *)
 
 type integration = Backward_euler | Trapezoidal
 
@@ -127,10 +126,6 @@ val dc_r :
     Under a reducing fast mode the chain-interior voltages of the
     solution are recovered on success and readable with {!voltage}. *)
 
-val dc : ?time:float -> ?x0:float array -> t -> float array
-(** {!dc_r} with the default policy.
-    @raise No_convergence when every strategy fails. *)
-
 val initial_guess :
   t -> (Netlist.Transistor.node * float) list -> float array
 (** Build a DC seed vector from per-node voltage hints (e.g. the
@@ -180,16 +175,6 @@ val transient_r :
     once, to the enclosing transient).
     @raise Invalid_argument on [t_stop <= 0], [dt <= 0] or
     [dt > t_stop]. *)
-
-val transient :
-  ?opts:Opts.t ->
-  ?x0:float array ->
-  t ->
-  t_stop:float ->
-  result
-(** {!transient_r}, raising instead of returning [Error].
-    @raise No_convergence when a step fails even after every recovery
-    strategy. *)
 
 val waveform : result -> Netlist.Transistor.node -> Phys.Pwl.t
 (** Samples of a recorded node, including back-substituted

@@ -89,3 +89,9 @@ let test_jobs () =
      | Some n when n >= 1 -> n
      | _ -> 1)
   | None -> 1
+
+(* Unwrap a transistor-level analysis, failing the test with the
+   rendered diagnosis. *)
+let solved = function
+  | Ok v -> v
+  | Error f -> failwith (Spice.Diag.failure_to_string f)

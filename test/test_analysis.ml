@@ -296,10 +296,13 @@ let test_adaptive_stepping () =
   let netlist = Netlist.Transistor.freeze b in
   let eng = Spice.Engine.prepare netlist in
   let opts = Spice.Engine.Opts.(with_dt (tau /. 200.0) default) in
-  let fixed = Spice.Engine.transient eng ~t_stop:(5.0 *. tau) ~opts in
+  let fixed =
+    Fixtures.solved (Spice.Engine.transient_r eng ~t_stop:(5.0 *. tau) ~opts)
+  in
   let adaptive =
-    Spice.Engine.transient eng ~t_stop:(5.0 *. tau)
-      ~opts:(Spice.Engine.Opts.with_adaptive true opts)
+    Fixtures.solved
+      (Spice.Engine.transient_r eng ~t_stop:(5.0 *. tau)
+         ~opts:(Spice.Engine.Opts.with_adaptive true opts))
   in
   Alcotest.(check bool)
     (Printf.sprintf "fewer steps (%d vs %d)"

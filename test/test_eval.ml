@@ -347,26 +347,28 @@ let test_shard_save_load_cross_count () =
           | None -> Alcotest.failf "key %d lost by re-striping" i)
         (List.init 64 (fun i -> Digest.string (Printf.sprintf "shard-key-%d" i))))
 
-let test_shard_concurrent_domains () =
-  (* 4 domains hammer one 16-shard cache; every value read back must be
-     exactly what some store wrote for that key (values never tear) *)
-  let c = C.create ~shards:16 () in
-  let n = 256 in
+let test_shard_concurrent_domains shards () =
+  (* 8 domains hammer one cache; every hit must return exactly the
+     floats stored for its own key, never another key's or a torn
+     value *)
+  let c = C.create ~shards () in
+  let n = 256 and clients = 8 in
   let key i = Digest.string (Printf.sprintf "conc-%d" (i mod 64)) in
   let worker _ =
     for i = 0 to n - 1 do
       let k = key i in
       (match C.find c k with
        | Some e ->
-         let v = e.C.floats.(0) in
-         if Float.rem v 1.0 <> 0.0 then
-           Alcotest.failf "torn value %f" v
+         if e.C.floats <> [| float_of_int (i mod 64) |] then
+           Alcotest.failf "key %d read foreign floats" (i mod 64)
        | None -> ());
       C.store c k (entry [| float_of_int (i mod 64) |])
     done;
     true
   in
-  let domains = List.init 4 (fun d -> Domain.spawn (fun () -> worker d)) in
+  let domains =
+    List.init clients (fun d -> Domain.spawn (fun () -> worker d))
+  in
   List.iter (fun d -> ignore (Domain.join d)) domains;
   (* afterwards every key holds its (unique) final value *)
   for i = 0 to 63 do
@@ -380,7 +382,7 @@ let test_shard_concurrent_domains () =
   let k = C.counters c in
   Alcotest.(check int) "population is the key set" 64 k.C.entries;
   Alcotest.(check int)
-    "every lookup counted" ((4 * n) + 64)
+    "every lookup counted" ((clients * n) + 64)
     (k.C.hits + k.C.misses)
 
 let test_shard_bad_args () =
@@ -570,7 +572,9 @@ let suite =
     Alcotest.test_case "save/load re-stripes across shard counts" `Quick
       test_shard_save_load_cross_count;
     Alcotest.test_case "sharded cache survives concurrent domains" `Quick
-      test_shard_concurrent_domains;
+      (test_shard_concurrent_domains 16);
+    Alcotest.test_case "single-lock cache survives concurrent domains" `Quick
+      (test_shard_concurrent_domains 1);
     Alcotest.test_case "shard bounds rejected" `Quick test_shard_bad_args;
     Alcotest.test_case "ctx builders and override" `Quick test_ctx_builders;
     Alcotest.test_case "engine names" `Quick test_engine_names;

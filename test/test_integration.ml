@@ -196,7 +196,7 @@ let test_dc_matches_logic_random () =
       in
       let inst = Netlist.Expand.expand c ~stimuli in
       let eng = Spice.Engine.prepare inst.Netlist.Expand.netlist in
-      let x = Spice.Engine.dc eng in
+      let x = Fixtures.solved (Spice.Engine.dc_r eng) in
       let logic = Netlist.Logic_sim.eval c bits in
       for net = 0 to Netlist.Circuit.num_nets c - 1 do
         let volt =

@@ -114,7 +114,12 @@ let test_disabled_results_identical () =
   let on_ = sweep_workload ~obs:(Obs.create ~trace:true ()) ~jobs:2 in
   Alcotest.(check bool)
     "observability never changes the numbers" true
-    (compare off on_ = 0)
+    (compare off on_ = 0);
+  (* the disabled handle threaded through that whole run stayed silent *)
+  let prof = Obs.profile Obs.disabled in
+  Alcotest.(check string) "no metrics" "" (Obs.metrics_jsonl Obs.disabled);
+  Alcotest.(check int) "no profile paths" 0 (List.length (Obs.Prof.paths prof));
+  Alcotest.(check string) "empty profile" "" (Obs.Prof.to_collapsed prof)
 
 (* --- Tracing: nesting, ordering, Chrome export --------------------- *)
 

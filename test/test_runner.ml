@@ -333,6 +333,31 @@ let test_size_without_switching_fails () =
   in
   Alcotest.(check bool) "error names the cause" true (find 0)
 
+(* The manifest is a pure function of the spec: a run at another worker
+   count and a warm re-run through the same cache reproduce it byte for
+   byte.  No (jobs) default here, so the context's worker count holds. *)
+let test_manifest_jobs_cache_invariant () =
+  let src =
+    {|(batch (tech 07um) (circuit c chain) (circuit a adder1)
+       (job sweep sp (circuit c) (engine spice) (wls 5 20)
+         (vectors "0->1" "1->0"))
+       (job sweep bp (circuit a) (wls 2 10 40))
+       (job worst-vectors w (circuit a) (wl 10) (top 2)))|}
+  in
+  let s =
+    match Runner.Spec.parse_string src with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "parse: %s" e
+  in
+  let reference = (run_exn s).Runner.manifest in
+  let ctx =
+    Eval.Ctx.(default |> with_jobs 4 |> with_cache (Eval.Cache.create ()))
+  in
+  let cold = run_exn ~ctx s in
+  let warm = run_exn ~ctx s in
+  Alcotest.(check string) "jobs=4 = jobs=1" reference cold.Runner.manifest;
+  Alcotest.(check string) "warm = cold" reference warm.Runner.manifest
+
 (* Cancellation at job boundaries + fragment streaming: the serve
    daemon's contract.  A cancelled run reports interrupted, journals
    what it finished, and a resume completes to the uninterrupted
@@ -457,4 +482,6 @@ let suite =
     Alcotest.test_case "cancel at job boundary + fragment streaming"
       `Quick test_cancel_and_streaming;
     Alcotest.test_case "runner obs metrics" `Quick test_runner_metrics;
+    Alcotest.test_case "manifest invariant under jobs and warm cache" `Quick
+      test_manifest_jobs_cache_invariant;
     QCheck_alcotest.to_alcotest prop_resume_bit_identical ]

@@ -58,14 +58,28 @@ let check_result circuit (r : Sel.result) =
 
 (* ---- invariants on the bench circuits ----------------------------- *)
 
+(* The paper's baseline is one shared sleep device sized by the
+   sum-of-widths rule; at a 10 % budget (4 clusters, 2 passes) the
+   co-optimizer must leak at most half of it. *)
 let test_adder8_budgets () =
   let c = Fixtures.adder8 () in
+  let w = C.total_pulldown_wl c in
+  let _, shared =
+    Device.Leakage.standby_comparison ~low_vt:tech.Device.Tech.nmos
+      ~high_vt:tech.Device.Tech.sleep_nmos ~total_width_wl:w ~sleep_wl:w
+      ~vdd:tech.Device.Tech.vdd
+  in
   List.iter
     (fun budget ->
-      let r = Sel.optimize c ~delay_budget:budget in
+      let r = Sel.optimize ~clusters:4 ~max_passes:2 c ~delay_budget:budget in
       check_result c r;
       Alcotest.(check bool) "some gates went low-Vt" true
-        (Array.exists not r.Sel.vt_high))
+        (Array.exists not r.Sel.vt_high);
+      if budget = 0.1 then
+        Alcotest.(check bool)
+          (Printf.sprintf "leakage cut %.3fx >= 2x" (shared /. r.Sel.leakage))
+          true
+          (shared /. r.Sel.leakage >= 2.0))
     [ 0.05; 0.1; 0.2 ]
 
 let test_objectives () =

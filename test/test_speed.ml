@@ -112,7 +112,7 @@ let test_dc_ground_anchored_chain () =
   Alcotest.(check bool)
     "chain detected" true
     (Spice.Mna.reduced_nodes (E.system eng) > 0);
-  let x = E.dc eng in
+  let x = Fixtures.solved (E.dc_r eng) in
   Array.iteri
     (fun i n ->
       let expected = 2.0 *. float_of_int (4 - i) /. 5.0 in

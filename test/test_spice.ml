@@ -12,7 +12,7 @@ let test_resistor_divider_dc () =
   T.add b (T.Res { pos = top; neg = mid; r = 1000.0 });
   T.add b (T.Res { pos = mid; neg = T.ground; r = 3000.0 });
   let eng = Spice.Engine.prepare (T.freeze b) in
-  let x = Spice.Engine.dc eng in
+  let x = Fixtures.solved (Spice.Engine.dc_r eng) in
   Alcotest.(check (float 1e-6)) "divider" 1.5 (Spice.Engine.voltage eng x mid);
   Alcotest.(check (float 1e-6)) "source node" 2.0
     (Spice.Engine.voltage eng x top)
@@ -36,8 +36,9 @@ let test_rc_discharge () =
   let netlist, n, tau = rc_netlist () in
   let eng = Spice.Engine.prepare netlist in
   let res =
-    Spice.Engine.transient eng ~t_stop:(5.0 *. tau)
-      ~opts:Spice.Engine.Opts.(with_dt (tau /. 400.0) default)
+    Fixtures.solved
+      (Spice.Engine.transient_r eng ~t_stop:(5.0 *. tau)
+         ~opts:Spice.Engine.Opts.(with_dt (tau /. 400.0) default))
   in
   let w = Spice.Engine.waveform res n in
   List.iter
@@ -54,12 +55,13 @@ let test_rc_trapezoidal () =
   let netlist, n, tau = rc_netlist () in
   let eng = Spice.Engine.prepare netlist in
   let res =
-    Spice.Engine.transient eng ~t_stop:(3.0 *. tau)
-      ~opts:
-        Spice.Engine.Opts.(
-          default
-          |> with_integration Spice.Engine.Trapezoidal
-          |> with_dt (tau /. 100.0))
+    Fixtures.solved
+      (Spice.Engine.transient_r eng ~t_stop:(3.0 *. tau)
+         ~opts:
+           Spice.Engine.Opts.(
+             default
+             |> with_integration Spice.Engine.Trapezoidal
+             |> with_dt (tau /. 100.0)))
   in
   let w = Spice.Engine.waveform res n in
   Alcotest.(check (float 0.01)) "trapezoidal decay" (exp (-1.0))
@@ -69,11 +71,12 @@ let test_record_subset () =
   let netlist, n, tau = rc_netlist () in
   let eng = Spice.Engine.prepare netlist in
   let res =
-    Spice.Engine.transient eng ~t_stop:tau
-      ~opts:
-        Spice.Engine.Opts.(
-          default |> with_dt (tau /. 50.0)
-          |> with_record (Spice.Engine.Nodes [ n ]))
+    Fixtures.solved
+      (Spice.Engine.transient_r eng ~t_stop:tau
+         ~opts:
+           Spice.Engine.Opts.(
+             default |> with_dt (tau /. 50.0)
+             |> with_record (Spice.Engine.Nodes [ n ])))
   in
   ignore (Spice.Engine.waveform res n);
   (try
@@ -111,7 +114,7 @@ let test_inverter_dc_levels () =
       ~vin_wave:(Phys.Pwl.constant 0.0)
   in
   let eng = Spice.Engine.prepare netlist in
-  let x = Spice.Engine.dc eng in
+  let x = Fixtures.solved (Spice.Engine.dc_r eng) in
   Alcotest.(check (float 0.01)) "out high" 1.2
     (Spice.Engine.voltage eng x vout);
   let netlist, vout =
@@ -119,7 +122,7 @@ let test_inverter_dc_levels () =
       ~vin_wave:(Phys.Pwl.constant 1.2)
   in
   let eng = Spice.Engine.prepare netlist in
-  let x = Spice.Engine.dc eng in
+  let x = Fixtures.solved (Spice.Engine.dc_r eng) in
   Alcotest.(check (float 0.01)) "out low" 0.0
     (Spice.Engine.voltage eng x vout)
 
@@ -128,8 +131,9 @@ let inverter_fall_delay ~cl =
   let netlist, vout = inverter_netlist ~wl_n:2.0 ~wl_p:4.0 ~cl ~vin_wave:edge in
   let eng = Spice.Engine.prepare netlist in
   let res =
-    Spice.Engine.transient eng ~t_stop:2e-9
-      ~opts:Spice.Engine.Opts.(with_dt 1e-12 default)
+    Fixtures.solved
+      (Spice.Engine.transient_r eng ~t_stop:2e-9
+         ~opts:Spice.Engine.Opts.(with_dt 1e-12 default))
   in
   let w = Spice.Engine.waveform res vout in
   match
@@ -180,7 +184,7 @@ let test_no_convergence_reported () =
     (Invalid_argument "Engine.transient: t_stop <= 0") (fun () ->
       let netlist, _, _ = rc_netlist () in
       let eng = Spice.Engine.prepare netlist in
-      ignore (Spice.Engine.transient eng ~t_stop:0.0))
+      ignore (Spice.Engine.transient_r eng ~t_stop:0.0))
 
 let suite =
   [ Alcotest.test_case "resistor divider dc" `Quick test_resistor_divider_dc;
