@@ -50,10 +50,7 @@ let best_of k f =
   in
   (v, go 1 t)
 
-let sleep_of tech wl =
-  BP.Sleep_fet
-    (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl
-       ~vdd:tech.Device.Tech.vdd)
+let sleep_of tech wl = BP.Sleep_fet (Device.Sleep.nmos_footer tech ~wl)
 
 let bp_delay ?(config = BP.default_config) c ~before ~after =
   let r = BP.simulate_ints ~config c ~before ~after in
@@ -558,7 +555,7 @@ let ablations () =
      the device is cheaper, as 2.2 argues)@.";
 
   Format.printf "@.[4] sleep device I-V vs linear-resistor model (fig 2):@.";
-  let s8 = Device.Sleep.make t07.Device.Tech.sleep_nmos ~wl:8.0 ~vdd:1.2 in
+  let s8 = Device.Sleep.nmos_footer t07 ~wl:8.0 in
   let r_eff = Device.Sleep.effective_resistance s8 in
   let d_dev =
     bp_delay
@@ -659,7 +656,7 @@ let design_space () =
       let m = Mtcmos.Sizing.cmos_delay c ~vectors:[ tree_vec ] in
       let r_eff =
         Device.Sleep.effective_resistance
-          (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl:10.0 ~vdd)
+          (Device.Sleep.nmos_footer tech ~wl:10.0)
       in
       let wl =
         try
@@ -831,12 +828,7 @@ let extras ~fast () =
   let a60 =
     Mtcmos.Sizing.delay_at mult_c ~vectors:[ mult_vec_a ] ~wl:60.0
   in
-  let fmt_pair (before, after) =
-    let f g =
-      String.concat "," (List.map (fun (_, v) -> string_of_int v) g)
-    in
-    Printf.sprintf "(%s)->(%s)" (f before) (f after)
-  in
+  let fmt_pair = Mtcmos.Vectors.label in
   Format.printf
     "  hill climb found %s at %.1f%% degradation in %d evaluations@."
     (fmt_pair found.Mtcmos.Search.pair)

@@ -311,9 +311,7 @@ let ctx_of ?(fast = `Off) ~obs co =
 
 (* ---- the one-job subcommands ---------------------------------------------- *)
 
-let pp_pair ppf (before, after) =
-  let fmt g = String.concat "," (List.map (fun (_, v) -> string_of_int v) g) in
-  Format.fprintf ppf "(%s)->(%s)" (fmt before) (fmt after)
+let pp_pair ppf pair = Format.pp_print_string ppf (Mtcmos.Vectors.label pair)
 
 let print_answer ?vx_peak = function
   | Runner.Sweep_answer ms ->
@@ -576,9 +574,7 @@ let sta_cmd =
       path.Mtcmos.Sta.through;
     if wl > 0.0 then begin
       let sleep =
-        Mtcmos.Breakpoint_sim.Sleep_fet
-          (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl
-             ~vdd:tech.Device.Tech.vdd)
+        Mtcmos.Breakpoint_sim.Sleep_fet (Device.Sleep.nmos_footer tech ~wl)
       in
       let hi = List.map (fun w -> (w, (1 lsl w) - 1)) bc.widths in
       let lo = List.map (fun w -> (w, 0)) bc.widths in

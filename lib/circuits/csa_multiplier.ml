@@ -75,9 +75,5 @@ let make ?(cl = 15e-15) ?(strength = 1.0) tech ~bits =
     product;
   { circuit = C.freeze bld; x; y; product }
 
-let reference_product ~bits x y =
-  ignore bits;
-  x * y
-
 let vector_a = ((0x00, 0x00), (0xFF, 0x81))
 let vector_b = ((0x7F, 0x81), (0xFF, 0x81))

@@ -15,9 +15,6 @@ val make : ?cl:float -> ?strength:float -> Device.Tech.t -> bits:int -> t
     packs as [eval_ints [(n, x); (n, y)]].  [cl] (default 15 fF) loads
     each product bit. *)
 
-val reference_product : bits:int -> int -> int -> int
-(** Golden model [x * y]. *)
-
 (** The two §4 example transitions, little-endian packed as (x, y): *)
 
 val vector_a : (int * int) * (int * int)

@@ -37,4 +37,3 @@ let make ?(cl = 50e-15) ?(strength = 1.0) tech ~stages ~fanout =
 
 let leaf_net t = t.stage_nets.(Array.length t.stage_nets - 1).(0)
 
-let gate_count t = C.num_gates t.circuit

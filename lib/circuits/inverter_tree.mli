@@ -22,5 +22,3 @@ val make :
 
 val leaf_net : t -> Netlist.Circuit.net
 (** A representative leaf output (the paper plots one of the nine). *)
-
-val gate_count : t -> int

@@ -40,12 +40,10 @@ let default_config =
     tech_override = None;
     rail = Gnd_switch }
 
-let mtcmos_config ?(body_effect = true) (tech : Device.Tech.t) ~wl =
-  let sleep =
-    Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl
-      ~vdd:tech.Device.Tech.vdd
-  in
-  { default_config with sleep = Sleep_fet sleep; body_effect }
+let mtcmos_config ?(body_effect = true) tech ~wl =
+  { default_config with
+    sleep = Sleep_fet (Device.Sleep.nmos_footer tech ~wl);
+    body_effect }
 
 let mtcmos_pmos_config ?(body_effect = true) (tech : Device.Tech.t) ~wl =
   let sleep =
@@ -211,45 +209,30 @@ let simulate_core ?(config = default_config) c ~before ~after =
   let onset_hold t trigger =
     if not config.input_slope then neg_infinity
     else
-      match trigger with
-      | None -> neg_infinity
-      | Some net ->
-        (match C.gate_of_output c net with
-         | None -> neg_infinity (* primary input: a step *)
-         | Some driver ->
-           let s = gates.(driver.C.id).slope in
-           if s = 0.0 then neg_infinity
-           else t +. (slope_coeff *. vdd /. Float.abs s))
+      match C.gate_of_output c trigger with
+      | None -> neg_infinity (* primary input: a step *)
+      | Some driver ->
+        let s = gates.(driver.C.id).slope in
+        if s = 0.0 then neg_infinity
+        else t +. (slope_coeff *. vdd /. Float.abs s)
   in
-  (* returns true when the gate's activity changed *)
-  let retarget ?trigger t (gs : gate_state) =
+  (* start or reverse the gate's transition when its logic target moved
+     away from where it is heading; [trigger] is the input that changed *)
+  let retarget ~trigger t (gs : gate_state) =
     let target = eval_target gs in
-    let changed =
-      match gs.phase with
-      | Idle ->
-        if target <> level.(gs.g.C.output) then begin
-          gs.phase <- (if target then Rising else Falling);
-          gs.hold_until <- onset_hold t trigger;
-          record_net t gs.g.C.output gs.v;
-          true
-        end
-        else false
-      | Rising ->
-        if not target then begin
-          gs.phase <- Falling;
-          record_net t gs.g.C.output gs.v;
-          true
-        end
-        else false
-      | Falling ->
-        if target then begin
-          gs.phase <- Rising;
-          record_net t gs.g.C.output gs.v;
-          true
-        end
-        else false
-    in
-    changed
+    let out = gs.g.C.output in
+    match gs.phase with
+    | Idle when target <> level.(out) ->
+      gs.phase <- (if target then Rising else Falling);
+      gs.hold_until <- onset_hold t trigger;
+      record_net t out gs.v
+    | Rising when not target ->
+      gs.phase <- Falling;
+      record_net t out gs.v
+    | Falling when target ->
+      gs.phase <- Rising;
+      record_net t out gs.v
+    | Idle | Rising | Falling -> ()
   in
   (* --- virtual ground and slopes ----------------------------------------- *)
   let discharging_sets () =
@@ -257,14 +240,10 @@ let simulate_core ?(config = default_config) c ~before ~after =
     Array.iter
       (fun gs ->
         let contribution =
-          if gated_rising then
-            match gs.phase with
-            | Rising when gs.v < vdd -> Some gs.wl_up
-            | Rising | Falling | Idle -> None
-          else
-            match gs.phase with
-            | Falling when gs.v > 0.0 -> Some gs.beta_wl
-            | Falling | Rising | Idle -> None
+          match gs.phase with
+          | Rising when gated_rising && gs.v < vdd -> Some gs.wl_up
+          | Falling when (not gated_rising) && gs.v > 0.0 -> Some gs.beta_wl
+          | Rising | Falling | Idle -> None
         in
         match contribution with
         | Some beta_wl ->
@@ -280,14 +259,13 @@ let simulate_core ?(config = default_config) c ~before ~after =
     | Resistor r -> Vground.solve_resistor vg_cfg ~r discharging
     | Sleep_fet s -> Vground.solve_device vg_cfg ~sleep:s discharging
   in
-  let vxs_now () =
-    let sets = discharging_sets () in
+  let vxs_of sets =
     Array.mapi (fun b sleep -> solve_block sleep sets.(b)) sleeps
   in
-  let floor_of_block vxs b =
+  let floor_of_gate vxs gs =
+    let b = block_of gs.g.C.id in
     if config.reverse_conduction && not gated_rising then vxs.(b) else 0.0
   in
-  let floor_of_gate vxs gs = floor_of_block vxs (block_of gs.g.C.id) in
   let ceil_of_gate vxs gs =
     if config.reverse_conduction && gated_rising then
       vdd -. vxs.(block_of gs.g.C.id)
@@ -318,7 +296,7 @@ let simulate_core ?(config = default_config) c ~before ~after =
               ~vin:vdd ~cl:gs.cl)
       gates
   in
-  let record_vx t_prev t vxs_prev vxs =
+  let record_vx t_prev t vxs_prev vxs sets =
     let pre_t = Float.max t_prev (t -. 1e-16) in
     (* per-block traces *)
     Array.iteri
@@ -333,7 +311,6 @@ let simulate_core ?(config = default_config) c ~before ~after =
       res.vx_points <- (t, vx) :: (pre_t, vx_prev) :: res.vx_points;
       if vx > res.vx_max then res.vx_max <- vx
     end;
-    let sets = discharging_sets () in
     let i_total = ref 0.0 in
     Array.iteri
       (fun b set ->
@@ -433,19 +410,20 @@ let simulate_core ?(config = default_config) c ~before ~after =
   in
   let t = ref t0 in
   let process_reevals () =
-    let any = ref false in
     Hashtbl.iter
-      (fun gid trigger ->
-        if retarget ~trigger !t gates.(gid) then any := true)
+      (fun gid trigger -> retarget ~trigger !t gates.(gid))
       to_reeval;
-    Hashtbl.reset to_reeval;
-    !any
+    Hashtbl.reset to_reeval
   in
-  ignore (process_reevals ());
-  targets := vxs_now ();
+  process_reevals ();
+  (* gate states are fixed from here to the slope update, so one
+     discharging-set pass feeds both the rail solve and the current
+     trace *)
+  let sets = discharging_sets () in
+  targets := vxs_of sets;
   let prev_state = Array.copy !vxs in
   relax_state 0.0;
-  record_vx t0 t0 prev_state !vxs;
+  record_vx t0 t0 prev_state !vxs sets;
   recompute_slopes !vxs;
   let continue = ref true in
   while !continue do
@@ -463,20 +441,6 @@ let simulate_core ?(config = default_config) c ~before ~after =
       res.n_events <- res.n_events + 1;
       if res.n_events > config.max_events then
         failwith "Breakpoint_sim: event limit exceeded";
-      if Sys.getenv_opt "BPSIM_TRACE" <> None then begin
-        Printf.eprintf "event %d t=%.6g dt=%.3g:" res.n_events t_next
-          (t_next -. !t);
-        Array.iter
-          (fun gs ->
-            if gs.phase <> Idle then
-              Printf.eprintf " g%d[%s]%s v=%.3f sl=%.3g" gs.g.C.id
-                (Netlist.Gate.name gs.g.C.kind)
-                (match gs.phase with
-                 | Rising -> "+" | Falling -> "-" | Idle -> "0")
-                gs.v gs.slope)
-          gates;
-        prerr_newline ()
-      end;
       let dt = t_next -. !t in
       (* advance all active outputs linearly; [eps] absorbs the float
          roundoff of scheduling a breakpoint exactly at a crossing *)
@@ -487,7 +451,6 @@ let simulate_core ?(config = default_config) c ~before ~after =
           | Idle -> ()
           | Rising | Falling when gs.hold_until >= t_next -> ()
           | Rising | Falling ->
-            let v_old = gs.v in
             let v_new = gs.v +. (gs.slope *. dt) in
             let fl = floor_of_gate !vxs gs in
             let ceil = ceil_of_gate !vxs gs in
@@ -497,7 +460,6 @@ let simulate_core ?(config = default_config) c ~before ~after =
             v_net.(out) <- v_new;
             (* threshold crossing, gated on the logical level so a
                crossing fires exactly once per traversal *)
-            ignore v_old;
             let crossed_up =
               gs.phase = Rising && (not level.(out)) && v_new >= half -. eps
             in
@@ -527,10 +489,11 @@ let simulate_core ?(config = default_config) c ~before ~after =
       (* the rail relaxed toward the old equilibrium during [dt] *)
       let prev_state = Array.copy !vxs in
       relax_state dt;
-      ignore (process_reevals ());
-      targets := vxs_now ();
+      process_reevals ();
+      let sets = discharging_sets () in
+      targets := vxs_of sets;
       if config.cx <= 0.0 then vxs := Array.copy !targets;
-      record_vx res.t_last t_next prev_state !vxs;
+      record_vx res.t_last t_next prev_state !vxs sets;
       recompute_slopes !vxs
     end
   done;
@@ -552,74 +515,46 @@ let simulate ?config ?(obs = Obs.disabled) c ~before ~after =
   end;
   r
 
+let pack_ints groups =
+  Array.of_list
+    (List.concat_map
+       (fun (w, v) -> Array.to_list (S.bits_of_int ~width:w v))
+       groups)
+
 let simulate_ints ?config ?obs c ~before ~after =
-  let pack groups =
-    let bits =
-      List.concat_map
-        (fun (w, v) -> Array.to_list (S.bits_of_int ~width:w v))
-        groups
-    in
-    Array.of_list bits
-  in
-  simulate ?config ?obs c ~before:(pack before) ~after:(pack after)
+  simulate ?config ?obs c ~before:(pack_ints before) ~after:(pack_ints after)
 
 let waveform res n =
   match res.wave_points.(n) with
   | [] -> Phys.Pwl.constant 0.0
   | pts -> Phys.Pwl.create (List.rev pts)
 
-let vground_waveform res =
-  match res.vx_points with
+(* a rail or current trace, anchored at 0 just before its first event so
+   the initial step renders *)
+let anchored_trace = function
   | [] -> Phys.Pwl.constant 0.0
   | pts ->
-    (* anchor the pre-transition rail just before the first event so the
-       initial step renders *)
-    let t_first = List.fold_left (fun acc (t, _) -> Float.min acc t)
-        infinity pts in
+    let t_first =
+      List.fold_left (fun acc (t, _) -> Float.min acc t) infinity pts
+    in
     Phys.Pwl.create ((t_first -. 1e-13, 0.0) :: List.rev pts)
 
-let current_anchor = 1e-13
+let vground_waveform res = anchored_trace res.vx_points
 
 let vground_waveform_block res b =
   if b < 0 || b >= Array.length res.vxb_points then
     invalid_arg "Breakpoint_sim.vground_waveform_block";
-  match !(res.vxb_points.(b)) with
-  | [] -> Phys.Pwl.constant 0.0
-  | pts ->
-    let t_first = List.fold_left (fun acc (t, _) -> Float.min acc t)
-        infinity pts in
-    Phys.Pwl.create ((t_first -. 1e-13, 0.0) :: List.rev pts)
+  anchored_trace !(res.vxb_points.(b))
 
+let discharge_current_waveform res = anchored_trace res.i_points
 let vx_peak res = res.vx_max
 let t_finish res = res.t_last
 let events res = res.n_events
 
-let discharge_current_waveform res =
-  match res.i_points with
-  | [] -> Phys.Pwl.constant 0.0
-  | pts ->
-    let t_first = List.fold_left (fun acc (t, _) -> Float.min acc t)
-        infinity pts in
-    Phys.Pwl.create ((t_first -. current_anchor, 0.0) :: List.rev pts)
-
 let peak_discharge_current res = res.i_max
 
 let net_delay res n =
-  let w = waveform res n in
-  let crossings = Phys.Pwl.crossings w ~level:(res.vdd /. 2.0) in
-  let after_start = List.filter (fun (t, _) -> t >= res.t_start) crossings in
-  match List.rev after_start with
-  | [] -> None
-  | (t, _) :: _ -> Some (t -. res.t_start)
+  Spice.Measure.net_delay (waveform res n) ~vdd:res.vdd ~t_start:res.t_start
 
 let critical_delay res =
-  Array.fold_left
-    (fun acc n ->
-      match net_delay res n with
-      | None -> acc
-      | Some d ->
-        (match acc with
-         | Some (_, best) when best >= d -> acc
-         | Some _ | None -> Some (n, d)))
-    None
-    (C.outputs res.circuit)
+  Spice.Measure.critical_delay (C.outputs res.circuit) (net_delay res)

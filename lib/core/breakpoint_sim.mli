@@ -95,6 +95,10 @@ val simulate :
     [bp.simulations] / [bp.events] counters.
     @raise Invalid_argument on [X] inputs or length mismatches. *)
 
+val pack_ints : (int * int) list -> Netlist.Signal.level array
+(** [(width, value)] groups to input levels, LSB first within a group,
+    groups in order: the packing of every [*_ints] entry point. *)
+
 val simulate_ints :
   ?config:config ->
   ?obs:Obs.t ->
@@ -130,8 +134,8 @@ val events : result -> int
 (** Number of processed breakpoints. *)
 
 val net_delay : result -> Netlist.Circuit.net -> float option
-(** [t_start]-to-last-[vdd/2]-crossing delay of a net; [None] when the
-    net never switched. *)
+(** {!Spice.Measure.net_delay} of the net's waveform: [t_start] to its
+    last [vdd/2] crossing; [None] when the net never switched. *)
 
 val critical_delay : result -> (Netlist.Circuit.net * float) option
 (** Worst {!net_delay} over the primary outputs. *)

@@ -35,15 +35,6 @@ val digest : tag:string -> string list -> string
 (** Assemble framed parts under a distinguishing tag into the final
     16-byte key. *)
 
-val bp_key :
-  config:Breakpoint_sim.config ->
-  Netlist.Circuit.t ->
-  before:(int * int) list ->
-  after:(int * int) list ->
-  string option
-(** Complete key for one breakpoint simulation; [None] when the config
-    is not digestible (partition present). *)
-
 val bp_metrics :
   ?cache:Eval.Cache.t ->
   ?obs:Obs.t ->
@@ -54,7 +45,9 @@ val bp_metrics :
   float option * float * float
 (** One breakpoint simulation reduced to
     [(critical delay if any output switched, vx peak, peak discharge
-    current)] — the three scalars Sizing, Search, Variation and
-    Vectors consume.  Cached under {!bp_key} when a cache is given.
+    current)] — the three scalars Sizing (and through
+    [Sizing.worst_delay_bp] Hierarchy, Sta and Selective), Search,
+    Variation and Vectors consume.  Cached, keyed on circuit, config and
+    vector, when a cache is given and the config has no partition.
     @raise Breakpoint_sim.Starved as the simulator does (never
     cached). *)

@@ -22,8 +22,18 @@ val charge_slope : t -> wl_pull_up:float -> cl:float -> float
 (** dV/dt (positive) of a rising output; the pull-up path does not see
     the sleep device (§2.1). *)
 
+val fall_delay : t -> vx:float -> beta_wl:float -> cl:float -> float
+(** 50 % falling delay [cl * vdd / (2 * I(vx))] of a pull-down of
+    [beta_wl] while its source rail sits at [vx]; [infinity] when the
+    gate draws no current.  The one gate-delay formula: every static
+    timer and sizer goes through it or {!rise_delay}. *)
+
+val rise_delay : t -> wl_pull_up:float -> cl:float -> float
+(** 50 % rising delay through the pull-up, which never sees the sleep
+    device (§2.1). *)
+
 val cmos_gate_delay : t -> beta_wl:float -> cl:float -> float
-(** 50 % propagation delay of one gate with an ideal ground. *)
+(** {!fall_delay} with an ideal ground ([vx = 0]). *)
 
 val mtcmos_gate_delay :
   t -> r:float -> others_beta_wl:float list -> beta_wl:float -> cl:float ->

@@ -64,9 +64,7 @@ let virtual_rail_capacitance circuit ~wl =
 let sleep_cycle_overhead circuit ~wl =
   let tech = C.tech circuit in
   let vdd = tech.Device.Tech.vdd in
-  let sleep =
-    Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl ~vdd
-  in
+  let sleep = Device.Sleep.nmos_footer tech ~wl in
   let toggle =
     Device.Sleep.switching_energy sleep
       ~cg_per_wl:tech.Device.Tech.cg_per_wl
@@ -80,7 +78,7 @@ let sleep_cycle_overhead circuit ~wl =
 let budget circuit ~wl =
   let tech = C.tech circuit in
   let vdd = tech.Device.Tech.vdd in
-  let sleep = Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl ~vdd in
+  let sleep = Device.Sleep.nmos_footer tech ~wl in
   let toggle =
     Device.Sleep.switching_energy sleep
       ~cg_per_wl:tech.Device.Tech.cg_per_wl

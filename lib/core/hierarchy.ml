@@ -1,22 +1,8 @@
 module C = Netlist.Circuit
 
-let depths circuit =
-  let d = Array.make (C.num_nets circuit) 0 in
-  let gates = C.gates circuit in
-  let gd = Array.make (Array.length gates) 0 in
-  Array.iter
-    (fun (g : C.gate_inst) ->
-      let worst =
-        Array.fold_left (fun acc n -> Int.max acc d.(n)) 0 g.C.inputs
-      in
-      gd.(g.C.id) <- worst + 1;
-      d.(g.C.output) <- worst + 1)
-    gates;
-  gd
-
 let by_level circuit ~blocks =
   if blocks < 1 then invalid_arg "Hierarchy.by_level: blocks < 1";
-  let gd = depths circuit in
+  let gd = C.gate_depths circuit in
   let max_depth = Array.fold_left Int.max 1 gd in
   fun gid ->
     if gid < 0 || gid >= Array.length gd then
@@ -31,20 +17,15 @@ let populations circuit ~blocks =
     (C.gates circuit);
   counts
 
-let uniform (tech : Device.Tech.t) ~wl ~blocks =
-  if blocks < 1 then invalid_arg "Hierarchy.uniform: blocks < 1";
-  Array.init blocks (fun _ ->
-      Breakpoint_sim.Sleep_fet
-        (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl
-           ~vdd:tech.Device.Tech.vdd))
-
 let config ?(body_effect = true) tech circuit ~wl_per_block ~blocks =
+  let block_of_gate = by_level circuit ~blocks in
+  let sleep = Device.Sleep.nmos_footer tech ~wl:wl_per_block in
   { Breakpoint_sim.default_config with
     Breakpoint_sim.body_effect;
     partition =
       Some
-        { Breakpoint_sim.block_of_gate = by_level circuit ~blocks;
-          sleeps = uniform tech ~wl:wl_per_block ~blocks } }
+        { Breakpoint_sim.block_of_gate;
+          sleeps = Array.make blocks (Breakpoint_sim.Sleep_fet sleep) } }
 
 let size_uniform_for_degradation ?(wl_lo = 0.5) ?(wl_hi = 4096.0)
     ?(tolerance = 0.01) circuit ~vectors ~target ~blocks =
@@ -52,26 +33,10 @@ let size_uniform_for_degradation ?(wl_lo = 0.5) ?(wl_hi = 4096.0)
   let tech = C.tech circuit in
   let base = Sizing.cmos_delay circuit ~vectors in
   let degradation wl =
-    let cfg = config tech circuit ~wl_per_block:wl ~blocks in
-    let worst =
-      List.fold_left
-        (fun acc (before, after) ->
-          let r =
-            Breakpoint_sim.simulate_ints ~config:cfg circuit ~before ~after
-          in
-          match Breakpoint_sim.critical_delay r with
-          | Some (_, d) -> Float.max acc d
-          | None -> acc)
-        0.0 vectors
-    in
+    let config = config tech circuit ~wl_per_block:wl ~blocks in
+    let worst, _ = Sizing.worst_delay_bp ~config circuit vectors in
     (worst -. base) /. base
   in
   if degradation wl_hi > target then raise Not_found;
-  let rec refine lo hi iter =
-    if iter > 60 || hi /. lo <= 1.0 +. tolerance then hi
-    else
-      let mid = sqrt (lo *. hi) in
-      if degradation mid <= target then refine lo mid (iter + 1)
-      else refine mid hi (iter + 1)
-  in
-  if degradation wl_lo <= target then wl_lo else refine wl_lo wl_hi 0
+  Sizing.smallest_feasible ~tolerance ~lo:wl_lo ~hi:wl_hi (fun wl ->
+      degradation wl <= target)

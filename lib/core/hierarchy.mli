@@ -8,10 +8,6 @@
     Exclusive Discharge Patterns"); here it serves as a built-in
     extension and an ablation against the single shared device. *)
 
-val depths : Netlist.Circuit.t -> int array
-(** Topological depth of every gate (1 for gates fed only by primary
-    inputs/ties), indexed by gate id. *)
-
 val by_level : Netlist.Circuit.t -> blocks:int -> Netlist.Circuit.gate_id -> int
 (** Partition gates by topological depth into [blocks] equal bands —
     pipeline stages discharge at different times, so banding by level
@@ -30,10 +26,6 @@ val populations : Netlist.Circuit.t -> blocks:int -> int array
 (** Gate count of each {!by_level} band; entries may be 0 when
     [blocks] exceeds the logic depth. *)
 
-val uniform :
-  Device.Tech.t -> wl:float -> blocks:int -> Breakpoint_sim.sleep_model array
-(** [blocks] identical sleep devices of size [wl] each. *)
-
 val config :
   ?body_effect:bool ->
   Device.Tech.t ->
@@ -41,7 +33,9 @@ val config :
   wl_per_block:float ->
   blocks:int ->
   Breakpoint_sim.config
-(** Simulator config with a level-banded partition. *)
+(** Simulator config with a level-banded partition: [blocks] identical
+    sleep devices of W/L [wl_per_block] each.
+    @raise Invalid_argument when [blocks < 1]. *)
 
 val size_uniform_for_degradation :
   ?wl_lo:float ->

@@ -15,31 +15,30 @@ type library = {
 
 let characterize ?(loads = [ 10e-15; 30e-15; 80e-15 ])
     ?(ramps = [ 20e-12; 80e-12; 200e-12 ]) tech kind_list =
-  let loads = List.sort_uniq compare loads in
-  let ramps = List.sort_uniq compare ramps in
+  let loads = Array.of_list (List.sort_uniq compare loads) in
+  let ramps = Array.of_list (List.sort_uniq compare ramps) in
   let tables = Hashtbl.create 16 in
   List.iter
     (fun kind ->
-      let d =
-        Array.of_list
-          (List.map
-             (fun cl ->
-               Array.of_list
-                 (List.map
-                    (fun ramp ->
-                      let p = Characterize.measure tech kind ~cl ~ramp in
-                      ( Float.max p.Characterize.fall_delay
-                          p.Characterize.rise_delay,
-                        Float.max p.Characterize.fall_slew
-                          p.Characterize.rise_slew ))
-                    ramps))
-             loads)
+      let points =
+        Array.map
+          (fun cl ->
+            Array.map (fun ramp -> Characterize.measure tech kind ~cl ~ramp)
+              ramps)
+          loads
+      in
+      let worst fall rise =
+        Array.map (Array.map (fun p -> Float.max (fall p) (rise p))) points
       in
       Hashtbl.replace tables kind
-        { loads = Array.of_list loads;
-          ramps = Array.of_list ramps;
-          d_worst = Array.map (Array.map fst) d;
-          s_worst = Array.map (Array.map snd) d })
+        { loads;
+          ramps;
+          d_worst =
+            worst (fun p -> p.Characterize.fall_delay) (fun p ->
+                p.Characterize.rise_delay);
+          s_worst =
+            worst (fun p -> p.Characterize.fall_slew) (fun p ->
+                p.Characterize.rise_slew) })
     kind_list;
   { tech; tables }
 
@@ -86,31 +85,18 @@ type timing = {
 }
 
 let sta ?(input_slew = 50e-12) lib circuit =
-  let n = C.num_nets circuit in
-  let arrival = Array.make n 0.0 in
-  let slew = Array.make n input_slew in
-  Array.iter
-    (fun (g : C.gate_inst) ->
-      (* an S-strength gate behaves like the unit gate at load cl / S *)
-      let cl = C.load_capacitance circuit g.C.output /. g.C.strength in
-      let worst_in, worst_slew =
-        Array.fold_left
-          (fun (a, s) net ->
-            (Float.max a arrival.(net), Float.max s slew.(net)))
-          (0.0, input_slew) g.C.inputs
-      in
-      let d = delay lib g.C.kind ~cl ~slew_in:worst_slew in
-      arrival.(g.C.output) <- worst_in +. d;
-      slew.(g.C.output) <-
-        output_slew lib g.C.kind ~cl ~slew_in:worst_slew)
-    (C.gates circuit);
-  let outs = C.outputs circuit in
-  if Array.length outs = 0 then invalid_arg "Nldm.sta: no outputs";
-  let critical =
-    Array.fold_left
-      (fun (bn, ba) net ->
-        if arrival.(net) > ba then (net, arrival.(net)) else (bn, ba))
-      (outs.(0), arrival.(outs.(0)))
-      outs
+  let slew = Array.make (C.num_nets circuit) input_slew in
+  (* the delay closure carries the slews: the worst input slew picks the
+     table point, and the output slew is recorded for the fanout *)
+  let gate_delay (g : C.gate_inst) =
+    (* an S-strength gate behaves like the unit gate at load cl / S *)
+    let cl = C.load_capacitance circuit g.C.output /. g.C.strength in
+    let slew_in =
+      Array.fold_left (fun s net -> Float.max s slew.(net)) input_slew
+        g.C.inputs
+    in
+    slew.(g.C.output) <- output_slew lib g.C.kind ~cl ~slew_in;
+    delay lib g.C.kind ~cl ~slew_in
   in
-  { arrival; slew; critical }
+  let arrival = Sta.propagate circuit ~delay:gate_delay in
+  { arrival; slew; critical = Sta.worst_output circuit arrival }

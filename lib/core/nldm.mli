@@ -41,7 +41,9 @@ type timing = {
 val sta :
   ?input_slew:float -> library -> Netlist.Circuit.t -> timing
 (** Slew-propagating topological timing (default primary-input slew
-    50 ps).  Strength scales tables linearly: an S-strength gate sees
-    [cl / S] and drives with the unit-gate slew at that effective load.
+    50 ps): {!Sta.propagate} and {!Sta.worst_output} with table delays,
+    each gate looked up at its worst input slew.  Strength scales tables
+    linearly: an S-strength gate sees [cl / S] and drives with the
+    unit-gate slew at that effective load.
     @raise Not_found when the circuit uses an uncharacterised kind.
     @raise Invalid_argument when the circuit has no outputs. *)

@@ -14,12 +14,6 @@ type outcome = {
 
 let resolve ?ctx () = Option.value ctx ~default:Eval.Ctx.default
 
-let vector_label (before, after) =
-  let fmt g =
-    String.concat "," (List.map (fun (_, v) -> string_of_int v) g)
-  in
-  Printf.sprintf "(%s)->(%s)" (fmt before) (fmt after)
-
 let score_bp ?cache ?obs ~body_effect c ~sleep objective (before, after) =
   let config = { BP.default_config with BP.sleep; body_effect } in
   let d_mt, vx, i_peak =
@@ -92,7 +86,7 @@ let sp_scored ?cache ?obs ?stats ~config ~label c (before, after) =
    without silently conflating the two cases *)
 let score_spice ?cache ?(obs = Obs.disabled) ?stats ~policy ~fast ~jobs c
     ~sleep objective pair =
-  let label = vector_label pair in
+  let label = Vectors.label pair in
   let run_one ?cache obs wstats sl =
     let config =
       { Spice_ref.default_config with Spice_ref.sleep = sl; policy; fast }

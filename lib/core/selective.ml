@@ -110,32 +110,11 @@ let objective_value circuit obj ~leakage ~area =
     let area_norm = w *. tech.Device.Tech.lmin *. tech.Device.Tech.lmin in
     (leakage /. leak_norm) +. (area /. area_norm)
 
-let worst_arrival sta circuit =
-  Array.fold_left
-    (fun acc n -> Float.max acc (Sta.arrival sta n))
-    0.0 (C.outputs circuit)
-
 let arrival ?(ctx = Eval.Ctx.default) circuit ~vt_high ~cluster_of_gate
     ~sleep_wl =
   let g = gating ~vt_high ~cluster_of_gate ~sleep_wl in
-  worst_arrival
+  Sta.critical_arrival
     (Sta.analyze ~body_effect:ctx.Eval.Ctx.body_effect ~gating:g circuit)
-    circuit
-
-(* Geometric bisection for the smallest feasible device: [hi] is known
-   feasible, [lo] is tried first; invariantly returns a feasible size.
-   Same 1 % tolerance and iteration cap as Hierarchy / Sizing. *)
-let shrink ~feasible_at ~lo ~hi =
-  if feasible_at lo then lo
-  else
-    let rec refine l h iter =
-      if iter > 60 || h /. l <= 1.01 then h
-      else
-        let mid = sqrt (l *. h) in
-        if feasible_at mid then refine l mid (iter + 1)
-        else refine mid h (iter + 1)
-    in
-    refine lo hi 0
 
 let size_clusters_with ~eval ~wl_lo ~wl_hi circuit ~budget ~vt_high
     ~cluster_of_gate ~n_clusters =
@@ -156,7 +135,7 @@ let size_clusters_with ~eval ~wl_lo ~wl_hi circuit ~budget ~vt_high
     Array.iteri (fun c a -> if a then wls.(c) <- w) active
   in
   let uniform =
-    shrink ~lo:wl_lo ~hi:wl_hi ~feasible_at:(fun w ->
+    Sizing.smallest_feasible ~lo:wl_lo ~hi:wl_hi (fun w ->
         set_all w;
         feasible ())
   in
@@ -166,7 +145,7 @@ let size_clusters_with ~eval ~wl_lo ~wl_hi circuit ~budget ~vt_high
       if active.(c) then begin
         let hi = wls.(c) in
         let w =
-          shrink ~lo:wl_lo ~hi ~feasible_at:(fun w ->
+          Sizing.smallest_feasible ~lo:wl_lo ~hi (fun w ->
               wls.(c) <- w;
               feasible ())
         in
@@ -217,6 +196,22 @@ let endpoint_counts circuit =
       Array.fold_left (fun acc w -> acc + popcount w) 0 sets.(g.C.output))
     gates
 
+(* index map dropping the empty slots of [counts] (-1 there), and the
+   number of slots kept *)
+let compact counts =
+  let k = ref 0 in
+  let remap =
+    Array.map
+      (fun m ->
+        if m > 0 then begin
+          incr k;
+          !k - 1
+        end
+        else -1)
+      counts
+  in
+  (remap, !k)
+
 let optimize ?(ctx = Eval.Ctx.default) ?(objective = Leakage) ?(clusters = 4)
     ?(max_passes = 2) circuit ~delay_budget =
   if delay_budget < 0.0 then
@@ -229,21 +224,10 @@ let optimize ?(ctx = Eval.Ctx.default) ?(objective = Leakage) ?(clusters = 4)
   Obs.Span.with_ obs "selective.optimize" @@ fun () ->
   let body_effect = ctx.Eval.Ctx.body_effect in
   let pd = pulldowns circuit in
-  let base_sta = Sta.analyze ~body_effect circuit in
-  let base = worst_arrival base_sta circuit in
+  let base = Sta.critical_arrival (Sta.analyze ~body_effect circuit) in
   let budget = (1.0 +. delay_budget) *. base in
   (* seed clustering: level bands, empty bands compacted away *)
-  let pops = Hierarchy.populations circuit ~blocks:clusters in
-  let remap = Array.make clusters (-1) in
-  let k = ref 0 in
-  Array.iteri
-    (fun b p ->
-      if p > 0 then begin
-        remap.(b) <- !k;
-        incr k
-      end)
-    pops;
-  let k = !k in
+  let remap, k = compact (Hierarchy.populations circuit ~blocks:clusters) in
   let band = Hierarchy.by_level circuit ~blocks:clusters in
   let cluster_of = Array.init n (fun i -> remap.(band i)) in
   let vt = Array.make n true in
@@ -271,7 +255,7 @@ let optimize ?(ctx = Eval.Ctx.default) ?(objective = Leakage) ?(clusters = 4)
         ~sleep_wl:(wls_hi vt)
     in
     let sta = Sta.analyze ~body_effect ~gating:g circuit in
-    let arr = worst_arrival sta circuit in
+    let arr = Sta.critical_arrival sta in
     if arr > budget then begin
       let path = Sta.critical_path sta in
       let cands = List.filter (fun gid -> vt.(gid)) path.Sta.through in
@@ -309,10 +293,9 @@ let optimize ?(ctx = Eval.Ctx.default) ?(objective = Leakage) ?(clusters = 4)
     size_clusters_with ~eval ~wl_lo ~wl_hi circuit ~budget ~vt_high:vt
       ~cluster_of_gate:cluster_of ~n_clusters:k
   in
-  let measure vt wls =
+  let measure ?(cluster_of_gate = cluster_of) vt wls =
     let leakage =
-      standby_leakage circuit ~vt_high:vt ~cluster_of_gate:cluster_of
-        ~sleep_wl:wls
+      standby_leakage circuit ~vt_high:vt ~cluster_of_gate ~sleep_wl:wls
     in
     let area = sleep_area circuit ~sleep_wl:wls in
     (leakage, area, objective_value circuit objective ~leakage ~area)
@@ -340,7 +323,7 @@ let optimize ?(ctx = Eval.Ctx.default) ?(objective = Leakage) ?(clusters = 4)
         (fun c ->
           if wls'.(c) > 0.0 then
             wls'.(c) <-
-              shrink ~lo:wl_lo ~hi:wls'.(c) ~feasible_at:(fun w ->
+              Sizing.smallest_feasible ~lo:wl_lo ~hi:wls'.(c) (fun w ->
                   wls'.(c) <- w;
                   eval ~vt_high:vt ~cluster_of_gate:cluster_of
                     ~sleep_wl:wls'
@@ -414,16 +397,7 @@ let optimize ?(ctx = Eval.Ctx.default) ?(objective = Leakage) ?(clusters = 4)
   wls := size vt;
   let count = Array.make k 0 in
   Array.iter (fun c -> count.(c) <- count.(c) + 1) cluster_of;
-  let remap2 = Array.make k (-1) in
-  let k' = ref 0 in
-  Array.iteri
-    (fun c m ->
-      if m > 0 then begin
-        remap2.(c) <- !k';
-        incr k'
-      end)
-    count;
-  let k' = !k' in
+  let remap2, k' = compact count in
   let cluster_final = Array.map (fun c -> remap2.(c)) cluster_of in
   let wls_final = Array.make k' 0.0 in
   Array.iteri (fun c w -> if remap2.(c) >= 0 then wls_final.(remap2.(c)) <- w)
@@ -440,12 +414,7 @@ let optimize ?(ctx = Eval.Ctx.default) ?(objective = Leakage) ?(clusters = 4)
     eval ~vt_high:vt ~cluster_of_gate:cluster_final ~sleep_wl:wls_final
   in
   let leakage, area, obj_value =
-    let leakage =
-      standby_leakage circuit ~vt_high:vt ~cluster_of_gate:cluster_final
-        ~sleep_wl:wls_final
-    in
-    let area = sleep_area circuit ~sleep_wl:wls_final in
-    (leakage, area, objective_value circuit objective ~leakage ~area)
+    measure ~cluster_of_gate:cluster_final vt wls_final
   in
   Obs.incr ~by:(Atomic.get evals) obs "selective.evaluations";
   Obs.incr ~by:!flips obs "selective.flips";
@@ -477,9 +446,7 @@ let bounce ?(ctx = Eval.Ctx.default) circuit r ~vectors =
       (Array.map
          (fun wl ->
            if wl > 0.0 then
-             Breakpoint_sim.Sleep_fet
-               (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl
-                  ~vdd:tech.Device.Tech.vdd)
+             Breakpoint_sim.Sleep_fet (Device.Sleep.nmos_footer tech ~wl)
            else Breakpoint_sim.Cmos)
          r.sleep_wl)
       [| Breakpoint_sim.Cmos |]
@@ -492,14 +459,7 @@ let bounce ?(ctx = Eval.Ctx.default) circuit r ~vectors =
       Breakpoint_sim.body_effect = ctx.Eval.Ctx.body_effect;
       partition = Some { Breakpoint_sim.block_of_gate; sleeps } }
   in
-  List.fold_left
-    (fun acc (before, after) ->
-      let r =
-        Breakpoint_sim.simulate_ints ~config ~obs:ctx.Eval.Ctx.obs circuit
-          ~before ~after
-      in
-      Float.max acc (Breakpoint_sim.vx_peak r))
-    0.0 vectors
+  snd (Sizing.worst_delay_bp ~obs:ctx.Eval.Ctx.obs ~config circuit vectors)
 
 let pp_result ?vx_peak ppf r =
   let n = Array.length r.vt_high in

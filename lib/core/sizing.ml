@@ -10,8 +10,6 @@ type measurement = {
   vx_peak : float;
 }
 
-let resolve ?ctx () = Option.value ctx ~default:Eval.Ctx.default
-
 let worst_delay_bp ?cache ?obs ~config c vectors =
   List.fold_left
     (fun (dmax, vxmax) (before, after) ->
@@ -19,12 +17,6 @@ let worst_delay_bp ?cache ?obs ~config c vectors =
       let d = Option.value d ~default:0.0 in
       (Float.max dmax d, Float.max vxmax vx))
     (0.0, 0.0) vectors
-
-let vector_label (before, after) =
-  let fmt g =
-    String.concat "," (List.map (fun (_, v) -> string_of_int v) g)
-  in
-  Printf.sprintf "(%s)->(%s)" (fmt before) (fmt after)
 
 (* one vector's transistor-level measurement, with graceful
    degradation: record the diagnosis and fall back to the
@@ -38,23 +30,13 @@ let spice_vector ?cache ?obs ~config ~bp_config ?stats c (before, after) =
     match Spice_ref.run_ints_r ~config ?obs c ~before ~after with
     | Ok r ->
       Eval.Resilience.record_success ?stats (Spice_ref.telemetry r);
-      let d =
-        match Spice_ref.critical_delay r with
-        | Some (_, d) -> d
-        | None -> 0.0
-      in
-      (d, Spice_ref.vx_peak r)
+      ( Option.fold ~none:0.0 ~some:snd (Spice_ref.critical_delay r),
+        Spice_ref.vx_peak r )
     | Error f ->
       Eval.Resilience.record_skip ?stats ~kind:Eval.Resilience.Estimated
-        ~label:(vector_label (before, after))
+        ~label:(Vectors.label (before, after))
         f;
-      let r = BP.simulate_ints ~config:bp_config ?obs c ~before ~after in
-      let d =
-        match BP.critical_delay r with
-        | Some (_, d) -> d
-        | None -> 0.0
-      in
-      (d, BP.vx_peak r)
+      worst_delay_bp ?obs ~config:bp_config c [ (before, after) ]
   in
   match (cache, Cached.bp_config_key bp_config) with
   | None, _ | _, None -> compute stats
@@ -99,11 +81,21 @@ let worst_delay_spice ?cache ?(obs = Obs.disabled) ~config ~bp_config ?stats
     (fun (dmax, vxmax) (d, vx) -> (Float.max dmax d, Float.max vxmax vx))
     (0.0, 0.0) per_vector
 
-let sleep_of c ~body_effect ~wl =
-  ignore body_effect;
-  let tech = Netlist.Circuit.tech c in
-  Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl
-    ~vdd:tech.Device.Tech.vdd
+let footer_at c ~wl =
+  BP.Sleep_fet (Device.Sleep.nmos_footer (Netlist.Circuit.tech c) ~wl)
+
+let smallest_feasible ?(tolerance = 0.01) ~lo ~hi feasible =
+  if feasible lo then lo
+  else
+    (* bisection on log scale: feasibility is monotone in wl *)
+    let rec refine lo hi iter =
+      if iter > 60 || hi /. lo <= 1.0 +. tolerance then hi
+      else
+        let mid = sqrt (lo *. hi) in
+        if feasible mid then refine lo mid (iter + 1)
+        else refine mid hi (iter + 1)
+    in
+    refine lo hi 0
 
 let worst_delay_ctx (ctx : Eval.Ctx.t) c ~sleep vectors =
   let body_effect = ctx.Eval.Ctx.body_effect in
@@ -134,16 +126,16 @@ let worst_delay_ctx (ctx : Eval.Ctx.t) c ~sleep vectors =
     worst_delay_spice ?cache ~obs ~config ~bp_config
       ?stats:ctx.Eval.Ctx.stats ~jobs:ctx.Eval.Ctx.jobs c vectors
 
-let cmos_delay ?ctx c ~vectors =
+(* the context and the ideal-ground delay every degradation is
+   relative to *)
+let baseline ?(ctx = Eval.Ctx.default) c vectors =
   if vectors = [] then invalid_arg "Sizing: empty vector list";
-  let ctx = resolve ?ctx () in
-  fst (worst_delay_ctx ctx c ~sleep:BP.Cmos vectors)
+  (ctx, fst (worst_delay_ctx ctx c ~sleep:BP.Cmos vectors))
+
+let cmos_delay ?ctx c ~vectors = snd (baseline ?ctx c vectors)
 
 let measurement_at (ctx : Eval.Ctx.t) c ~base ~wl vectors =
-  let sleep =
-    BP.Sleep_fet (sleep_of c ~body_effect:ctx.Eval.Ctx.body_effect ~wl)
-  in
-  let d, vx = worst_delay_ctx ctx c ~sleep vectors in
+  let d, vx = worst_delay_ctx ctx c ~sleep:(footer_at c ~wl) vectors in
   { wl;
     cmos_delay = base;
     mtcmos_delay = d;
@@ -151,14 +143,11 @@ let measurement_at (ctx : Eval.Ctx.t) c ~base ~wl vectors =
     vx_peak = vx }
 
 let delay_at ?ctx c ~vectors ~wl =
-  if vectors = [] then invalid_arg "Sizing: empty vector list";
-  let ctx = resolve ?ctx () in
-  let base = fst (worst_delay_ctx ctx c ~sleep:BP.Cmos vectors) in
+  let ctx, base = baseline ?ctx c vectors in
   measurement_at ctx c ~base ~wl vectors
 
-let sweep ?ctx c ~vectors ~wls =
+let sweep ?(ctx = Eval.Ctx.default) c ~vectors ~wls =
   if vectors = [] then invalid_arg "Sizing: empty vector list";
-  let ctx = resolve ?ctx () in
   Obs.Span.with_ ctx.Eval.Ctx.obs "sizing.sweep" @@ fun () ->
   (* the shared CMOS baseline is measured once, sequentially *)
   let base =
@@ -184,9 +173,7 @@ let sweep ?ctx c ~vectors ~wls =
 
 let size_for_degradation ?ctx ?(wl_lo = 0.5) ?(wl_hi = 4096.0)
     ?(tolerance = 0.01) c ~vectors ~target =
-  if vectors = [] then invalid_arg "Sizing: empty vector list";
-  let ctx = resolve ?ctx () in
-  let base = fst (worst_delay_ctx ctx c ~sleep:BP.Cmos vectors) in
+  let ctx, base = baseline ?ctx c vectors in
   (* a zero baseline makes every degradation NaN, which would steer the
      bisection to wl_hi *)
   if base = 0.0 then
@@ -194,22 +181,12 @@ let size_for_degradation ?ctx ?(wl_lo = 0.5) ?(wl_hi = 4096.0)
       "the vectors switch no output (ideal-ground delay 0), so \
        degradation is undefined";
   let degradation wl =
-    let sleep =
-      BP.Sleep_fet (sleep_of c ~body_effect:ctx.Eval.Ctx.body_effect ~wl)
-    in
-    let d, _ = worst_delay_ctx ctx c ~sleep vectors in
+    let d, _ = worst_delay_ctx ctx c ~sleep:(footer_at c ~wl) vectors in
     (d -. base) /. base
   in
   if degradation wl_hi > target then raise Not_found;
-  (* bisection on log scale: degradation decreases with wl *)
-  let rec refine lo hi iter =
-    if iter > 60 || hi /. lo <= 1.0 +. tolerance then hi
-    else
-      let mid = sqrt (lo *. hi) in
-      if degradation mid <= target then refine lo mid (iter + 1)
-      else refine mid hi (iter + 1)
-  in
-  if degradation wl_lo <= target then wl_lo else refine wl_lo wl_hi 0
+  smallest_feasible ~tolerance ~lo:wl_lo ~hi:wl_hi (fun wl ->
+      degradation wl <= target)
 
 let pp_measurement fmt m =
   Format.fprintf fmt

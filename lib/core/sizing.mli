@@ -25,6 +25,26 @@ type measurement = {
   vx_peak : float;
 }
 
+val worst_delay_bp :
+  ?cache:Eval.Cache.t ->
+  ?obs:Obs.t ->
+  config:Breakpoint_sim.config ->
+  Netlist.Circuit.t ->
+  vector_pair list ->
+  float * float
+(** [(worst critical delay, worst vx peak)] of the breakpoint simulator
+    over a vector set (0 when nothing switches), via {!Cached.bp_metrics}:
+    the one worst-over-vectors loop, also behind [Hierarchy], [Sta] and
+    [Selective.bounce]. *)
+
+val smallest_feasible :
+  ?tolerance:float -> lo:float -> hi:float -> (float -> bool) -> float
+(** The one sizing bisection ({!size_for_degradation}, [Hierarchy],
+    [Selective]): the smallest [feasible] W/L in [[lo, hi]], by
+    geometric midpoints until [hi / lo <= 1 + tolerance] (default 0.01)
+    or 60 halvings.  The caller has checked [feasible hi]; [lo] is probed
+    first, then the midpoints, so the probe sequence is fixed. *)
+
 val delay_at :
   ?ctx:Eval.Ctx.t ->
   Netlist.Circuit.t ->

@@ -151,11 +151,7 @@ let run ?config ?obs circuit ~before ~after =
   | Error f ->
     raise (Spice.Engine.No_convergence (Spice.Diag.failure_to_string f))
 
-let pack groups =
-  Array.of_list
-    (List.concat_map
-       (fun (w, v) -> Array.to_list (S.bits_of_int ~width:w v))
-       groups)
+let pack = Breakpoint_sim.pack_ints
 
 let run_ints_r ?config ?obs circuit ~before ~after =
   run_r ?config ?obs circuit ~before:(pack before) ~after:(pack after)
@@ -198,25 +194,11 @@ let peak_sleep_current r =
   | Some w -> snd (Phys.Pwl.extrema w)
 
 let net_delay r net =
-  let w = net_waveform r net in
-  let crossings = Phys.Pwl.crossings w ~level:(r.vdd /. 2.0) in
-  let after_start =
-    List.filter (fun (t, _) -> t >= r.cfg.t_start) crossings
-  in
-  match List.rev after_start with
-  | [] -> None
-  | (t, _) :: _ -> Some (t -. r.cfg.t_start)
+  Spice.Measure.net_delay (net_waveform r net) ~vdd:r.vdd
+    ~t_start:r.cfg.t_start
 
 let critical_delay r =
-  Array.fold_left
-    (fun acc n ->
-      match net_delay r n with
-      | None -> acc
-      | Some d ->
-        (match acc with
-         | Some (_, best) when best >= d -> acc
-         | Some _ | None -> Some (n, d)))
-    None (C.outputs r.circuit)
+  Spice.Measure.critical_delay (C.outputs r.circuit) (net_delay r)
 
 let newton_iterations r = Spice.Engine.newton_iterations r.result
 let telemetry r = Spice.Engine.telemetry r.result

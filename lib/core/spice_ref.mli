@@ -83,8 +83,8 @@ val sleep_current_waveform : run -> Phys.Pwl.t option
 val peak_sleep_current : run -> float
 
 val net_delay : run -> Netlist.Circuit.net -> float option
-(** [t_start]-to-last-[vdd/2]-crossing, matching
-    [Breakpoint_sim.net_delay]. *)
+(** {!Spice.Measure.net_delay} of the net's waveform, the definition
+    [Breakpoint_sim.net_delay] uses too. *)
 
 val critical_delay : run -> (Netlist.Circuit.net * float) option
 val newton_iterations : run -> int

@@ -8,7 +8,11 @@
     propagate along the DAG, and the critical path is the latest primary
     output.  It is exact for conventional CMOS under the first-order
     model and systematically wrong for MTCMOS — which the bench
-    quantifies. *)
+    quantifies.
+
+    It is the library's one static timer: the gated (selective-MTCMOS)
+    view and the NLDM table timer ({!Nldm.sta}) run on the same
+    {!propagate} and {!worst_output}, each with its own per-gate delay. *)
 
 type t
 
@@ -29,7 +33,7 @@ type gating = {
       (** per cluster: W/L of the shared sleep device; a value [<= 0]
           means no device (the cluster's gates see an ideal ground) *)
 }
-(** Selective-MTCMOS view of a circuit for the timer (ROADMAP item 3).
+(** Selective-MTCMOS view of a circuit for the timer.
     Low-Vt gates in a gated cluster are slowed by the cluster device's
     effective resistance under the co-discharge set of same-cluster,
     same-depth low-Vt gates — a discharge wave sweeps the DAG level by
@@ -39,9 +43,26 @@ type gating = {
     never load each other's rail.  High-Vt gates pay the weaker drive
     of the sleep-card devices but see no virtual-ground bounce. *)
 
+val propagate :
+  Netlist.Circuit.t ->
+  delay:(Netlist.Circuit.gate_inst -> float) ->
+  float array
+(** Per-net arrival times (0 at primary inputs and ties): each gate
+    output at its latest input arrival plus [delay gate].  [delay] runs
+    once per gate in topological order, so it may carry per-net state of
+    its own (NLDM keeps its slews that way). *)
+
+val worst_output :
+  Netlist.Circuit.t -> float array -> Netlist.Circuit.net * float
+(** The primary output with the latest arrival in a per-net array (the
+    first one on ties), with that arrival.
+    @raise Invalid_argument when the circuit has no outputs. *)
+
 val analyze : ?body_effect:bool -> ?gating:gating -> Netlist.Circuit.t -> t
 (** Run the timer once; queries below are O(1)/O(path).  Without
-    [gating] this is the conventional all-low-Vt, ideal-ground timer.
+    [gating] this is the conventional timer: every cell low-Vt and in
+    no cluster, so each sees an ideal ground.  With it, resistances and
+    (cluster, depth) equilibria are solved once per call.
     @raise Invalid_argument when the gating arrays do not cover every
     gate or a block index is out of range. *)
 
@@ -53,8 +74,11 @@ val arrival : t -> Netlist.Circuit.net -> float
 (** Worst-case arrival time at a net (0 at primary inputs and ties). *)
 
 val critical_path : t -> path
-(** The worst path to any primary output.
+(** The worst path to any primary output ({!worst_output}).
     @raise Invalid_argument when the circuit has no outputs. *)
+
+val critical_arrival : t -> float
+(** [(critical_path t).arrival] without tracing the path. *)
 
 val path_to : t -> Netlist.Circuit.net -> path
 (** Critical path terminating at a specific net. *)
@@ -69,5 +93,6 @@ val mtcmos_underestimate :
   vectors:Sizing.vector_pair list ->
   float
 (** How far the static answer falls short of the vector-aware MTCMOS
-    delay: [(worst simulated delay - STA critical arrival) / STA].
+    delay: [(worst simulated delay - STA critical arrival) / STA], the
+    simulated side being {!Sizing.worst_delay_bp}.
     Positive means the timer is optimistic — the paper's §4 point. *)

@@ -67,13 +67,9 @@ let monte_carlo ?ctx ?(seed = 99) ?(sigma_vt = 0.02) ?(sigma_kp_rel = 0.05)
   in
   let run_sample wobs (dvt, dkp_rel) =
     let tech = shift_tech tech0 ~dvt ~dkp_rel in
-    let sleep =
-      Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl
-        ~vdd:tech.Device.Tech.vdd
-    in
     let config =
       { BP.default_config with
-        BP.sleep = BP.Sleep_fet sleep;
+        BP.sleep = BP.Sleep_fet (Device.Sleep.nmos_footer tech ~wl);
         tech_override = Some tech }
     in
     let d, vx, _ =

@@ -31,6 +31,10 @@ let random_pairs ?(seed = 42) ~widths n =
   in
   List.init n (fun _ -> (pick (), pick ()))
 
+let label (before, after) =
+  let fmt g = String.concat "," (List.map (fun (_, v) -> string_of_int v) g) in
+  Printf.sprintf "(%s)->(%s)" (fmt before) (fmt after)
+
 type ranking = {
   pair : pair;
   delay : float;
@@ -39,11 +43,7 @@ type ranking = {
   vx_peak : float;
 }
 
-let rank ?ctx ?body_effect c ~sleep ~pairs =
-  let ctx =
-    Eval.Ctx.override ?body_effect
-      (Option.value ctx ~default:Eval.Ctx.default)
-  in
+let rank ?(ctx = Eval.Ctx.default) c ~sleep ~pairs =
   let body_effect = ctx.Eval.Ctx.body_effect in
   let cache = ctx.Eval.Ctx.cache in
   let obs = ctx.Eval.Ctx.obs in
@@ -74,8 +74,8 @@ let rank ?ctx ?body_effect c ~sleep ~pairs =
   List.filter_map evaluate pairs
   |> List.sort (fun a b -> compare b.degradation a.degradation)
 
-let worst ?ctx ?body_effect c ~sleep ~pairs ~top =
-  let ranked = rank ?ctx ?body_effect c ~sleep ~pairs in
+let worst ?ctx c ~sleep ~pairs ~top =
+  let ranked = rank ?ctx c ~sleep ~pairs in
   List.filteri (fun i _ -> i < top) ranked
 
 let involving_output c ~net ~pairs =

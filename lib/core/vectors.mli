@@ -19,6 +19,10 @@ val random_pairs : ?seed:int -> widths:int list -> int -> pair list
 (** Uniform sample of the pair space for circuits too wide to
     enumerate. *)
 
+val label : pair -> string
+(** ["(b1,b2)->(a1,a2)"]: the group values of both sides, as resilience
+    reports name a skipped vector. *)
+
 type ranking = {
   pair : pair;
   delay : float;              (** MTCMOS critical delay *)
@@ -29,7 +33,6 @@ type ranking = {
 
 val rank :
   ?ctx:Eval.Ctx.t ->
-  ?body_effect:bool ->
   Netlist.Circuit.t ->
   sleep:Breakpoint_sim.sleep_model ->
   pairs:pair list ->
@@ -42,7 +45,6 @@ val rank :
 
 val worst :
   ?ctx:Eval.Ctx.t ->
-  ?body_effect:bool ->
   Netlist.Circuit.t ->
   sleep:Breakpoint_sim.sleep_model ->
   pairs:pair list ->

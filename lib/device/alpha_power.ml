@@ -23,19 +23,3 @@ let sat_current t ~wl ~vgs ~vsb =
   let vov = vgs -. vth in
   if vov <= 0.0 then 0.0
   else 0.5 *. t.beta *. wl *. (vov ** t.alpha)
-
-let inverter_delay t ~wl ~cl ~vdd =
-  let i = sat_current t ~wl ~vgs:vdd ~vsb:0.0 in
-  if i <= 0.0 then infinity else cl *. vdd /. (2.0 *. i)
-
-let sakurai_delay t ~wl ~cl ~vdd =
-  (* Sakurai-Newton: td = (CL Vdd / 2 Id0) * (0.9/0.8 + ...) ; keep the
-     leading coefficient correction for alpha < 2 *)
-  let i = sat_current t ~wl ~vgs:vdd ~vsb:0.0 in
-  if i <= 0.0 then infinity
-  else
-    let vth = threshold t ~vsb:0.0 in
-    let vt_ratio = vth /. vdd in
-    let coeff = (0.9 /. 0.8) +. (vt_ratio /. 0.8 *. log (10.0 *. (1.0 -. vt_ratio))) in
-    let coeff = Float.max 0.5 coeff in
-    cl *. vdd /. (2.0 *. i) *. coeff

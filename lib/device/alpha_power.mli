@@ -3,7 +3,8 @@
     The switch-level simulator's first-order delay model treats every
     discharging gate as a saturation current source
     [I = (beta / 2) * (vgs - vth) ** alpha]; [alpha = 2] recovers the
-    square law, [alpha < 2] models velocity saturation. *)
+    square law, [alpha < 2] models velocity saturation.  The delay that
+    current implies (Eq. 3) is [Mtcmos.Delay_model]'s. *)
 
 type t = {
   alpha : float;   (** velocity-saturation exponent, in (1, 2] *)
@@ -24,16 +25,3 @@ val threshold : t -> vsb:float -> float
 val sat_current : t -> wl:float -> vgs:float -> vsb:float -> float
 (** Saturation current of a device of size [wl] whose source sits [vsb]
     above the body terminal, with gate at [vgs] above the source. *)
-
-val inverter_delay :
-  t -> wl:float -> cl:float -> vdd:float -> float
-(** First-order propagation delay [cl * vdd / (2 * I_sat)] of an inverter
-    discharging [cl] from [vdd] (the paper's Eq. 3 with [I] at full gate
-    drive). *)
-
-val sakurai_delay :
-  t -> wl:float -> cl:float -> vdd:float -> float
-(** The full Sakurai–Newton delay expression
-    [cl * vdd / (2 * I_sat) * (0.9 + (alpha-1) corrections)] reduced to the
-    dominant term; kept separate so the ablation bench can compare it with
-    {!inverter_delay}. *)

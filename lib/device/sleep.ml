@@ -10,6 +10,9 @@ let make params ~wl ~vdd =
     invalid_arg "Sleep.make: sleep device cannot turn on at this vdd";
   { params; wl; vdd }
 
+let nmos_footer (tech : Tech.t) ~wl =
+  make tech.Tech.sleep_nmos ~wl ~vdd:tech.Tech.vdd
+
 let of_pmos (params : Mosfet.params) ~wl ~vdd =
   (match params.Mosfet.polarity with
    | Mosfet.Pmos -> ()

@@ -11,6 +11,11 @@ val make : Mosfet.params -> wl:float -> vdd:float -> t
 (** @raise Invalid_argument when [wl <= 0] or the device cannot turn on
     ([vdd <= vt0]). *)
 
+val nmos_footer : Tech.t -> wl:float -> t
+(** The technology's high-Vt NMOS footer of size [wl], gate at [vdd]:
+    [make tech.sleep_nmos ~wl ~vdd:tech.vdd].
+    @raise Invalid_argument as {!make}. *)
+
 val of_pmos : Mosfet.params -> wl:float -> vdd:float -> t
 (** A PMOS header device (virtual-Vdd gating, gate at 0 V in active
     mode), folded into the same NMOS-convention record: magnitudes of

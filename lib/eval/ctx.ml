@@ -28,7 +28,6 @@ let with_jobs jobs t = { t with jobs }
 let with_cache c t = { t with cache = Some c }
 let with_obs obs t = { t with obs }
 let without_cache t = { t with cache = None }
-let without_stats t = { t with stats = None }
 
 (* One worker domain's view of the context: obs shard + fresh
    resilience accumulator (when the caller tracks stats), jobs pinned
@@ -52,13 +51,7 @@ let for_job t =
   Resilience.attach_obs stats t.obs;
   ({ t with stats = Some stats }, stats)
 
-let override ?engine ?body_effect ?policy ?fast ?stats ?jobs ?cache ?obs t =
-  let keep o field = match o with Some v -> Some v | None -> field in
-  { engine = Option.value engine ~default:t.engine;
-    body_effect = Option.value body_effect ~default:t.body_effect;
-    policy = Option.value policy ~default:t.policy;
-    fast = Option.value fast ~default:t.fast;
-    stats = keep stats t.stats;
-    jobs = Option.value jobs ~default:t.jobs;
-    cache = keep cache t.cache;
-    obs = Option.value obs ~default:t.obs }
+let override ?engine ?jobs t =
+  { t with
+    engine = Option.value engine ~default:t.engine;
+    jobs = Option.value jobs ~default:t.jobs }

@@ -37,7 +37,6 @@ val with_jobs : int -> t -> t
 val with_cache : Cache.t -> t -> t
 val with_obs : Obs.t -> t -> t
 val without_cache : t -> t
-val without_stats : t -> t
 
 val worker : t -> t
 (** One worker domain's view of this context, for [Par.Pool] regions:
@@ -58,15 +57,6 @@ val for_job : t -> t * Resilience.t
     shared.  Returns the accumulator so the caller can report per-job
     solver health.  The hook {!Runner} uses to isolate jobs. *)
 
-val override :
-  ?engine:Engine.t ->
-  ?body_effect:bool ->
-  ?policy:Spice.Recover.policy ->
-  ?fast:Spice.Engine.Opts.fast ->
-  ?stats:Resilience.t ->
-  ?jobs:int ->
-  ?cache:Cache.t ->
-  ?obs:Obs.t ->
-  t ->
-  t
-(** Replace only the fields given. *)
+val override : ?engine:Engine.t -> ?jobs:int -> t -> t
+(** Replace only the fields given: a batch job's engine and worker
+    overrides. *)

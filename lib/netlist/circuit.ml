@@ -259,16 +259,18 @@ let with_strengths t f =
   in
   { t with gates; driver; load }
 
-let logic_depth t =
+let gate_depths t =
   let depth = Array.make t.num_nets 0 in
-  Array.iter
+  Array.map
     (fun (g : gate_inst) ->
-      let worst =
-        Array.fold_left (fun acc n -> Int.max acc depth.(n)) 0 g.inputs
+      let d =
+        1 + Array.fold_left (fun acc n -> Int.max acc depth.(n)) 0 g.inputs
       in
-      depth.(g.output) <- worst + 1)
-    t.gates;
-  Array.fold_left Int.max 0 depth
+      depth.(g.output) <- d;
+      d)
+    t.gates
+
+let logic_depth t = Array.fold_left Int.max 0 (gate_depths t)
 
 let to_dot t =
   let buf = Buffer.create 1024 in

@@ -93,8 +93,13 @@ val with_strengths : t -> (gate_inst -> float) -> t
     unchanged.
     @raise Invalid_argument on a non-positive strength. *)
 
+val gate_depths : t -> int array
+(** Topological depth of every gate (1 for gates fed only by primary
+    inputs/ties), indexed by gate id. *)
+
 val logic_depth : t -> int
-(** Longest gate path from any input to any net. *)
+(** Longest gate path from any input to any net: the largest
+    {!gate_depths} entry, 0 without gates. *)
 
 val to_dot : t -> string
 (** Graphviz rendering of the gate graph (inputs as boxes, gates as

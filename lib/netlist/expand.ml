@@ -12,8 +12,6 @@ let default =
 
 let mtcmos ~wl = { default with sleep_wl = Some wl }
 
-let mtcmos_pmos ~wl = { default with sleep_wl = Some wl; pmos_header = true }
-
 type instance = {
   netlist : Transistor.t;
   node_of_net : Transistor.node array;

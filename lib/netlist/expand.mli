@@ -35,9 +35,6 @@ val default : config
 val mtcmos : wl:float -> config
 (** Active-mode MTCMOS with an NMOS footer of the given W/L. *)
 
-val mtcmos_pmos : wl:float -> config
-(** Active-mode MTCMOS with a PMOS header of the given W/L. *)
-
 type instance = {
   netlist : Transistor.t;
   node_of_net : Transistor.node array;

@@ -141,10 +141,5 @@ let circuit_of_string tech text =
   | exception Invalid_argument m -> fail 0 "%s" m
 
 let circuit_of_file tech path =
-  let ic = open_in path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  circuit_of_string tech text
+  (* read to end of file rather than by length: pipes and FIFOs work *)
+  circuit_of_string tech (In_channel.with_open_text path In_channel.input_all)

@@ -107,9 +107,7 @@ type answer =
   | Select_answer of { delay_budget : float; result : Mtcmos.Selective.result }
 
 let sleep_of tech ~wl =
-  Mtcmos.Breakpoint_sim.Sleep_fet
-    (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl
-       ~vdd:tech.Device.Tech.vdd)
+  Mtcmos.Breakpoint_sim.Sleep_fet (Device.Sleep.nmos_footer tech ~wl)
 
 let vectors_or_fail ~widths strs =
   match C.parse_vectors ~widths strs with

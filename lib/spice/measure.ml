@@ -19,6 +19,23 @@ let propagation_delay ~vin ~vout ~vdd ~in_rising ~out_rising =
      | [] -> None
      | (t_out, _) :: _ -> Some (t_out -. t_in))
 
+let net_delay w ~vdd ~t_start =
+  let crossings = Phys.Pwl.crossings w ~level:(vdd /. 2.0) in
+  match List.rev (List.filter (fun (t, _) -> t >= t_start) crossings) with
+  | [] -> None
+  | (t, _) :: _ -> Some (t -. t_start)
+
+let critical_delay outputs delay =
+  Array.fold_left
+    (fun acc n ->
+      match delay n with
+      | None -> acc
+      | Some d ->
+        (match acc with
+         | Some (_, best) when best >= d -> acc
+         | Some _ | None -> Some (n, d)))
+    None outputs
+
 (* exact for a PWL: the maximum is attained at a breakpoint or window
    endpoint *)
 let peak_value w ~between:(t0, t1) =

@@ -17,6 +17,17 @@ val propagation_delay :
     settling are skipped, as the paper does when quoting a single
     delay per transition). *)
 
+val net_delay : Phys.Pwl.t -> vdd:float -> t_start:float -> float option
+(** Delay of one net's transition: the {e last} [vdd / 2] crossing at or
+    after [t_start], minus [t_start]; [None] when the net never crosses
+    there.  The one delay definition both the breakpoint simulator and
+    the transistor-level reference report (§5.2). *)
+
+val critical_delay :
+  int array -> (int -> float option) -> (int * float) option
+(** [critical_delay outputs delay]: the output with the largest [delay]
+    (the first one on ties), or [None] when no output switches. *)
+
 val peak_value : Phys.Pwl.t -> between:float * float -> float
 (** Maximum sampled value over a window. *)
 

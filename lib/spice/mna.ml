@@ -351,10 +351,6 @@ let prepare ?(reduce = false) netlist =
   { netlist; n_node_unknowns; n_unknowns; pattern; symbolic; elems; caps;
     chains; chain_pos; tau_min; gmin_slots; unknown_of_node }
 
-let voltage_of sys x node =
-  let u = sys.unknown_of_node.(node) in
-  if u < 0 then 0.0 else x.(u)
-
 let reduced_nodes sys =
   Array.fold_left
     (fun acc ch -> acc + Array.length ch.nodes)

@@ -88,10 +88,5 @@ val prepare : ?reduce:bool -> Netlist.Transistor.t -> system
     unknown vector; with the default the prepared system is exactly the
     historical one. *)
 
-val voltage_of : system -> float array -> Netlist.Transistor.node -> float
-(** Read a node voltage out of a solution vector (0 for ground).
-    Eliminated chain-interior nodes also read 0 here — use
-    [Engine.voltage], which back-substitutes them. *)
-
 val reduced_nodes : system -> int
 (** Number of node unknowns eliminated into chains. *)

@@ -6,8 +6,7 @@ module S = Netlist.Signal
 
 let tech = Fixtures.tech
 
-let sleep wl =
-  BP.Sleep_fet (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl ~vdd:1.2)
+let sleep wl = BP.Sleep_fet (Device.Sleep.nmos_footer tech ~wl)
 
 (* ---- search --------------------------------------------------------------- *)
 
@@ -67,10 +66,7 @@ let test_search_finds_multiplier_hotspot () =
   let t03 = Device.Tech.mtcmos_03um in
   let m = Fixtures.mult ~tech:t03 8 in
   let c = m.Circuits.Csa_multiplier.circuit in
-  let sl =
-    BP.Sleep_fet
-      (Device.Sleep.make t03.Device.Tech.sleep_nmos ~wl:60.0 ~vdd:1.0)
-  in
+  let sl = BP.Sleep_fet (Device.Sleep.nmos_footer t03 ~wl:60.0) in
   let found =
     Mtcmos.Search.hill_climb ~seed:2 ~restarts:3 ~max_iters:250 c ~sleep:sl
       ~widths:[ 8; 8 ] Mtcmos.Search.Max_degradation

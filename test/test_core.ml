@@ -64,7 +64,7 @@ let test_vground_body_effect_lowers_current () =
 
 let test_vground_device_vs_resistor () =
   let cfg = Mtcmos.Vground.config tech in
-  let sleep = Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl:50.0 ~vdd:1.2 in
+  let sleep = Device.Sleep.nmos_footer tech ~wl:50.0 in
   let r = Device.Sleep.effective_resistance sleep in
   let gates = [ gate 1.5 ] in
   let vx_dev = Mtcmos.Vground.solve_device cfg ~sleep gates in
@@ -298,9 +298,7 @@ let adder_c = adder3.Circuits.Ripple_adder.circuit
 
 let test_vector_ranking () =
   let pairs = Mtcmos.Vectors.random_pairs ~widths:[ 3; 3 ] 40 in
-  let sleep =
-    BP.Sleep_fet (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl:10.0 ~vdd:1.2)
-  in
+  let sleep = BP.Sleep_fet (Device.Sleep.nmos_footer tech ~wl:10.0) in
   let ranked = Mtcmos.Vectors.rank adder_c ~sleep ~pairs in
   Alcotest.(check bool) "some vectors switch" true (List.length ranked > 5);
   let degs = List.map (fun r -> r.Mtcmos.Vectors.degradation) ranked in

@@ -88,14 +88,11 @@ let test_alpha_power () =
   let vt_b = Device.Alpha_power.threshold ap ~vsb:0.4 in
   Alcotest.(check bool) "alpha body effect" true
     (vt_b > ap.Device.Alpha_power.vt0);
-  (* delay decreases with wl *)
-  let d1 = Device.Alpha_power.inverter_delay ap ~wl:1.0 ~cl:50e-15 ~vdd:1.2 in
-  let d2 = Device.Alpha_power.inverter_delay ap ~wl:2.0 ~cl:50e-15 ~vdd:1.2 in
-  Alcotest.(check bool) "delay halves with wl" true
-    (Float.abs ((d1 /. d2) -. 2.0) < 1e-6);
-  let ds = Device.Alpha_power.sakurai_delay ap ~wl:1.0 ~cl:50e-15 ~vdd:1.2 in
-  Alcotest.(check bool) "sakurai delay finite positive" true
-    (ds > 0.0 && Float.is_finite ds);
+  (* drive, hence Eq. 3 delay, scales linearly with wl *)
+  let i1 = Device.Alpha_power.sat_current ap ~wl:1.0 ~vgs:1.2 ~vsb:0.0 in
+  let i2 = Device.Alpha_power.sat_current ap ~wl:2.0 ~vgs:1.2 ~vsb:0.0 in
+  Alcotest.(check bool) "current doubles with wl" true
+    (Float.abs ((i2 /. i1) -. 2.0) < 1e-6);
   Alcotest.check_raises "alpha out of range"
     (Invalid_argument "Alpha_power.of_level1: alpha must be in (1, 2]")
     (fun () -> ignore (Device.Alpha_power.of_level1 nmos ~alpha:2.5))

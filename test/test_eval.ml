@@ -65,10 +65,8 @@ let test_digest_corpus_distinct () =
     [ Mtcmos.Breakpoint_sim.Cmos;
       Mtcmos.Breakpoint_sim.Resistor 100.0;
       Mtcmos.Breakpoint_sim.Resistor 200.0;
-      Mtcmos.Breakpoint_sim.Sleep_fet
-        (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl:5.0 ~vdd:1.2);
-      Mtcmos.Breakpoint_sim.Sleep_fet
-        (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl:10.0 ~vdd:1.2)
+      Mtcmos.Breakpoint_sim.Sleep_fet (Device.Sleep.nmos_footer tech ~wl:5.0);
+      Mtcmos.Breakpoint_sim.Sleep_fet (Device.Sleep.nmos_footer tech ~wl:10.0)
     ]
   in
   let vectors = [ ([ (1, 0) ], [ (1, 1) ]); ([ (1, 1) ], [ (1, 0) ]) ] in
@@ -497,8 +495,7 @@ let test_spice_sweep_cold_warm_off () =
 let test_search_cache_and_jobs_invariant () =
   let c = (Fixtures.adder 2).Circuits.Ripple_adder.circuit in
   let sleep =
-    Mtcmos.Breakpoint_sim.Sleep_fet
-      (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl:8.0 ~vdd:1.2)
+    Mtcmos.Breakpoint_sim.Sleep_fet (Device.Sleep.nmos_footer tech ~wl:8.0)
   in
   let run ctx =
     Mtcmos.Search.hill_climb ~ctx ~restarts:3 ~seed:7 c ~sleep

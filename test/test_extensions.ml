@@ -46,9 +46,7 @@ let test_sta_underestimates_mtcmos () =
   let tree = Fixtures.tree ~stages:3 ~fanout:3 () in
   let c = tree.Circuits.Inverter_tree.circuit in
   let t = Mtcmos.Sta.analyze c in
-  let sleep =
-    BP.Sleep_fet (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl:8.0 ~vdd:1.2)
-  in
+  let sleep = BP.Sleep_fet (Device.Sleep.nmos_footer tech ~wl:8.0) in
   let under =
     Mtcmos.Sta.mtcmos_underestimate t c ~sleep
       ~vectors:[ ([ (1, 0) ], [ (1, 1) ]) ]

@@ -7,8 +7,7 @@ module S = Netlist.Signal
 
 let tech = Fixtures.tech
 
-let sleep wl =
-  BP.Sleep_fet (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl ~vdd:1.2)
+let sleep wl = BP.Sleep_fet (Device.Sleep.nmos_footer tech ~wl)
 
 let test_chain_cmos_agreement () =
   (* both engines within 40 % on a plain CMOS chain *)

@@ -19,4 +19,5 @@ let () =
       ("selective", Test_selective.suite);
       ("scale", Test_scale.suite);
       ("speed", Test_speed.suite);
-      ("integration", Test_integration.suite) ]
+      ("integration", Test_integration.suite);
+      ("pin", Test_pin.suite) ]

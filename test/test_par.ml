@@ -172,8 +172,7 @@ let test_scored_zero_distinct_from_quiet_zero () =
   let ch = Fixtures.chain 3 in
   let c = ch.Circuits.Chain.circuit in
   let sleep =
-    Mtcmos.Breakpoint_sim.Sleep_fet
-      (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl:6.0 ~vdd:1.2)
+    Mtcmos.Breakpoint_sim.Sleep_fet (Device.Sleep.nmos_footer tech ~wl:6.0)
   in
   (* nothing switches: before = after *)
   let quiet = Eval.Resilience.create () in

@@ -65,10 +65,7 @@ let prop_search_flipbit_involution =
     (fun seed ->
       let add = Fixtures.adder 2 in
       let c = add.Circuits.Ripple_adder.circuit in
-      let sleep =
-        BP.Sleep_fet
-          (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl:8.0 ~vdd:1.2)
-      in
+      let sleep = BP.Sleep_fet (Device.Sleep.nmos_footer tech ~wl:8.0) in
       let o =
         Mtcmos.Search.hill_climb ~seed ~restarts:1 ~max_iters:40 c ~sleep
           ~widths:[ 2; 2 ] Mtcmos.Search.Max_vx
@@ -230,10 +227,7 @@ let prop_score_jobs_invariant =
      bit, and so are the resilience counters it records *)
   let ch = Fixtures.chain 3 in
   let c = ch.Circuits.Chain.circuit in
-  let sleep =
-    BP.Sleep_fet
-      (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl:6.0 ~vdd:1.2)
-  in
+  let sleep = BP.Sleep_fet (Device.Sleep.nmos_footer tech ~wl:6.0) in
   QCheck.Test.make ~count:4 ~name:"search: score at jobs=2 = jobs=1 exactly"
     QCheck.(int_bound 3)
     (fun v ->
@@ -265,10 +259,7 @@ let prop_hunt_reproducible =
     (fun seed ->
       let add = Fixtures.adder 2 in
       let c = add.Circuits.Ripple_adder.circuit in
-      let sleep =
-        BP.Sleep_fet
-          (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl:8.0 ~vdd:1.2)
-      in
+      let sleep = BP.Sleep_fet (Device.Sleep.nmos_footer tech ~wl:8.0) in
       let hunt jobs =
         Mtcmos.Search.hill_climb ~seed ~restarts:3 ~max_iters:40
           ~ctx:Eval.Ctx.(default |> with_jobs jobs)

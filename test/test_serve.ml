@@ -104,51 +104,110 @@ let test_round_trip_and_replay () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "daemon: %s" e)
 
+(* ---- HTTP endpoints on the same socket ----------------------------- *)
+
+(* A real HTTP client sends headers after the request line; the daemon
+   must drain them before answering, or closing the socket with unread
+   bytes resets the connection and clobbers the response (a regression
+   caught with curl-shaped requests). *)
+let http_get endpoint path =
+  let fd =
+    match endpoint with
+    | Serve.Daemon.Unix_socket p ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX p);
+      fd
+    | Serve.Daemon.Tcp port ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      fd
+  in
+  let req =
+    Printf.sprintf "GET %s HTTP/1.0\r\nHost: test\r\nAccept: */*\r\n\r\n" path
+  in
+  let _ = Unix.write_substring fd req 0 (String.length req) in
+  let b = Buffer.create 256 in
+  let chunk = Bytes.create 1024 in
+  let rec go () =
+    match Unix.read fd chunk 0 1024 with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes b chunk 0 n;
+      go ()
+  in
+  go ();
+  Unix.close fd;
+  Buffer.contents b
+
+let has_sub s sub =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 (* ---- admission control under saturation --------------------------- *)
 
+(* One worker, one queue slot, four submissions.  The first batch's
+   circuit is a FIFO, so its worker blocks in the netlist parser until
+   the test writes the netlist.  With that batch in flight and the
+   second queued (read off /healthz), the last two must be refused with
+   "queue full", whatever the timing; both admitted batches then finish. *)
 let test_saturation_rejects () =
   let dir = temp_dir () in
+  let fifo = Filename.concat dir "latch.net" in
+  Unix.mkfifo fifo 0o600;
   Fun.protect
-    ~finally:(fun () -> rm_rf dir)
+    ~finally:(fun () ->
+      (* a failed check must not leave the worker blocked on the latch:
+         opening the write end hands it an empty netlist *)
+      (try Unix.close (Unix.openfile fifo [ O_WRONLY; O_NONBLOCK ] 0)
+       with Unix.Unix_error _ -> ());
+      rm_rf dir)
     (fun () ->
-      (* one slow worker, one queue slot, four simultaneous clients:
-         some must be rejected, every client must get a definite answer
-         (never a hang), and the daemon must survive to drain.  The
-         batch is deliberately heavy so the first one is still in
-         flight while the later submissions arrive. *)
-      let slow_spec =
-        {|(batch (tech 07um) (circuit c2 chain)
-           (job monte-carlo slow (circuit c2) (wl 10) (n 48) (seed 3)))|}
-      in
-      let n = 4 in
       let ep, join =
-        start_daemon ~dir ~queue_depth:1 ~workers:1 ~max_requests:n ()
+        start_daemon ~dir ~queue_depth:1 ~workers:1 ~max_requests:4 ()
       in
-      let outcomes = Array.make n (Ok Serve.Client.Deadline) in
-      let threads =
-        List.init n (fun i ->
-            Thread.create
-              (fun () ->
-                outcomes.(i) <-
-                  Serve.Client.submit ep
-                    ~rid:(Printf.sprintf "sat%d" i)
-                    ~spec:slow_spec ())
-              ())
+      let submit rid circuit =
+        Serve.Client.submit ep ~rid ()
+          ~spec:
+            (Printf.sprintf
+               "(batch (tech 07um) (circuit c %S) (job sweep s (circuit c) \
+                (wls 10)))"
+               circuit)
       in
-      List.iter Thread.join threads;
-      let manifests = ref 0 and rejected = ref 0 in
-      Array.iter
-        (function
-          | Ok (Serve.Client.Manifest _) -> incr manifests
-          | Ok (Serve.Client.Rejected _) -> incr rejected
-          | Ok Serve.Client.Deadline -> Alcotest.fail "unexpected deadline"
-          | Ok (Serve.Client.Remote_error m) ->
+      let in_thread rid circuit =
+        let out = ref (Error "no answer") in
+        let th = Thread.create (fun () -> out := submit rid circuit) () in
+        fun () -> Thread.join th; !out
+      in
+      let rec await_health what n =
+        if n = 0 then Alcotest.failf "daemon never reached %s" what;
+        if not (has_sub (http_get ep "/healthz") what) then begin
+          Thread.delay 0.01;
+          await_health what (n - 1)
+        end
+      in
+      let first = in_thread "sat0" fifo in
+      await_health {|"queue":0,"in_flight":1|} 1000;
+      let second = in_thread "sat1" "chain" in
+      await_health {|"queue":1,"in_flight":1|} 1000;
+      List.iter
+        (fun rid ->
+          match submit rid "chain" with
+          | Ok (Serve.Client.Rejected reason) ->
+            Alcotest.(check string) "rejection reason" "queue full" reason
+          | _ -> Alcotest.fail "expected a queue-full rejection")
+        [ "sat2"; "sat3" ];
+      Out_channel.with_open_text fifo (fun oc ->
+          output_string oc "input a\ngate inv y a\nload y 50f\noutput y\n");
+      List.iter
+        (fun answer ->
+          match answer () with
+          | Ok (Serve.Client.Manifest { failed; _ }) ->
+            Alcotest.(check bool) "batch succeeded" false failed
+          | Ok (Serve.Client.Remote_error m) | Error m ->
             Alcotest.failf "unexpected error: %s" m
-          | Error e -> Alcotest.failf "transport error: %s" e)
-        outcomes;
-      Alcotest.(check bool) "someone was rejected" true (!rejected > 0);
-      Alcotest.(check bool) "someone completed" true (!manifests > 0);
-      Alcotest.(check int) "all answered" n (!manifests + !rejected);
+          | Ok _ -> Alcotest.fail "expected a manifest")
+        [ first; second ];
       ignore (join ()))
 
 (* ---- deadlines ----------------------------------------------------- *)
@@ -248,44 +307,6 @@ let test_protocol_validation () =
   rejects "not a submit" "(metrics)"
 
 (* ---- HTTP endpoints on the same socket ----------------------------- *)
-
-(* A real HTTP client sends headers after the request line; the daemon
-   must drain them before answering, or closing the socket with unread
-   bytes resets the connection and clobbers the response (a regression
-   caught with curl-shaped requests). *)
-let http_get endpoint path =
-  let fd =
-    match endpoint with
-    | Serve.Daemon.Unix_socket p ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX p);
-      fd
-    | Serve.Daemon.Tcp port ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      fd
-  in
-  let req =
-    Printf.sprintf "GET %s HTTP/1.0\r\nHost: test\r\nAccept: */*\r\n\r\n" path
-  in
-  let _ = Unix.write_substring fd req 0 (String.length req) in
-  let b = Buffer.create 256 in
-  let chunk = Bytes.create 1024 in
-  let rec go () =
-    match Unix.read fd chunk 0 1024 with
-    | 0 -> ()
-    | n ->
-      Buffer.add_subbytes b chunk 0 n;
-      go ()
-  in
-  go ();
-  Unix.close fd;
-  Buffer.contents b
-
-let has_sub s sub =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
 
 let test_http_endpoints () =
   let dir = temp_dir () in

@@ -154,8 +154,10 @@ let test_inverter_matches_alpha_model () =
   (* first-order model: t_pd = CL Vdd / (2 I_sat) *)
   let cl = 50e-15 in
   let d_sim = inverter_fall_delay ~cl in
-  let ap = Device.Tech.nmos_alpha tech in
-  let d_model = Device.Alpha_power.inverter_delay ap ~wl:2.0 ~cl ~vdd:1.2 in
+  let d_model =
+    Mtcmos.Delay_model.cmos_gate_delay (Mtcmos.Delay_model.of_tech tech)
+      ~beta_wl:2.0 ~cl
+  in
   let ratio = d_sim /. d_model in
   Alcotest.(check bool)
     (Printf.sprintf "model within 2.5x of sim (ratio %.2f)" ratio)
