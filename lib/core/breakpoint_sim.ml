@@ -57,18 +57,6 @@ let mtcmos_pmos_config ?(body_effect = true) (tech : Device.Tech.t) ~wl =
 
 type phase = Idle | Rising | Falling
 
-type gate_state = {
-  g : C.gate_inst;
-  cl : float;
-  beta_wl : float;   (* equivalent pulldown W/L *)
-  wl_up : float;     (* equivalent pullup W/L *)
-  mutable v : float;
-  mutable phase : phase;
-  mutable slope : float;
-  mutable hold_until : float;
-      (* input-slope extension: transition committed but not moving yet *)
-}
-
 type result = {
   circuit : C.t;
   vdd : float;
@@ -80,6 +68,7 @@ type result = {
   mutable vx_max : float;
   mutable i_max : float;
   mutable n_events : int;
+  mutable n_solves : int; (* rail equilibria solved, reuses excluded *)
   mutable t_last : float;
 }
 
@@ -119,12 +108,6 @@ let simulate_core ?(config = default_config) c ~before ~after =
         invalid_arg "Breakpoint_sim: empty partition";
       (Array.length p.sleeps, p.block_of_gate, p.sleeps)
   in
-  let block_of gid =
-    let b = block_of_gate gid in
-    if b < 0 || b >= n_blocks then
-      invalid_arg "Breakpoint_sim: block index out of range";
-    b
-  in
   let model = Delay_model.of_tech ~body_effect:config.body_effect tech in
   let gated_rising = config.rail = Vdd_switch in
   (* with a PMOS header, the shared rail is a virtual Vdd and the gated
@@ -158,20 +141,49 @@ let simulate_core ?(config = default_config) c ~before ~after =
     v_net.(n) <- volt_of_level pre.(n);
     level.(n) <- pre.(n) = S.L1
   done;
-  let gates =
+  (* --- flat per-gate state, indexed by gate id ---------------------------- *)
+  let gates = C.gates c in
+  let n_gates = Array.length gates in
+  let out = Array.map (fun (g : C.gate_inst) -> g.C.output) gates in
+  (* every gate's block, range-checked whether or not it ever switches *)
+  let block =
     Array.map
       (fun (g : C.gate_inst) ->
-        let d = Netlist.Gate.drive tech ~strength:g.C.strength g.C.kind in
-        { g;
-          cl = C.load_capacitance c g.C.output;
-          beta_wl = d.Netlist.Gate.wl_pull_down;
-          wl_up = d.Netlist.Gate.wl_pull_up;
-          v = v_net.(g.C.output);
-          phase = Idle;
-          slope = 0.0;
-          hold_until = neg_infinity })
-      (C.gates c)
+        let b = block_of_gate g.C.id in
+        if b < 0 || b >= n_blocks then
+          invalid_arg "Breakpoint_sim: block index out of range";
+        b)
+      gates
   in
+  let cl = Array.map (C.load_capacitance c) out in
+  let drives =
+    Array.map
+      (fun (g : C.gate_inst) ->
+        Netlist.Gate.drive tech ~strength:g.C.strength g.C.kind)
+      gates
+  in
+  let beta_wl = Array.map (fun d -> d.Netlist.Gate.wl_pull_down) drives in
+  let wl_up = Array.map (fun d -> d.Netlist.Gate.wl_pull_up) drives in
+  (* the ungated edge's slope is a constant of the gate; the gated edge's
+     is [gated_k * (its rail's alpha-power factor) / cl], the operations
+     of [Vground.gate_current] in the same order *)
+  let ungated_slope =
+    Array.init n_gates (fun i ->
+        if gated_rising then
+          Delay_model.discharge_slope model ~vx:0.0 ~beta_wl:beta_wl.(i)
+            ~vin:vdd ~cl:cl.(i)
+        else Delay_model.charge_slope model ~wl_pull_up:wl_up.(i) ~cl:cl.(i))
+  in
+  let gated_k =
+    let half_beta = 0.5 *. vg_cfg.Vground.model.Device.Alpha_power.beta in
+    Array.init n_gates (fun i ->
+        half_beta *. (if gated_rising then wl_up.(i) else beta_wl.(i)))
+  in
+  let v = Array.map (fun n -> v_net.(n)) out in
+  let phase = Array.make n_gates Idle in
+  let slope = Array.make n_gates 0.0 in
+  (* input-slope extension: transition committed but not moving yet *)
+  let hold_until = Array.make n_gates neg_infinity in
   let res =
     { circuit = c;
       vdd;
@@ -183,6 +195,7 @@ let simulate_core ?(config = default_config) c ~before ~after =
       vx_max = 0.0;
       i_max = 0.0;
       n_events = 0;
+      n_solves = 0;
       t_last = config.t_start }
   in
   let record_net t n v = res.wave_points.(n) <- (t, v) :: res.wave_points.(n) in
@@ -190,11 +203,10 @@ let simulate_core ?(config = default_config) c ~before ~after =
     record_net 0.0 n v_net.(n)
   done;
   (* --- logic retargeting ------------------------------------------------ *)
-  let eval_target (gs : gate_state) =
-    let pins =
-      Array.map (fun n -> S.of_bool level.(n)) gs.g.C.inputs
-    in
-    match Netlist.Gate.logic gs.g.C.kind pins with
+  let eval_target i =
+    let g = gates.(i) in
+    let pins = Array.map (fun n -> S.of_bool level.(n)) g.C.inputs in
+    match Netlist.Gate.logic g.C.kind pins with
     | S.L1 -> true
     | S.L0 -> false
     | S.X -> assert false
@@ -212,47 +224,46 @@ let simulate_core ?(config = default_config) c ~before ~after =
       match C.gate_of_output c trigger with
       | None -> neg_infinity (* primary input: a step *)
       | Some driver ->
-        let s = gates.(driver.C.id).slope in
+        let s = slope.(driver.C.id) in
         if s = 0.0 then neg_infinity
         else t +. (slope_coeff *. vdd /. Float.abs s)
   in
   (* start or reverse the gate's transition when its logic target moved
      away from where it is heading; [trigger] is the input that changed *)
-  let retarget ~trigger t (gs : gate_state) =
-    let target = eval_target gs in
-    let out = gs.g.C.output in
-    match gs.phase with
-    | Idle when target <> level.(out) ->
-      gs.phase <- (if target then Rising else Falling);
-      gs.hold_until <- onset_hold t trigger;
-      record_net t out gs.v
+  let retarget ~trigger t i =
+    let target = eval_target i in
+    let o = out.(i) in
+    match phase.(i) with
+    | Idle when target <> level.(o) ->
+      phase.(i) <- (if target then Rising else Falling);
+      hold_until.(i) <- onset_hold t trigger;
+      record_net t o v.(i)
     | Rising when not target ->
-      gs.phase <- Falling;
-      record_net t out gs.v
+      phase.(i) <- Falling;
+      record_net t o v.(i)
     | Falling when target ->
-      gs.phase <- Rising;
-      record_net t out gs.v
+      phase.(i) <- Rising;
+      record_net t o v.(i)
     | Idle | Rising | Falling -> ()
   in
   (* --- virtual ground and slopes ----------------------------------------- *)
   let discharging_sets () =
     let sets = Array.make n_blocks [] in
-    Array.iter
-      (fun gs ->
-        let contribution =
-          match gs.phase with
-          | Rising when gated_rising && gs.v < vdd -> Some gs.wl_up
-          | Falling when (not gated_rising) && gs.v > 0.0 -> Some gs.beta_wl
-          | Rising | Falling | Idle -> None
-        in
-        match contribution with
-        | Some beta_wl ->
-          let b = block_of gs.g.C.id in
-          sets.(b) <- { Vground.beta_wl; vin = vdd } :: sets.(b)
-        | None -> ())
-      gates;
+    let push i beta_wl =
+      let b = block.(i) in
+      sets.(b) <- { Vground.beta_wl; vin = vdd } :: sets.(b)
+    in
+    for i = 0 to n_gates - 1 do
+      match phase.(i) with
+      | Rising when gated_rising && v.(i) < vdd -> push i wl_up.(i)
+      | Falling when (not gated_rising) && v.(i) > 0.0 -> push i beta_wl.(i)
+      | Rising | Falling | Idle -> ()
+    done;
     sets
   in
+  (* a block's equilibrium is a pure function of its discharging set:
+     re-solve only when the set differs from the last one solved *)
+  let last_solve = Array.make n_blocks None in
   let solve_block sleep discharging =
     match sleep with
     | Cmos -> 0.0
@@ -260,41 +271,43 @@ let simulate_core ?(config = default_config) c ~before ~after =
     | Sleep_fet s -> Vground.solve_device vg_cfg ~sleep:s discharging
   in
   let vxs_of sets =
-    Array.mapi (fun b sleep -> solve_block sleep sets.(b)) sleeps
+    Array.mapi
+      (fun b sleep ->
+        let set = sets.(b) in
+        match (sleep, last_solve.(b)) with
+        | Cmos, _ -> 0.0
+        | _, Some (prev, vx) when List.equal ( = ) prev set -> vx
+        | (Resistor _ | Sleep_fet _), _ ->
+          let vx = solve_block sleep set in
+          last_solve.(b) <- Some (set, vx);
+          res.n_solves <- res.n_solves + 1;
+          vx)
+      sleeps
   in
-  let floor_of_gate vxs gs =
-    let b = block_of gs.g.C.id in
-    if config.reverse_conduction && not gated_rising then vxs.(b) else 0.0
-  in
-  let ceil_of_gate vxs gs =
-    if config.reverse_conduction && gated_rising then
-      vdd -. vxs.(block_of gs.g.C.id)
-    else vdd
-  in
+  (* §2.3 reverse conduction: idle-low outputs ride at the virtual ground
+     (a virtual Vdd pins idle-high outputs below vdd) *)
+  let rc_floor = config.reverse_conduction && not gated_rising in
+  let rc_ceil = config.reverse_conduction && gated_rising in
+  (* one alpha-power factor per rail, shared by its gated devices *)
+  let power = Array.make n_blocks 0.0 in
   let recompute_slopes vxs =
-    Array.iter
-      (fun gs ->
-        match gs.phase with
-        | Idle -> gs.slope <- 0.0
-        | Rising ->
-          if gated_rising then begin
-            let i =
-              Vground.gate_current vg_cfg ~vx:(vxs.(block_of gs.g.C.id))
-                { Vground.beta_wl = gs.wl_up; vin = vdd }
-            in
-            gs.slope <- i /. gs.cl
-          end
-          else
-            gs.slope <-
-              Delay_model.charge_slope model ~wl_pull_up:gs.wl_up ~cl:gs.cl
-        | Falling ->
-          let vx =
-            if gated_rising then 0.0 else vxs.(block_of gs.g.C.id)
-          in
-          gs.slope <-
-            Delay_model.discharge_slope model ~vx ~beta_wl:gs.beta_wl
-              ~vin:vdd ~cl:gs.cl)
-      gates
+    for b = 0 to n_blocks - 1 do
+      let vx = vxs.(b) in
+      let vsb = if vg_cfg.Vground.body_effect then vx else 0.0 in
+      power.(b) <-
+        Device.Alpha_power.overdrive_power vg_cfg.Vground.model
+          ~vgs:(vdd -. vx) ~vsb
+    done;
+    for i = 0 to n_gates - 1 do
+      slope.(i) <-
+        (match phase.(i) with
+         | Idle -> 0.0
+         | Rising when gated_rising ->
+           gated_k.(i) *. power.(block.(i)) /. cl.(i)
+         | Falling when not gated_rising ->
+           -.(gated_k.(i) *. power.(block.(i))) /. cl.(i)
+         | Rising | Falling -> ungated_slope.(i))
+    done
   in
   let record_vx t_prev t vxs_prev vxs sets =
     let pre_t = Float.max t_prev (t -. 1e-16) in
@@ -328,35 +341,34 @@ let simulate_core ?(config = default_config) c ~before ~after =
   let next_breakpoint t ~vxs ~targets ~tau_of_block =
     let best = ref infinity in
     (* rails still relaxing toward equilibrium need refresh points *)
-    Array.iteri
-      (fun b tau ->
-        if tau > 0.0 && Float.abs (vxs.(b) -. targets.(b)) > 1e-3 then
-          best := Float.min !best (t +. (tau /. 3.0)))
-      tau_of_block;
-    Array.iter
-      (fun gs ->
-        if gs.phase <> Idle && gs.hold_until > t then
-          best := Float.min !best gs.hold_until
-        else
-        match gs.phase with
-        | Idle -> ()
-        | Rising ->
-          if gs.slope > 0.0 then begin
-            let ceil = ceil_of_gate vxs gs in
-            if (not level.(gs.g.C.output)) && gs.v < half then
-              best := Float.min !best (t +. ((half -. gs.v) /. gs.slope));
-            if gs.v < ceil then
-              best := Float.min !best (t +. ((ceil -. gs.v) /. gs.slope))
-          end
-        | Falling ->
-          if gs.slope < 0.0 then begin
-            let fl = floor_of_gate vxs gs in
-            if level.(gs.g.C.output) && gs.v > half then
-              best := Float.min !best (t +. ((half -. gs.v) /. gs.slope));
-            if gs.v > fl then
-              best := Float.min !best (t +. ((fl -. gs.v) /. gs.slope))
-          end)
-      gates;
+    for b = 0 to n_blocks - 1 do
+      let tau = tau_of_block.(b) in
+      if tau > 0.0 && Float.abs (vxs.(b) -. targets.(b)) > 1e-3 then
+        best := Float.min !best (t +. (tau /. 3.0))
+    done;
+    for i = 0 to n_gates - 1 do
+      let vi = v.(i) and s = slope.(i) in
+      match phase.(i) with
+      | Idle -> ()
+      | Rising | Falling when hold_until.(i) > t ->
+        best := Float.min !best hold_until.(i)
+      | Rising ->
+        if s > 0.0 then begin
+          let ceil = if rc_ceil then vdd -. vxs.(block.(i)) else vdd in
+          if (not level.(out.(i))) && vi < half then
+            best := Float.min !best (t +. ((half -. vi) /. s));
+          if vi < ceil then
+            best := Float.min !best (t +. ((ceil -. vi) /. s))
+        end
+      | Falling ->
+        if s < 0.0 then begin
+          let fl = if rc_floor then vxs.(block.(i)) else 0.0 in
+          if level.(out.(i)) && vi > half then
+            best := Float.min !best (t +. ((half -. vi) /. s));
+          if vi > fl then
+            best := Float.min !best (t +. ((fl -. vi) /. s))
+        end
+    done;
     !best
   in
   (* --- main loop ---------------------------------------------------------- *)
@@ -410,9 +422,7 @@ let simulate_core ?(config = default_config) c ~before ~after =
   in
   let t = ref t0 in
   let process_reevals () =
-    Hashtbl.iter
-      (fun gid trigger -> retarget ~trigger !t gates.(gid))
-      to_reeval;
+    Hashtbl.iter (fun gid trigger -> retarget ~trigger !t gid) to_reeval;
     Hashtbl.reset to_reeval
   in
   process_reevals ();
@@ -431,10 +441,7 @@ let simulate_core ?(config = default_config) c ~before ~after =
         ~tau_of_block in
     if t_next = infinity then begin
       (* no pending breakpoints: either done or starved *)
-      let active =
-        Array.exists (fun gs -> gs.phase <> Idle) gates
-      in
-      if active then raise (Starved !t);
+      if Array.exists (fun p -> p <> Idle) phase then raise (Starved !t);
       continue := false
     end
     else begin
@@ -445,45 +452,45 @@ let simulate_core ?(config = default_config) c ~before ~after =
       (* advance all active outputs linearly; [eps] absorbs the float
          roundoff of scheduling a breakpoint exactly at a crossing *)
       let eps = 1e-9 *. vdd in
-      Array.iter
-        (fun gs ->
-          match gs.phase with
-          | Idle -> ()
-          | Rising | Falling when gs.hold_until >= t_next -> ()
-          | Rising | Falling ->
-            let v_new = gs.v +. (gs.slope *. dt) in
-            let fl = floor_of_gate !vxs gs in
-            let ceil = ceil_of_gate !vxs gs in
-            let v_new = Phys.Float_utils.clamp ~lo:fl ~hi:ceil v_new in
-            gs.v <- v_new;
-            let out = gs.g.C.output in
-            v_net.(out) <- v_new;
-            (* threshold crossing, gated on the logical level so a
-               crossing fires exactly once per traversal *)
-            let crossed_up =
-              gs.phase = Rising && (not level.(out)) && v_new >= half -. eps
-            in
-            let crossed_dn =
-              gs.phase = Falling && level.(out) && v_new <= half +. eps
-            in
-            if crossed_up || crossed_dn then begin
-              level.(out) <- crossed_up;
-              queue_fanout out
-            end;
-            (* rail arrival *)
-            (match gs.phase with
-             | Rising when v_new >= ceil -. eps ->
-               gs.v <- ceil;
-               v_net.(out) <- ceil;
-               gs.phase <- Idle;
-               record_net t_next out ceil
-             | Falling when v_new <= fl +. eps ->
-               gs.v <- fl;
-               v_net.(out) <- fl;
-               gs.phase <- Idle;
-               record_net t_next out fl
-             | Rising | Falling | Idle -> record_net t_next out v_new))
-        gates;
+      let vxs_now = !vxs in
+      for i = 0 to n_gates - 1 do
+        match phase.(i) with
+        | Idle -> ()
+        | (Rising | Falling) when hold_until.(i) >= t_next -> ()
+        | (Rising | Falling) as ph ->
+          let fl = if rc_floor then vxs_now.(block.(i)) else 0.0 in
+          let ceil = if rc_ceil then vdd -. vxs_now.(block.(i)) else vdd in
+          let v_new =
+            Phys.Float_utils.clamp ~lo:fl ~hi:ceil
+              (v.(i) +. (slope.(i) *. dt))
+          in
+          v.(i) <- v_new;
+          let o = out.(i) in
+          v_net.(o) <- v_new;
+          (* threshold crossing, gated on the logical level so a
+             crossing fires exactly once per traversal *)
+          let crossed_up =
+            ph = Rising && (not level.(o)) && v_new >= half -. eps
+          in
+          let crossed_dn = ph = Falling && level.(o) && v_new <= half +. eps in
+          if crossed_up || crossed_dn then begin
+            level.(o) <- crossed_up;
+            queue_fanout o
+          end;
+          (* rail arrival *)
+          (match ph with
+           | Rising when v_new >= ceil -. eps ->
+             v.(i) <- ceil;
+             v_net.(o) <- ceil;
+             phase.(i) <- Idle;
+             record_net t_next o ceil
+           | Falling when v_new <= fl +. eps ->
+             v.(i) <- fl;
+             v_net.(o) <- fl;
+             phase.(i) <- Idle;
+             record_net t_next o fl
+           | Rising | Falling | Idle -> record_net t_next o v_new)
+      done;
       t := t_next;
       res.t_last <- t_next;
       (* the rail relaxed toward the old equilibrium during [dt] *)
@@ -511,7 +518,8 @@ let simulate ?config ?(obs = Obs.disabled) c ~before ~after =
   let r = simulate_core ?config c ~before ~after in
   if Obs.metrics_on obs then begin
     Obs.incr obs "bp.simulations";
-    Obs.incr obs ~by:r.n_events "bp.events"
+    Obs.incr obs ~by:r.n_events "bp.events";
+    Obs.incr obs ~by:r.n_solves "bp.rail_solves"
   end;
   r
 

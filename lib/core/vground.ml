@@ -26,8 +26,29 @@ let gate_current cfg ~vx g =
   Device.Alpha_power.sat_current cfg.model ~wl:g.beta_wl
     ~vgs:(g.vin -. vx) ~vsb
 
+(* [gate_current] summed in list order, with the alpha-power factor
+   evaluated once per run of equal [vin] rather than once per gate: the
+   same float operations, so the same bits *)
 let total_current cfg ~vx gates =
-  List.fold_left (fun acc g -> acc +. gate_current cfg ~vx g) 0.0 gates
+  let vsb = if cfg.body_effect then vx else 0.0 in
+  let half_beta = 0.5 *. cfg.model.Device.Alpha_power.beta in
+  let run = ref (Float.nan, 0.0) in
+  List.fold_left
+    (fun acc g ->
+      let vin, p = !run in
+      let p =
+        if g.vin = vin then p
+        else begin
+          let p =
+            Device.Alpha_power.overdrive_power cfg.model
+              ~vgs:(g.vin -. vx) ~vsb
+          in
+          run := (g.vin, p);
+          p
+        end
+      in
+      acc +. (half_beta *. g.beta_wl *. p))
+    0.0 gates
 
 (* Both solvers exploit monotonicity: sleep-path current grows with vx
    while the gates' total current shrinks, so the mismatch

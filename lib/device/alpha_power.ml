@@ -18,8 +18,9 @@ let threshold t ~vsb =
     let arg = Float.max 1e-6 (t.phi +. vsb) in
     t.vt0 +. (t.gamma *. (sqrt arg -. sqrt t.phi))
 
+let overdrive_power t ~vgs ~vsb =
+  let vov = vgs -. threshold t ~vsb in
+  if vov <= 0.0 then 0.0 else vov ** t.alpha
+
 let sat_current t ~wl ~vgs ~vsb =
-  let vth = threshold t ~vsb in
-  let vov = vgs -. vth in
-  if vov <= 0.0 then 0.0
-  else 0.5 *. t.beta *. wl *. (vov ** t.alpha)
+  0.5 *. t.beta *. wl *. overdrive_power t ~vgs ~vsb

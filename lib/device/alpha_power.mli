@@ -22,6 +22,12 @@ val threshold : t -> vsb:float -> float
 (** Threshold raised by the body effect for a source at [vsb] above the
     body (the paper's §2.1 mechanism when the virtual ground bounces). *)
 
+val overdrive_power : t -> vgs:float -> vsb:float -> float
+(** [(vgs - threshold t ~vsb) ** alpha], or 0 at or below threshold:
+    the size-independent factor of {!sat_current}, shared by every
+    device on one rail at one gate voltage. *)
+
 val sat_current : t -> wl:float -> vgs:float -> vsb:float -> float
 (** Saturation current of a device of size [wl] whose source sits [vsb]
-    above the body terminal, with gate at [vgs] above the source. *)
+    above the body terminal, with gate at [vgs] above the source:
+    [0.5 *. beta *. wl *. overdrive_power t ~vgs ~vsb]. *)

@@ -91,7 +91,8 @@ let pp fmt ((m : Metrics.t), (trace : Trace.t option)) =
   if have m [ "bp.simulations" ] then begin
     line "breakpoint simulator:@.";
     line "  %-22s %d@." "simulations" (count m "bp.simulations");
-    line "  %-22s %d@." "events" (count m "bp.events")
+    line "  %-22s %d@." "events" (count m "bp.events");
+    line "  %-22s %d@." "rail solves" (count m "bp.rail_solves")
   end;
   (* batch runner *)
   if have m [ "runner.jobs.total" ] then begin

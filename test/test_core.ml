@@ -191,6 +191,29 @@ let test_bp_input_validation () =
     (Invalid_argument "Breakpoint_sim: before length mismatch") (fun () ->
       ignore (BP.simulate tree_c ~before:[||] ~after:[| S.L1 |]))
 
+(* every gate's block is range-checked up front: a mis-mapped gate fails
+   the simulation even on a vector that never switches it *)
+let test_bp_partition_range_checked () =
+  let b = Netlist.Circuit.builder tech in
+  let a = Netlist.Circuit.add_input b in
+  let x = Netlist.Circuit.add_input b in
+  let na = Netlist.Circuit.add_gate b Netlist.Gate.Inv [ a ] in
+  let nx = Netlist.Circuit.add_gate b Netlist.Gate.Inv [ x ] in
+  Netlist.Circuit.mark_output b na;
+  Netlist.Circuit.mark_output b nx;
+  let c = Netlist.Circuit.freeze b in
+  let sleeps = [| BP.Sleep_fet (Device.Sleep.nmos_footer tech ~wl:5.0) |] in
+  (* the [x] inverter (gate 1) is mapped past the single block *)
+  let config =
+    { BP.default_config with
+      BP.partition = Some { BP.block_of_gate = (fun gid -> gid); sleeps } }
+  in
+  Alcotest.check_raises "x never switches"
+    (Invalid_argument "Breakpoint_sim: block index out of range") (fun () ->
+      ignore
+        (BP.simulate ~config c ~before:[| S.L0; S.L0 |]
+           ~after:[| S.L1; S.L0 |]))
+
 let test_bp_glitch_visible () =
   (* a,b both toggle: the nand output glitches in a static hazard;
      waveforms stay within the rails regardless *)
@@ -380,6 +403,46 @@ let prop_vground_bounded =
       let vx = Mtcmos.Vground.solve_resistor cfg ~r gates in
       vx >= 0.0 && vx <= 1.2)
 
+(* drive lists mixing full, partial and below-threshold gate voltages,
+   in runs and interleaved, with the body effect on and off *)
+let drive_gen =
+  QCheck.(
+    triple bool (float_range 0.0 1.2)
+      (list_of_size Gen.(0 -- 12)
+         (pair (float_range 0.1 20.0)
+            (oneofl [ 1.2; 1.2; 1.0; 0.7; 0.4; 0.3; 0.0 ]))))
+
+let vground_cfg body_effect = Mtcmos.Vground.config ~body_effect tech
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_total_current_is_gate_fold =
+  QCheck.Test.make ~count:300
+    ~name:"vground: total_current = gate_current fold, bit for bit" drive_gen
+    (fun (body_effect, vx, drives) ->
+      let cfg = vground_cfg body_effect in
+      let gates = List.map (fun (wl, vin) -> gate ~vin wl) drives in
+      same_bits
+        (Mtcmos.Vground.total_current cfg ~vx gates)
+        (List.fold_left
+           (fun acc g -> acc +. Mtcmos.Vground.gate_current cfg ~vx g)
+           0.0 gates))
+
+let prop_sat_current_is_overdrive_power =
+  QCheck.Test.make ~count:300
+    ~name:"alpha-power: sat_current = beta/2 * wl * overdrive_power"
+    drive_gen
+    (fun (body_effect, vx, drives) ->
+      let m = (vground_cfg body_effect).Mtcmos.Vground.model in
+      List.for_all
+        (fun (wl, vin) ->
+          let vgs = vin -. vx and vsb = vx in
+          same_bits
+            (Device.Alpha_power.sat_current m ~wl ~vgs ~vsb)
+            (0.5 *. m.Device.Alpha_power.beta *. wl
+            *. Device.Alpha_power.overdrive_power m ~vgs ~vsb))
+        drives)
+
 let prop_bp_delay_monotone_in_wl =
   QCheck.Test.make ~count:25 ~name:"breakpoint: delay monotone in sleep size"
     QCheck.(pair (float_range 2.0 100.0) (float_range 1.1 4.0))
@@ -456,6 +519,8 @@ let suite =
     Alcotest.test_case "bp extreme resistance" `Quick
       test_bp_extreme_resistance;
     Alcotest.test_case "bp input validation" `Quick test_bp_input_validation;
+    Alcotest.test_case "bp partition range check" `Quick
+      test_bp_partition_range_checked;
     Alcotest.test_case "bp glitch" `Quick test_bp_glitch_visible;
     Alcotest.test_case "bp reverse conduction" `Quick
       test_bp_reverse_conduction_mode;
@@ -470,6 +535,8 @@ let suite =
     Alcotest.test_case "reverse conduction assess" `Quick
       test_reverse_conduction_assess;
     QCheck_alcotest.to_alcotest prop_vground_bounded;
+    QCheck_alcotest.to_alcotest prop_total_current_is_gate_fold;
+    QCheck_alcotest.to_alcotest prop_sat_current_is_overdrive_power;
     QCheck_alcotest.to_alcotest prop_bp_delay_monotone_in_wl;
     QCheck_alcotest.to_alcotest prop_bp_waveforms_in_rails;
     QCheck_alcotest.to_alcotest prop_bp_final_state_matches_logic ]

@@ -495,6 +495,30 @@ let test_map_reduce_obs () =
     (Obs.Metrics.count m "par.pool.calls" >= 1);
   Alcotest.(check (float 0.0)) "jobs gauge" 3.0 (Obs.Metrics.valuef m "par.jobs")
 
+(* bp.rail_solves counts the rail equilibria actually solved: at most
+   one per block per breakpoint plus the initial one, none on CMOS *)
+let test_bp_rail_solves () =
+  let module BP = Mtcmos.Breakpoint_sim in
+  let c = Fixtures.adder_circuit 4 in
+  let counts config =
+    let obs = Obs.create () in
+    ignore
+      (BP.simulate_ints ~config ~obs c ~before:[ (4, 0); (4, 0) ]
+         ~after:[ (4, 15); (4, 1) ]);
+    let m = Obs.metrics obs in
+    ( Obs.Metrics.count m "bp.rail_solves",
+      Obs.Metrics.count m "bp.events",
+      Obs.Report.render m None )
+  in
+  let solves, events, report = counts (BP.mtcmos_config tech ~wl:8.0) in
+  Alcotest.(check bool) "mtcmos solves something" true (solves > 0);
+  Alcotest.(check bool) "at most one solve per breakpoint" true
+    (solves <= events + 1);
+  Alcotest.(check bool) "report prints it" true
+    (Test_analysis.string_contains report "rail solves");
+  let cmos_solves, _, _ = counts BP.default_config in
+  Alcotest.(check int) "cmos solves nothing" 0 cmos_solves
+
 let suite =
   [ Alcotest.test_case "histogram bucket edges" `Quick
       test_histogram_bucket_edges;
@@ -526,5 +550,7 @@ let suite =
       test_trace_valid_fast_bypass;
     Alcotest.test_case "event_sim telemetry counters" `Quick
       test_event_sim_telemetry;
+    Alcotest.test_case "bp.rail_solves bounded by events" `Quick
+      test_bp_rail_solves;
     QCheck_alcotest.to_alcotest prop_partition_invariant;
     QCheck_alcotest.to_alcotest prop_histogram_conserves ]

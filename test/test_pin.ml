@@ -110,40 +110,55 @@ let test_sizers () =
         [ 1; 2; 3 ]
     @ [ Sta.mtcmos_underestimate (Sta.analyze c) c ~sleep ~vectors ])
 
-let test_breakpoint () =
-  let pwl w = List.concat_map (fun (t, v) -> [ t; v ]) (Phys.Pwl.points w) in
+let pwl w = List.concat_map (fun (t, v) -> [ t; v ]) (Phys.Pwl.points w)
+
+(* every breakpoint-simulator pin runs the same circuits x configs x
+   vectors; [floats c r] reduces one simulation *)
+let bp_sims floats =
   let footer wl = BP.mtcmos_config tech ~wl in
+  List.concat_map
+    (fun c ->
+      let widths = [ Array.length (C.inputs c) ] in
+      List.concat_map
+        (fun config ->
+          List.concat_map
+            (fun (before, after) ->
+              floats c (BP.simulate_ints ~config c ~before ~after))
+            (Mtcmos.Vectors.random_pairs ~seed:3 ~widths 12))
+        [ BP.default_config;
+          footer 8.0;
+          { (footer 8.0) with BP.cx = 50e-15 };
+          Mtcmos.Hierarchy.config tech c ~wl_per_block:6.0 ~blocks:3;
+          BP.mtcmos_pmos_config tech ~wl:8.0;
+          { (footer 4.0) with
+            BP.reverse_conduction = true;
+            input_slope = true } ])
+    [ Fixtures.chain_circuit 8;
+      Fixtures.tree_circuit ~stages:3 ~fanout:3 ();
+      Fixtures.adder_circuit 4;
+      Fixtures.mult_circuit 3 ]
+
+let test_breakpoint () =
   pin "breakpoint" "47d0e275a49175653aa314e57f2c6789"
-    (List.concat_map
-       (fun c ->
-         let widths = [ Array.length (C.inputs c) ] in
-         List.concat_map
-           (fun config ->
-             List.concat_map
-               (fun (before, after) ->
-                 let r = BP.simulate_ints ~config c ~before ~after in
-                 (match BP.critical_delay r with
-                  | None -> []
-                  | Some (n, d) -> [ float_of_int n; d ])
-                 @ [ BP.vx_peak r; BP.peak_discharge_current r ]
-                 @ pwl (BP.vground_waveform r)
-                 @ pwl (BP.discharge_current_waveform r)
-                 @ List.concat_map
-                     (fun n -> pwl (BP.waveform r n))
-                     (Array.to_list (C.outputs c)))
-               (Mtcmos.Vectors.random_pairs ~seed:3 ~widths 12))
-           [ BP.default_config;
-             footer 8.0;
-             { (footer 8.0) with BP.cx = 50e-15 };
-             Mtcmos.Hierarchy.config tech c ~wl_per_block:6.0 ~blocks:3;
-             BP.mtcmos_pmos_config tech ~wl:8.0;
-             { (footer 4.0) with
-               BP.reverse_conduction = true;
-               input_slope = true } ])
-       [ Fixtures.chain_circuit 8;
-         Fixtures.tree_circuit ~stages:3 ~fanout:3 ();
-         Fixtures.adder_circuit 4;
-         Fixtures.mult_circuit 3 ])
+    (bp_sims (fun c r ->
+         (match BP.critical_delay r with
+          | None -> []
+          | Some (n, d) -> [ float_of_int n; d ])
+         @ [ BP.vx_peak r; BP.peak_discharge_current r ]
+         @ pwl (BP.vground_waveform r)
+         @ pwl (BP.discharge_current_waveform r)
+         @ List.concat_map
+             (fun n -> pwl (BP.waveform r n))
+             (Array.to_list (C.outputs c))))
+
+(* internal nets too, and the breakpoint count *)
+let test_breakpoint_nets () =
+  pin "breakpoint nets" "85a5be1db025e1c2822e31c461877214"
+    (bp_sims (fun c r ->
+         float_of_int (BP.events r)
+         :: List.concat_map
+              (fun n -> pwl (BP.waveform r n))
+              (List.init (C.num_nets c) Fun.id)))
 
 let prop_ungated_is_gated_nothing =
   QCheck.Test.make ~count:40
@@ -172,4 +187,6 @@ let suite =
     Alcotest.test_case "nldm arrivals and slews" `Quick test_nldm;
     Alcotest.test_case "sizers on adder3" `Quick test_sizers;
     Alcotest.test_case "breakpoint delays and waveforms" `Quick test_breakpoint;
+    Alcotest.test_case "breakpoint: every net and event count" `Quick
+      test_breakpoint_nets;
     QCheck_alcotest.to_alcotest prop_ungated_is_gated_nothing ]
