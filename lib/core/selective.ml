@@ -110,11 +110,13 @@ let objective_value circuit obj ~leakage ~area =
     let area_norm = w *. tech.Device.Tech.lmin *. tech.Device.Tech.lmin in
     (leakage /. leak_norm) +. (area /. area_norm)
 
-let arrival ?(ctx = Eval.Ctx.default) circuit ~vt_high ~cluster_of_gate
-    ~sleep_wl =
-  let g = gating ~vt_high ~cluster_of_gate ~sleep_wl in
+let timed timer ~vt_high ~cluster_of_gate ~sleep_wl =
   Sta.critical_arrival
-    (Sta.analyze ~body_effect:ctx.Eval.Ctx.body_effect ~gating:g circuit)
+    (Sta.analyze_with ~gating:(gating ~vt_high ~cluster_of_gate ~sleep_wl)
+       timer)
+
+let arrival ?(ctx = Eval.Ctx.default) circuit =
+  timed (Sta.prepare ~body_effect:ctx.Eval.Ctx.body_effect circuit)
 
 let size_clusters_with ~eval ~wl_lo ~wl_hi circuit ~budget ~vt_high
     ~cluster_of_gate ~n_clusters =
@@ -157,9 +159,7 @@ let size_clusters_with ~eval ~wl_lo ~wl_hi circuit ~budget ~vt_high
 
 let size_clusters ?(ctx = Eval.Ctx.default) ?(wl_lo = 0.5) ?(wl_hi = 4096.0)
     circuit ~budget ~vt_high ~cluster_of_gate ~n_clusters =
-  let eval ~vt_high ~cluster_of_gate ~sleep_wl =
-    arrival ~ctx circuit ~vt_high ~cluster_of_gate ~sleep_wl
-  in
+  let eval = arrival ~ctx circuit in
   size_clusters_with ~eval ~wl_lo ~wl_hi circuit ~budget ~vt_high
     ~cluster_of_gate ~n_clusters
 
@@ -220,11 +220,13 @@ let optimize ?(ctx = Eval.Ctx.default) ?(objective = Leakage) ?(clusters = 4)
   if max_passes < 0 then invalid_arg "Selective.optimize: max_passes < 0";
   let n = C.num_gates circuit in
   if n = 0 then invalid_arg "Selective.optimize: circuit has no gates";
+  let clusters = Int.min clusters (C.logic_depth circuit) in
   let obs = ctx.Eval.Ctx.obs in
   Obs.Span.with_ obs "selective.optimize" @@ fun () ->
   let body_effect = ctx.Eval.Ctx.body_effect in
   let pd = pulldowns circuit in
-  let base = Sta.critical_arrival (Sta.analyze ~body_effect circuit) in
+  let timer = Sta.prepare ~body_effect circuit in
+  let base = Sta.critical_arrival (Sta.analyze_with timer) in
   let budget = (1.0 +. delay_budget) *. base in
   (* seed clustering: level bands, empty bands compacted away *)
   let remap, k = compact (Hierarchy.populations circuit ~blocks:clusters) in
@@ -232,10 +234,11 @@ let optimize ?(ctx = Eval.Ctx.default) ?(objective = Leakage) ?(clusters = 4)
   let cluster_of = Array.init n (fun i -> remap.(band i)) in
   let vt = Array.make n true in
   let evals = Atomic.make 0 in
-  let eval ~vt_high ~cluster_of_gate ~sleep_wl =
+  let eval_with timer ~vt_high ~cluster_of_gate ~sleep_wl =
     Atomic.incr evals;
-    arrival ~ctx circuit ~vt_high ~cluster_of_gate ~sleep_wl
+    timed timer ~vt_high ~cluster_of_gate ~sleep_wl
   in
+  let eval = eval_with timer in
   let wl_lo = 0.5 and wl_hi = 4096.0 in
   let wls_hi vt =
     let w = Array.make k 0.0 in
@@ -254,7 +257,7 @@ let optimize ?(ctx = Eval.Ctx.default) ?(objective = Leakage) ?(clusters = 4)
     let g = gating ~vt_high:vt ~cluster_of_gate:cluster_of
         ~sleep_wl:(wls_hi vt)
     in
-    let sta = Sta.analyze ~body_effect ~gating:g circuit in
+    let sta = Sta.analyze_with ~gating:g timer in
     let arr = Sta.critical_arrival sta in
     if arr > budget then begin
       let path = Sta.critical_path sta in
@@ -268,11 +271,14 @@ let optimize ?(ctx = Eval.Ctx.default) ?(objective = Leakage) ?(clusters = 4)
       in
       if cands = [] then raise Not_found;
       let cands = Array.of_list cands in
+      (* a timer belongs to one domain: one per worker *)
       let scores =
-        Par.Pool.map ~jobs:ctx.Eval.Ctx.jobs (Array.length cands) (fun i ->
+        Par.Pool.map_stateful ~jobs:ctx.Eval.Ctx.jobs
+          ~create:(fun () -> Sta.prepare ~body_effect circuit)
+          ~merge:ignore (Array.length cands) (fun timer i ->
             let vt' = Array.copy vt in
             vt'.(cands.(i)) <- false;
-            eval ~vt_high:vt' ~cluster_of_gate:cluster_of
+            eval_with timer ~vt_high:vt' ~cluster_of_gate:cluster_of
               ~sleep_wl:(wls_hi vt'))
       in
       let best = ref 0 in

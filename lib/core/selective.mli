@@ -22,7 +22,7 @@
     from {!Hierarchy.by_level}, empty bands compacted away) are refined
     by moving gates between devices, which pays because gates behind
     different devices never co-load one rail (see {!Sta.gating}).
-    Every evaluation is a gating-aware {!Sta.analyze}.
+    Every evaluation is a full gated pass of one {!Sta.timer} per call.
 
     {b Determinism contract}: the loop is purely greedy with fixed
     candidate orders and exact float comparisons — the result is
@@ -142,7 +142,8 @@ val optimize :
   result
 (** Run the co-optimizer.  [delay_budget] is the allowed arrival
     increase as a fraction of the all-low-Vt ideal-ground baseline
-    (0.1 = 10 %); [clusters] (default 4) seeds the {!Hierarchy.by_level}
+    (0.1 = 10 %); [clusters] (default 4; any count from the logic depth
+    up gives one band per level) seeds the {!Hierarchy.by_level}
     partition; [max_passes] (default 2) bounds the reclaim/move
     refinement rounds.  [ctx] supplies [jobs] (parallel candidate
     scoring), [body_effect] and the observability handle

@@ -58,13 +58,23 @@ val worst_output :
     first one on ties), with that arrival.
     @raise Invalid_argument when the circuit has no outputs. *)
 
-val analyze : ?body_effect:bool -> ?gating:gating -> Netlist.Circuit.t -> t
-(** Run the timer once; queries below are O(1)/O(path).  Without
-    [gating] this is the conventional timer: every cell low-Vt and in
-    no cluster, so each sees an ideal ground.  With it, resistances and
-    (cluster, depth) equilibria are solved once per call.
+type timer
+(** A circuit's per-gate timing terms for one body-effect setting, and
+    per (cluster, depth) group the last equilibrium solved, re-solved
+    iff the group's device W/L bits or member ids change: answers equal
+    a fresh {!analyze} bit for bit.  Mutable: one domain only. *)
+
+val prepare : ?body_effect:bool -> Netlist.Circuit.t -> timer
+
+val analyze_with : ?gating:gating -> timer -> t
+(** Run the timer once, a full arrival propagation; queries below are
+    O(1)/O(path).  Without [gating] this is the conventional timer:
+    every cell low-Vt and in no cluster, so each sees an ideal ground.
     @raise Invalid_argument when the gating arrays do not cover every
     gate or a block index is out of range. *)
+
+val analyze : ?body_effect:bool -> ?gating:gating -> Netlist.Circuit.t -> t
+(** [analyze_with ?gating (prepare ?body_effect circuit)]. *)
 
 val gate_delay : t -> Netlist.Circuit.gate_id -> float
 (** The fixed per-gate delay used: worst of the pull-up and pull-down

@@ -94,6 +94,11 @@ let pp fmt ((m : Metrics.t), (trace : Trace.t option)) =
     line "  %-22s %d@." "events" (count m "bp.events");
     line "  %-22s %d@." "rail solves" (count m "bp.rail_solves")
   end;
+  if have m [ "selective.evaluations" ] then begin
+    line "selective optimizer:@.";
+    List.iter (fun k -> line "  %-22s %d@." k (count m ("selective." ^ k)))
+      [ "evaluations"; "flips"; "reclaims"; "moves" ]
+  end;
   (* batch runner *)
   if have m [ "runner.jobs.total" ] then begin
     line "runner:@.";

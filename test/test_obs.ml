@@ -519,6 +519,34 @@ let test_bp_rail_solves () =
   let cmos_solves, _, _ = counts BP.default_config in
   Alcotest.(check int) "cmos solves nothing" 0 cmos_solves
 
+(* the selective optimizer's counters reach the run report; none of
+   them depends on the worker count *)
+let test_selective_report () =
+  let c = Fixtures.adder_circuit 4 in
+  let run jobs =
+    let obs = Obs.create () in
+    let ctx = Eval.Ctx.(default |> with_obs obs |> with_jobs jobs) in
+    let r = Mtcmos.Selective.optimize ~ctx c ~delay_budget:0.1 in
+    (r, Obs.Metrics.count (Obs.metrics obs) "selective.evaluations",
+     Obs.report obs)
+  in
+  let r, evaluations, report = run 1 in
+  Alcotest.(check int) "evaluations counter = result.evaluations"
+    r.Mtcmos.Selective.evaluations evaluations;
+  let row label v = Printf.sprintf "  %-22s %d\n" label v in
+  let block =
+    "selective optimizer:\n"
+    ^ row "evaluations" evaluations
+    ^ row "flips" r.Mtcmos.Selective.flips_to_low
+    ^ row "reclaims" r.Mtcmos.Selective.reclaimed
+    ^ row "moves" r.Mtcmos.Selective.moves
+  in
+  Alcotest.(check bool) "report prints all four" true
+    (Test_analysis.string_contains report block);
+  let _, _, report2 = run 2 in
+  Alcotest.(check bool) "the same block at jobs 2" true
+    (Test_analysis.string_contains report2 block)
+
 let suite =
   [ Alcotest.test_case "histogram bucket edges" `Quick
       test_histogram_bucket_edges;
@@ -552,5 +580,7 @@ let suite =
       test_event_sim_telemetry;
     Alcotest.test_case "bp.rail_solves bounded by events" `Quick
       test_bp_rail_solves;
+    Alcotest.test_case "selective counters in the report" `Quick
+      test_selective_report;
     QCheck_alcotest.to_alcotest prop_partition_invariant;
     QCheck_alcotest.to_alcotest prop_histogram_conserves ]

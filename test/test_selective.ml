@@ -147,7 +147,19 @@ let test_validate_gating () =
            ~gating:
              (Sel.gating ~vt_high:(Array.make n false)
                 ~cluster_of_gate:(Array.make n 7) ~sleep_wl:[| 1.0 |])
-           c))
+           c));
+  (* a prepared timer checks every query, not only its first *)
+  let timer = Sta.prepare c in
+  ignore (Sta.analyze_with timer);
+  Alcotest.check_raises "a prepared timer rejects it too"
+    (Invalid_argument "Sta.analyze: gating block out of range")
+    (fun () ->
+      ignore
+        (Sta.analyze_with
+           ~gating:
+             (Sel.gating ~vt_high:(Array.make n false)
+                ~cluster_of_gate:(Array.make n 1) ~sleep_wl:[| 1.0 |])
+           timer))
 
 let test_objective_names () =
   List.iter
@@ -197,6 +209,37 @@ let test_compaction_more_clusters_than_depth () =
   check_result c r;
   Alcotest.(check bool) "clusters compacted to at most the gate count" true
     (Array.length r.Sel.sleep_wl <= C.num_gates c)
+
+(* every float of an answer as its bit pattern *)
+let bits_signature (r : Sel.result) =
+  let b = Int64.bits_of_float in
+  ( Array.to_list r.Sel.vt_high,
+    Array.to_list r.Sel.cluster_of_gate,
+    List.map b (Array.to_list r.Sel.sleep_wl),
+    List.map b
+      [ r.Sel.arrival; r.Sel.leakage; r.Sel.area; r.Sel.objective_value ],
+    (r.Sel.evaluations, r.Sel.flips_to_low, r.Sel.reclaimed, r.Sel.moves) )
+
+(* a cluster count at or above the logic depth already gives one band
+   per level, so a huge one is clamped, not allocated band by band *)
+let test_huge_cluster_count () =
+  let c = Fixtures.adder_circuit 4 in
+  let at_depth = Sel.optimize ~clusters:(C.logic_depth c) c ~delay_budget:0.1 in
+  let huge = Sel.optimize ~clusters:max_int c ~delay_budget:0.1 in
+  Alcotest.(check bool) "max_int clusters = logic-depth clusters" true
+    (bits_signature huge = bits_signature at_depth);
+  let src =
+    {|(batch (tech 07um) (defaults (jobs 1)) (circuit a4 adder4)
+       (job select s (circuit a4) (clusters 4611686018427387903)))|}
+  in
+  match Runner.Spec.parse_string src with
+  | Error e -> Alcotest.failf "spec did not parse: %s" e
+  | Ok spec ->
+    (match Runner.run spec with
+     | Error e -> Alcotest.failf "run failed: %s" e
+     | Ok o ->
+       Alcotest.(check (pair int int)) "the job is ok" (1, 0)
+         (o.Runner.ok, o.Runner.failed))
 
 (* ---- determinism --------------------------------------------------- *)
 
@@ -277,6 +320,104 @@ let prop_jobs_cache_invariant =
         let b = run_with ~jobs:3 ~cache:true c ~delay_budget:budget in
         signature a = signature b
       | exception Not_found -> QCheck.assume_fail ())
+
+(* ---- prepared timer: reuse equals a fresh analysis ----------------
+   One prepared timer is driven through a random edit sequence — Vt
+   flips, cluster moves, swaps of two same-depth gates' clusters (a
+   group keeps its size but changes members), sleep W/L changes (0
+   included), an undo of the previous step, a change of cluster count,
+   and plain ungated queries; a step applies one to three edits.  After
+   every step each gate delay and net arrival must carry the same bits
+   as a fresh [Sta.analyze]. *)
+
+(* every kind has the same equivalent W/L at one strength, so a group's
+   equilibrium only sees which members it has when strengths differ *)
+let timer_circuit seed rng =
+  let c =
+    match seed mod 4 with
+    | 0 ->
+      Fixtures.random_circuit ~seed ~inputs:(3 + Random.State.int rng 4)
+        ~gates:(8 + Random.State.int rng 40) ()
+    | 1 -> Fixtures.adder_circuit (1 + Random.State.int rng 4)
+    | 2 -> Fixtures.kogge_circuit (if Random.State.bool rng then 4 else 8)
+    | _ -> Fixtures.random_circuit ~seed ~inputs:6 ~gates:60 ()
+  in
+  if Random.State.bool rng then c
+  else C.with_strengths c (fun _ -> float_of_int (1 + Random.State.int rng 3))
+
+let prop_timer_reuse_matches_fresh =
+  QCheck.Test.make ~count:60
+    ~name:"sta: a prepared timer equals fresh analysis under random edits"
+    QCheck.(make ~print:(Printf.sprintf "seed %d") Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let c = timer_circuit seed rng in
+      let body_effect = Random.State.bool rng in
+      let n = C.num_gates c in
+      let timer = Sta.prepare ~body_effect c in
+      let depths = C.gate_depths c in
+      let random_wl () =
+        match Random.State.int rng 4 with
+        | 0 -> 0.0
+        | _ -> 0.5 +. Random.State.float rng 200.0
+      in
+      let k0 = 1 + Random.State.int rng 4 in
+      let vt = Array.init n (fun _ -> Random.State.bool rng) in
+      let cl = Array.init n (fun _ -> Random.State.int rng (k0 + 1) - 1) in
+      let wl = ref (Array.init k0 (fun _ -> random_wl ())) in
+      let prev = ref (Array.copy vt, Array.copy cl, Array.copy !wl) in
+      let same (a : Sta.t) (b : Sta.t) =
+        let eq x y = Int64.bits_of_float x = Int64.bits_of_float y in
+        List.for_all (fun i -> eq (Sta.gate_delay a i) (Sta.gate_delay b i))
+          (List.init n Fun.id)
+        && List.for_all (fun net -> eq (Sta.arrival a net) (Sta.arrival b net))
+             (List.init (C.num_nets c) Fun.id)
+      in
+      let ungated = ref false in
+      let edit () =
+        let k = Array.length !wl in
+        match Random.State.int rng 9 with
+        | 0 | 1 ->
+          let g = Random.State.int rng n in
+          vt.(g) <- not vt.(g)
+        | 2 -> cl.(Random.State.int rng n) <- Random.State.int rng (k + 1) - 1
+        | 3 | 4 ->
+          let g = Random.State.int rng n in
+          let peers = List.filter (fun h -> depths.(h) = depths.(g))
+              (List.init n Fun.id) in
+          let h = List.nth peers (Random.State.int rng (List.length peers)) in
+          let b = cl.(g) in
+          cl.(g) <- cl.(h);
+          cl.(h) <- b
+        | 5 -> !wl.(Random.State.int rng k) <- random_wl ()
+        | 6 ->
+          let pv, pc, pw = !prev in
+          Array.blit pv 0 vt 0 n;
+          Array.blit pc 0 cl 0 n;
+          wl := Array.copy pw
+        | 7 ->
+          let k' = 1 + Random.State.int rng 5 in
+          Array.iteri (fun i b -> if b >= 0 then cl.(i) <- b mod k') cl;
+          wl :=
+            Array.init k' (fun j -> if j < k then !wl.(j) else random_wl ())
+        | _ -> ungated := true
+      in
+      for step = 1 to 40 do
+        let before = (Array.copy vt, Array.copy cl, Array.copy !wl) in
+        ungated := false;
+        for _ = 0 to Random.State.int rng 3 do edit () done;
+        prev := before;
+        let gating = Sel.gating ~vt_high:vt ~cluster_of_gate:cl ~sleep_wl:!wl in
+        let reused, fresh =
+          if !ungated then (Sta.analyze_with timer, Sta.analyze ~body_effect c)
+          else
+            ( Sta.analyze_with ~gating timer,
+              Sta.analyze ~body_effect ~gating c )
+        in
+        if not (same reused fresh) then
+          QCheck.Test.fail_reportf "seed %d: step %d differs" seed step
+      done;
+      true)
 
 (* ---- differential oracle: exhaustive Vt enumeration ----------------
    On chains and small fanout trees, enumerate all 2^G Vt assignments at
@@ -364,12 +505,15 @@ let suite =
       test_single_gate_circuit;
     Alcotest.test_case "compaction beyond depth" `Quick
       test_compaction_more_clusters_than_depth;
+    Alcotest.test_case "huge cluster count clamped to depth" `Quick
+      test_huge_cluster_count;
     Alcotest.test_case "bit-identical across jobs and cache" `Quick
       test_bit_identical;
     Alcotest.test_case "warm cache rerun identical" `Quick
       test_warm_cache_identical;
     seeded prop_optimize_invariants;
     seeded prop_jobs_cache_invariant;
+    seeded prop_timer_reuse_matches_fresh;
     Alcotest.test_case "differential oracle: chains and trees" `Slow
       test_oracle_chains_and_trees;
     Alcotest.test_case "oracle contains greedy" `Quick
