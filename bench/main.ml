@@ -209,7 +209,7 @@ let fig11 () =
   (* align the simulator's t=0 input step with the spice ramp midpoint *)
   let vg_bp =
     Phys.Pwl.shift (BP.vground_waveform bp)
-      (sp_cfg.SR.t_start +. (sp_cfg.SR.ramp /. 2.0))
+      (sp_cfg.SR.t_start +. (SR.input_ramp /. 2.0))
   in
   Format.printf "@.%-10s %-12s %-12s@." "t" "vx spice" "vx switch-level";
   Array.iter

@@ -72,8 +72,10 @@ let or_die = function
    then accounts for. *)
 let newton_budget_term =
   let doc =
-    "Cap the transistor-level engine's Newton iteration budget per \
-     solve.  Small values force recovery strategies or per-vector \
+    "Cap the transistor-level engine's Newton iterations for the DC \
+     solve and for every recovery-ladder solve.  Nominal transient \
+     steps and step-halving retries keep the engine's fixed 40 \
+     iterations.  Small values force recovery strategies or per-vector \
      skips instead of aborting; the run ends with a resilience report. \
      0 (default) keeps the engine's own budgets."
   in

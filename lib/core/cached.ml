@@ -48,13 +48,10 @@ let sp_config_key (cfg : Spice_ref.config) =
   let b = K.create () in
   sleep_model b cfg.Spice_ref.sleep;
   K.float b cfg.Spice_ref.cx_extra;
-  K.bool b cfg.Spice_ref.sleep_awake;
   K.bool b cfg.Spice_ref.pmos_header;
   K.float b cfg.Spice_ref.t_start;
-  K.float b cfg.Spice_ref.ramp;
   K.float b cfg.Spice_ref.t_stop;
   K.option b K.float cfg.Spice_ref.dt;
-  K.bool b cfg.Spice_ref.record_all;
   K.policy b cfg.Spice_ref.policy;
   K.raw b
     (match cfg.Spice_ref.fast with

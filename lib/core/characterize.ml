@@ -62,15 +62,16 @@ let measure_uncached ~policy ?obs ?stats tech kind ~cl ~ramp =
     let inst =
       Netlist.Expand.expand circuit ~stimuli:[ (drive_in, wave) ]
     in
-    let engine = Spice.Engine.prepare inst.Netlist.Expand.netlist in
-    match
-      Spice.Engine.transient_r engine ~t_stop:4e-9 ?obs
+    let engine =
+      Spice.Engine.prepare
         ~opts:
           Spice.Engine.Opts.(
             default |> with_dt 2e-12 |> with_policy policy
             |> with_record
                  (Spice.Engine.Nodes [ inst.Netlist.Expand.node_of_net.(out) ]))
-    with
+        inst.Netlist.Expand.netlist
+    in
+    match Spice.Engine.transient_r engine ~t_stop:4e-9 ?obs with
     | Ok res ->
       Eval.Resilience.record_success ?stats (Spice.Engine.telemetry res);
       let w =

@@ -4,13 +4,10 @@ module S = Netlist.Signal
 type config = {
   sleep : Breakpoint_sim.sleep_model;
   cx_extra : float;
-  sleep_awake : bool;
   pmos_header : bool;
   t_start : float;
-  ramp : float;
   t_stop : float;
   dt : float option;
-  record_all : bool;
   policy : Spice.Recover.policy;
   fast : Spice.Engine.Opts.fast;
 }
@@ -18,15 +15,14 @@ type config = {
 let default_config =
   { sleep = Breakpoint_sim.Cmos;
     cx_extra = 0.0;
-    sleep_awake = true;
     pmos_header = false;
     t_start = 100e-12;
-    ramp = 50e-12;
     t_stop = 6e-9;
     dt = None;
-    record_all = false;
     policy = Spice.Recover.default;
     fast = `Off }
+
+let input_ramp = 50e-12
 
 type run = {
   circuit : C.t;
@@ -48,7 +44,6 @@ let expand_config (cfg : config) =
   | Breakpoint_sim.Sleep_fet s ->
     { Netlist.Expand.default with
       Netlist.Expand.sleep_wl = Some s.Device.Sleep.wl;
-      sleep_awake = cfg.sleep_awake;
       cx_extra = cfg.cx_extra;
       pmos_header = cfg.pmos_header }
 
@@ -58,7 +53,7 @@ let stimulus cfg ~vdd before after =
   if before = after then Phys.Pwl.constant v0
   else
     Phys.Pwl.create
-      [ (0.0, v0); (cfg.t_start, v0); (cfg.t_start +. cfg.ramp, v1) ]
+      [ (0.0, v0); (cfg.t_start, v0); (cfg.t_start +. input_ramp, v1) ]
 
 let run_r ?(config = default_config) ?obs circuit ~before ~after =
   let primary = C.inputs circuit in
@@ -83,26 +78,12 @@ let run_r ?(config = default_config) ?obs circuit ~before ~after =
     Netlist.Expand.expand ~config:(expand_config config) circuit ~stimuli
   in
   let record =
-    if config.record_all then Spice.Engine.All
-    else
-      let outs =
-        Array.to_list
-          (Array.map
-             (fun n -> instance.Netlist.Expand.node_of_net.(n))
-             (C.outputs circuit))
-      in
-      let ins =
-        Array.to_list
-          (Array.map
-             (fun n -> instance.Netlist.Expand.node_of_net.(n))
-             primary)
-      in
-      let vg =
-        match instance.Netlist.Expand.vground with
-        | Some n -> [ n ]
-        | None -> []
-      in
-      Spice.Engine.Nodes (outs @ ins @ vg)
+    let nodes nets =
+      Array.to_list
+        (Array.map (fun n -> instance.Netlist.Expand.node_of_net.(n)) nets)
+    in
+    let vg = Option.to_list instance.Netlist.Expand.vground in
+    Spice.Engine.Nodes (nodes (C.outputs circuit) @ nodes primary @ vg)
   in
   let dt =
     match config.dt with Some d -> d | None -> config.t_stop /. 3000.0

@@ -8,14 +8,11 @@
 type config = {
   sleep : Breakpoint_sim.sleep_model;
   cx_extra : float;        (** extra virtual-ground capacitance (§2.2) *)
-  sleep_awake : bool;
   pmos_header : bool;      (** PMOS header / virtual Vdd instead of the
                                NMOS footer *)
   t_start : float;         (** input edges begin here *)
-  ramp : float;            (** input rise/fall time (default 50 ps) *)
   t_stop : float;          (** simulation horizon (default 6 ns) *)
   dt : float option;       (** time step; default [t_stop / 3000] *)
-  record_all : bool;       (** record every node, not just the outputs *)
   policy : Spice.Recover.policy; (** engine recovery-policy ladder *)
   fast : Spice.Engine.Opts.fast;
       (** fast transient path (default [`Off]; see
@@ -23,6 +20,9 @@ type config = {
 }
 
 val default_config : config
+
+val input_ramp : float
+(** Rise/fall time of every input edge, 50 ps. *)
 
 type run
 
@@ -65,7 +65,8 @@ val run_ints :
   run
 
 val net_waveform : run -> Netlist.Circuit.net -> Phys.Pwl.t
-(** @raise Not_found when the net was not recorded. *)
+(** A run records the primary outputs and inputs (and the virtual rail).
+    @raise Not_found for any other net. *)
 
 val vground_waveform : run -> Phys.Pwl.t option
 (** [None] for a conventional-CMOS run. *)

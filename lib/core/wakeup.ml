@@ -110,7 +110,16 @@ let simulate ?v_threshold ?(t_stop = 20e-9) circuit ~wl =
     | Some n -> map n
     | None -> invalid_arg "Wakeup.simulate: no virtual ground"
   in
-  let eng = Spice.Engine.prepare netlist in
+  let eng =
+    Spice.Engine.prepare
+      ~opts:
+        Spice.Engine.Opts.(
+          default
+          |> with_dt (t_stop /. 4000.0)
+          |> with_record (Spice.Engine.Nodes [ vg_node ])
+          |> with_uic true)
+      netlist
+  in
   (* initial condition: asleep, rail floated *)
   let v_float = float_voltage circuit ~wl in
   let zeros =
@@ -133,15 +142,7 @@ let simulate ?v_threshold ?(t_stop = 20e-9) circuit ~wl =
   in
   let x0 = Spice.Engine.initial_guess eng hints in
   let res =
-    match
-      Spice.Engine.transient_r eng ~t_stop ~x0
-        ~opts:
-          Spice.Engine.Opts.(
-            default
-            |> with_dt (t_stop /. 4000.0)
-            |> with_record (Spice.Engine.Nodes [ vg_node ])
-            |> with_uic true)
-    with
+    match Spice.Engine.transient_r eng ~t_stop ~x0 with
     | Ok res -> res
     | Error f ->
       raise (Spice.Engine.No_convergence (Spice.Diag.failure_to_string f))

@@ -1,14 +1,13 @@
 type config = {
   sleep_wl : float option;
-  sleep_awake : bool;
   cx_extra : float;
   resistor_model : float option;
   pmos_header : bool;
 }
 
 let default =
-  { sleep_wl = None; sleep_awake = true; cx_extra = 0.0;
-    resistor_model = None; pmos_header = false }
+  { sleep_wl = None; cx_extra = 0.0; resistor_model = None;
+    pmos_header = false }
 
 let mtcmos ~wl = { default with sleep_wl = Some wl }
 
@@ -119,11 +118,8 @@ let expand ?(config = default) circuit ~stimuli =
           | None -> invalid_arg "Expand: virtual rail without sleep size"
         in
         let sleep_gate = Transistor.node ~name:"sleep_en" b in
-        let v_gate =
-          if config.pmos_header then (if config.sleep_awake then 0.0 else vdd)
-          else if config.sleep_awake then vdd
-          else 0.0
-        in
+        (* active mode: the sleep device is on *)
+        let v_gate = if config.pmos_header then 0.0 else vdd in
         Transistor.add b
           (Transistor.Vsrc
              { pos = sleep_gate; neg = Transistor.ground;

@@ -14,9 +14,6 @@ type config = {
   sleep_wl : float option;
       (** [Some wl]: insert the sleep device of that size and route all
           pulldowns via the virtual ground.  [None]: conventional CMOS. *)
-  sleep_awake : bool;
-      (** Gate of the sleep transistor at Vdd (active mode) or 0 V
-          (sleep mode).  Default [true]. *)
   cx_extra : float;
       (** Extra parasitic capacitance on the virtual ground (§2.2 sweep),
           in farads.  Default 0. *)

@@ -1,48 +1,26 @@
 exception No_convergence of string
 
-type integration = Backward_euler | Trapezoidal
-
 type record = All | Nodes of Netlist.Transistor.node list
 
 module Opts = struct
   type fast = [ `Off | `Reduce | `Reduce_bypass ]
 
   type t = {
-    integration : integration;
     dt : float option;
     record : record;
-    max_newton : int;
     uic : bool;
-    adaptive : bool;
     fast : fast;
-    bypass_vtol : float;
-    lte_rel : float;
-    lte_abs : float;
     policy : Recover.policy;
   }
 
   let default =
-    { integration = Backward_euler;
-      dt = None;
-      record = All;
-      max_newton = 40;
-      uic = false;
-      adaptive = false;
-      fast = `Off;
-      bypass_vtol = 2e-4;
-      lte_rel = 0.02;
-      lte_abs = 5e-4;
+    { dt = None; record = All; uic = false; fast = `Off;
       policy = Recover.default }
 
-  let with_integration integration t = { t with integration }
   let with_dt dt t = { t with dt = Some dt }
   let with_record record t = { t with record }
-  let with_max_newton max_newton t = { t with max_newton }
   let with_uic uic t = { t with uic }
-  let with_adaptive adaptive t = { t with adaptive }
   let with_fast fast t = { t with fast }
-  let with_bypass_vtol bypass_vtol t = { t with bypass_vtol }
-  let with_lte ~rel ~abs t = { t with lte_rel = rel; lte_abs = abs }
   let with_policy policy t = { t with policy }
 
   let fast_to_string = function
@@ -61,9 +39,18 @@ module Opts = struct
            "unknown fast mode %S (expected \"off\", \"reduce\" or \
             \"reduce-bypass\")"
            other)
-
-  let pp_fast fmt f = Format.pp_print_string fmt (fast_to_string f)
 end
+
+(* Fixed solver constants.  [max_newton] bounds each nominal transient
+   step and each step-halving retry (the recovery ladder's other solves
+   take their budgets from the policy); the rest tune the
+   [`Reduce_bypass] path: the terminal-voltage quiescence threshold of
+   the device bypass, in volts, and the relative and absolute (volts)
+   bands of the LTE step controller. *)
+let max_newton = 40
+let bypass_vtol = 2e-4
+let lte_rel = 0.02
+let lte_abs = 5e-4
 
 (* Per-chain scratch: the Thomas-elimination coefficients of the last
    assembly (v_i = alpha_i + gamma_i v_a + beta_i v_{i+1}), the interior
@@ -74,7 +61,6 @@ type chain_scratch = {
   beta : float array;
   gamma : float array;
   cv_prev : float array;
-  ci_prev : float array;
   cvolt : float array;
 }
 
@@ -85,7 +71,6 @@ type bypass = {
   bs : float array;        (* 4 per device: gm gds gmb ieq *)
   bvalid : Bytes.t;
   mutable benabled : bool;
-  vtol : float;
   (* lifetime telemetry, kept as plain ints because [assemble] is the
      innermost hot loop and carries no obs handle; the transient flush
      snapshots these at entry and publishes the per-analysis deltas *)
@@ -115,7 +100,6 @@ let prepare ?(opts = Opts.default) netlist =
           beta = Array.make n 0.0;
           gamma = Array.make n 0.0;
           cv_prev = Array.make n 0.0;
-          ci_prev = Array.make n 0.0;
           cvolt = Array.make n 0.0 })
       sys.Mna.chains
   in
@@ -134,7 +118,6 @@ let prepare ?(opts = Opts.default) netlist =
           bs = Array.make (4 * n_mos) 0.0;
           bvalid = Bytes.make (Stdlib.max 1 n_mos) '\000';
           benabled = false;
-          vtol = opts.Opts.bypass_vtol;
           n_hits = 0;
           n_miss = 0;
           n_inval = 0 }
@@ -149,7 +132,6 @@ let prepare ?(opts = Opts.default) netlist =
     bypass }
 
 let system t = t.sys
-let opts t = t.opts
 
 (* Default transient step: the historical [t_stop / 2000] ceiling,
    refined downward to half the fastest explicit RC time constant (so a
@@ -161,12 +143,6 @@ let default_dt t ~t_stop =
   | None -> base
   | Some tau ->
     Float.max (t_stop /. 50000.0) (Float.min base (tau /. 2.0))
-
-(* Per-capacitor dynamic state for the integration companions. *)
-type cap_state = {
-  v_prev : float array; (* voltage across each cap at the last step *)
-  i_prev : float array; (* current through each cap at the last step *)
-}
 
 let cap_voltage (c : Mna.two_pin) x =
   let va = if c.Mna.ua >= 0 then x.(c.Mna.ua) else 0.0 in
@@ -182,7 +158,7 @@ let add_rhs rhs u v = if u >= 0 then rhs.(u) <- rhs.(u) +. v
    rows.  Exact — the eliminated equations (including their gmin leak
    and companion currents) are satisfied by construction, and the
    interior voltages are recovered by [back_substitute]. *)
-let stamp_chains t ~gmin ~(cap : (integration * float) option) =
+let stamp_chains t ~gmin ~(cap : float option) =
   let m = t.matrix and rhs = t.rhs in
   Array.iteri
     (fun ci (ch : Mna.chain) ->
@@ -192,15 +168,9 @@ let stamp_chains t ~gmin ~(cap : (integration * float) option) =
         let geq, ieq =
           match cap with
           | None -> (0.0, 0.0)
-          | Some (integ, h) ->
-            let cv = ch.Mna.cvals.(i) in
-            (match integ with
-             | Backward_euler ->
-               let geq = cv /. h in
-               (geq, geq *. st.cv_prev.(i))
-             | Trapezoidal ->
-               let geq = 2.0 *. cv /. h in
-               (geq, (geq *. st.cv_prev.(i)) +. st.ci_prev.(i)))
+          | Some h ->
+            let geq = ch.Mna.cvals.(i) /. h in
+            (geq, geq *. st.cv_prev.(i))
         in
         let gl = ch.Mna.g.(i) and gr = ch.Mna.g.(i + 1) in
         let d =
@@ -251,9 +221,11 @@ let back_substitute t x =
     t.sys.Mna.chains
 
 (* Assemble J and b = J x - F for the trial point [x].  [cap] = None in
-   DC mode.  [src_scale] scales every source value (source stepping). *)
+   DC mode; in a transient it is the step [h] and every capacitor's
+   voltage at the last accepted step, for the Backward-Euler companions.
+   [src_scale] scales every source value (source stepping). *)
 let assemble t ~x ~gmin ~time ~src_scale
-    ~(cap : (integration * float * cap_state) option) =
+    ~(cap : (float * float array) option) =
   let m = t.matrix and rhs = t.rhs and sys = t.sys in
   La.Sparse.clear m;
   Array.fill rhs 0 (Array.length rhs) 0.0;
@@ -277,27 +249,15 @@ let assemble t ~x ~gmin ~time ~src_scale
         incr cap_index;
         (match cap with
          | None -> ()
-         | Some (integ, h, st) ->
-           let cv = c.Mna.value in
-           (match integ with
-            | Backward_euler ->
-              let geq = cv /. h in
-              let ieq = geq *. st.v_prev.(k) in
-              stamp m c.Mna.saa geq;
-              stamp m c.Mna.sbb geq;
-              stamp m c.Mna.sab (-.geq);
-              stamp m c.Mna.sba (-.geq);
-              add_rhs rhs c.Mna.ua ieq;
-              add_rhs rhs c.Mna.ub2 (-.ieq)
-            | Trapezoidal ->
-              let geq = 2.0 *. cv /. h in
-              let ieq = (geq *. st.v_prev.(k)) +. st.i_prev.(k) in
-              stamp m c.Mna.saa geq;
-              stamp m c.Mna.sbb geq;
-              stamp m c.Mna.sab (-.geq);
-              stamp m c.Mna.sba (-.geq);
-              add_rhs rhs c.Mna.ua ieq;
-              add_rhs rhs c.Mna.ub2 (-.ieq)))
+         | Some (h, v_prev) ->
+           let geq = c.Mna.value /. h in
+           let ieq = geq *. v_prev.(k) in
+           stamp m c.Mna.saa geq;
+           stamp m c.Mna.sbb geq;
+           stamp m c.Mna.sab (-.geq);
+           stamp m c.Mna.sba (-.geq);
+           add_rhs rhs c.Mna.ua ieq;
+           add_rhs rhs c.Mna.ub2 (-.ieq))
       | Mna.P_vsrc v ->
         stamp m v.Mna.spb 1.0;
         stamp m v.Mna.snb (-1.0);
@@ -337,10 +297,10 @@ let assemble t ~x ~gmin ~time ~src_scale
             let b = 4 * k in
             if
               Bytes.unsafe_get bp.bvalid k = '\001'
-              && Float.abs (vd -. bp.bv.(b)) < bp.vtol
-              && Float.abs (vg -. bp.bv.(b + 1)) < bp.vtol
-              && Float.abs (vs -. bp.bv.(b + 2)) < bp.vtol
-              && Float.abs (vb -. bp.bv.(b + 3)) < bp.vtol
+              && Float.abs (vd -. bp.bv.(b)) < bypass_vtol
+              && Float.abs (vg -. bp.bv.(b + 1)) < bypass_vtol
+              && Float.abs (vs -. bp.bv.(b + 2)) < bypass_vtol
+              && Float.abs (vb -. bp.bv.(b + 3)) < bypass_vtol
             then begin
               bp.n_hits <- bp.n_hits + 1;
               (bp.bs.(b), bp.bs.(b + 1), bp.bs.(b + 2), bp.bs.(b + 3))
@@ -376,8 +336,7 @@ let assemble t ~x ~gmin ~time ~src_scale
         add_rhs rhs d.Mna.us ieq)
     sys.Mna.elems;
   if Array.length sys.Mna.chains > 0 then
-    stamp_chains t ~gmin
-      ~cap:(match cap with None -> None | Some (integ, h, _) -> Some (integ, h))
+    stamp_chains t ~gmin ~cap:(Option.map fst cap)
 
 let v_limit = 0.5
 
@@ -398,8 +357,6 @@ let lte_step_buckets =
    tolerance accepts branch currents settled to ~1 nA (plus a relative
    term for large currents). *)
 let i_scale = 1e-3
-
-let debug = Sys.getenv_opt "SPICE_DEBUG" <> None
 
 (* One Newton solve at fixed time/companion state. *)
 type newton_outcome =
@@ -459,9 +416,6 @@ let newton_solve ?(src_scale = 1.0) t ~x0 ~gmin ~time ~cap ~max_iter
             delta := Float.max !delta (d /. (i_scale +. Float.abs x_new.(i)));
             x.(i) <- x_new.(i)
           done;
-          if debug && iter > max_iter - 6 then
-            Printf.eprintf "  newton iter %d t=%.6g delta=%.3g\n" iter time
-              !delta;
           (* converged, or stalled in a sub-10uV limit cycle at a model
              region boundary (SPICE's vntol-style acceptance) *)
           let stalled =
@@ -499,12 +453,8 @@ let worst_residual t ~x ~gmin ~time ~cap =
     (!name, !worst)
   end
 
-let dc_r ?(time = 0.0) ?x0 ?policy ?opts ?telemetry ?(obs = Obs.disabled) t =
-  let policy =
-    match policy with
-    | Some p -> p
-    | None -> (Option.value opts ~default:t.opts).Opts.policy
-  in
+let dc_r ?(time = 0.0) ?x0 ?telemetry ?(obs = Obs.disabled) t =
+  let policy = t.opts.Opts.policy in
   let tm =
     match telemetry with Some v -> v | None -> Diag.create_telemetry ()
   in
@@ -625,8 +575,8 @@ let dc_r ?(time = 0.0) ?x0 ?policy ?opts ?telemetry ?(obs = Obs.disabled) t =
         (match ramp ~splits:steps 0.0 (Array.copy start) with
          | Some x -> shed 1e-8 x
          | None -> None)
-      | Recover.Shrink_step | Recover.Stiff_integration
-      | Recover.Warm_start_dc -> None (* transient-only *)
+      | Recover.Shrink_step | Recover.Warm_start_dc ->
+        None (* transient-only *)
     in
     let rec walk = function
       | [] ->
@@ -702,21 +652,15 @@ let source_breakpoints sys ~t_stop =
   in
   Array.of_list (List.sort_uniq compare ts)
 
-let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
-    ~t_stop =
+let transient_r ?x0 ?telemetry ?(obs = Obs.disabled) t ~t_stop =
   if t_stop <= 0.0 then invalid_arg "Engine.transient: t_stop <= 0";
-  let dt = match o.Opts.dt with Some d -> d | None -> default_dt t ~t_stop in
+  let { Opts.dt; record; uic; fast; policy } = t.opts in
+  let dt = match dt with Some d -> d | None -> default_dt t ~t_stop in
   if dt <= 0.0 then invalid_arg "Engine.transient: dt <= 0";
   if dt > t_stop then invalid_arg "Engine.transient: dt > t_stop";
-  let integration = o.Opts.integration
-  and record = o.Opts.record
-  and max_newton = o.Opts.max_newton
-  and uic = o.Opts.uic
-  and adaptive = o.Opts.adaptive
-  and policy = o.Opts.policy in
-  (* the LTE-controlled stepper replaces the iteration-count heuristic
-     in the full fast mode *)
-  let lte = t.opts.Opts.fast = `Reduce_bypass in
+  (* the full fast mode steps under the LTE controller; otherwise every
+     step is the nominal [dt] *)
+  let lte = fast = `Reduce_bypass in
   let tm =
     match telemetry with Some v -> v | None -> Diag.create_telemetry ()
   in
@@ -750,7 +694,7 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
         "spice.step_rejections";
       Obs.incr obs ~by:(tm.Diag.gmin_rounds - gm0) "spice.gmin_rounds";
       Obs.incr obs ~by:(tm.Diag.source_steps - ss0) "spice.source_steps";
-      Obs.set_gauge obs "spice.fast_mode" (fast_gauge t.opts.Opts.fast);
+      Obs.set_gauge obs "spice.fast_mode" (fast_gauge fast);
       (* chain reduction is structural: per analysis, how many RC
          chains the MNA system collapsed and how many interior nodes
          the solve therefore never saw *)
@@ -803,7 +747,7 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
          | true, (Some _ | None) -> Array.make sys.Mna.n_unknowns 0.0
          | false, _ ->
            (match
-              dc_r ~time:0.0 ?x0 ~policy ~telemetry:tm ~obs:obs_nested t
+              dc_r ~time:0.0 ?x0 ~telemetry:tm ~obs:obs_nested t
             with
             | Ok x -> x
             | Error f ->
@@ -814,10 +758,8 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
     in
     let caps = sys.Mna.caps in
     let ncap = Array.length caps in
-    let st =
-      { v_prev = Array.init ncap (fun k -> cap_voltage caps.(k) !x);
-        i_prev = Array.make ncap 0.0 }
-    in
+    (* voltage across each cap at the last accepted step *)
+    let v_prev = Array.init ncap (fun k -> cap_voltage caps.(k) !x) in
     let nchain = Array.length sys.Mna.chains in
     if nchain > 0 then begin
       (* interior initial state: the DC path back-substituted already;
@@ -827,9 +769,7 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
         back_substitute t !x
       end;
       Array.iter
-        (fun cs ->
-          Array.blit cs.cvolt 0 cs.cv_prev 0 (Array.length cs.cvolt);
-          Array.fill cs.ci_prev 0 (Array.length cs.ci_prev) 0.0)
+        (fun cs -> Array.blit cs.cvolt 0 cs.cv_prev 0 (Array.length cs.cvolt))
         t.chain_st
     end;
     let nodes_to_record =
@@ -853,14 +793,11 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
         n_newton = 0; tele = tm }
     in
     let time = ref 0.0 in
-    (* dt control: with [adaptive], grow the step while Newton converges
-       easily and shrink it when iterations pile up (SPICE's iteration-count
-       heuristic); bounded to [dt/16, 8*dt] around the nominal step.  In
-       LTE mode the bounds widen to [dt/16, 64*dt] and the controller is
-       the local-truncation-error test below. *)
+    (* LTE step control, bounded to [dt/16, 64*dt] around the nominal
+       step (see the local-truncation-error test below) *)
     let dt_now = ref dt in
     let dt_min = dt /. 16.0 in
-    let dt_max = if lte then 64.0 *. dt else 8.0 *. dt in
+    let dt_max = 64.0 *. dt in
     let breakpoints =
       if lte then source_breakpoints sys ~t_stop else [||]
     in
@@ -873,17 +810,14 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
     (match t.bypass with Some bp -> bp.benabled <- true | None -> ());
     let last = ref N_exhausted in
     (* one solve attempt for the next step; failures count as rejections *)
-    let solve ~integ ~h ~x0 ~gmin ~max_iter =
+    let solve ~h ~x0 ~gmin ~max_iter =
       let t_next = Float.min (!time +. h) t_stop in
       let h_eff = t_next -. !time in
-      let i0 = tm.Diag.newton_iterations in
       match
-        newton_solve t ~x0 ~gmin ~time:t_next
-          ~cap:(Some (integ, h_eff, st))
+        newton_solve t ~x0 ~gmin ~time:t_next ~cap:(Some (h_eff, v_prev))
           ~max_iter ~tm
       with
-      | N_converged x' ->
-        Some (x', t_next, h_eff, integ, tm.Diag.newton_iterations - i0)
+      | N_converged x' -> Some (x', t_next, h_eff)
       | o ->
         tm.Diag.step_rejections <- tm.Diag.step_rejections + 1;
         last := o;
@@ -892,10 +826,7 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
     (* the per-step recovery ladder: the nominal attempt, then the
        policy's transient strategies in order, each bounded *)
     let step h_step =
-      match
-        solve ~integ:integration ~h:h_step ~x0:!x ~gmin:1e-12
-          ~max_iter:max_newton
-      with
+      match solve ~h:h_step ~x0:!x ~gmin:1e-12 ~max_iter:max_newton with
       | Some s -> s
       | None ->
         let attempts = ref [] in
@@ -904,35 +835,25 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
             let rec halve h k =
               if k > policy.Recover.max_step_halvings then None
               else
-                match
-                  solve ~integ:integration ~h ~x0:!x ~gmin:1e-12
-                    ~max_iter:max_newton
-                with
+                match solve ~h ~x0:!x ~gmin:1e-12 ~max_iter:max_newton with
                 | Some s -> Some s
                 | None -> halve (h /. 2.0) (k + 1)
             in
             halve (h_step /. 2.0) 1
-          | Recover.Stiff_integration ->
-            (* an L-stable step damps the trapezoidal ringing that
-               rejected the step *)
-            if integration = Backward_euler then None
-            else
-              solve ~integ:Backward_euler ~h:h_step ~x0:!x ~gmin:1e-12
-                ~max_iter:policy.Recover.ladder_max_iter
           | Recover.Gmin_ramp ->
             (* solve the stuck step at elevated gmin and walk back down,
                warm-starting each rung; only the 1e-12 solve is kept *)
             let rec ramp gmin x0 =
               if gmin < 1e-12 then
-                solve ~integ:integration ~h:h_step ~x0 ~gmin:1e-12
+                solve ~h:h_step ~x0 ~gmin:1e-12
                   ~max_iter:policy.Recover.ladder_max_iter
               else begin
                 tm.Diag.gmin_rounds <- tm.Diag.gmin_rounds + 1;
                 match
-                  solve ~integ:integration ~h:h_step ~x0 ~gmin
+                  solve ~h:h_step ~x0 ~gmin
                     ~max_iter:policy.Recover.ladder_max_iter
                 with
-                | Some (x', _, _, _, _) -> ramp (gmin /. 10.0) x'
+                | Some (x', _, _) -> ramp (gmin /. 10.0) x'
                 | None -> None
               end
             in
@@ -942,10 +863,10 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
             (match
                dc_r
                  ~time:(Float.min (!time +. h_step) t_stop)
-                 ~x0:!x ~policy ~telemetry:tm ~obs:obs_nested t
+                 ~x0:!x ~telemetry:tm ~obs:obs_nested t
              with
              | Ok xdc ->
-               solve ~integ:integration ~h:h_step ~x0:xdc ~gmin:1e-12
+               solve ~h:h_step ~x0:xdc ~gmin:1e-12
                  ~max_iter:policy.Recover.ladder_max_iter
              | Error _ -> None)
           | Recover.Source_step -> None (* DC-only *)
@@ -962,7 +883,7 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
             let t_next = Float.min (!time +. h_step) t_stop in
             let node, res_worst =
               worst_residual t ~x:!x ~gmin:1e-12 ~time:t_next
-                ~cap:(Some (integration, t_next -. !time, st))
+                ~cap:(Some (t_next -. !time, v_prev))
             in
             raise
               (Abort
@@ -1007,44 +928,15 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
       end
     in
     (* accept a solved step: companion-state update, history, sampling *)
-    let accept (x', t_next, h_eff, integ_used, _iters) =
-      (* update companion state with the integrator the step actually
-         used (a stiff-integration rescue runs Backward-Euler even in a
-         trapezoidal analysis) *)
+    let accept (x', t_next, h_eff) =
       for k = 0 to ncap - 1 do
-        let v_new = cap_voltage caps.(k) x' in
-        let i_new =
-          match integ_used with
-          | Backward_euler ->
-            caps.(k).Mna.value /. h_eff *. (v_new -. st.v_prev.(k))
-          | Trapezoidal ->
-            (2.0 *. caps.(k).Mna.value /. h_eff *. (v_new -. st.v_prev.(k)))
-            -. st.i_prev.(k)
-        in
-        st.v_prev.(k) <- v_new;
-        st.i_prev.(k) <- i_new
+        v_prev.(k) <- cap_voltage caps.(k) x'
       done;
       if nchain > 0 then begin
         back_substitute t x';
-        Array.iteri
-          (fun ci (ch : Mna.chain) ->
-            let cs = t.chain_st.(ci) in
-            let n = Array.length ch.Mna.nodes in
-            for i = 0 to n - 1 do
-              let v_new = cs.cvolt.(i) in
-              let i_new =
-                match integ_used with
-                | Backward_euler ->
-                  ch.Mna.cvals.(i) /. h_eff *. (v_new -. cs.cv_prev.(i))
-                | Trapezoidal ->
-                  (2.0 *. ch.Mna.cvals.(i) /. h_eff
-                   *. (v_new -. cs.cv_prev.(i)))
-                  -. cs.ci_prev.(i)
-              in
-              cs.cv_prev.(i) <- v_new;
-              cs.ci_prev.(i) <- i_new
-            done)
-          sys.Mna.chains
+        Array.iter
+          (fun cs -> Array.blit cs.cvolt 0 cs.cv_prev 0 (Array.length cs.cvolt))
+          t.chain_st
       end;
       if lte then begin
         if Array.length !x_prev = 0 then x_prev := Array.copy !x
@@ -1068,8 +960,8 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
         for i = 0 to nn - 1 do
           let pred = xc.(i) +. (ratio *. (xc.(i) -. xp.(i))) in
           let tol =
-            (o.Opts.lte_rel *. Float.max (Float.abs x'.(i)) (Float.abs xc.(i)))
-            +. o.Opts.lte_abs
+            (lte_rel *. Float.max (Float.abs x'.(i)) (Float.abs xc.(i)))
+            +. lte_abs
           in
           err := Float.max !err (Float.abs (x'.(i) -. pred) /. tol)
         done;
@@ -1083,7 +975,7 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
            the band, then rescale the next step from the error *)
         let rec attempt h tries =
           let h = clamp_to_breakpoint h in
-          let ((x', _, h_eff, _, _) as s) = step h in
+          let ((x', _, h_eff) as s) = step h in
           let err = lte_err x' h_eff in
           if err > 1.0 && h_eff > dt_min *. 1.000001 && tries < 8 then begin
             tm.Diag.step_rejections <- tm.Diag.step_rejections + 1;
@@ -1111,14 +1003,7 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
         in
         attempt !dt_now 0
       end
-      else begin
-        let ((_, _, _, _, iters) as s) = step !dt_now in
-        if adaptive then begin
-          if iters <= 8 then dt_now := Float.min dt_max (!dt_now *. 1.3)
-          else if iters > 16 then dt_now := Float.max dt_min (!dt_now /. 2.0)
-        end;
-        accept s
-      end
+      else accept (step dt)
     done;
     res.final_x <- !x;
     res.n_newton <- tm.Diag.newton_iterations - iters0;
@@ -1131,12 +1016,6 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
     tm.Diag.wall_s <- tm.Diag.wall_s +. Obs.Clock.elapsed_since wall0;
     flush ~failed:true;
     Error f
-
-let transient_r ?opts ?x0 ?telemetry ?obs t ~t_stop =
-  (* the fast mode is structural: fixed at prepare time *)
-  let o = Option.value opts ~default:t.opts in
-  let o = { o with Opts.fast = t.opts.Opts.fast } in
-  transient_opts ?x0 ?telemetry ?obs t ~o ~t_stop
 
 let waveform res node =
   match Hashtbl.find_opt res.recorded node with

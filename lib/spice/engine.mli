@@ -1,14 +1,14 @@
 (** DC and transient analysis — the repo's SPICE substitute.
 
-    Newton–Raphson over the MNA system with per-step voltage limiting
-    and an explicit recovery-policy ladder ({!Recover}) for hard solves:
-    gmin stepping and source stepping for DC, step halving /
-    Backward-Euler fallback / transient gmin ramping / DC re-seeding for
+    Newton–Raphson over the MNA system with per-step voltage limiting,
+    Backward-Euler integration, and an explicit recovery-policy ladder
+    ({!Recover}) for hard solves: gmin stepping and source stepping for
+    DC, step halving / transient gmin ramping / DC re-seeding for
     rejected transient steps.
 
-    Analysis knobs live in a typed options record, {!Opts.t}, threaded
-    through {!prepare} and overridable per call on {!transient_r} /
-    {!dc_r}.  The [fast] option selects the fast transient path:
+    Analysis knobs live in a typed options record, {!Opts.t}, set once
+    at {!prepare}; {!dc_r} and {!transient_r} take none.  The [fast]
+    option selects the fast transient path:
     [`Reduce] eliminates series-RC chain interiors from the unknown
     vector at prepare time (exact — interior waveforms are recovered by
     back-substitution), and [`Reduce_bypass] additionally skips model
@@ -22,8 +22,6 @@
 exception No_convergence of string
 (** Raised with the rendered [Diag.failure] by callers that cannot
     recover from one. *)
-
-type integration = Backward_euler | Trapezoidal
 
 type record = All | Nodes of Netlist.Transistor.node list
 
@@ -41,43 +39,27 @@ module Opts : sig
       calibrated tolerance bands of [`Off]. *)
 
   type t = {
-    integration : integration;  (** default [Backward_euler] *)
     dt : float option;
         (** nominal transient step; [None] derives it from [t_stop] and
             the fastest explicit RC time constant *)
     record : record;            (** default [All] *)
-    max_newton : int;           (** per-solve iteration budget, 40 *)
     uic : bool;                 (** skip the initial DC solve *)
-    adaptive : bool;
-        (** iteration-count step control (ignored under
-            [`Reduce_bypass], which uses the LTE controller) *)
     fast : fast;                (** default [`Off] *)
-    bypass_vtol : float;
-        (** terminal-voltage quiescence threshold for the device
-            bypass, volts (default 2e-4) *)
-    lte_rel : float;  (** relative LTE band (default 0.02) *)
-    lte_abs : float;  (** absolute LTE band, volts (default 5e-4) *)
     policy : Recover.policy;  (** default {!Recover.default} *)
   }
 
   val default : t
 
-  val with_integration : integration -> t -> t
   val with_dt : float -> t -> t
   val with_record : record -> t -> t
-  val with_max_newton : int -> t -> t
   val with_uic : bool -> t -> t
-  val with_adaptive : bool -> t -> t
   val with_fast : fast -> t -> t
-  val with_bypass_vtol : float -> t -> t
-  val with_lte : rel:float -> abs:float -> t -> t
   val with_policy : Recover.policy -> t -> t
 
   val fast_of_string : string -> (fast, string) result
   (** Parse ["off"], ["reduce"] or ["reduce-bypass"]. *)
 
   val fast_to_string : fast -> string
-  val pp_fast : Format.formatter -> fast -> unit
 end
 
 type t
@@ -85,14 +67,13 @@ type t
     reduced chains and their scratch state). *)
 
 val prepare : ?opts:Opts.t -> Netlist.Transistor.t -> t
-(** [prepare ?opts netlist] resolves the MNA structure once.  The
-    [fast] option is structural — it decides the unknown numbering and
-    sparsity pattern — so it is fixed here; the remaining options become
-    the analysis defaults, overridable per {!transient_r} / {!dc_r}
-    call. *)
+(** [prepare ?opts netlist] resolves the MNA structure once and fixes
+    the options of every analysis run on the context.  The [fast]
+    option is structural — it decides the unknown numbering and
+    sparsity pattern; the others set the transient grid, the recorded
+    nodes, the initial condition and the recovery policy. *)
 
 val system : t -> Mna.system
-val opts : t -> Opts.t
 
 val default_dt : t -> t_stop:float -> float
 (** The step used when [Opts.dt] is [None]: [t_stop /. 2000.], refined
@@ -103,8 +84,6 @@ val default_dt : t -> t_stop:float -> float
 val dc_r :
   ?time:float ->
   ?x0:float array ->
-  ?policy:Recover.policy ->
-  ?opts:Opts.t ->
   ?telemetry:Diag.telemetry ->
   ?obs:Obs.t ->
   t ->
@@ -113,9 +92,8 @@ val dc_r :
     [x0] seeds the Newton iteration (see {!initial_guess}) and also
     warm-starts every recovery strategy.  On failure of the direct
     solve the policy's DC strategies (default: gmin ramp, then source
-    stepping) are tried in order, each bounded by the policy budgets;
-    [?policy] takes precedence over [?opts], which takes precedence
-    over the prepare-time options.  [telemetry] (optional,
+    stepping) are tried in order, each bounded by the policy budgets.
+    [telemetry] (optional,
     caller-owned) accumulates effort counters across calls.  [obs]
     (default [Obs.disabled]) records a ["spice.dc"] span carrying the
     analysis's Newton/factorization deltas as args, and flushes the
@@ -139,7 +117,6 @@ val voltage : t -> float array -> Netlist.Transistor.node -> float
 type result
 
 val transient_r :
-  ?opts:Opts.t ->
   ?x0:float array ->
   ?telemetry:Diag.telemetry ->
   ?obs:Obs.t ->
@@ -148,24 +125,18 @@ val transient_r :
   (result, Diag.failure) Stdlib.result
 (** Simulate from a [dc_r] initial condition at [t = 0] to [t_stop].
 
-    [?opts] replaces the prepare-time options for this call; the [fast]
-    mode is always the prepare-time one (it is structural).
-
     [Opts.dt] defaults to {!default_dt}; [x0] seeds the DC solve.  With
     [Opts.uic] (default false) the DC solve is skipped entirely and [x0] is
     taken as the initial state — the integrator settles any
     inconsistency within a few steps, which is how very large blocks
-    whose cold DC diverges are simulated.  With [Opts.adaptive] (default
-    false) the step size floats in [dt/16, 8*dt] on a Newton-iteration-
-    count heuristic, trading exact step placement for speed.  Under
-    [`Reduce_bypass] the step is instead driven by a local-truncation-
-    error controller in [dt/16, 64*dt], clamped so it never strides
+    whose cold DC diverges are simulated.  Every step is the nominal
+    [dt] except under [`Reduce_bypass], where a local-truncation-error
+    controller drives it in [dt/16, 64*dt], clamped so it never strides
     across a source-waveform breakpoint.  Only recorded nodes (default
     [All]) can be read back with {!waveform}.
 
     A rejected step walks the policy's transient strategies in order
-    (default: step halving, Backward-Euler fallback, transient gmin
-    ramping, DC re-seeding), each bounded, so every run terminates with
+    (default: step halving, transient gmin ramping, DC re-seeding), each bounded, so every run terminates with
     either [Ok] — whose waveforms contain only finite samples — or a
     structured [Error].
 

@@ -7,14 +7,12 @@
 
 type strategy =
   | Shrink_step        (* halve dt, up to [max_step_halvings] times *)
-  | Stiff_integration  (* retry a rejected step with Backward-Euler *)
   | Gmin_ramp          (* ramp gmin down from a large value, warm-starting *)
   | Source_step        (* ramp every source from zero (DC) *)
   | Warm_start_dc      (* re-seed a stuck step from a fresh DC solution *)
 
 let strategy_name = function
   | Shrink_step -> "shrink-step"
-  | Stiff_integration -> "stiff-integration"
   | Gmin_ramp -> "gmin-ramp"
   | Source_step -> "source-step"
   | Warm_start_dc -> "warm-start-dc"
@@ -32,8 +30,7 @@ type policy = {
 
 let default =
   { dc_strategies = [ Gmin_ramp; Source_step ];
-    transient_strategies =
-      [ Shrink_step; Stiff_integration; Gmin_ramp; Warm_start_dc ];
+    transient_strategies = [ Shrink_step; Gmin_ramp; Warm_start_dc ];
     direct_max_iter = 150;
     ladder_max_iter = 200;
     gmin_start = 1e-3;
@@ -47,12 +44,3 @@ let strict =
 let with_newton_budget n p =
   if n <= 0 then invalid_arg "Recover.with_newton_budget: n <= 0";
   { p with direct_max_iter = n; ladder_max_iter = n }
-
-let pp_policy fmt p =
-  let names l = String.concat ", " (List.map strategy_name l) in
-  Format.fprintf fmt
-    "dc: [%s]; transient: [%s]; budgets: direct %d, ladder %d, \
-     gmin from %g, %d source steps, %d halvings"
-    (names p.dc_strategies) (names p.transient_strategies)
-    p.direct_max_iter p.ladder_max_iter p.gmin_start
-    p.source_steps p.max_step_halvings

@@ -272,44 +272,6 @@ let test_sequence_random_workload () =
         (Mtcmos.Sequence.run add.Circuits.Ripple_adder.circuit
            ~period:1e-9 ~vectors:[ [ (2, 0); (2, 0) ] ]))
 
-(* ---- adaptive stepping -------------------------------------------------------- *)
-
-let test_adaptive_stepping () =
-  (* RC discharge: adaptive must use fewer steps and stay accurate *)
-  let b = Netlist.Transistor.builder () in
-  let src = Netlist.Transistor.node b in
-  let n = Netlist.Transistor.node ~name:"out" b in
-  let r = 1000.0 and c = 1e-12 in
-  let tau = r *. c in
-  Netlist.Transistor.add b
-    (Netlist.Transistor.Vsrc
-       { pos = src; neg = Netlist.Transistor.ground;
-         wave = Phys.Pwl.create [ (0.0, 1.0); (1e-15, 0.0) ] });
-  Netlist.Transistor.add b
-    (Netlist.Transistor.Res { pos = src; neg = n; r });
-  Netlist.Transistor.add b
-    (Netlist.Transistor.Cap { pos = n; neg = Netlist.Transistor.ground; c });
-  let netlist = Netlist.Transistor.freeze b in
-  let eng = Spice.Engine.prepare netlist in
-  let opts = Spice.Engine.Opts.(with_dt (tau /. 200.0) default) in
-  let fixed =
-    Fixtures.solved (Spice.Engine.transient_r eng ~t_stop:(5.0 *. tau) ~opts)
-  in
-  let adaptive =
-    Fixtures.solved
-      (Spice.Engine.transient_r eng ~t_stop:(5.0 *. tau)
-         ~opts:(Spice.Engine.Opts.with_adaptive true opts))
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "fewer steps (%d vs %d)"
-       (Spice.Engine.steps_taken adaptive)
-       (Spice.Engine.steps_taken fixed))
-    true
-    (Spice.Engine.steps_taken adaptive < Spice.Engine.steps_taken fixed);
-  let w = Spice.Engine.waveform adaptive n in
-  Alcotest.(check (float 0.02)) "still accurate at 1 tau" (exp (-1.0))
-    (Phys.Pwl.value_at w tau)
-
 (* ---- resize ------------------------------------------------------------------ *)
 
 let test_resize_fixes_weak_driver () =
@@ -481,7 +443,6 @@ let suite =
       test_sequence_violations;
     Alcotest.test_case "sequence random workload" `Quick
       test_sequence_random_workload;
-    Alcotest.test_case "adaptive stepping" `Quick test_adaptive_stepping;
     Alcotest.test_case "resize fixes weak driver" `Quick
       test_resize_fixes_weak_driver;
     Alcotest.test_case "resize clean untouched" `Quick

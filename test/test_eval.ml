@@ -108,6 +108,54 @@ let test_digest_corpus_distinct () =
   Alcotest.(check int)
     "corpus size" (5 * 5 * 2 * 2) (Hashtbl.length keys)
 
+(* Every field of a transistor-level config, its recovery policy
+   included, reaches [sp_config_key]: varying any one field alone gives
+   a key no other variant has.  The record patterns name every field, so
+   a new field fails to compile here until it is varied below too. *)
+let test_sp_config_key_fields () =
+  let module SR = Mtcmos.Spice_ref in
+  let module R = Spice.Recover in
+  let base = SR.default_config and p = R.default in
+  let { SR.sleep = _; cx_extra = _; pmos_header = _; t_start = _;
+        t_stop = _; dt = _; policy = _; fast = _ } =
+    base
+  in
+  let { R.dc_strategies = _; transient_strategies = _; direct_max_iter = _;
+        ladder_max_iter = _; gmin_start = _; transient_gmin_start = _;
+        source_steps = _; max_step_halvings = _ } =
+    p
+  in
+  let policy what q = ("policy." ^ what, { base with SR.policy = q }) in
+  let variants =
+    [ ("default", base);
+      ("sleep", { base with SR.sleep = Mtcmos.Breakpoint_sim.Resistor 100.0 });
+      ("cx_extra", { base with SR.cx_extra = 1e-13 });
+      ("pmos_header", { base with SR.pmos_header = true });
+      ("t_start", { base with SR.t_start = 200e-12 });
+      ("t_stop", { base with SR.t_stop = 8e-9 });
+      ("dt", { base with SR.dt = Some 1e-12 });
+      ("fast", { base with SR.fast = `Reduce });
+      policy "dc_strategies" { p with R.dc_strategies = [ R.Gmin_ramp ] };
+      policy "transient_strategies"
+        { p with R.transient_strategies = [ R.Shrink_step ] };
+      policy "direct_max_iter" { p with R.direct_max_iter = 4 };
+      policy "ladder_max_iter" { p with R.ladder_max_iter = 4 };
+      policy "gmin_start" { p with R.gmin_start = 1e-4 };
+      policy "transient_gmin_start" { p with R.transient_gmin_start = 1e-7 };
+      policy "source_steps" { p with R.source_steps = 20 };
+      policy "max_step_halvings" { p with R.max_step_halvings = 7 } ]
+  in
+  let keys = Hashtbl.create 16 in
+  List.iter
+    (fun (what, cfg) ->
+      let key = Mtcmos.Cached.sp_config_key cfg in
+      match Hashtbl.find_opt keys key with
+      | Some other -> Alcotest.failf "%s and %s share a key" what other
+      | None -> Hashtbl.add keys key what)
+    variants;
+  Alcotest.(check int)
+    "one key per variant" (List.length variants) (Hashtbl.length keys)
+
 (* ---- Cache: LRU bound, counters, memo ------------------------------------ *)
 
 let entry fs = { C.floats = fs; stats = None }
@@ -553,6 +601,8 @@ let suite =
     Alcotest.test_case "key floats are exact" `Quick test_key_float_exact;
     Alcotest.test_case "digest corpus has no collisions" `Quick
       test_digest_corpus_distinct;
+    Alcotest.test_case "spice key covers every config field" `Quick
+      test_sp_config_key_fields;
     Alcotest.test_case "LRU eviction and counters" `Quick test_lru_eviction;
     Alcotest.test_case "store replaces in place" `Quick test_store_replaces;
     Alcotest.test_case "memo: hit = miss, arity guards" `Quick

@@ -27,20 +27,24 @@ let check_diagnosis ~what (f : D.failure) =
     true
     (String.length (D.failure_to_string f) > 0)
 
-(* per-call analysis options: step and watched node *)
-let opts ~dt watch =
-  E.Opts.(default |> with_dt dt |> with_record (E.Nodes [ watch ]))
+(* a case's deck prepared with its step, its watched node and a policy *)
+let prepare ?(policy = R.default) ?dt (case : F.case) =
+  E.prepare
+    ~opts:
+      E.Opts.(
+        default
+        |> with_dt (Option.value dt ~default:case.F.dt)
+        |> with_record (E.Nodes [ case.F.watch ])
+        |> with_policy policy)
+    case.F.netlist
 
 (* recover-or-diagnose, one test per fault class *)
 let transient_case fault () =
   let case = F.inject ~tech fault in
   let what = F.name fault in
-  let eng = E.prepare case.F.netlist in
+  let eng = prepare case in
   let tm = D.create_telemetry () in
-  match
-    E.transient_r eng ~t_stop:case.F.t_stop
-      ~opts:(opts ~dt:case.F.dt case.F.watch) ~telemetry:tm
-  with
+  match E.transient_r eng ~t_stop:case.F.t_stop ~telemetry:tm with
   | Ok res ->
     Alcotest.(check bool)
       (what ^ ": recovered run has only finite samples")
@@ -71,45 +75,52 @@ let dc_case fault () =
       (Printexc.to_string e)
 
 (* strict policy: no ladder — still no leaked exception, and a failure
-   must name what was (not) tried *)
+   of either analysis must name what was (not) tried.  The corpus
+   transients all succeed under plain [strict]; the starved variant
+   fails each one at its operating point, so the transient half is
+   checked on real failures too. *)
 let strict_never_raises () =
+  let failed_transients = ref 0 in
   List.iter
-    (fun (case : F.case) ->
-      let eng = E.prepare case.F.netlist in
-      (match E.dc_r ~policy:R.strict eng with
-       | Ok _ -> ()
-       | Error f ->
-         Alcotest.(check (list string))
-           (F.name case.F.fault ^ ": strict policy tried nothing")
-           [] f.D.recovery_attempts
-       | exception e ->
-         Alcotest.failf "%s: strict dc_r leaked exception %s"
-           (F.name case.F.fault) (Printexc.to_string e));
-      match
-        E.transient_r eng ~t_stop:case.F.t_stop
-          ~opts:
-            (E.Opts.with_policy R.strict (opts ~dt:case.F.dt case.F.watch))
-      with
-      | Ok _ | Error _ -> ()
-      | exception e ->
-        Alcotest.failf "%s: strict transient_r leaked exception %s"
-          (F.name case.F.fault) (Printexc.to_string e))
-    (F.corpus ~tech)
+    (fun policy ->
+      List.iter
+        (fun (case : F.case) ->
+          let eng = prepare ~policy case in
+          let tried_nothing what (f : D.failure) =
+            Alcotest.(check (list string))
+              (F.name case.F.fault ^ ": strict " ^ what ^ " tried nothing")
+              [] f.D.recovery_attempts
+          in
+          (match E.dc_r eng with
+           | Ok _ -> ()
+           | Error f -> tried_nothing "dc" f
+           | exception e ->
+             Alcotest.failf "%s: strict dc_r leaked exception %s"
+               (F.name case.F.fault) (Printexc.to_string e));
+          match E.transient_r eng ~t_stop:case.F.t_stop with
+          | Ok _ -> ()
+          | Error f ->
+            incr failed_transients;
+            tried_nothing "transient" f
+          | exception e ->
+            Alcotest.failf "%s: strict transient_r leaked exception %s"
+              (F.name case.F.fault) (Printexc.to_string e))
+        (F.corpus ~tech))
+    [ R.strict; { R.strict with R.direct_max_iter = 1 } ];
+  Alcotest.(check bool)
+    "a strict transient failed" true (!failed_transients > 0)
 
 (* the Absurd_timestep case carries the unperturbed base deck; with a
    sane dt it is the suite's healthy reference *)
-let healthy_deck () =
-  let case = F.inject ~tech F.Absurd_timestep in
-  (case.F.netlist, case.F.watch)
+let healthy_deck () = F.inject ~tech F.Absurd_timestep
 
 (* regression pin: a starved direct solve must be rescued by the gmin
    ladder, and the rescue must be visible in telemetry *)
 let gmin_ladder_rescues () =
-  let netlist, _ = healthy_deck () in
-  let eng = E.prepare netlist in
   let policy = { R.default with R.direct_max_iter = 1 } in
+  let eng = prepare ~policy (healthy_deck ()) in
   let tm = D.create_telemetry () in
-  match E.dc_r ~policy ~telemetry:tm eng with
+  match E.dc_r ~telemetry:tm eng with
   | Error f ->
     Alcotest.failf "starved DC not rescued: %s" (D.failure_to_string f)
   | Ok x ->
@@ -123,10 +134,8 @@ let gmin_ladder_rescues () =
    and lands on the plain DC answer (it warm-starts from the caller's
    seed, not from all-zeros) *)
 let source_stepping_rescues () =
-  let netlist, _ = healthy_deck () in
-  let eng = E.prepare netlist in
   let reference =
-    match E.dc_r eng with
+    match E.dc_r (prepare (healthy_deck ())) with
     | Ok x -> x
     | Error f -> Alcotest.failf "reference DC failed: %s" f.D.message
   in
@@ -135,8 +144,9 @@ let source_stepping_rescues () =
       R.dc_strategies = [ R.Source_step ];
       direct_max_iter = 1 }
   in
+  let eng = prepare ~policy (healthy_deck ()) in
   let tm = D.create_telemetry () in
-  match E.dc_r ~policy ~telemetry:tm eng with
+  match E.dc_r ~telemetry:tm eng with
   | Error f ->
     Alcotest.failf "source stepping did not rescue: %s"
       (D.failure_to_string f)
@@ -152,12 +162,10 @@ let source_stepping_rescues () =
       x
 
 let transient_dt_validation () =
-  let netlist, watch = healthy_deck () in
-  let eng = E.prepare netlist in
+  let eng = prepare ~dt:2e-9 (healthy_deck ()) in
   Alcotest.check_raises "dt > t_stop rejected"
     (Invalid_argument "Engine.transient: dt > t_stop") (fun () ->
-      ignore
-        (E.transient_r eng ~t_stop:1e-9 ~opts:(opts ~dt:2e-9 watch)))
+      ignore (E.transient_r eng ~t_stop:1e-9))
 
 (* bounded effort: even the pathological corpus must finish quickly.
    Generous wall-clock bound — this guards against hangs, not speed. *)
@@ -165,11 +173,9 @@ let corpus_terminates_quickly () =
   let t0 = Sys.time () in
   List.iter
     (fun (case : F.case) ->
-      let eng = E.prepare case.F.netlist in
+      let eng = prepare case in
       ignore (E.dc_r eng);
-      ignore
-        (E.transient_r eng ~t_stop:case.F.t_stop
-           ~opts:(opts ~dt:case.F.dt case.F.watch)))
+      ignore (E.transient_r eng ~t_stop:case.F.t_stop))
     (F.corpus ~tech);
   let elapsed = Sys.time () -. t0 in
   Alcotest.(check bool)

@@ -169,11 +169,12 @@ let prop_transient_samples_finite =
              (Netlist.Circuit.inputs c))
       in
       let inst = Netlist.Expand.expand c ~stimuli in
-      let eng = Spice.Engine.prepare inst.Netlist.Expand.netlist in
-      match
-        Spice.Engine.transient_r eng ~t_stop:1e-9
+      let eng =
+        Spice.Engine.prepare
           ~opts:Spice.Engine.Opts.(with_dt 10e-12 default)
-      with
+          inst.Netlist.Expand.netlist
+      in
+      match Spice.Engine.transient_r eng ~t_stop:1e-9 with
       | Error _ -> true (* a structured failure is an acceptable outcome *)
       | Ok res ->
         Array.for_all
@@ -195,16 +196,18 @@ let prop_result_api_never_raises =
     QCheck.(int_bound (Array.length corpus - 1))
     (fun i ->
       let case = corpus.(i) in
-      let eng = Spice.Engine.prepare case.Spice.Faults.netlist in
+      let eng =
+        Spice.Engine.prepare
+          ~opts:
+            Spice.Engine.Opts.(
+              default
+              |> with_dt case.Spice.Faults.dt
+              |> with_record (Spice.Engine.Nodes [ case.Spice.Faults.watch ]))
+          case.Spice.Faults.netlist
+      in
       match
         ( Spice.Engine.dc_r eng,
-          Spice.Engine.transient_r eng ~t_stop:case.Spice.Faults.t_stop
-            ~opts:
-              Spice.Engine.Opts.(
-                default
-                |> with_dt case.Spice.Faults.dt
-                |> with_record
-                     (Spice.Engine.Nodes [ case.Spice.Faults.watch ])) )
+          Spice.Engine.transient_r eng ~t_stop:case.Spice.Faults.t_stop )
       with
       | (Ok _ | Error _), (Ok _ | Error _) -> true
       | exception _ -> false)

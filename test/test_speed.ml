@@ -4,12 +4,11 @@
    The guarantees pinned here:
    - [`Reduce] is exact on a series-RC ladder: the reduced system is
      smaller, yet every waveform — anchors and eliminated interiors
-     alike — matches the unreduced engine to solver rounding, for both
-     integration methods, and DC back-substitution matches the
-     closed-form divider (including a ground-anchored chain).
-   - [`Off] through the new Opts record is bit-identical to the legacy
-     optional-argument wrappers, and bit-identical across jobs {1,4} x
-     cache {off,on} through the Sizing front end.
+     alike — matches the unreduced engine to solver rounding, and DC
+     back-substitution matches the closed-form divider (including a
+     ground-anchored chain).
+   - [`Off] is bit-identical across jobs {1,4} x cache {off,on} through
+     the Sizing front end.
    - [`Reduce_bypass] stays within its calibrated tolerance band at
      every recorded output and its critical delays track [`Off].
    - the default transient step is derived from the fastest explicit RC
@@ -43,7 +42,8 @@ let ladder ?(segments = 12) ?(r = 1000.0) ?(c = 1e-13) () =
     nodes;
   (T.freeze b, src, nodes)
 
-let prep netlist fast = E.prepare ~opts:E.Opts.(default |> with_fast fast) netlist
+let prep ?(opts = E.Opts.default) netlist fast =
+  E.prepare ~opts:(E.Opts.with_fast fast opts) netlist
 
 let test_reduce_shrinks_system () =
   let netlist, _, nodes = ladder () in
@@ -60,35 +60,26 @@ let test_transient_interiors_exact () =
   let netlist, src, nodes = ladder () in
   let tau = 1000.0 *. 1e-13 in
   let t_stop = 40.0 *. tau and dt = tau /. 10.0 in
-  List.iter
-    (fun integration ->
-      let run fast =
-        let eng = prep netlist fast in
-        let res =
-          match
-            E.transient_r eng ~t_stop
-              ~opts:E.Opts.(default |> with_integration integration |> with_dt dt)
-          with
-          | Ok r -> r
-          | Error f -> Alcotest.failf "transient: %s" (Spice.Diag.failure_to_string f)
-        in
-        (eng, res)
-      in
-      let _, res_off = run `Off and _, res_red = run `Reduce in
+  let opts = E.Opts.with_dt dt E.Opts.default in
+  let run fast =
+    match E.transient_r (prep ~opts netlist fast) ~t_stop with
+    | Ok r -> r
+    | Error f -> Alcotest.failf "transient: %s" (Spice.Diag.failure_to_string f)
+  in
+  let res_off = run `Off and res_red = run `Reduce in
+  Array.iter
+    (fun node ->
+      let w0 = E.waveform res_off node in
+      let w1 = E.waveform res_red node in
       Array.iter
-        (fun node ->
-          let w0 = E.waveform res_off node in
-          let w1 = E.waveform res_red node in
-          Array.iter
-            (fun (t, v0) ->
-              let v1 = Phys.Pwl.value_at w1 t in
-              if Float.abs (v1 -. v0) > 1e-9 then
-                Alcotest.failf
-                  "node %d at t=%.3e: reduced %.12f vs full %.12f" node t
-                  v1 v0)
-            (Phys.Pwl.sample w0 ~t0:0.0 ~t1:t_stop ~n:64))
-        (Array.append [| src |] nodes))
-    [ E.Backward_euler; E.Trapezoidal ]
+        (fun (t, v0) ->
+          let v1 = Phys.Pwl.value_at w1 t in
+          if Float.abs (v1 -. v0) > 1e-9 then
+            Alcotest.failf
+              "node %d at t=%.3e: reduced %.12f vs full %.12f" node t
+              v1 v0)
+        (Phys.Pwl.sample w0 ~t0:0.0 ~t1:t_stop ~n:64))
+    (Array.append [| src |] nodes)
 
 (* 2 V across five equal resistors in series, middle nodes carrying
    grounded caps: a divider whose chain anchors at the source on one
@@ -142,34 +133,6 @@ let test_default_dt_from_tau () =
   Alcotest.(check (float 1e-20))
     "floor at t_stop/50000" (t_stop /. 50000.0)
     (E.default_dt eng ~t_stop)
-
-(* The two routes for analysis options: fixed at prepare time, or
-   given per call with [?opts].  Same values, bit-identical trajectory. *)
-let test_opts_routes_bit_identical () =
-  let netlist, _, _ = ladder () in
-  let tau = 1e-10 in
-  let opts =
-    E.Opts.(default |> with_integration E.Trapezoidal |> with_dt (tau /. 20.0))
-  in
-  let run eng ?opts () =
-    match E.transient_r eng ?opts ~t_stop:(20.0 *. tau) with
-    | Ok r -> r
-    | Error f -> Alcotest.failf "transient: %s" (Spice.Diag.failure_to_string f)
-  in
-  let per_call = run (E.prepare netlist) ~opts () in
-  let at_prepare = run (E.prepare ~opts netlist) () in
-  let xa = E.final_solution per_call and xo = E.final_solution at_prepare in
-  Alcotest.(check int) "same unknowns" (Array.length xa) (Array.length xo);
-  Array.iteri
-    (fun i v ->
-      if not (Float.equal v xo.(i)) then
-        Alcotest.failf "unknown %d: %h vs %h" i v xo.(i))
-    xa;
-  Alcotest.(check int) "same steps" (E.steps_taken per_call)
-    (E.steps_taken at_prepare);
-  Alcotest.(check int) "same newton effort"
-    (E.newton_iterations per_call)
-    (E.newton_iterations at_prepare)
 
 (* [`Off] through the Sizing front end: bit-identical across worker
    counts and cache states (the cache key digests the fast mode, so an
@@ -275,7 +238,5 @@ let suite =
       `Quick test_dc_ground_anchored_chain;
     Alcotest.test_case "default dt derives from fastest RC tau" `Quick
       test_default_dt_from_tau;
-    Alcotest.test_case "prepare Opts == per-call ?opts (bit-identical)"
-      `Quick test_opts_routes_bit_identical;
     seeded prop_off_jobs_cache_invariant;
     seeded prop_bypass_within_band ]

@@ -34,11 +34,13 @@ let rc_netlist () =
 
 let test_rc_discharge () =
   let netlist, n, tau = rc_netlist () in
-  let eng = Spice.Engine.prepare netlist in
+  let eng =
+    Spice.Engine.prepare
+      ~opts:Spice.Engine.Opts.(with_dt (tau /. 400.0) default)
+      netlist
+  in
   let res =
-    Fixtures.solved
-      (Spice.Engine.transient_r eng ~t_stop:(5.0 *. tau)
-         ~opts:Spice.Engine.Opts.(with_dt (tau /. 400.0) default))
+    Fixtures.solved (Spice.Engine.transient_r eng ~t_stop:(5.0 *. tau))
   in
   let w = Spice.Engine.waveform res n in
   List.iter
@@ -51,33 +53,17 @@ let test_rc_discharge () =
         expected got)
     [ 1; 2; 3 ]
 
-let test_rc_trapezoidal () =
-  let netlist, n, tau = rc_netlist () in
-  let eng = Spice.Engine.prepare netlist in
-  let res =
-    Fixtures.solved
-      (Spice.Engine.transient_r eng ~t_stop:(3.0 *. tau)
-         ~opts:
-           Spice.Engine.Opts.(
-             default
-             |> with_integration Spice.Engine.Trapezoidal
-             |> with_dt (tau /. 100.0)))
-  in
-  let w = Spice.Engine.waveform res n in
-  Alcotest.(check (float 0.01)) "trapezoidal decay" (exp (-1.0))
-    (Phys.Pwl.value_at w tau)
-
 let test_record_subset () =
   let netlist, n, tau = rc_netlist () in
-  let eng = Spice.Engine.prepare netlist in
-  let res =
-    Fixtures.solved
-      (Spice.Engine.transient_r eng ~t_stop:tau
-         ~opts:
-           Spice.Engine.Opts.(
-             default |> with_dt (tau /. 50.0)
-             |> with_record (Spice.Engine.Nodes [ n ])))
+  let eng =
+    Spice.Engine.prepare
+      ~opts:
+        Spice.Engine.Opts.(
+          default |> with_dt (tau /. 50.0)
+          |> with_record (Spice.Engine.Nodes [ n ]))
+      netlist
   in
+  let res = Fixtures.solved (Spice.Engine.transient_r eng ~t_stop:tau) in
   ignore (Spice.Engine.waveform res n);
   (try
      ignore (Spice.Engine.waveform res T.ground);
@@ -129,12 +115,10 @@ let test_inverter_dc_levels () =
 let inverter_fall_delay ~cl =
   let edge = Phys.Pwl.create [ (0.0, 0.0); (50e-12, 0.0); (60e-12, 1.2) ] in
   let netlist, vout = inverter_netlist ~wl_n:2.0 ~wl_p:4.0 ~cl ~vin_wave:edge in
-  let eng = Spice.Engine.prepare netlist in
-  let res =
-    Fixtures.solved
-      (Spice.Engine.transient_r eng ~t_stop:2e-9
-         ~opts:Spice.Engine.Opts.(with_dt 1e-12 default))
+  let eng =
+    Spice.Engine.prepare ~opts:Spice.Engine.Opts.(with_dt 1e-12 default) netlist
   in
+  let res = Fixtures.solved (Spice.Engine.transient_r eng ~t_stop:2e-9) in
   let w = Spice.Engine.waveform res vout in
   match
     Spice.Measure.propagation_delay ~vin:edge ~vout:w ~vdd:1.2
@@ -191,7 +175,6 @@ let test_no_convergence_reported () =
 let suite =
   [ Alcotest.test_case "resistor divider dc" `Quick test_resistor_divider_dc;
     Alcotest.test_case "rc discharge" `Quick test_rc_discharge;
-    Alcotest.test_case "rc trapezoidal" `Quick test_rc_trapezoidal;
     Alcotest.test_case "record subset" `Quick test_record_subset;
     Alcotest.test_case "inverter dc levels" `Quick test_inverter_dc_levels;
     Alcotest.test_case "inverter delay vs load" `Quick
