@@ -32,11 +32,7 @@ let size_uniform_for_degradation ?(wl_lo = 0.5) ?(wl_hi = 4096.0)
   if vectors = [] then invalid_arg "Hierarchy: empty vector list";
   let tech = C.tech circuit in
   let base = Sizing.cmos_delay circuit ~vectors in
-  let degradation wl =
-    let config = config tech circuit ~wl_per_block:wl ~blocks in
-    let worst, _ = Sizing.worst_delay_bp ~config circuit vectors in
-    (worst -. base) /. base
-  in
-  if degradation wl_hi > target then raise Not_found;
-  Sizing.smallest_feasible ~tolerance ~lo:wl_lo ~hi:wl_hi (fun wl ->
-      degradation wl <= target)
+  let meets = Sizing.feasibility_bp circuit vectors ~base ~target in
+  let feasible wl = meets (config tech circuit ~wl_per_block:wl ~blocks) in
+  if not (feasible wl_hi) then raise Not_found;
+  Sizing.smallest_feasible ~tolerance ~lo:wl_lo ~hi:wl_hi feasible

@@ -18,6 +18,39 @@ let worst_delay_bp ?cache ?obs ~config c vectors =
       (Float.max dmax d, Float.max vxmax vx))
     (0.0, 0.0) vectors
 
+let check_target target =
+  if Float.is_nan target then invalid_arg "Sizing: target is NaN"
+
+(* the one degradation test, per vector or on the worst delay *)
+let within ~base ~target d = (d -. base) /. base <= target
+
+(* Does every vector meet [target] under [config]?  Stops at the first
+   vector that does not, trying vectors worst-first by their most
+   recent delay (ties in input order).  Each vector is tested with the
+   very expression the worst-delay check applies to the maximum, and
+   that expression is monotone in [d] in floating point, so "every
+   vector passes" and "the maximum passes" agree bit for bit, whatever
+   the delays do across W/L.  [d] is clamped at 0 as the fold in
+   [worst_delay_bp] starts from 0. *)
+let feasibility_bp ?cache ?obs c vectors ~base ~target =
+  check_target target;
+  let vecs = Array.of_list vectors in
+  let last = Array.make (Array.length vecs) neg_infinity in
+  let order = Array.init (Array.length vecs) Fun.id in
+  let worst_first i j =
+    match Float.compare last.(j) last.(i) with 0 -> Int.compare i j | o -> o
+  in
+  fun config ->
+    Array.sort worst_first order;
+    Array.for_all
+      (fun i ->
+        let before, after = vecs.(i) in
+        let d, _, _ = Cached.bp_metrics ?cache ?obs ~config c ~before ~after in
+        let d = Float.max 0.0 (Option.value d ~default:0.0) in
+        last.(i) <- d;
+        within ~base ~target d)
+      order
+
 (* one vector's transistor-level measurement, with graceful
    degradation: record the diagnosis and fall back to the
    breakpoint-simulator estimate for this vector instead of aborting
@@ -97,18 +130,18 @@ let smallest_feasible ?(tolerance = 0.01) ~lo ~hi feasible =
     in
     refine lo hi 0
 
+let bp_config (ctx : Eval.Ctx.t) ~sleep =
+  { BP.default_config with BP.sleep; body_effect = ctx.Eval.Ctx.body_effect }
+
 let worst_delay_ctx (ctx : Eval.Ctx.t) c ~sleep vectors =
-  let body_effect = ctx.Eval.Ctx.body_effect in
   let cache = ctx.Eval.Ctx.cache in
   let obs = ctx.Eval.Ctx.obs in
+  let bp_config = bp_config ctx ~sleep in
   match ctx.Eval.Ctx.engine with
-  | Eval.Breakpoint ->
-    let config = { BP.default_config with BP.sleep; body_effect } in
-    worst_delay_bp ?cache ~obs ~config c vectors
+  | Eval.Breakpoint -> worst_delay_bp ?cache ~obs ~config:bp_config c vectors
   | Eval.Spice_level ->
     (* size the transient horizon from the fast estimate so slow (small
        sleep device) cases are not cut off *)
-    let bp_config = { BP.default_config with BP.sleep; body_effect } in
     let estimate, _ =
       worst_delay_bp ?cache ~obs ~config:bp_config c vectors
     in
@@ -173,6 +206,7 @@ let sweep ?(ctx = Eval.Ctx.default) c ~vectors ~wls =
 
 let size_for_degradation ?ctx ?(wl_lo = 0.5) ?(wl_hi = 4096.0)
     ?(tolerance = 0.01) c ~vectors ~target =
+  check_target target;
   let ctx, base = baseline ?ctx c vectors in
   (* a zero baseline makes every degradation NaN, which would steer the
      bisection to wl_hi *)
@@ -180,13 +214,23 @@ let size_for_degradation ?ctx ?(wl_lo = 0.5) ?(wl_hi = 4096.0)
     failwith
       "the vectors switch no output (ideal-ground delay 0), so \
        degradation is undefined";
-  let degradation wl =
-    let d, _ = worst_delay_ctx ctx c ~sleep:(footer_at c ~wl) vectors in
-    (d -. base) /. base
+  let feasible =
+    match ctx.Eval.Ctx.engine with
+    | Eval.Breakpoint ->
+      let meets =
+        feasibility_bp ?cache:ctx.Eval.Ctx.cache ~obs:ctx.Eval.Ctx.obs c
+          vectors ~base ~target
+      in
+      fun wl -> meets (bp_config ctx ~sleep:(footer_at c ~wl))
+    | Eval.Spice_level ->
+      (* per-vector resilience counters and parallel vectors: every
+         vector is simulated at every probe *)
+      fun wl ->
+        within ~base ~target
+          (fst (worst_delay_ctx ctx c ~sleep:(footer_at c ~wl) vectors))
   in
-  if degradation wl_hi > target then raise Not_found;
-  smallest_feasible ~tolerance ~lo:wl_lo ~hi:wl_hi (fun wl ->
-      degradation wl <= target)
+  if not (feasible wl_hi) then raise Not_found;
+  smallest_feasible ~tolerance ~lo:wl_lo ~hi:wl_hi feasible
 
 let pp_measurement fmt m =
   Format.fprintf fmt

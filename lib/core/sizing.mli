@@ -34,8 +34,32 @@ val worst_delay_bp :
   float * float
 (** [(worst critical delay, worst vx peak)] of the breakpoint simulator
     over a vector set (0 when nothing switches), via {!Cached.bp_metrics}:
-    the one worst-over-vectors loop, also behind [Hierarchy], [Sta] and
+    the one worst-over-vectors loop, also behind [Sta] and
     [Selective.bounce]. *)
+
+val feasibility_bp :
+  ?cache:Eval.Cache.t ->
+  ?obs:Obs.t ->
+  Netlist.Circuit.t ->
+  vector_pair list ->
+  base:float ->
+  target:float ->
+  Breakpoint_sim.config ->
+  bool
+(** [feasibility_bp c vectors ~base ~target] is a probe: applied to a
+    config, it tells whether every vector's breakpoint degradation
+    [(d - base) / base] is at most [target].  It stops simulating at
+    the first vector that misses, and tries the vectors worst first by
+    their most recently simulated delay (ties in input order), so keep
+    one probe for a whole bisection.  The answer equals
+    [(fst (worst_delay_bp ~config c vectors) - base) / base <= target]
+    bit for bit: the test is monotone in [d] in floating point, and no
+    assumption about how delay moves with W/L is made.  A cache
+    receives only the vectors actually simulated, so it holds fewer
+    entries than after the full worst-delay loop.  The sizing
+    bisections of {!size_for_degradation} (breakpoint engine) and
+    [Hierarchy.size_uniform_for_degradation] probe with it.
+    @raise Invalid_argument when [target] is NaN. *)
 
 val smallest_feasible :
   ?tolerance:float -> lo:float -> hi:float -> (float -> bool) -> float
@@ -98,7 +122,13 @@ val size_for_degradation :
     [wl_lo, wl_hi] (defaults 0.5 and 4096).  With a cache in the
     context the repeated baseline and probe evaluations hit across
     calls (and across [sweep]/[delay_at] of the same points).
+    With the breakpoint engine each probe runs {!feasibility_bp}, which
+    stops at the first vector that misses the target, so a cache in the
+    context receives fewer entries (and sees fewer misses) than the
+    vectors times the probes; the answer is unchanged.  The
+    transistor-level engine simulates every vector at every probe.
     @raise Not_found when even [wl_hi] misses the target.
+    @raise Invalid_argument when [target] is NaN.
     @raise Failure when no vector switches an output (the ideal-ground
     delay is 0, so degradation is undefined). *)
 

@@ -153,11 +153,18 @@ let check_overrides ?(flag = "") (ov : overrides) =
 
 let check ?(flag = "") kind =
   let at_least = at_least ~flag in
-  let positive wl = (wl > 0.0, Printf.sprintf "W/L %g: must be > 0" wl) in
+  let positive wl =
+    if wl = Float.infinity then
+      (false, Printf.sprintf "W/L %g: must be finite" wl)
+    else (wl > 0.0, Printf.sprintf "W/L %g: must be > 0" wl)
+  in
   first_error
     (match kind with
      | Sweep { wls; _ } -> List.map positive wls
-     | Size _ | Characterize _ -> []
+     | Size { target; _ } ->
+       [ ( not (Float.is_nan target),
+           Printf.sprintf "%starget %g: must be a number" flag target ) ]
+     | Characterize _ -> []
      | Worst_vectors { wl; top; sample } ->
        [ positive wl; at_least "top" top 1; at_least "sample" sample 1 ]
      | Search { wl; restarts; max_iters; _ } ->

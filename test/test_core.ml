@@ -294,7 +294,76 @@ let test_sizing_guards () =
        (Mtcmos.Sizing.size_for_degradation tree_c ~vectors:[ tree_vec ]
           ~wl_hi:1.0 ~target:0.0001);
      Alcotest.fail "expected Not_found"
-   with Not_found -> ())
+   with Not_found -> ());
+  Alcotest.check_raises "NaN target"
+    (Invalid_argument "Sizing: target is NaN") (fun () ->
+      ignore
+        (Mtcmos.Sizing.size_for_degradation tree_c ~vectors:[ tree_vec ]
+           ~target:Float.nan))
+
+(* The reference the early-exit probe must equal: every vector
+   simulated at every probe, the worst delay tested once. *)
+let reference_size ?obs ?(wl_hi = 4096.0) c ~vectors ~target =
+  let worst config =
+    fst (Mtcmos.Sizing.worst_delay_bp ?obs ~config c vectors)
+  in
+  let base = worst BP.default_config in
+  if base = 0.0 then failwith "no output switches";
+  let degradation wl =
+    (worst (BP.mtcmos_config (Netlist.Circuit.tech c) ~wl) -. base) /. base
+  in
+  if degradation wl_hi > target then raise Not_found;
+  Mtcmos.Sizing.smallest_feasible ~lo:0.5 ~hi:wl_hi (fun wl ->
+      degradation wl <= target)
+
+(* [n] pairs whose logic-level outputs differ, drawn from [st] *)
+let switching_pairs st c ~widths n =
+  let outs v =
+    let s = Netlist.Logic_sim.eval_ints c v in
+    Array.map (fun o -> s.(o)) (Netlist.Circuit.outputs c)
+  in
+  let pick () =
+    List.map (fun w -> (w, Random.State.int st (1 lsl w))) widths
+  in
+  let rec switching tries =
+    if tries = 0 then None
+    else
+      let b = pick () and a = pick () in
+      if outs b <> outs a then Some (b, a) else switching (tries - 1)
+  in
+  List.filter_map (fun _ -> switching 50) (List.init n Fun.id)
+
+(* [f]'s answer and the breakpoint simulations it ran *)
+let with_simulations f =
+  let obs = Obs.create () in
+  let wl = f obs in
+  (wl, Obs.Metrics.count (Obs.metrics obs) "bp.simulations")
+
+(* the probe's simulation count is deterministic, so its saving is a
+   tier-1 floor: at most 1/1.5 of the full evaluation's, same answer *)
+let test_size_probe_cost () =
+  List.iter
+    (fun (name, c, widths) ->
+      let vectors =
+        switching_pairs (Random.State.make [| 11 |]) c ~widths 8
+      in
+      Alcotest.(check int) (name ^ ": 8 switching pairs") 8
+        (List.length vectors);
+      let target = 0.06 in
+      let probe obs =
+        Mtcmos.Sizing.size_for_degradation
+          ~ctx:(Eval.Ctx.with_obs obs Eval.Ctx.default)
+          c ~vectors ~target
+      in
+      let full obs = reference_size ~obs c ~vectors ~target in
+      let wl_p, p = with_simulations probe
+      and wl_f, f = with_simulations full in
+      Alcotest.(check (float 0.0)) (name ^ ": same answer") wl_f wl_p;
+      if 3 * p > 2 * f then
+        Alcotest.failf "%s: probe ran %d simulations, full evaluation %d"
+          name p f)
+    [ ("adder8", Fixtures.adder_circuit 8, [ 8; 8 ]);
+      ("mult4", Fixtures.mult_circuit ~tech:Fixtures.tech03 4, [ 4; 4 ]) ]
 
 (* ---- vectors -------------------------------------------------------------- *)
 
@@ -454,6 +523,45 @@ let prop_bp_delay_monotone_in_wl =
       in
       d_of wl >= d_of (wl *. factor) -. 1e-15)
 
+(* A seed draws a random DAG, 1-8 switching pairs, a target and the top
+   of the W/L range (2 to 4096, so some draws are infeasible); the
+   probe-driven bisection, with and without a cache (cold, then warm),
+   must return the reference's W/L bit for bit or raise as it does.
+   Nothing here assumes delay is monotone in W/L. *)
+let prop_size_probe_matches_reference =
+  QCheck.Test.make ~count:100
+    ~name:"sizing: early-exit probe = full worst-delay bisection"
+    QCheck.(int_bound 999_999)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let inputs = 2 + Random.State.int st 4 in
+      let gates = 4 + Random.State.int st 17 in
+      let c = Fixtures.random_circuit ~seed ~inputs ~gates () in
+      let vectors =
+        switching_pairs st c ~widths:[ inputs ] (1 + Random.State.int st 8)
+      in
+      QCheck.assume (vectors <> []);
+      let target = 0.01 +. Random.State.float st 0.29 in
+      let wl_hi = Float.ldexp 1.0 (1 + Random.State.int st 12) in
+      let outcome f =
+        match f () with
+        | wl -> Ok (Int64.bits_of_float wl)
+        | exception Not_found -> Error "Not_found"
+        | exception Failure _ -> Error "Failure"
+      in
+      let expected =
+        outcome (fun () -> reference_size ~wl_hi c ~vectors ~target)
+      in
+      let size ctx () =
+        Mtcmos.Sizing.size_for_degradation ~ctx ~wl_hi c ~vectors ~target
+      in
+      let cached =
+        Eval.Ctx.with_cache (Eval.Cache.create ()) Eval.Ctx.default
+      in
+      List.for_all
+        (fun ctx -> outcome (size ctx) = expected)
+        [ Eval.Ctx.default; cached; cached ])
+
 let prop_bp_waveforms_in_rails =
   let pairs = Mtcmos.Vectors.enumerate_pairs ~widths:[ 2; 2 ] in
   let add2 = Fixtures.adder 2 in
@@ -527,6 +635,7 @@ let suite =
     Alcotest.test_case "sizing sweep" `Quick test_sizing_sweep_monotone;
     Alcotest.test_case "sizing target" `Quick test_size_for_degradation;
     Alcotest.test_case "sizing guards" `Quick test_sizing_guards;
+    Alcotest.test_case "sizing probe cost" `Quick test_size_probe_cost;
     Alcotest.test_case "vector enumeration" `Quick test_vector_enumeration;
     Alcotest.test_case "vector ranking" `Quick test_vector_ranking;
     Alcotest.test_case "vectors involving output" `Quick
@@ -538,5 +647,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_total_current_is_gate_fold;
     QCheck_alcotest.to_alcotest prop_sat_current_is_overdrive_power;
     QCheck_alcotest.to_alcotest prop_bp_delay_monotone_in_wl;
+    QCheck_alcotest.to_alcotest prop_size_probe_matches_reference;
     QCheck_alcotest.to_alcotest prop_bp_waveforms_in_rails;
     QCheck_alcotest.to_alcotest prop_bp_final_state_matches_logic ]
