@@ -526,7 +526,8 @@ let ablations () =
   List.iter
     (fun alpha ->
       let cfg =
-        { (BP.mtcmos_config t07 ~wl:8.0) with BP.alpha = Some alpha }
+        { (BP.mtcmos_config t07 ~wl:8.0) with
+          BP.tech_override = Some (Device.Tech.with_alpha t07 alpha) }
       in
       let d = bp_delay ~config:cfg tree_c ~before:(fst tree_vec)
           ~after:(snd tree_vec) in

@@ -141,14 +141,6 @@ type cache_opts = {
 
 (* [shards] is a term so that serve can stripe the cache it loads *)
 let cache_term_with shards =
-  let on =
-    let doc =
-      "Enable the evaluation cache.  This is the default; the flag \
-       exists to spell the intent (and to override a habit-formed \
-       $(b,--no-cache))."
-    in
-    Arg.(value & flag & info [ "cache" ] ~doc)
-  in
   let off =
     let doc = "Disable the evaluation cache." in
     Arg.(value & flag & info [ "no-cache" ] ~doc)
@@ -166,8 +158,7 @@ let cache_term_with shards =
     let doc = "Print cache hit/miss/eviction counters at the end." in
     Arg.(value & flag & info [ "cache-stats" ] ~doc)
   in
-  let make on off file show shards =
-    ignore on;
+  let make off file show shards =
     (match shards with
      | Some n when n < 1 || n > 256 ->
        or_die (Error (Printf.sprintf "--cache-shards %d: must be in [1, 256]" n))
@@ -185,7 +176,7 @@ let cache_term_with shards =
       in
       { cache = Some c; cache_file = file; show_stats = show }
   in
-  Term.(const make $ on $ off $ file $ show $ shards)
+  Term.(const make $ off $ file $ show $ shards)
 
 let cache_term = cache_term_with (Term.const None)
 
@@ -459,6 +450,7 @@ let worst_cmd =
 let simulate_cmd =
   let run tech_name circuit_name vectors wl oo =
     let tech, bc, vecs = or_die (setup tech_name circuit_name vectors) in
+    or_die (Runner.Spec.check_wl ~zero_ok:true wl);
     let before, after = List.hd vecs in
     let config =
       if wl > 0.0 then Mtcmos.Breakpoint_sim.mtcmos_config tech ~wl
@@ -499,6 +491,7 @@ let simulate_cmd =
 let compare_cmd =
   let run tech_name circuit_name vectors wl fast budget jobs co oo =
     let _tech, bc, vecs = or_die (setup tech_name circuit_name vectors) in
+    or_die (Runner.Spec.check_wl wl);
     let ov = overrides_of ~jobs ~budget () in
     (* both engines share one cache (distinct key spaces); the spice
        path's internal bp estimates can hit the bp run's entries *)
@@ -545,13 +538,22 @@ let estimate_cmd =
       Format.printf "peak-current estimate:  W/L = %.1f@."
         (Mtcmos.Estimators.peak_current_wl tech ~i_peak:ip ~v_budget:vb);
     let ctx = ctx_of ~obs:oo.obs co in
-    let wl =
-      Mtcmos.Sizing.size_for_degradation ~ctx bc.circuit ~vectors:vecs
-        ~target:0.05
+    let sized =
+      match
+        Mtcmos.Sizing.size_for_degradation ~ctx bc.circuit ~vectors:vecs
+          ~target:0.05
+      with
+      | wl ->
+        Format.printf "simulator-driven size:  W/L = %.1f@." wl;
+        true
+      (* e.g. vectors that switch no output: exit 1, as size does *)
+      | exception Failure m ->
+        prerr_endline ("mtsize: " ^ m);
+        false
     in
-    Format.printf "simulator-driven size:  W/L = %.1f@." wl;
     finish_cache co;
-    finish_obs ~co oo
+    finish_obs ~co oo;
+    if not sized then exit 1
   in
   Cmd.v
     (Cmd.info "estimate" ~doc:"Naive baselines versus the simulator size")
@@ -561,6 +563,7 @@ let estimate_cmd =
 let sta_cmd =
   let run tech_name circuit_name wl oo =
     let tech, bc, _ = or_die (setup tech_name circuit_name []) in
+    or_die (Runner.Spec.check_wl ~zero_ok:true wl);
     let t = Mtcmos.Sta.analyze bc.circuit in
     let path = Mtcmos.Sta.critical_path t in
     Format.printf "static critical path: %s at %s@."
@@ -657,6 +660,7 @@ let select_cmd =
 let energy_cmd =
   let run tech_name circuit_name wl oo =
     let _tech, bc, _ = or_die (setup tech_name circuit_name []) in
+    or_die (Runner.Spec.check_wl wl);
     let b = Mtcmos.Energy.budget bc.circuit ~wl in
     Format.printf "%a@." Mtcmos.Energy.pp_budget b;
     Format.printf "sleep-cycle overhead: %s@."
@@ -678,6 +682,7 @@ let energy_cmd =
 let wakeup_cmd =
   let run tech_name circuit_name wl simulate oo =
     let _tech, bc, _ = or_die (setup tech_name circuit_name []) in
+    or_die (Runner.Spec.check_wl wl);
     let e = Mtcmos.Wakeup.estimate bc.circuit ~wl in
     Format.printf
       "rail capacitance %s, floats to %s in sleep, analytic wake %s@."
@@ -709,6 +714,7 @@ let wakeup_cmd =
 let deck_cmd =
   let run tech_name circuit_name wl out oo =
     let _tech, bc, _ = or_die (setup tech_name circuit_name []) in
+    or_die (Runner.Spec.check_wl ~zero_ok:true wl);
     let stimuli =
       Array.to_list
         (Array.map
@@ -816,6 +822,11 @@ let dot_cmd =
 let workload_cmd =
   let run tech_name circuit_name wl period_ps cycles seed oo =
     let tech, bc, _ = or_die (setup tech_name circuit_name []) in
+    or_die (Runner.Spec.check_wl ~zero_ok:true wl);
+    if cycles < 2 then
+      or_die (Error (Printf.sprintf "--cycles %d: must be >= 2" cycles));
+    if not (period_ps > 0.0) then
+      or_die (Error (Printf.sprintf "--period %g: must be > 0" period_ps));
     let config =
       if wl > 0.0 then Mtcmos.Breakpoint_sim.mtcmos_config tech ~wl
       else Mtcmos.Breakpoint_sim.default_config

@@ -9,17 +9,14 @@ type sleep_model =
 type rail_side = Gnd_switch | Vdd_switch
 
 type partition = {
-  block_of_gate : Netlist.Circuit.gate_id -> int;
+  block_of_gate : int array;
   sleeps : sleep_model array;
 }
 
 type config = {
   sleep : sleep_model;
   body_effect : bool;
-  alpha : float option;
   reverse_conduction : bool;
-  t_start : float;
-  max_events : int;
   partition : partition option;
   cx : float;
   input_slope : bool;
@@ -27,40 +24,35 @@ type config = {
   rail : rail_side;
 }
 
+(* the primary inputs flip at t = 0; the event bound is the hang guard *)
+let t_start = 0.0
+let max_events = 1_000_000
+
 let default_config =
   { sleep = Cmos;
     body_effect = true;
-    alpha = None;
     reverse_conduction = false;
-    t_start = 0.0;
-    max_events = 1_000_000;
     partition = None;
     cx = 0.0;
     input_slope = false;
     tech_override = None;
     rail = Gnd_switch }
 
-let mtcmos_config ?(body_effect = true) tech ~wl =
-  { default_config with
-    sleep = Sleep_fet (Device.Sleep.nmos_footer tech ~wl);
-    body_effect }
+let mtcmos_config tech ~wl =
+  { default_config with sleep = Sleep_fet (Device.Sleep.nmos_footer tech ~wl) }
 
-let mtcmos_pmos_config ?(body_effect = true) (tech : Device.Tech.t) ~wl =
+let mtcmos_pmos_config (tech : Device.Tech.t) ~wl =
   let sleep =
     Device.Sleep.of_pmos tech.Device.Tech.sleep_pmos ~wl
       ~vdd:tech.Device.Tech.vdd
   in
-  { default_config with
-    sleep = Sleep_fet sleep;
-    body_effect;
-    rail = Vdd_switch }
+  { default_config with sleep = Sleep_fet sleep; rail = Vdd_switch }
 
 type phase = Idle | Rising | Falling
 
 type result = {
   circuit : C.t;
   vdd : float;
-  t_start : float;
   wave_points : (float * float) list array; (* per net, reversed *)
   mutable vx_points : (float * float) list; (* headline rail, reversed *)
   vxb_points : (float * float) list ref array; (* per sleep block *)
@@ -92,22 +84,18 @@ let simulate_core ?(config = default_config) c ~before ~after =
     | Some t -> t
     | None -> C.tech c
   in
-  let tech =
-    match config.alpha with
-    | Some a -> Device.Tech.with_alpha tech a
-    | None -> tech
-  in
   let vdd = tech.Device.Tech.vdd in
   let half = vdd /. 2.0 in
   (* sleep-device partition: one shared rail by default *)
-  let n_blocks, block_of_gate, sleeps =
+  let sleeps =
     match config.partition with
-    | None -> (1, (fun _ -> 0), [| config.sleep |])
+    | None -> [| config.sleep |]
     | Some p ->
       if Array.length p.sleeps = 0 then
         invalid_arg "Breakpoint_sim: empty partition";
-      (Array.length p.sleeps, p.block_of_gate, p.sleeps)
+      p.sleeps
   in
+  let n_blocks = Array.length sleeps in
   let model = Delay_model.of_tech ~body_effect:config.body_effect tech in
   let gated_rising = config.rail = Vdd_switch in
   (* with a PMOS header, the shared rail is a virtual Vdd and the gated
@@ -145,15 +133,19 @@ let simulate_core ?(config = default_config) c ~before ~after =
   let gates = C.gates c in
   let n_gates = Array.length gates in
   let out = Array.map (fun (g : C.gate_inst) -> g.C.output) gates in
-  (* every gate's block, range-checked whether or not it ever switches *)
+  (* every gate's block, checked whether or not it ever switches *)
   let block =
-    Array.map
-      (fun (g : C.gate_inst) ->
-        let b = block_of_gate g.C.id in
-        if b < 0 || b >= n_blocks then
-          invalid_arg "Breakpoint_sim: block index out of range";
-        b)
-      gates
+    match config.partition with
+    | None -> Array.make n_gates 0
+    | Some p ->
+      if Array.length p.block_of_gate <> n_gates then
+        invalid_arg "Breakpoint_sim: partition length mismatch";
+      Array.iter
+        (fun b ->
+          if b < 0 || b >= n_blocks then
+            invalid_arg "Breakpoint_sim: block index out of range")
+        p.block_of_gate;
+      p.block_of_gate
   in
   let cl = Array.map (C.load_capacitance c) out in
   let drives =
@@ -187,7 +179,6 @@ let simulate_core ?(config = default_config) c ~before ~after =
   let res =
     { circuit = c;
       vdd;
-      t_start = config.t_start;
       wave_points = Array.make n_nets [];
       vx_points = [];
       vxb_points = Array.init n_blocks (fun _ -> ref []);
@@ -196,7 +187,7 @@ let simulate_core ?(config = default_config) c ~before ~after =
       i_max = 0.0;
       n_events = 0;
       n_solves = 0;
-      t_last = config.t_start }
+      t_last = t_start }
   in
   let record_net t n v = res.wave_points.(n) <- (t, v) :: res.wave_points.(n) in
   for n = 0 to n_nets - 1 do
@@ -372,7 +363,6 @@ let simulate_core ?(config = default_config) c ~before ~after =
     !best
   in
   (* --- main loop ---------------------------------------------------------- *)
-  let t0 = config.t_start in
   (* apply the input step *)
   let to_reeval : (int, C.net) Hashtbl.t = Hashtbl.create 32 in
   let queue_fanout n =
@@ -384,12 +374,12 @@ let simulate_core ?(config = default_config) c ~before ~after =
     (fun i n ->
       let new_level = after.(i) = S.L1 in
       if new_level <> level.(n) then begin
-        (* the pre-step anchor may sit at negative time when t_start = 0;
+        (* the pre-step anchor sits at negative time (t_start = 0);
            Pwl handles that and the step renders correctly *)
-        record_net (t0 -. 1e-13) n v_net.(n);
+        record_net (t_start -. 1e-13) n v_net.(n);
         level.(n) <- new_level;
         v_net.(n) <- volt_of_level after.(i);
-        record_net t0 n v_net.(n);
+        record_net t_start n v_net.(n);
         queue_fanout n
       end)
     (C.inputs c);
@@ -420,7 +410,7 @@ let simulate_core ?(config = default_config) c ~before ~after =
               +. ((!vxs.(b) -. !targets.(b)) *. exp (-.dt /. tau)))
         tau_of_block
   in
-  let t = ref t0 in
+  let t = ref t_start in
   let process_reevals () =
     Hashtbl.iter (fun gid trigger -> retarget ~trigger !t gid) to_reeval;
     Hashtbl.reset to_reeval
@@ -433,7 +423,7 @@ let simulate_core ?(config = default_config) c ~before ~after =
   targets := vxs_of sets;
   let prev_state = Array.copy !vxs in
   relax_state 0.0;
-  record_vx t0 t0 prev_state !vxs sets;
+  record_vx t_start t_start prev_state !vxs sets;
   recompute_slopes !vxs;
   let continue = ref true in
   while !continue do
@@ -446,7 +436,7 @@ let simulate_core ?(config = default_config) c ~before ~after =
     end
     else begin
       res.n_events <- res.n_events + 1;
-      if res.n_events > config.max_events then
+      if res.n_events > max_events then
         failwith "Breakpoint_sim: event limit exceeded";
       let dt = t_next -. !t in
       (* advance all active outputs linearly; [eps] absorbs the float
@@ -562,7 +552,7 @@ let events res = res.n_events
 let peak_discharge_current res = res.i_max
 
 let net_delay res n =
-  Spice.Measure.net_delay (waveform res n) ~vdd:res.vdd ~t_start:res.t_start
+  Spice.Measure.net_delay (waveform res n) ~vdd:res.vdd ~t_start
 
 let critical_delay res =
   Spice.Measure.critical_delay (C.outputs res.circuit) (net_delay res)

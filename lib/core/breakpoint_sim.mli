@@ -23,24 +23,26 @@ type rail_side =
   | Vdd_switch  (** PMOS header: a virtual Vdd, rising edges gated *)
 
 type partition = {
-  block_of_gate : Netlist.Circuit.gate_id -> int;
-  sleeps : sleep_model array;
+  block_of_gate : int array;
+      (** each gate's block, indexed by gate id (the layout of
+          [Sta.gating.block_of_gate]); one entry per gate, each an index
+          into [sleeps] *)
+  sleeps : sleep_model array;  (** one device per block, at least one *)
 }
 (** Hierarchical-MTCMOS extension: gates are grouped into blocks, each
-    returning to its own virtual-ground rail and sleep device
-    ([block_of_gate] must map into [sleeps]).  Gates in different blocks
-    no longer share discharge current — the mutual-exclusion idea the
-    authors developed in their follow-up work. *)
+    returning to its own virtual-ground rail and sleep device.  Gates in
+    different blocks no longer share discharge current — the
+    mutual-exclusion idea the authors developed in their follow-up work.
+    A partition is plain data: {!Cached.bp_config_key} digests it.  It is
+    checked once when a simulation starts, whether or not a gate ever
+    switches. *)
 
 type config = {
-  sleep : sleep_model;
-  body_effect : bool;
-  alpha : float option;        (** override the technology's exponent *)
+  sleep : sleep_model;  (** the shared device when [partition] is [None] *)
+  body_effect : bool;   (** model the bounced source's body effect *)
   reverse_conduction : bool;
       (** §2.3 extension: idle-low outputs ride at the virtual-ground
           voltage, and rising transitions start precharged from it *)
-  t_start : float;             (** instant the primary inputs flip *)
-  max_events : int;            (** safety bound on breakpoints *)
   partition : partition option;
       (** when set, overrides [sleep] with per-block devices *)
   cx : float;
@@ -55,23 +57,26 @@ type config = {
           Default off. *)
   tech_override : Device.Tech.t option;
       (** simulate against a different technology card than the one the
-          circuit was built with (process-variation studies); load
-          capacitances keep the construction-time values. *)
+          circuit was built with (process-variation studies, or another
+          velocity-saturation exponent via [Device.Tech.with_alpha]);
+          load capacitances keep the construction-time values. *)
   rail : rail_side;
       (** which rail the sleep device gates (default [Gnd_switch]; the
           paper's §1 notes the NMOS footer is preferable and the PMOS
           header exists — this lets the claim be measured). *)
 }
+(** The primary inputs always flip at [t = 0], and a simulation stops
+    with [Failure] after 1,000,000 breakpoints (a hang guard no
+    physical circuit reaches). *)
 
 val default_config : config
-(** [Cmos] sleep model, body effect on, [t_start = 0]. *)
+(** [Cmos] sleep model, body effect on, every extension off. *)
 
-val mtcmos_config : ?body_effect:bool -> Device.Tech.t -> wl:float -> config
+val mtcmos_config : Device.Tech.t -> wl:float -> config
 (** Config with an NMOS footer of size [wl] built from the technology's
     high-Vt card. *)
 
-val mtcmos_pmos_config :
-  ?body_effect:bool -> Device.Tech.t -> wl:float -> config
+val mtcmos_pmos_config : Device.Tech.t -> wl:float -> config
 (** Config with a PMOS header of size [wl]: the virtual rail is Vdd and
     rising transitions are the gated ones. *)
 
@@ -93,7 +98,9 @@ val simulate :
     assignments in [Circuit.inputs] order, no [X] allowed).  [obs]
     (default [Obs.disabled]) records a ["bp.simulate"] span and the
     [bp.simulations] / [bp.events] counters.
-    @raise Invalid_argument on [X] inputs or length mismatches. *)
+    @raise Invalid_argument on [X] inputs, length mismatches, or a
+    {!partition} with no device, the wrong length or a block out of
+    range. *)
 
 val pack_ints : (int * int) list -> Netlist.Signal.level array
 (** [(width, value)] groups to input levels, LSB first within a group,
@@ -134,8 +141,9 @@ val events : result -> int
 (** Number of processed breakpoints. *)
 
 val net_delay : result -> Netlist.Circuit.net -> float option
-(** {!Spice.Measure.net_delay} of the net's waveform: [t_start] to its
-    last [vdd/2] crossing; [None] when the net never switched. *)
+(** {!Spice.Measure.net_delay} of the net's waveform: the input step at
+    [t = 0] to its last [vdd/2] crossing; [None] when the net never
+    switched. *)
 
 val critical_delay : result -> (Netlist.Circuit.net * float) option
 (** Worst {!net_delay} over the primary outputs. *)

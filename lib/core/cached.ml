@@ -28,21 +28,23 @@ let sleep_model b = function
     K.sleep b s
 
 let bp_config_key (cfg : BP.config) =
-  match cfg.BP.partition with
-  | Some _ -> None (* contains a closure: not digestible *)
-  | None ->
-    let b = K.create () in
-    sleep_model b cfg.BP.sleep;
-    K.bool b cfg.BP.body_effect;
-    K.option b K.float cfg.BP.alpha;
-    K.bool b cfg.BP.reverse_conduction;
-    K.float b cfg.BP.t_start;
-    K.int b cfg.BP.max_events;
-    K.float b cfg.BP.cx;
-    K.bool b cfg.BP.input_slope;
-    K.option b K.tech cfg.BP.tech_override;
-    K.raw b (match cfg.BP.rail with BP.Gnd_switch -> "gnd;" | BP.Vdd_switch -> "vdd;");
-    Some (K.contents b)
+  let b = K.create () in
+  sleep_model b cfg.BP.sleep;
+  K.bool b cfg.BP.body_effect;
+  K.bool b cfg.BP.reverse_conduction;
+  K.option b
+    (fun b (p : BP.partition) ->
+      K.int b (Array.length p.BP.block_of_gate);
+      Array.iter (K.int b) p.BP.block_of_gate;
+      K.int b (Array.length p.BP.sleeps);
+      Array.iter (sleep_model b) p.BP.sleeps)
+    cfg.BP.partition;
+  K.float b cfg.BP.cx;
+  K.bool b cfg.BP.input_slope;
+  K.option b K.tech cfg.BP.tech_override;
+  K.raw b
+    (match cfg.BP.rail with BP.Gnd_switch -> "gnd;" | BP.Vdd_switch -> "vdd;");
+  K.contents b
 
 let sp_config_key (cfg : Spice_ref.config) =
   let b = K.create () in
@@ -73,10 +75,8 @@ let digest ~tag parts =
   K.digest b
 
 let bp_key ~config c ~before ~after =
-  match bp_config_key config with
-  | None -> None
-  | Some ck ->
-    Some (digest ~tag:"bp1" [ circuit_key c; ck; vector_key ~before ~after ])
+  digest ~tag:"bp1"
+    [ circuit_key c; bp_config_key config; vector_key ~before ~after ]
 
 let bp_metrics ?cache ?obs ~config c ~before ~after =
   let compute _stats =
@@ -84,17 +84,13 @@ let bp_metrics ?cache ?obs ~config c ~before ~after =
     let d = Option.map snd (BP.critical_delay r) in
     (d, BP.vx_peak r, BP.peak_discharge_current r)
   in
-  match cache with
-  | None -> compute None
-  | Some _ ->
-    (match bp_key ~config c ~before ~after with
-     | None -> compute None
-     | Some k ->
-       Eval.Cache.memo ?cache ~key:(lazy k) ~arity:4
-         ~to_floats:(fun (d, vx, i) ->
-           match d with
-           | None -> [| 0.0; 0.0; vx; i |]
-           | Some d -> [| 1.0; d; vx; i |])
-         ~of_floats:(fun a ->
-           ((if a.(0) = 0.0 then None else Some a.(1)), a.(2), a.(3)))
-         compute)
+  Eval.Cache.memo ?cache
+    ~key:(lazy (bp_key ~config c ~before ~after))
+    ~arity:4
+    ~to_floats:(fun (d, vx, i) ->
+      match d with
+      | None -> [| 0.0; 0.0; vx; i |]
+      | Some d -> [| 1.0; d; vx; i |])
+    ~of_floats:(fun a ->
+      ((if a.(0) = 0.0 then None else Some a.(1)), a.(2), a.(3)))
+    compute

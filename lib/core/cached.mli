@@ -14,11 +14,11 @@ val circuit_key : Netlist.Circuit.t -> string
     physical identity so repeated evaluations of the same circuit pay
     for the traversal once. *)
 
-val bp_config_key : Breakpoint_sim.config -> string option
-(** Framed bytes for a breakpoint config — every field including the
-    sleep model and any [tech_override].  [None] when the config
-    carries a {!Breakpoint_sim.partition} (it contains a function and
-    cannot be digested); callers must then evaluate uncached. *)
+val bp_config_key : Breakpoint_sim.config -> string
+(** Framed bytes for a breakpoint config — every field, including the
+    sleep model, any [tech_override] and a {!Breakpoint_sim.partition}'s
+    per-gate blocks and per-block devices.  Total: every config has a
+    key. *)
 
 val sp_config_key : Spice_ref.config -> string
 (** Framed bytes for a transistor-level config, including the recovery
@@ -48,6 +48,6 @@ val bp_metrics :
     current)] — the three scalars Sizing (and through
     [Sizing.worst_delay_bp] Hierarchy, Sta and Selective), Search,
     Variation and Vectors consume.  Cached, keyed on circuit, config and
-    vector, when a cache is given and the config has no partition.
+    vector, when a cache is given.
     @raise Breakpoint_sim.Starved as the simulator does (never
     cached). *)

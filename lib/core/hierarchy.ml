@@ -4,27 +4,21 @@ let by_level circuit ~blocks =
   if blocks < 1 then invalid_arg "Hierarchy.by_level: blocks < 1";
   let gd = C.gate_depths circuit in
   let max_depth = Array.fold_left Int.max 1 gd in
-  fun gid ->
-    if gid < 0 || gid >= Array.length gd then
-      invalid_arg "Hierarchy.by_level: unknown gate"
-    else Int.min (blocks - 1) ((gd.(gid) - 1) * blocks / max_depth)
+  Array.map (fun d -> Int.min (blocks - 1) ((d - 1) * blocks / max_depth)) gd
 
 let populations circuit ~blocks =
-  let band = by_level circuit ~blocks in
   let counts = Array.make blocks 0 in
   Array.iter
-    (fun (g : C.gate_inst) -> counts.(band g.C.id) <- counts.(band g.C.id) + 1)
-    (C.gates circuit);
+    (fun b -> counts.(b) <- counts.(b) + 1)
+    (by_level circuit ~blocks);
   counts
 
-let config ?(body_effect = true) tech circuit ~wl_per_block ~blocks =
-  let block_of_gate = by_level circuit ~blocks in
+let config tech circuit ~wl_per_block ~blocks =
   let sleep = Device.Sleep.nmos_footer tech ~wl:wl_per_block in
   { Breakpoint_sim.default_config with
-    Breakpoint_sim.body_effect;
-    partition =
+    Breakpoint_sim.partition =
       Some
-        { Breakpoint_sim.block_of_gate;
+        { Breakpoint_sim.block_of_gate = by_level circuit ~blocks;
           sleeps = Array.make blocks (Breakpoint_sim.Sleep_fet sleep) } }
 
 let size_uniform_for_degradation ?(wl_lo = 0.5) ?(wl_hi = 4096.0)

@@ -8,10 +8,12 @@
     Exclusive Discharge Patterns"); here it serves as a built-in
     extension and an ablation against the single shared device. *)
 
-val by_level : Netlist.Circuit.t -> blocks:int -> Netlist.Circuit.gate_id -> int
-(** Partition gates by topological depth into [blocks] equal bands —
-    pipeline stages discharge at different times, so banding by level
-    approximates mutual exclusion.
+val by_level : Netlist.Circuit.t -> blocks:int -> int array
+(** Each gate's band, indexed by gate id: gates are partitioned by
+    topological depth into [blocks] equal bands — pipeline stages
+    discharge at different times, so banding by level approximates
+    mutual exclusion.  This is a {!Breakpoint_sim.partition}'s
+    [block_of_gate].
 
     Degenerate edge: when [blocks] exceeds the circuit's logic depth the
     pigeonhole principle leaves some bands with no gates at all (e.g. a
@@ -27,7 +29,6 @@ val populations : Netlist.Circuit.t -> blocks:int -> int array
     [blocks] exceeds the logic depth. *)
 
 val config :
-  ?body_effect:bool ->
   Device.Tech.t ->
   Netlist.Circuit.t ->
   wl_per_block:float ->

@@ -231,7 +231,7 @@ let optimize ?(ctx = Eval.Ctx.default) ?(objective = Leakage) ?(clusters = 4)
   (* seed clustering: level bands, empty bands compacted away *)
   let remap, k = compact (Hierarchy.populations circuit ~blocks:clusters) in
   let band = Hierarchy.by_level circuit ~blocks:clusters in
-  let cluster_of = Array.init n (fun i -> remap.(band i)) in
+  let cluster_of = Array.map (fun b -> remap.(b)) band in
   let vt = Array.make n true in
   let evals = Atomic.make 0 in
   let eval_with timer ~vt_high ~cluster_of_gate ~sleep_wl =
@@ -457,8 +457,9 @@ let bounce ?(ctx = Eval.Ctx.default) circuit r ~vectors =
          r.sleep_wl)
       [| Breakpoint_sim.Cmos |]
   in
-  let block_of_gate gid =
-    if r.vt_high.(gid) then k else r.cluster_of_gate.(gid)
+  let block_of_gate =
+    Array.mapi (fun gid c -> if r.vt_high.(gid) then k else c)
+      r.cluster_of_gate
   in
   let config =
     { Breakpoint_sim.default_config with

@@ -34,9 +34,8 @@ let run ?(config = Breakpoint_sim.default_config) circuit ~period ~vectors =
           | Some (_, d) -> Some d
           | None -> None
         in
-        let settle =
-          Breakpoint_sim.t_finish r -. config.Breakpoint_sim.t_start
-        in
+        (* the inputs flip at t = 0 *)
+        let settle = Breakpoint_sim.t_finish r in
         incr index;
         steps :=
           { index = !index;

@@ -71,21 +71,18 @@ let spice_vector ?cache ?obs ~config ~bp_config ?stats c (before, after) =
         f;
       worst_delay_bp ?obs ~config:bp_config c [ (before, after) ]
   in
-  match (cache, Cached.bp_config_key bp_config) with
-  | None, _ | _, None -> compute stats
-  | Some _, Some bk ->
-    let key =
-      lazy
-        (Cached.digest ~tag:"szv1"
-           [ Cached.circuit_key c;
-             Cached.sp_config_key config;
-             bk;
-             Cached.vector_key ~before ~after ])
-    in
-    Eval.Cache.memo ?cache ?stats ~key ~arity:2
-      ~to_floats:(fun (d, vx) -> [| d; vx |])
-      ~of_floats:(fun a -> (a.(0), a.(1)))
-      compute
+  let key =
+    lazy
+      (Cached.digest ~tag:"szv1"
+         [ Cached.circuit_key c;
+           Cached.sp_config_key config;
+           Cached.bp_config_key bp_config;
+           Cached.vector_key ~before ~after ])
+  in
+  Eval.Cache.memo ?cache ?stats ~key ~arity:2
+    ~to_floats:(fun (d, vx) -> [| d; vx |])
+    ~of_floats:(fun a -> (a.(0), a.(1)))
+    compute
 
 (* parallel over vectors; per-worker accumulators keep the recording
    lock-free and are merged back (in worker order) after the join, and

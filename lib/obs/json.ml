@@ -1,0 +1,143 @@
+(* Minimal JSON reader, no external dependencies. *)
+
+type t =
+  | J_obj of (string * t) list
+  | J_arr of t list
+  | J_str of string
+  | J_num of float
+  | J_bool of bool
+  | J_null
+
+exception Parse of string
+
+let parse s =
+  let n = String.length s in
+  let pos = ref 0 in
+  let fail msg = raise (Parse (Printf.sprintf "%s at offset %d" msg !pos)) in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let advance () = incr pos in
+  let rec skip_ws () =
+    match peek () with
+    | Some (' ' | '\t' | '\n' | '\r') ->
+      advance ();
+      skip_ws ()
+    | _ -> ()
+  in
+  let expect c =
+    match peek () with
+    | Some c' when c' = c -> advance ()
+    | _ -> fail (Printf.sprintf "expected %c" c)
+  in
+  let literal word v =
+    let l = String.length word in
+    if !pos + l <= n && String.sub s !pos l = word then begin
+      pos := !pos + l;
+      v
+    end
+    else fail ("expected " ^ word)
+  in
+  let parse_string () =
+    expect '"';
+    let b = Buffer.create 16 in
+    let rec go () =
+      if !pos >= n then fail "unterminated string";
+      let c = s.[!pos] in
+      advance ();
+      match c with
+      | '"' -> Buffer.contents b
+      | '\\' ->
+        (if !pos >= n then fail "unterminated escape";
+         let e = s.[!pos] in
+         advance ();
+         (match e with
+          | '"' -> Buffer.add_char b '"'
+          | '\\' -> Buffer.add_char b '\\'
+          | '/' -> Buffer.add_char b '/'
+          | 'n' -> Buffer.add_char b '\n'
+          | 't' -> Buffer.add_char b '\t'
+          | 'r' -> Buffer.add_char b '\r'
+          | 'b' -> Buffer.add_char b '\b'
+          | 'f' -> Buffer.add_char b '\012'
+          | 'u' ->
+            if !pos + 4 > n then fail "bad \\u escape";
+            let hex = String.sub s !pos 4 in
+            pos := !pos + 4;
+            (match int_of_string_opt ("0x" ^ hex) with
+             | Some code when code < 0x80 -> Buffer.add_char b (Char.chr code)
+             | Some _ -> Buffer.add_char b '?' (* non-ASCII: placeholder *)
+             | None -> fail "bad \\u escape")
+          | _ -> fail "bad escape"));
+        go ()
+      | c -> Buffer.add_char b c; go ()
+    in
+    go ()
+  in
+  let parse_number () =
+    let start = !pos in
+    let is_num_char = function
+      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+      | _ -> false
+    in
+    while (match peek () with Some c -> is_num_char c | None -> false) do
+      advance ()
+    done;
+    match float_of_string_opt (String.sub s start (!pos - start)) with
+    | Some v -> v
+    | None -> fail "bad number"
+  in
+  let rec parse_value () =
+    skip_ws ();
+    match peek () with
+    | Some '{' ->
+      advance ();
+      skip_ws ();
+      if peek () = Some '}' then (advance (); J_obj [])
+      else begin
+        let rec members acc =
+          skip_ws ();
+          let k = parse_string () in
+          skip_ws ();
+          expect ':';
+          let v = parse_value () in
+          skip_ws ();
+          match peek () with
+          | Some ',' -> advance (); members ((k, v) :: acc)
+          | Some '}' -> advance (); J_obj (List.rev ((k, v) :: acc))
+          | _ -> fail "expected , or }"
+        in
+        members []
+      end
+    | Some '[' ->
+      advance ();
+      skip_ws ();
+      if peek () = Some ']' then (advance (); J_arr [])
+      else begin
+        let rec elems acc =
+          let v = parse_value () in
+          skip_ws ();
+          match peek () with
+          | Some ',' -> advance (); elems (v :: acc)
+          | Some ']' -> advance (); J_arr (List.rev (v :: acc))
+          | _ -> fail "expected , or ]"
+        in
+        elems []
+      end
+    | Some '"' -> J_str (parse_string ())
+    | Some 't' -> literal "true" (J_bool true)
+    | Some 'f' -> literal "false" (J_bool false)
+    | Some 'n' -> literal "null" J_null
+    | Some _ -> J_num (parse_number ())
+    | None -> fail "unexpected end of input"
+  in
+  let v = parse_value () in
+  skip_ws ();
+  if !pos <> n then fail "trailing garbage";
+  v
+
+let field k = function J_obj l -> List.assoc_opt k l | _ -> None
+
+let num_field k j =
+  match field k j with Some (J_num v) -> Some v | _ -> None
+
+let str_field k j =
+  match field k j with Some (J_str v) -> Some v | _ -> None

@@ -6,6 +6,7 @@
 
 module Clock = Clock
 module Metrics = Metrics
+module Json = Json
 module Trace = Trace
 module Prof = Prof
 module Report = Report

@@ -34,11 +34,6 @@ end
 module Pool = struct
   let default_jobs () = Domain.recommended_domain_count ()
 
-  let resolve_jobs = function
-    | None -> default_jobs ()
-    | Some j when j >= 1 -> j
-    | Some j -> invalid_arg (Printf.sprintf "Par.Pool: jobs = %d" j)
-
   (* A worker either finishes with its state or aborts with the first
      exception it hit; partial chunk results are discarded. *)
   type 'w outcome =
@@ -164,19 +159,4 @@ module Pool = struct
   let map ?obs ?jobs ?chunk ?cancel n f =
     map_stateful ?obs ?jobs ?chunk ?cancel ~create:ignore ~merge:ignore n
       (fun () i -> f i)
-
-  let map_list ?obs ?jobs ?chunk ?cancel f xs =
-    let src = Array.of_list xs in
-    Array.to_list
-      (map ?obs ?jobs ?chunk ?cancel (Array.length src) (fun i -> f src.(i)))
-
-  (* no [?obs] on [map_reduce] itself: with every argument labelled, an
-     unsupplied trailing optional would never be erased at the call
-     site.  The observability path is [map_reduce_obs], where [obs] is
-     a *required* label — always supplied, so nothing can dangle. *)
-  let map_reduce ?jobs ?chunk ~n ~map:m ~reduce ~init =
-    Array.fold_left reduce init (map ?jobs ?chunk n m)
-
-  let map_reduce_obs ~obs ?jobs ?chunk ~n ~map:m ~reduce ~init =
-    Array.fold_left reduce init (map ~obs ?jobs ?chunk n m)
 end

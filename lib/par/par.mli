@@ -60,11 +60,6 @@ module Pool : sig
   (** [Domain.recommended_domain_count ()] — what [?jobs] defaults to
       at the CLI surface. *)
 
-  val resolve_jobs : int option -> int
-  (** [resolve_jobs None] is {!default_jobs} (so a single-core runtime
-      degrades to the sequential path); [resolve_jobs (Some j)] is [j].
-      @raise Invalid_argument when [j < 1]. *)
-
   val map :
     ?obs:Obs.t ->
     ?jobs:int ->
@@ -78,46 +73,8 @@ module Pool : sig
       callers).  [chunk] is the fixed chunk length (default: [n]
       divided over 4 chunks per worker, at least 1).  Deterministic:
       the result is identical for every [jobs]/[chunk] choice.
-      [cancel] is polled between chunks; see {!map_stateful}. *)
-
-  val map_list :
-    ?obs:Obs.t ->
-    ?jobs:int ->
-    ?chunk:int ->
-    ?cancel:Cancel.t ->
-    ('a -> 'b) ->
-    'a list ->
-    'b list
-  (** [map_list f xs] = [List.map f xs], parallelised like {!map} and
-      equally deterministic. *)
-
-  val map_reduce :
-    ?jobs:int ->
-    ?chunk:int ->
-    n:int ->
-    map:(int -> 'a) ->
-    reduce:('acc -> 'a -> 'acc) ->
-    init:'acc ->
-    'acc
-  (** Fold the {!map} results in index order — [reduce] need not be
-      commutative; it always sees [f 0, f 1, ...] left to right. *)
-
-  val map_reduce_obs :
-    obs:Obs.t ->
-    ?jobs:int ->
-    ?chunk:int ->
-    n:int ->
-    map:(int -> 'a) ->
-    reduce:('acc -> 'a -> 'acc) ->
-    init:'acc ->
-    'acc
-  (** {!map_reduce} with pool self-metrics recorded into [obs] (see
-      {!map_stateful}).  A separate function with a {e required} [obs]
-      label rather than an optional on {!map_reduce}: with every
-      argument labelled, an unsupplied trailing [?obs] would never be
-      erased at the call site — partial application would silently
-      yield a closure instead of running.  This is the observability
-      path PR 4 dropped, restored without that trap. *)
+      [cancel] is polled between chunks; see {!map_stateful}.
+      @raise Invalid_argument when [jobs < 1]. *)
 
   val map_stateful :
     ?obs:Obs.t ->
@@ -138,7 +95,7 @@ module Pool : sig
       parallel region without locks: worker-local recording, exact
       merged totals.
 
-      [obs] (default [Obs.disabled], on every function above too)
+      [obs] (default [Obs.disabled], on {!map} too)
       records the pool's self-metrics — [par.pool.calls], the
       [par.jobs] high-water gauge, and per-worker
       [par.worker.<w>.tasks] / [par.worker.<w>.busy_s] — plus a

@@ -151,13 +151,17 @@ let check_overrides ?(flag = "") (ov : overrides) =
     (List.filter_map Fun.id
        [ opt "jobs" 1 ov.jobs; opt "newton-budget" 0 ov.newton_budget ])
 
+let wl_rule ~zero_ok wl =
+  if wl = Float.infinity then
+    (false, Printf.sprintf "W/L %g: must be finite" wl)
+  else if zero_ok then (wl >= 0.0, Printf.sprintf "W/L %g: must be >= 0" wl)
+  else (wl > 0.0, Printf.sprintf "W/L %g: must be > 0" wl)
+
+let check_wl ?(zero_ok = false) wl = first_error [ wl_rule ~zero_ok wl ]
+
 let check ?(flag = "") kind =
   let at_least = at_least ~flag in
-  let positive wl =
-    if wl = Float.infinity then
-      (false, Printf.sprintf "W/L %g: must be finite" wl)
-    else (wl > 0.0, Printf.sprintf "W/L %g: must be > 0" wl)
-  in
+  let positive = wl_rule ~zero_ok:false in
   first_error
     (match kind with
      | Sweep { wls; _ } -> List.map positive wls

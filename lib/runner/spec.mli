@@ -72,6 +72,11 @@ val check : ?flag:string -> kind -> (unit, string) result
     [flag] (default [""]) prefixes field names in the message, e.g.
     ["--"] to name command-line flags. *)
 
+val check_wl : ?zero_ok:bool -> float -> (unit, string) result
+(** The W/L rule {!check} applies: finite and > 0, or >= 0 with
+    [zero_ok] (default [false]) where 0 means conventional CMOS.  NaN
+    never passes. *)
+
 val check_overrides : ?flag:string -> overrides -> (unit, string) result
 (** [jobs] >= 1 and [newton-budget] >= 0, same message style. *)
 

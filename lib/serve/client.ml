@@ -1,9 +1,7 @@
 (* Client side of the serve protocol: one submit per connection, used
-   by [mtsize submit], the serve tests, and the CI smoke script.  The
-   event stream needs no JSON parser: events are classified by probing
-   for the exact field bytes the daemon emits (the same trick the
-   runner uses on replayed fragments), and the manifest length is read
-   from the one numeric field the client needs. *)
+   by [mtsize submit], the serve tests, and the CI smoke script.  Each
+   event line is decoded with Obs.Json; the manifest's bytes follow its
+   event raw. *)
 
 type outcome =
   | Manifest of { manifest : string; failed : bool }
@@ -59,52 +57,6 @@ let read_exact fd n =
   in
   go 0
 
-let contains hay probe =
-  let np = String.length probe and nh = String.length hay in
-  let rec find i =
-    i + np <= nh && (String.sub hay i np = probe || find (i + 1))
-  in
-  find 0
-
-(* first integer after ["<field>":] — enough for a protocol we also
-   author *)
-let int_field line field =
-  let probe = "\"" ^ field ^ "\":" in
-  let np = String.length probe and nl = String.length line in
-  let rec find i =
-    if i + np > nl then None
-    else if String.sub line i np = probe then begin
-      let j = ref (i + np) in
-      let v = ref 0 and any = ref false in
-      while
-        !j < nl && match line.[!j] with '0' .. '9' -> true | _ -> false
-      do
-        v := (10 * !v) + (Char.code line.[!j] - Char.code '0');
-        any := true;
-        incr j
-      done;
-      if !any then Some !v else None
-    end
-    else find (i + 1)
-  in
-  find 0
-
-(* crude but sufficient: pull the "reason"/"message" string value off a
-   line we emitted ourselves (no escapes in daemon-authored reasons) *)
-let str_field line field =
-  let probe = "\"" ^ field ^ "\":\"" in
-  let np = String.length probe and nl = String.length line in
-  let rec find i =
-    if i + np > nl then None
-    else if String.sub line i np = probe then begin
-      match String.index_from_opt line (i + np) '"' with
-      | Some e -> Some (String.sub line (i + np) (e - (i + np)))
-      | None -> None
-    end
-    else find (i + 1)
-  in
-  find 0
-
 let submit ?(on_event = fun (_ : string) -> ()) endpoint ~rid
     ?deadline_s ~spec () =
   match connect endpoint with
@@ -130,32 +82,34 @@ let submit ?(on_event = fun (_ : string) -> ()) endpoint ~rid
             | None -> Error "connection closed before a terminal event"
             | Some line ->
               on_event line;
-              if contains line "\"event\":\"manifest\"" then begin
-                match int_field line "bytes" with
-                | None -> Error "manifest event without a byte count"
-                | Some n ->
-                  (match read_exact fd n with
-                   | Some m ->
-                     Ok
-                       (Manifest
-                          { manifest = m;
-                            failed =
-                              (match int_field line "failed" with
-                               | Some k -> k > 0
-                               | None -> false) })
-                   | None -> Error "manifest payload truncated")
-              end
-              else if contains line "\"event\":\"rejected\"" then
-                Ok
-                  (Rejected
-                     (Option.value ~default:"rejected"
-                        (str_field line "reason")))
-              else if contains line "\"event\":\"deadline\"" then Ok Deadline
-              else if contains line "\"event\":\"error\"" then
-                Ok
-                  (Remote_error
-                     (Option.value ~default:"error"
-                        (str_field line "message")))
-              else events () (* accepted / fragment: keep streaming *)
+              let ev =
+                try Obs.Json.parse line
+                with Obs.Json.Parse _ -> Obs.Json.J_null
+              in
+              let str k ~default =
+                Option.value ~default (Obs.Json.str_field k ev)
+              in
+              let int k = Option.map int_of_float (Obs.Json.num_field k ev) in
+              (match Obs.Json.str_field "event" ev with
+               | Some "manifest" ->
+                 (match int "bytes" with
+                  | None -> Error "manifest event without a byte count"
+                  | Some n ->
+                    (match read_exact fd n with
+                     | Some m ->
+                       Ok
+                         (Manifest
+                            { manifest = m;
+                              failed =
+                                (match int "failed" with
+                                 | Some k -> k > 0
+                                 | None -> false) })
+                     | None -> Error "manifest payload truncated"))
+               | Some "rejected" ->
+                 Ok (Rejected (str "reason" ~default:"rejected"))
+               | Some "deadline" -> Ok Deadline
+               | Some "error" ->
+                 Ok (Remote_error (str "message" ~default:"error"))
+               | _ -> events () (* accepted / fragment: keep streaming *))
           in
           events ())

@@ -191,9 +191,9 @@ let test_bp_input_validation () =
     (Invalid_argument "Breakpoint_sim: before length mismatch") (fun () ->
       ignore (BP.simulate tree_c ~before:[||] ~after:[| S.L1 |]))
 
-(* every gate's block is range-checked up front: a mis-mapped gate fails
-   the simulation even on a vector that never switches it *)
-let test_bp_partition_range_checked () =
+(* two inverters, on inputs [a] (gate 0) and [x] (gate 1), under a
+   partition of one block *)
+let two_inverters_partitioned block_of_gate =
   let b = Netlist.Circuit.builder tech in
   let a = Netlist.Circuit.add_input b in
   let x = Netlist.Circuit.add_input b in
@@ -203,16 +203,28 @@ let test_bp_partition_range_checked () =
   Netlist.Circuit.mark_output b nx;
   let c = Netlist.Circuit.freeze b in
   let sleeps = [| BP.Sleep_fet (Device.Sleep.nmos_footer tech ~wl:5.0) |] in
-  (* the [x] inverter (gate 1) is mapped past the single block *)
   let config =
-    { BP.default_config with
-      BP.partition = Some { BP.block_of_gate = (fun gid -> gid); sleeps } }
+    { BP.default_config with BP.partition = Some { BP.block_of_gate; sleeps } }
   in
+  (* only [a] switches: the [x] inverter never does *)
+  fun () ->
+    ignore
+      (BP.simulate ~config c ~before:[| S.L0; S.L0 |] ~after:[| S.L1; S.L0 |])
+
+(* every gate's block is range-checked up front: a mis-mapped gate fails
+   the simulation even on a vector that never switches it *)
+let test_bp_partition_range_checked () =
+  (* the [x] inverter (gate 1) is mapped past the single block *)
   Alcotest.check_raises "x never switches"
-    (Invalid_argument "Breakpoint_sim: block index out of range") (fun () ->
-      ignore
-        (BP.simulate ~config c ~before:[| S.L0; S.L0 |]
-           ~after:[| S.L1; S.L0 |]))
+    (Invalid_argument "Breakpoint_sim: block index out of range")
+    (two_inverters_partitioned [| 0; 1 |])
+
+(* so is the partition's length: a gate it does not cover fails the
+   simulation even when that gate never switches *)
+let test_bp_partition_length_checked () =
+  Alcotest.check_raises "x not covered"
+    (Invalid_argument "Breakpoint_sim: partition length mismatch")
+    (two_inverters_partitioned [| 0 |])
 
 let test_bp_glitch_visible () =
   (* a,b both toggle: the nand output glitches in a static hazard;
@@ -629,6 +641,8 @@ let suite =
     Alcotest.test_case "bp input validation" `Quick test_bp_input_validation;
     Alcotest.test_case "bp partition range check" `Quick
       test_bp_partition_range_checked;
+    Alcotest.test_case "bp partition length check" `Quick
+      test_bp_partition_length_checked;
     Alcotest.test_case "bp glitch" `Quick test_bp_glitch_visible;
     Alcotest.test_case "bp reverse conduction" `Quick
       test_bp_reverse_conduction_mode;

@@ -72,12 +72,9 @@ let test_digest_corpus_distinct () =
   let vectors = [ ([ (1, 0) ], [ (1, 1) ]); ([ (1, 1) ], [ (1, 0) ]) ] in
   let keys = Hashtbl.create 64 in
   let add what key =
-    match key with
-    | None -> Alcotest.failf "%s: expected a digestible config" what
-    | Some key ->
-      (match Hashtbl.find_opt keys key with
-       | Some other -> Alcotest.failf "collision: %s vs %s" what other
-       | None -> Hashtbl.add keys key what)
+    match Hashtbl.find_opt keys key with
+    | Some other -> Alcotest.failf "collision: %s vs %s" what other
+    | None -> Hashtbl.add keys key what
   in
   List.iteri
     (fun ci c ->
@@ -95,18 +92,63 @@ let test_digest_corpus_distinct () =
                     Printf.sprintf "c%d/s%d/v%d/be%b" ci si vi body_effect
                   in
                   add what
-                    (Option.map
-                       (fun cfg ->
-                         Mtcmos.Cached.digest ~tag:"t"
-                           [ Mtcmos.Cached.circuit_key c; cfg;
-                             Mtcmos.Cached.vector_key ~before ~after ])
-                       (Mtcmos.Cached.bp_config_key config)))
+                    (Mtcmos.Cached.digest ~tag:"t"
+                       [ Mtcmos.Cached.circuit_key c;
+                         Mtcmos.Cached.bp_config_key config;
+                         Mtcmos.Cached.vector_key ~before ~after ]))
                 [ true; false ])
             vectors)
         sleeps)
     circuits;
   Alcotest.(check int)
     "corpus size" (5 * 5 * 2 * 2) (Hashtbl.length keys)
+
+(* Every field of a breakpoint config, its partition included, reaches
+   [bp_config_key]: varying any one field alone gives a key no other
+   variant has.  The record patterns name every field, so a new field
+   fails to compile here until it is varied below too. *)
+let test_bp_config_key_fields () =
+  let module BP = Mtcmos.Breakpoint_sim in
+  let base = BP.default_config in
+  let { BP.sleep = _; body_effect = _; reverse_conduction = _;
+        partition = _; cx = _; input_slope = _; tech_override = _;
+        rail = _ } =
+    base
+  in
+  let footer wl = BP.Sleep_fet (Device.Sleep.nmos_footer tech ~wl) in
+  let part =
+    { BP.block_of_gate = [| 0; 1; 0 |]; sleeps = [| footer 5.0; footer 8.0 |] }
+  in
+  let { BP.block_of_gate = _; sleeps = _ } = part in
+  let variants =
+    [ ("default", base);
+      ("sleep", { base with BP.sleep = BP.Resistor 100.0 });
+      ("body_effect", { base with BP.body_effect = false });
+      ("reverse_conduction", { base with BP.reverse_conduction = true });
+      ("partition", { base with BP.partition = Some part });
+      ( "partition.block_of_gate",
+        { base with
+          BP.partition =
+            Some { part with BP.block_of_gate = [| 0; 1; 1 |] } } );
+      ( "partition.sleeps",
+        { base with
+          BP.partition =
+            Some { part with BP.sleeps = [| footer 5.0; footer 9.0 |] } } );
+      ("cx", { base with BP.cx = 1e-12 });
+      ("input_slope", { base with BP.input_slope = true });
+      ("tech_override", { base with BP.tech_override = Some Fixtures.tech03 });
+      ("rail", { base with BP.rail = BP.Vdd_switch }) ]
+  in
+  let keys = Hashtbl.create 16 in
+  List.iter
+    (fun (what, cfg) ->
+      let key = Mtcmos.Cached.bp_config_key cfg in
+      match Hashtbl.find_opt keys key with
+      | Some other -> Alcotest.failf "%s and %s share a key" what other
+      | None -> Hashtbl.add keys key what)
+    variants;
+  Alcotest.(check int)
+    "one key per variant" (List.length variants) (Hashtbl.length keys)
 
 (* Every field of a transistor-level config, its recovery policy
    included, reaches [sp_config_key]: varying any one field alone gives
@@ -603,6 +645,8 @@ let suite =
       test_digest_corpus_distinct;
     Alcotest.test_case "spice key covers every config field" `Quick
       test_sp_config_key_fields;
+    Alcotest.test_case "breakpoint key covers every config field" `Quick
+      test_bp_config_key_fields;
     Alcotest.test_case "LRU eviction and counters" `Quick test_lru_eviction;
     Alcotest.test_case "store replaces in place" `Quick test_store_replaces;
     Alcotest.test_case "memo: hit = miss, arity guards" `Quick

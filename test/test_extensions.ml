@@ -168,7 +168,7 @@ let test_hierarchy_partition () =
   let counts = Array.make 3 0 in
   Array.iter
     (fun (g : Netlist.Circuit.gate_inst) ->
-      let b = block_of g.Netlist.Circuit.id in
+      let b = block_of.(g.Netlist.Circuit.id) in
       counts.(b) <- counts.(b) + 1)
     (Netlist.Circuit.gates tree_c);
   Alcotest.(check (array int)) "level bands" [| 1; 3; 9 |] counts

@@ -472,23 +472,16 @@ let prop_histogram_conserves =
         && Array.fold_left ( + ) 0 d.counts = d.total
       | Some _ -> false)
 
-(* --- map_reduce_obs: the restored Pool observability path ---------- *)
+(* --- Pool observability ------------------------------------------- *)
 
-let test_map_reduce_obs () =
-  (* the labeled wrapper must agree with the plain map_reduce bit for
-     bit (string concat is non-commutative, so order errors scramble
-     it) and actually record the pool's self-metrics *)
+let test_map_obs () =
+  (* observing a pool call changes none of its results and records the
+     pool's self-metrics *)
   let n = 13 in
-  let plain =
-    Par.Pool.map_reduce ~jobs:3 ~chunk:2 ~n ~map:string_of_int
-      ~reduce:( ^ ) ~init:""
-  in
+  let plain = Par.Pool.map ~jobs:3 ~chunk:2 n string_of_int in
   let obs = Obs.create () in
-  let with_obs =
-    Par.Pool.map_reduce_obs ~obs ~jobs:3 ~chunk:2 ~n ~map:string_of_int
-      ~reduce:( ^ ) ~init:""
-  in
-  Alcotest.(check string) "same reduction" plain with_obs;
+  let with_obs = Par.Pool.map ~obs ~jobs:3 ~chunk:2 n string_of_int in
+  Alcotest.(check (array string)) "same results" plain with_obs;
   let m = Obs.metrics obs in
   Alcotest.(check bool)
     "pool call recorded" true
@@ -550,8 +543,7 @@ let test_selective_report () =
 let suite =
   [ Alcotest.test_case "histogram bucket edges" `Quick
       test_histogram_bucket_edges;
-    Alcotest.test_case "map_reduce_obs records pool metrics" `Quick
-      test_map_reduce_obs;
+    Alcotest.test_case "map records pool metrics" `Quick test_map_obs;
     Alcotest.test_case "metric kind clash rejected" `Quick
       test_kind_clash_rejected;
     Alcotest.test_case "merge: counters add, gauges max" `Quick

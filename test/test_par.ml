@@ -28,37 +28,11 @@ let test_map_matches_sequential () =
         (Par.Pool.map ~jobs ~chunk:3 n work))
     [ 1; 2; 8 ]
 
-let test_map_list_matches_list_map () =
-  let xs = List.init 23 (fun i -> i * 7) in
-  let f x = Printf.sprintf "<%d>" (x * x) in
-  let expected = List.map f xs in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check (list string))
-        (Printf.sprintf "map_list jobs=%d" jobs)
-        expected
-        (Par.Pool.map_list ~jobs f xs))
-    [ 1; 2; 8 ]
-
 let test_map_edge_sizes () =
   List.iter
     (fun jobs ->
       check_float_array "empty" [||] (Par.Pool.map ~jobs 0 work);
       check_float_array "singleton" [| work 0 |] (Par.Pool.map ~jobs 1 work))
-    [ 1; 2; 8 ]
-
-let test_map_reduce_index_order () =
-  (* string concatenation is not commutative: any out-of-order reduction
-     scrambles the digits *)
-  let n = 17 in
-  let expected = String.concat "" (List.init n string_of_int) in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check string)
-        (Printf.sprintf "map_reduce jobs=%d" jobs)
-        expected
-        (Par.Pool.map_reduce ~jobs ~chunk:2 ~n ~map:string_of_int
-           ~reduce:( ^ ) ~init:""))
     [ 1; 2; 8 ]
 
 exception Boom of int
@@ -104,14 +78,10 @@ let test_stateful_worker_order () =
     results;
   Alcotest.(check (list int)) "worker-order merge" [ 0; 2; 4; 1; 3; 5 ] !trace
 
-let test_resolve_jobs () =
-  Alcotest.(check int) "explicit" 3 (Par.Pool.resolve_jobs (Some 3));
-  Alcotest.(check int)
-    "default" (Par.Pool.default_jobs ())
-    (Par.Pool.resolve_jobs None);
+let test_jobs_rejected () =
   Alcotest.check_raises "zero rejected"
     (Invalid_argument "Par.Pool: jobs = 0") (fun () ->
-      ignore (Par.Pool.resolve_jobs (Some 0)))
+      ignore (Par.Pool.map ~jobs:0 4 work))
 
 (* resilience accounting under parallelism: a transistor-level sweep
    whose recovery budget is deliberately strangled must report the same
@@ -312,19 +282,15 @@ let test_uncancelled_map_unchanged () =
 let suite =
   [ Alcotest.test_case "map = sequential for jobs 1/2/8" `Quick
       test_map_matches_sequential;
-    Alcotest.test_case "map_list = List.map" `Quick
-      test_map_list_matches_list_map;
     Alcotest.test_case "empty and singleton ranges" `Quick
       test_map_edge_sizes;
-    Alcotest.test_case "map_reduce reduces in index order" `Quick
-      test_map_reduce_index_order;
     Alcotest.test_case "worker exception propagates" `Quick
       test_exception_propagates;
     Alcotest.test_case "lowest failing worker wins" `Quick
       test_exception_lowest_worker_wins;
     Alcotest.test_case "stateful merge in worker order" `Quick
       test_stateful_worker_order;
-    Alcotest.test_case "resolve_jobs" `Quick test_resolve_jobs;
+    Alcotest.test_case "jobs < 1 rejected" `Quick test_jobs_rejected;
     Alcotest.test_case "resilience counters match sequential" `Slow
       test_resilience_counters_match_sequential;
     Alcotest.test_case "scored-zero distinct from nothing-switches" `Quick

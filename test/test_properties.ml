@@ -221,7 +221,7 @@ let prop_hierarchy_blocks_cover =
       let f = Mtcmos.Hierarchy.by_level c ~blocks in
       Array.for_all
         (fun (g : Netlist.Circuit.gate_inst) ->
-          let b = f g.Netlist.Circuit.id in
+          let b = f.(g.Netlist.Circuit.id) in
           b >= 0 && b < blocks)
         (Netlist.Circuit.gates c))
 

@@ -180,7 +180,7 @@ let test_hierarchy_empty_bands () =
   let band = Mtcmos.Hierarchy.by_level c ~blocks in
   Array.iter
     (fun (g : C.gate_inst) ->
-      let b = band g.C.id in
+      let b = band.(g.C.id) in
       Alcotest.(check bool) "band in range" true (b >= 0 && b < blocks))
     (C.gates c);
   let pops = Mtcmos.Hierarchy.populations c ~blocks in

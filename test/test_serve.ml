@@ -306,6 +306,27 @@ let test_protocol_validation () =
   rejects "unknown field" "(submit (id a) (spec-bytes 1) (magic 3))";
   rejects "not a submit" "(metrics)"
 
+(* a daemon-side spec error arrives whole: its message quotes the bad
+   name, so the event line carries escaped quotes *)
+let test_remote_error_message () =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let ep, join = start_daemon ~dir ~max_requests:1 () in
+      let spec =
+        {|(batch (tech 09um) (circuit c2 chain)
+  (job sweep s1 (circuit c2) (wls 5)))|}
+      in
+      (match submit_ok ep ~rid:"bad-tech" ~spec with
+       | Serve.Client.Remote_error m ->
+         Alcotest.(check string)
+           "full message" "unknown technology \"09um\" (07um | 03um)" m
+       | _ -> Alcotest.fail "expected a remote error");
+      match join () with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "daemon: %s" e)
+
 (* ---- HTTP endpoints on the same socket ----------------------------- *)
 
 let test_http_endpoints () =
@@ -444,6 +465,8 @@ let suite =
     Alcotest.test_case "spool recovery = uninterrupted manifest" `Quick
       test_spool_recovery;
     Alcotest.test_case "protocol validation" `Quick test_protocol_validation;
+    Alcotest.test_case "remote error message arrives whole" `Quick
+      test_remote_error_message;
     Alcotest.test_case "http endpoints answer real clients" `Quick
       test_http_endpoints;
     QCheck_alcotest.to_alcotest prop_concurrent_clients_identical ]
