@@ -78,7 +78,12 @@ let test_stateful_worker_order () =
     results;
   Alcotest.(check (list int)) "worker-order merge" [ 0; 2; 4; 1; 3; 5 ] !trace
 
-let test_jobs_rejected () =
+(* how [map] resolves its [?jobs]: an explicit count is used as given,
+   an omitted one means 1 (sequential), and a count below 1 is rejected *)
+let test_resolve_jobs () =
+  let expected = Array.init 4 work in
+  check_float_array "explicit" expected (Par.Pool.map ~jobs:3 4 work);
+  check_float_array "default" expected (Par.Pool.map 4 work);
   Alcotest.check_raises "zero rejected"
     (Invalid_argument "Par.Pool: jobs = 0") (fun () ->
       ignore (Par.Pool.map ~jobs:0 4 work))
@@ -290,7 +295,7 @@ let suite =
       test_exception_lowest_worker_wins;
     Alcotest.test_case "stateful merge in worker order" `Quick
       test_stateful_worker_order;
-    Alcotest.test_case "jobs < 1 rejected" `Quick test_jobs_rejected;
+    Alcotest.test_case "resolve_jobs" `Quick test_resolve_jobs;
     Alcotest.test_case "resilience counters match sequential" `Slow
       test_resilience_counters_match_sequential;
     Alcotest.test_case "scored-zero distinct from nothing-switches" `Quick
