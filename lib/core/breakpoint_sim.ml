@@ -60,7 +60,7 @@ type result = {
   mutable vx_max : float;
   mutable i_max : float;
   mutable n_events : int;
-  mutable n_solves : int; (* rail equilibria solved, reuses excluded *)
+  mutable n_solves : int; (* rail equilibria needed, reuses excluded *)
   mutable t_last : float;
 }
 
@@ -75,6 +75,157 @@ let validate_inputs c levels name =
       | S.X -> invalid_arg (Printf.sprintf "Breakpoint_sim: X in %s" name)
       | S.L0 | S.L1 -> ())
     levels
+
+(* Float.min and Float.max, copied so they inline here and box nothing *)
+let[@inline] fmin (x : float) (y : float) =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
+    if y <> y then y else x
+  else if x <> x then x
+  else y
+
+let[@inline] fmax (x : float) (y : float) =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
+    if x <> x then x else y
+  else if y <> y then y
+  else x
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* --- per-circuit constants ---------------------------------------------
+   What a simulation reads of its circuit under one card, body-effect
+   setting and rail, computed once and shared immutably by every
+   simulation (and domain) that asks for the same four: circuit and card
+   by physical identity.  A short list in an atomic, like
+   [Cached.circuit_slot]: a lost race costs a recomputation, never a
+   wrong entry. *)
+type constants = {
+  k_circuit : C.t;
+  k_tech : Device.Tech.t;
+  k_body_effect : bool;
+  k_rail : rail_side;
+  vg_cfg : Vground.config;
+  out : int array;
+  cl : float array;
+  gated_wl : float array;  (* the W/L the rail sees: pull-down or pull-up *)
+  gated_k : float array;
+  ungated_slope : float array;
+}
+
+let constants_cap = 8
+let constants_slot : constants list Atomic.t = Atomic.make []
+
+let compute_constants c tech ~body_effect ~rail =
+  let model = Delay_model.of_tech ~body_effect tech in
+  let gated_rising = rail = Vdd_switch in
+  (* with a PMOS header, the shared rail is a virtual Vdd and the gated
+     devices are the pull-ups: the same equilibrium solved against the
+     PMOS alpha-power card (magnitudes) *)
+  let vg_cfg =
+    if gated_rising then
+      { model.Delay_model.vg with
+        Vground.model = Device.Tech.pmos_alpha tech }
+    else model.Delay_model.vg
+  in
+  let vdd = tech.Device.Tech.vdd in
+  let gates = C.gates c in
+  let n_gates = Array.length gates in
+  let out = Array.map (fun (g : C.gate_inst) -> g.C.output) gates in
+  let cl = Array.map (C.load_capacitance c) out in
+  let drives =
+    Array.map
+      (fun (g : C.gate_inst) ->
+        Netlist.Gate.drive tech ~strength:g.C.strength g.C.kind)
+      gates
+  in
+  let beta_wl = Array.map (fun d -> d.Netlist.Gate.wl_pull_down) drives in
+  let wl_up = Array.map (fun d -> d.Netlist.Gate.wl_pull_up) drives in
+  (* the ungated edge's slope is a constant of the gate; the gated edge's
+     is [gated_k * (its rail's alpha-power factor) / cl], the operations
+     of [Vground.gate_current] in the same order *)
+  let ungated_slope =
+    Array.init n_gates (fun i ->
+        if gated_rising then
+          Delay_model.discharge_slope model ~vx:0.0 ~beta_wl:beta_wl.(i)
+            ~vin:vdd ~cl:cl.(i)
+        else Delay_model.charge_slope model ~wl_pull_up:wl_up.(i) ~cl:cl.(i))
+  in
+  let gated_wl = if gated_rising then wl_up else beta_wl in
+  let half_beta = 0.5 *. vg_cfg.Vground.model.Device.Alpha_power.beta in
+  let gated_k = Array.map (fun wl -> half_beta *. wl) gated_wl in
+  { k_circuit = c; k_tech = tech; k_body_effect = body_effect; k_rail = rail;
+    vg_cfg; out; cl; gated_wl; gated_k; ungated_slope }
+
+let constants c tech ~body_effect ~rail =
+  let known = Atomic.get constants_slot in
+  match
+    List.find_opt
+      (fun k ->
+        k.k_circuit == c && k.k_tech == tech
+        && k.k_body_effect = body_effect && k.k_rail = rail)
+      known
+  with
+  | Some k -> k
+  | None ->
+    let k = compute_constants c tech ~body_effect ~rail in
+    Atomic.set constants_slot
+      (k :: List.filteri (fun i _ -> i < constants_cap - 1) known);
+    k
+
+(* --- rail equilibria, memoized across simulations ---------------------
+   A rail's equilibrium is a pure function of what its solve reads: the
+   Vground card, the sleep model, the gates' drive voltage (always vdd)
+   and the ordered discharging set.  The memo is keyed on all of them,
+   floats as their bits, so a hit returns the bits the solve would.  A
+   rail's context (card, vin, model) is interned to an id once per
+   simulation; ids are never reused, so an entry left under an evicted
+   context is only dead.  Both tables are bounded by dropping them whole
+   when full.  One mutex guards them: [serve] runs its workers as
+   systhreads in one domain and [Par.Pool] runs domains, so neither a
+   plain global nor a domain-local table would do. *)
+let memo_lock = Mutex.create ()
+let memo_cap = 4096
+let contexts_cap = 256
+let contexts : (string, int) Hashtbl.t = Hashtbl.create 64
+let next_context = ref 0
+let memo : (string, float) Hashtbl.t = Hashtbl.create 1024
+
+let rail_context (vg : Vground.config) ~vin sleep =
+  (* every field, floats as their bits: No_sharing makes the bytes a
+     function of the values alone *)
+  let key = Marshal.to_string (vg, vin, sleep) [ Marshal.No_sharing ] in
+  Mutex.protect memo_lock (fun () ->
+      match Hashtbl.find_opt contexts key with
+      | Some id -> id
+      | None ->
+        if Hashtbl.length contexts >= contexts_cap then Hashtbl.reset contexts;
+        let id = !next_context in
+        incr next_context;
+        Hashtbl.replace contexts key id;
+        id)
+
+let equilibrium ~context vg sleep ~vin beta_wls n =
+  let key = Bytes.create (8 * (n + 1)) in
+  Bytes.set_int64_le key 0 (Int64.of_int context);
+  for k = 0 to n - 1 do
+    Bytes.set_int64_le key (8 * (k + 1)) (Int64.bits_of_float beta_wls.(k))
+  done;
+  let key = Bytes.unsafe_to_string key in
+  match Mutex.protect memo_lock (fun () -> Hashtbl.find_opt memo key) with
+  | Some vx -> vx
+  | None ->
+    let set = List.init n (fun k -> { Vground.beta_wl = beta_wls.(k); vin }) in
+    let vx =
+      match sleep with
+      | Cmos -> 0.0
+      | Resistor r -> Vground.solve_resistor vg ~r set
+      | Sleep_fet s -> Vground.solve_device vg ~sleep:s set
+    in
+    Mutex.protect memo_lock (fun () ->
+        if Hashtbl.length memo >= memo_cap then Hashtbl.reset memo;
+        Hashtbl.replace memo key vx);
+    vx
+
+(* --- the simulation ---------------------------------------------------- *)
 
 let simulate_core ?(config = default_config) c ~before ~after =
   validate_inputs c before "before";
@@ -96,31 +247,25 @@ let simulate_core ?(config = default_config) c ~before ~after =
       p.sleeps
   in
   let n_blocks = Array.length sleeps in
-  let model = Delay_model.of_tech ~body_effect:config.body_effect tech in
   let gated_rising = config.rail = Vdd_switch in
-  (* with a PMOS header, the shared rail is a virtual Vdd and the gated
-     devices are the pull-ups: the same equilibrium solved against the
-     PMOS alpha-power card (magnitudes) *)
-  let vg_cfg =
-    if gated_rising then
-      { model.Delay_model.vg with
-        Vground.model = Device.Tech.pmos_alpha tech }
-    else model.Delay_model.vg
+  let k =
+    constants c tech ~body_effect:config.body_effect ~rail:config.rail
   in
+  let vg_cfg = k.vg_cfg in
   (* the event-driven core shares one flattened netlist per circuit
-     across every simulate call (and every Par.Pool domain); the dense
-     second eval that used to compute-and-discard the post state is
-     gone — retargeting discovers the post state incrementally *)
+     across every simulate call (and every Par.Pool domain); retargeting
+     discovers the post state incrementally *)
   let es = Netlist.Event_sim.of_circuit c in
   let pre = Netlist.Event_sim.levels es (Netlist.Event_sim.init es before) in
   (* check the initial state is fully determined *)
+  let gates = C.gates c in
   Array.iter
     (fun (g : C.gate_inst) ->
       match pre.(g.C.output) with
       | S.X ->
         invalid_arg "Breakpoint_sim: initial state not fully determined"
       | S.L0 | S.L1 -> ())
-    (C.gates c);
+    gates;
   let n_nets = C.num_nets c in
   let volt_of_level = function S.L1 -> vdd | S.L0 | S.X -> 0.0 in
   let v_net = Array.make n_nets 0.0 in
@@ -130,9 +275,7 @@ let simulate_core ?(config = default_config) c ~before ~after =
     level.(n) <- pre.(n) = S.L1
   done;
   (* --- flat per-gate state, indexed by gate id ---------------------------- *)
-  let gates = C.gates c in
   let n_gates = Array.length gates in
-  let out = Array.map (fun (g : C.gate_inst) -> g.C.output) gates in
   (* every gate's block, checked whether or not it ever switches *)
   let block =
     match config.partition with
@@ -147,35 +290,19 @@ let simulate_core ?(config = default_config) c ~before ~after =
         p.block_of_gate;
       p.block_of_gate
   in
-  let cl = Array.map (C.load_capacitance c) out in
-  let drives =
-    Array.map
-      (fun (g : C.gate_inst) ->
-        Netlist.Gate.drive tech ~strength:g.C.strength g.C.kind)
-      gates
-  in
-  let beta_wl = Array.map (fun d -> d.Netlist.Gate.wl_pull_down) drives in
-  let wl_up = Array.map (fun d -> d.Netlist.Gate.wl_pull_up) drives in
-  (* the ungated edge's slope is a constant of the gate; the gated edge's
-     is [gated_k * (its rail's alpha-power factor) / cl], the operations
-     of [Vground.gate_current] in the same order *)
-  let ungated_slope =
-    Array.init n_gates (fun i ->
-        if gated_rising then
-          Delay_model.discharge_slope model ~vx:0.0 ~beta_wl:beta_wl.(i)
-            ~vin:vdd ~cl:cl.(i)
-        else Delay_model.charge_slope model ~wl_pull_up:wl_up.(i) ~cl:cl.(i))
-  in
-  let gated_k =
-    let half_beta = 0.5 *. vg_cfg.Vground.model.Device.Alpha_power.beta in
-    Array.init n_gates (fun i ->
-        half_beta *. (if gated_rising then wl_up.(i) else beta_wl.(i)))
-  in
+  let out = k.out and cl = k.cl and gated_k = k.gated_k in
   let v = Array.map (fun n -> v_net.(n)) out in
   let phase = Array.make n_gates Idle in
   let slope = Array.make n_gates 0.0 in
   (* input-slope extension: transition committed but not moving yet *)
   let hold_until = Array.make n_gates neg_infinity in
+  (* the gates in transition, ascending by id: the per-breakpoint passes
+     walk only these.  A gate joins when it leaves Idle and is dropped
+     by the slope pass once Idle, when its slope is zeroed. *)
+  let active = Array.make n_gates 0 in
+  let n_active = ref 0 in
+  let listed = Array.make n_gates false in
+  let unsorted = ref false in
   let res =
     { circuit = c;
       vdd;
@@ -194,14 +321,6 @@ let simulate_core ?(config = default_config) c ~before ~after =
     record_net 0.0 n v_net.(n)
   done;
   (* --- logic retargeting ------------------------------------------------ *)
-  let eval_target i =
-    let g = gates.(i) in
-    let pins = Array.map (fun n -> S.of_bool level.(n)) g.C.inputs in
-    match Netlist.Gate.logic g.C.kind pins with
-    | S.L1 -> true
-    | S.L0 -> false
-    | S.X -> assert false
-  in
   (* Sakurai-Newton slow-input correction: a gate driven by a ramp of
      transition time t_tr starts [coeff * t_tr] after the vdd/2 crossing *)
   let slope_coeff =
@@ -222,12 +341,19 @@ let simulate_core ?(config = default_config) c ~before ~after =
   (* start or reverse the gate's transition when its logic target moved
      away from where it is heading; [trigger] is the input that changed *)
   let retarget ~trigger t i =
-    let target = eval_target i in
+    let g = gates.(i) in
+    let target = Netlist.Gate.eval_levels g.C.kind level g.C.inputs in
     let o = out.(i) in
     match phase.(i) with
     | Idle when target <> level.(o) ->
       phase.(i) <- (if target then Rising else Falling);
       hold_until.(i) <- onset_hold t trigger;
+      if not listed.(i) then begin
+        listed.(i) <- true;
+        active.(!n_active) <- i;
+        incr n_active;
+        unsorted := true
+      end;
       record_net t o v.(i)
     | Rising when not target ->
       phase.(i) <- Falling;
@@ -237,43 +363,116 @@ let simulate_core ?(config = default_config) c ~before ~after =
       record_net t o v.(i)
     | Idle | Rising | Falling -> ()
   in
-  (* --- virtual ground and slopes ----------------------------------------- *)
-  let discharging_sets () =
-    let sets = Array.make n_blocks [] in
-    let push i beta_wl =
-      let b = block.(i) in
-      sets.(b) <- { Vground.beta_wl; vin = vdd } :: sets.(b)
-    in
-    for i = 0 to n_gates - 1 do
-      match phase.(i) with
-      | Rising when gated_rising && v.(i) < vdd -> push i wl_up.(i)
-      | Falling when (not gated_rising) && v.(i) > 0.0 -> push i beta_wl.(i)
-      | Rising | Falling | Idle -> ()
+  (* the fan-out worklist: each gate queued once per breakpoint with the
+     last net that queued it.  A retarget touches only its own gate, so
+     the order they run in does not matter. *)
+  let queued = Array.make n_gates 0 in
+  let n_queued = ref 0 in
+  let trigger = Array.make n_gates (-1) in
+  let rec queue_readers n = function
+    | [] -> ()
+    | (g, _) :: rest ->
+      if trigger.(g) < 0 then begin
+        queued.(!n_queued) <- g;
+        incr n_queued
+      end;
+      trigger.(g) <- n;
+      queue_readers n rest
+  in
+  let queue_fanout n = queue_readers n (C.fanout c n) in
+  let process_reevals t =
+    for q = 0 to !n_queued - 1 do
+      let g = queued.(q) in
+      let n = trigger.(g) in
+      trigger.(g) <- -1;
+      retarget ~trigger:n t g
     done;
-    sets
+    n_queued := 0;
+    (* newly active gates were appended: insertion-sort them in *)
+    if !unsorted then begin
+      unsorted := false;
+      for a = 1 to !n_active - 1 do
+        let x = active.(a) in
+        let j = ref (a - 1) in
+        while !j >= 0 && active.(!j) > x do
+          active.(!j + 1) <- active.(!j);
+          decr j
+        done;
+        active.(!j + 1) <- x
+      done
+    end
+  in
+  (* --- virtual ground and slopes ----------------------------------------- *)
+  (* each block's discharging set: the gated W/Ls of its discharging
+     gates, highest gate id first (the order the solve and the current
+     sum read them) *)
+  let block_size = Array.make n_blocks 0 in
+  Array.iter (fun b -> block_size.(b) <- block_size.(b) + 1) block;
+  let set_wl = Array.map (fun m -> Array.make m 0.0) block_size in
+  let set_n = Array.make n_blocks 0 in
+  let discharging_sets () =
+    Array.fill set_n 0 n_blocks 0;
+    for a = !n_active - 1 downto 0 do
+      let i = active.(a) in
+      let discharging =
+        match phase.(i) with
+        | Rising -> gated_rising && v.(i) < vdd
+        | Falling -> (not gated_rising) && v.(i) > 0.0
+        | Idle -> false
+      in
+      if discharging then begin
+        let b = block.(i) in
+        set_wl.(b).(set_n.(b)) <- k.gated_wl.(i);
+        set_n.(b) <- set_n.(b) + 1
+      end
+    done
   in
   (* a block's equilibrium is a pure function of its discharging set:
-     re-solve only when the set differs from the last one solved *)
-  let last_solve = Array.make n_blocks None in
-  let solve_block sleep discharging =
-    match sleep with
-    | Cmos -> 0.0
-    | Resistor r -> Vground.solve_resistor vg_cfg ~r discharging
-    | Sleep_fet s -> Vground.solve_device vg_cfg ~sleep:s discharging
-  in
-  let vxs_of sets =
-    Array.mapi
-      (fun b sleep ->
-        let set = sets.(b) in
-        match (sleep, last_solve.(b)) with
-        | Cmos, _ -> 0.0
-        | _, Some (prev, vx) when List.equal ( = ) prev set -> vx
-        | (Resistor _ | Sleep_fet _), _ ->
-          let vx = solve_block sleep set in
-          last_solve.(b) <- Some (set, vx);
-          res.n_solves <- res.n_solves + 1;
-          vx)
+     re-solve only when the set differs from the last one solved (every
+     gate's vin is vdd, so two non-empty sets differ if vdd is NaN) *)
+  let last_wl = Array.map (fun m -> Array.make m 0.0) block_size in
+  let last_n = Array.make n_blocks (-1) in
+  let last_vx = Array.make n_blocks 0.0 in
+  let context =
+    Array.map
+      (function
+        | Cmos -> -1
+        | (Resistor _ | Sleep_fet _) as sleep ->
+          rail_context vg_cfg ~vin:vdd sleep)
       sleeps
+  in
+  let same_set b =
+    let n = set_n.(b) in
+    if last_n.(b) <> n then false
+    else if n > 0 && vdd <> vdd then false
+    else begin
+      let ws = set_wl.(b) and ls = last_wl.(b) in
+      let j = ref 0 in
+      while !j < n && ws.(!j) = ls.(!j) do
+        incr j
+      done;
+      !j = n
+    end
+  in
+  let vxs = Array.make n_blocks 0.0 in
+  let targets = Array.make n_blocks 0.0 in
+  let vxs_prev = Array.make n_blocks 0.0 in
+  let solve_rails () =
+    for b = 0 to n_blocks - 1 do
+      match sleeps.(b) with
+      | Cmos -> targets.(b) <- 0.0
+      | (Resistor _ | Sleep_fet _) as sleep ->
+        if not (same_set b) then begin
+          let n = set_n.(b) in
+          last_vx.(b) <-
+            equilibrium ~context:context.(b) vg_cfg sleep ~vin:vdd set_wl.(b)
+              n;
+          Array.blit set_wl.(b) 0 last_wl.(b) 0 n;
+          last_n.(b) <- n;
+          res.n_solves <- res.n_solves + 1
+        end;
+        targets.(b) <- last_vx.(b)
+    done
   in
   (* §2.3 reverse conduction: idle-low outputs ride at the virtual ground
      (a virtual Vdd pins idle-high outputs below vdd) *)
@@ -281,7 +480,7 @@ let simulate_core ?(config = default_config) c ~before ~after =
   let rc_ceil = config.reverse_conduction && gated_rising in
   (* one alpha-power factor per rail, shared by its gated devices *)
   let power = Array.make n_blocks 0.0 in
-  let recompute_slopes vxs =
+  let recompute_slopes () =
     for b = 0 to n_blocks - 1 do
       let vx = vxs.(b) in
       let vsb = if vg_cfg.Vground.body_effect then vx else 0.0 in
@@ -289,7 +488,9 @@ let simulate_core ?(config = default_config) c ~before ~after =
         Device.Alpha_power.overdrive_power vg_cfg.Vground.model
           ~vgs:(vdd -. vx) ~vsb
     done;
-    for i = 0 to n_gates - 1 do
+    let kept = ref 0 in
+    for a = 0 to !n_active - 1 do
+      let i = active.(a) in
       slope.(i) <-
         (match phase.(i) with
          | Idle -> 0.0
@@ -297,79 +498,53 @@ let simulate_core ?(config = default_config) c ~before ~after =
            gated_k.(i) *. power.(block.(i)) /. cl.(i)
          | Falling when not gated_rising ->
            -.(gated_k.(i) *. power.(block.(i))) /. cl.(i)
-         | Rising | Falling -> ungated_slope.(i))
-    done
+         | Rising | Falling -> k.ungated_slope.(i));
+      if phase.(i) = Idle then listed.(i) <- false
+      else begin
+        active.(!kept) <- i;
+        incr kept
+      end
+    done;
+    n_active := !kept
   in
-  let record_vx t_prev t vxs_prev vxs sets =
-    let pre_t = Float.max t_prev (t -. 1e-16) in
+  (* the time of the current breakpoint, kept unboxed *)
+  let now = [| t_start |] in
+  let record_vx () =
+    let t = now.(0) in
+    let pre_t = fmax t (t -. 1e-16) in
     (* per-block traces *)
-    Array.iteri
-      (fun b cell ->
-        if vxs.(b) <> vxs_prev.(b) then
-          cell := (t, vxs.(b)) :: (pre_t, vxs_prev.(b)) :: !cell)
-      res.vxb_points;
+    for b = 0 to n_blocks - 1 do
+      if vxs.(b) <> vxs_prev.(b) then begin
+        let cell = res.vxb_points.(b) in
+        cell := (t, vxs.(b)) :: (pre_t, vxs_prev.(b)) :: !cell
+      end
+    done;
     (* headline trace: the worst rail *)
-    let worst a = Array.fold_left Float.max 0.0 a in
-    let vx = worst vxs and vx_prev = worst vxs_prev in
+    let vx = ref 0.0 and vx_prev = ref 0.0 in
+    for b = 0 to n_blocks - 1 do
+      vx := fmax !vx vxs.(b);
+      vx_prev := fmax !vx_prev vxs_prev.(b)
+    done;
+    let vx = !vx and vx_prev = !vx_prev in
     if vx <> vx_prev then begin
       res.vx_points <- (t, vx) :: (pre_t, vx_prev) :: res.vx_points;
       if vx > res.vx_max then res.vx_max <- vx
     end;
     let i_total = ref 0.0 in
-    Array.iteri
-      (fun b set ->
-        i_total := !i_total
-                   +. Vground.total_current vg_cfg ~vx:vxs.(b) set)
-      sets;
+    for b = 0 to n_blocks - 1 do
+      i_total :=
+        !i_total
+        +. Vground.total_current_wls vg_cfg ~vx:vxs.(b) ~vin:vdd set_wl.(b)
+             set_n.(b)
+    done;
     let i_total = !i_total in
     let prev_i = match res.i_points with (_, i) :: _ -> i | [] -> 0.0 in
     if i_total <> prev_i then
-      res.i_points <-
-        (t, i_total) :: (pre_t, prev_i) :: res.i_points;
+      res.i_points <- (t, i_total) :: (pre_t, prev_i) :: res.i_points;
     if i_total > res.i_max then res.i_max <- i_total
-  in
-  (* --- breakpoint prediction --------------------------------------------- *)
-  let next_breakpoint t ~vxs ~targets ~tau_of_block =
-    let best = ref infinity in
-    (* rails still relaxing toward equilibrium need refresh points *)
-    for b = 0 to n_blocks - 1 do
-      let tau = tau_of_block.(b) in
-      if tau > 0.0 && Float.abs (vxs.(b) -. targets.(b)) > 1e-3 then
-        best := Float.min !best (t +. (tau /. 3.0))
-    done;
-    for i = 0 to n_gates - 1 do
-      let vi = v.(i) and s = slope.(i) in
-      match phase.(i) with
-      | Idle -> ()
-      | Rising | Falling when hold_until.(i) > t ->
-        best := Float.min !best hold_until.(i)
-      | Rising ->
-        if s > 0.0 then begin
-          let ceil = if rc_ceil then vdd -. vxs.(block.(i)) else vdd in
-          if (not level.(out.(i))) && vi < half then
-            best := Float.min !best (t +. ((half -. vi) /. s));
-          if vi < ceil then
-            best := Float.min !best (t +. ((ceil -. vi) /. s))
-        end
-      | Falling ->
-        if s < 0.0 then begin
-          let fl = if rc_floor then vxs.(block.(i)) else 0.0 in
-          if level.(out.(i)) && vi > half then
-            best := Float.min !best (t +. ((half -. vi) /. s));
-          if vi > fl then
-            best := Float.min !best (t +. ((fl -. vi) /. s))
-        end
-    done;
-    !best
   in
   (* --- main loop ---------------------------------------------------------- *)
   (* apply the input step *)
-  let to_reeval : (int, C.net) Hashtbl.t = Hashtbl.create 32 in
-  let queue_fanout n =
-    (* CSR walk, no per-event list allocation *)
-    Netlist.Event_sim.iter_fanout es n (fun gid ->
-        Hashtbl.replace to_reeval gid n)
-  in
   Array.iteri
     (fun i n ->
       let new_level = after.(i) = S.L1 in
@@ -383,7 +558,6 @@ let simulate_core ?(config = default_config) c ~before ~after =
         queue_fanout n
       end)
     (C.inputs c);
-  let vxs = ref (Array.make n_blocks 0.0) in
   (* RC relaxation of each rail when cx > 0: tau = cx * r_scale *)
   let tau_of_block =
     Array.map
@@ -397,63 +571,92 @@ let simulate_core ?(config = default_config) c ~before ~after =
             config.cx *. Device.Sleep.effective_resistance s)
       sleeps
   in
-  let targets = ref (Array.make n_blocks 0.0) in
+  (* the rails relax toward the last equilibria over [dt] *)
   let relax_state dt =
-    if config.cx <= 0.0 then vxs := Array.copy !targets
+    if config.cx <= 0.0 then Array.blit targets 0 vxs 0 n_blocks
     else
-      Array.iteri
-        (fun b tau ->
-          if tau <= 0.0 then !vxs.(b) <- !targets.(b)
-          else
-            !vxs.(b) <-
-              !targets.(b)
-              +. ((!vxs.(b) -. !targets.(b)) *. exp (-.dt /. tau)))
-        tau_of_block
+      for b = 0 to n_blocks - 1 do
+        let tau = tau_of_block.(b) in
+        if tau <= 0.0 then vxs.(b) <- targets.(b)
+        else
+          vxs.(b) <-
+            targets.(b) +. ((vxs.(b) -. targets.(b)) *. exp (-.dt /. tau))
+      done
   in
-  let t = ref t_start in
-  let process_reevals () =
-    Hashtbl.iter (fun gid trigger -> retarget ~trigger !t gid) to_reeval;
-    Hashtbl.reset to_reeval
-  in
-  process_reevals ();
+  process_reevals t_start;
   (* gate states are fixed from here to the slope update, so one
      discharging-set pass feeds both the rail solve and the current
      trace *)
-  let sets = discharging_sets () in
-  targets := vxs_of sets;
-  let prev_state = Array.copy !vxs in
+  discharging_sets ();
+  solve_rails ();
+  Array.blit vxs 0 vxs_prev 0 n_blocks;
   relax_state 0.0;
-  record_vx t_start t_start prev_state !vxs sets;
-  recompute_slopes !vxs;
+  record_vx ();
+  recompute_slopes ();
+  (* a zero-length breakpoint that changed nothing would repeat forever:
+     the next one that rounds to [t] steps one ulp instead *)
+  let stalled = ref false in
+  let eps = 1e-9 *. vdd in
   let continue = ref true in
   while !continue do
-    let t_next = next_breakpoint !t ~vxs:!vxs ~targets:!targets
-        ~tau_of_block in
+    let t = now.(0) in
+    (* --- breakpoint prediction --- *)
+    let best = ref infinity in
+    (* rails still relaxing toward equilibrium need refresh points *)
+    for b = 0 to n_blocks - 1 do
+      let tau = tau_of_block.(b) in
+      if tau > 0.0 && Float.abs (vxs.(b) -. targets.(b)) > 1e-3 then
+        best := fmin !best (t +. (tau /. 3.0))
+    done;
+    for a = 0 to !n_active - 1 do
+      let i = active.(a) in
+      let vi = v.(i) and s = slope.(i) in
+      match phase.(i) with
+      | Idle -> ()
+      | (Rising | Falling) when hold_until.(i) > t ->
+        best := fmin !best hold_until.(i)
+      | Rising ->
+        if s > 0.0 then begin
+          let ceil = if rc_ceil then vdd -. vxs.(block.(i)) else vdd in
+          if (not level.(out.(i))) && vi < half then
+            best := fmin !best (t +. ((half -. vi) /. s));
+          if vi < ceil then best := fmin !best (t +. ((ceil -. vi) /. s))
+        end
+      | Falling ->
+        if s < 0.0 then begin
+          let fl = if rc_floor then vxs.(block.(i)) else 0.0 in
+          if level.(out.(i)) && vi > half then
+            best := fmin !best (t +. ((half -. vi) /. s));
+          if vi > fl then best := fmin !best (t +. ((fl -. vi) /. s))
+        end
+    done;
+    let t_next = if !best = t && !stalled then Float.succ t else !best in
     if t_next = infinity then begin
       (* no pending breakpoints: either done or starved *)
-      if Array.exists (fun p -> p <> Idle) phase then raise (Starved !t);
+      if !n_active > 0 then raise (Starved t);
       continue := false
     end
     else begin
       res.n_events <- res.n_events + 1;
       if res.n_events > max_events then
         failwith "Breakpoint_sim: event limit exceeded";
-      let dt = t_next -. !t in
-      (* advance all active outputs linearly; [eps] absorbs the float
+      let dt = t_next -. t in
+      let moved = ref (dt <> 0.0) in
+      (* advance the active outputs linearly; [eps] absorbs the float
          roundoff of scheduling a breakpoint exactly at a crossing *)
-      let eps = 1e-9 *. vdd in
-      let vxs_now = !vxs in
-      for i = 0 to n_gates - 1 do
+      for a = 0 to !n_active - 1 do
+        let i = active.(a) in
         match phase.(i) with
         | Idle -> ()
         | (Rising | Falling) when hold_until.(i) >= t_next -> ()
         | (Rising | Falling) as ph ->
-          let fl = if rc_floor then vxs_now.(block.(i)) else 0.0 in
-          let ceil = if rc_ceil then vdd -. vxs_now.(block.(i)) else vdd in
+          let fl = if rc_floor then vxs.(block.(i)) else 0.0 in
+          let ceil = if rc_ceil then vdd -. vxs.(block.(i)) else vdd in
           let v_new =
             Phys.Float_utils.clamp ~lo:fl ~hi:ceil
               (v.(i) +. (slope.(i) *. dt))
           in
+          if not (!moved || same_bits v_new v.(i)) then moved := true;
           v.(i) <- v_new;
           let o = out.(i) in
           v_net.(o) <- v_new;
@@ -464,41 +667,48 @@ let simulate_core ?(config = default_config) c ~before ~after =
           in
           let crossed_dn = ph = Falling && level.(o) && v_new <= half +. eps in
           if crossed_up || crossed_dn then begin
+            moved := true;
             level.(o) <- crossed_up;
             queue_fanout o
           end;
           (* rail arrival *)
           (match ph with
            | Rising when v_new >= ceil -. eps ->
+             moved := true;
              v.(i) <- ceil;
              v_net.(o) <- ceil;
              phase.(i) <- Idle;
              record_net t_next o ceil
            | Falling when v_new <= fl +. eps ->
+             moved := true;
              v.(i) <- fl;
              v_net.(o) <- fl;
              phase.(i) <- Idle;
              record_net t_next o fl
            | Rising | Falling | Idle -> record_net t_next o v_new)
       done;
-      t := t_next;
-      res.t_last <- t_next;
+      now.(0) <- t_next;
       (* the rail relaxed toward the old equilibrium during [dt] *)
-      let prev_state = Array.copy !vxs in
+      Array.blit vxs 0 vxs_prev 0 n_blocks;
       relax_state dt;
-      process_reevals ();
-      let sets = discharging_sets () in
-      targets := vxs_of sets;
-      if config.cx <= 0.0 then vxs := Array.copy !targets;
-      record_vx res.t_last t_next prev_state !vxs sets;
-      recompute_slopes !vxs
+      process_reevals t_next;
+      discharging_sets ();
+      solve_rails ();
+      if config.cx <= 0.0 then Array.blit targets 0 vxs 0 n_blocks;
+      for b = 0 to n_blocks - 1 do
+        if not (!moved || same_bits vxs.(b) vxs_prev.(b)) then moved := true
+      done;
+      stalled := not !moved;
+      record_vx ();
+      recompute_slopes ()
     end
   done;
+  res.t_last <- now.(0);
   (* close the traces *)
-  let worst = Array.fold_left Float.max 0.0 !vxs in
+  let worst = Array.fold_left Float.max 0.0 vxs in
   res.vx_points <- (res.t_last, worst) :: res.vx_points;
   Array.iteri
-    (fun b cell -> cell := (res.t_last, !vxs.(b)) :: !cell)
+    (fun b cell -> cell := (res.t_last, vxs.(b)) :: !cell)
     res.vxb_points;
   res.i_points <- (res.t_last, 0.0) :: res.i_points;
   res
@@ -525,7 +735,7 @@ let simulate_ints ?config ?obs c ~before ~after =
 let waveform res n =
   match res.wave_points.(n) with
   | [] -> Phys.Pwl.constant 0.0
-  | pts -> Phys.Pwl.create (List.rev pts)
+  | pts -> Phys.Pwl.create_rev pts
 
 (* a rail or current trace, anchored at 0 just before its first event so
    the initial step renders *)

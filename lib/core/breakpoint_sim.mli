@@ -97,7 +97,14 @@ val simulate :
 (** Simulate the input transition [before -> after] (primary-input
     assignments in [Circuit.inputs] order, no [X] allowed).  [obs]
     (default [Obs.disabled]) records a ["bp.simulate"] span and the
-    [bp.simulations] / [bp.events] counters.
+    [bp.simulations] / [bp.events] / [bp.rail_solves] counters
+    ([bp.rail_solves]: the rail equilibria this simulation needs, reuses
+    within it excluded).
+
+    Safe to call from several domains and from daemon systhreads at
+    once, and its result does not depend on call history: the
+    per-circuit constants and the rail equilibria it keeps across calls
+    are exact, so any call order gives the same bits.
     @raise Invalid_argument on [X] inputs, length mismatches, or a
     {!partition} with no device, the wrong length or a block out of
     range. *)

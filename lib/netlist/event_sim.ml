@@ -153,11 +153,6 @@ let circuit t = t.circuit
 let num_gates t = t.n_gates
 let num_nets t = t.n_nets
 
-let iter_fanout t n f =
-  for i = t.fanout_off.(n) to t.fanout_off.(n + 1) - 1 do
-    f t.fanout.(i)
-  done
-
 type state = Bytes.t
 
 (* int-coded three-valued ops; must mirror Signal exactly (the folds

@@ -37,10 +37,6 @@ val circuit : t -> Circuit.t
 val num_gates : t -> int
 val num_nets : t -> int
 
-val iter_fanout : t -> Circuit.net -> (Circuit.gate_id -> unit) -> unit
-(** Iterate the gates reading a net, via the fanout CSR — no list
-    allocation, unlike {!Circuit.fanout}. *)
-
 type state
 (** Net levels, one byte per net. *)
 

@@ -61,6 +61,35 @@ let logic kind ins =
   | Sum_inv ->
     Signal.lnot (Signal.parity [ ins.(0); ins.(1); ins.(2) ])
 
+(* [logic] over two-valued net levels, for hot loops: pin [k] reads
+   [level.(pins.(k))], and nothing is allocated *)
+let rec all_high level pins k =
+  k >= Array.length pins || (level.(pins.(k)) && all_high level pins (k + 1))
+
+let rec any_high level pins k =
+  k < Array.length pins && (level.(pins.(k)) || any_high level pins (k + 1))
+
+let eval_levels kind level pins =
+  if Array.length pins <> arity kind then
+    invalid_arg
+      (Printf.sprintf "Gate.eval_levels %s: arity mismatch" (name kind));
+  match kind with
+  | Inv -> not level.(pins.(0))
+  | Buf -> level.(pins.(0))
+  | Nand _ -> not (all_high level pins 0)
+  | Nor _ -> not (any_high level pins 0)
+  | And _ -> all_high level pins 0
+  | Or _ -> any_high level pins 0
+  | Xor2 -> level.(pins.(0)) <> level.(pins.(1))
+  | Xnor2 -> level.(pins.(0)) = level.(pins.(1))
+  | Aoi21 -> not ((level.(pins.(0)) && level.(pins.(1))) || level.(pins.(2)))
+  | Oai21 -> not ((level.(pins.(0)) || level.(pins.(1))) && level.(pins.(2)))
+  | Carry_inv ->
+    let a = level.(pins.(0)) and b = level.(pins.(1)) in
+    let c = level.(pins.(2)) in
+    not ((a && b) || (a && c) || (b && c))
+  | Sum_inv -> not (level.(pins.(0)) <> level.(pins.(1)) <> level.(pins.(2)))
+
 let inverting = function
   | Inv | Nand _ | Nor _ | Carry_inv | Sum_inv | Xnor2 | Aoi21 | Oai21 ->
     true

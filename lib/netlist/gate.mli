@@ -31,6 +31,12 @@ val logic : kind -> Signal.level array -> Signal.level
 (** Boolean function.
     @raise Invalid_argument on an arity mismatch. *)
 
+val eval_levels : kind -> bool array -> int array -> bool
+(** [eval_levels kind level pins] is {!logic} on two-valued levels: pin
+    [k] reads [level.(pins.(k))] ([true] = [L1]).  Allocates nothing,
+    for per-event loops.
+    @raise Invalid_argument on an arity mismatch. *)
+
 val inverting : kind -> bool
 (** Whether the output inverts when a single controlling input rises.
     Used by the breakpoint simulator to orient transitions. *)

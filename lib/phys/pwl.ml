@@ -28,6 +28,36 @@ let create points =
     { times = Array.of_list (List.map fst dedup);
       values = Array.of_list (List.map snd dedup) }
 
+(* [create (List.rev points)], built in one pass when the points come
+   newest first with no time increase; [create] handles anything else.
+   Of a run of equal times the newest point is kept, as [create] keeps
+   the last. *)
+let create_rev points =
+  (* the number of distinct times, or None to fall back *)
+  let rec count n t_newer = function
+    | [] -> Some n
+    | (t, v) :: rest ->
+      if (not (Float.is_finite t && Float.is_finite v)) || t > t_newer then
+        None
+      else count (if t = t_newer then n else n + 1) t rest
+  in
+  match count 0 infinity points with
+  | None | Some 0 -> create (List.rev points)
+  | Some n ->
+    let times = Array.make n 0.0 and values = Array.make n 0.0 in
+    let rec fill k t_newer = function
+      | [] -> ()
+      | (t, v) :: rest ->
+        if t = t_newer then fill k t_newer rest
+        else begin
+          times.(k) <- t;
+          values.(k) <- v;
+          fill (k - 1) t rest
+        end
+    in
+    fill (n - 1) infinity points;
+    { times; values }
+
 let constant v = { times = [| 0.0 |]; values = [| v |] }
 let points w = Array.to_list (Array.map2 (fun t v -> (t, v)) w.times w.values)
 
@@ -64,14 +94,15 @@ let append w t v =
   { times = Array.append w.times [| t |];
     values = Array.append w.values [| v |] }
 
+let crossing_time t0 v0 t1 v1 ~level =
+  if v1 = v0 then t0 else t0 +. ((level -. v0) *. (t1 -. t0) /. (v1 -. v0))
+
 let segment_crossing t0 v0 t1 v1 ~level ~rising =
   let crosses =
     if rising then v0 < level && v1 >= level
     else v0 > level && v1 <= level
   in
-  if not crosses then None
-  else if v1 = v0 then Some t0
-  else Some (t0 +. ((level -. v0) *. (t1 -. t0) /. (v1 -. v0)))
+  if not crosses then None else Some (crossing_time t0 v0 t1 v1 ~level)
 
 let first_crossing ?after w ~level ~rising =
   let n = Array.length w.times in
@@ -89,6 +120,23 @@ let first_crossing ?after w ~level ~rising =
         | Some _ | None -> scan (i + 1)
   in
   scan 0
+
+(* the crossing [crossings] lists last: the latest, and of equal times
+   the later segment's *)
+let last_crossing w ~level =
+  let best = ref nan and found = ref false in
+  for i = Array.length w.times - 2 downto 0 do
+    let t0 = w.times.(i) and t1 = w.times.(i + 1) in
+    let v0 = w.values.(i) and v1 = w.values.(i + 1) in
+    if (v0 < level && v1 >= level) || (v0 > level && v1 <= level) then begin
+      let t = crossing_time t0 v0 t1 v1 ~level in
+      if (not !found) || Float.compare t !best > 0 then begin
+        best := t;
+        found := true
+      end
+    end
+  done;
+  if !found then Some !best else None
 
 let crossings w ~level =
   let n = Array.length w.times in

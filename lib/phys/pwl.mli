@@ -13,6 +13,12 @@ val create : (float * float) list -> t
     duplicate times keep the last value.
     @raise Invalid_argument on an empty list or non-finite data. *)
 
+val create_rev : (float * float) list -> t
+(** [create_rev points] is [create (List.rev points)], built in one pass
+    without sorting when [points] come newest first (no time larger
+    than the one before it), as a simulator records them.
+    @raise Invalid_argument on an empty list or non-finite data. *)
+
 val constant : float -> t
 (** A waveform that holds one value for all time. *)
 
@@ -35,6 +41,11 @@ val first_crossing :
 
 val crossings : t -> level:float -> (float * bool) list
 (** All crossings of [level], each tagged [true] when rising. *)
+
+val last_crossing : t -> level:float -> float option
+(** The time of the crossing {!crossings} lists last (the latest; of
+    equal times, the later segment's), found without building the
+    list; [None] when nothing crosses [level]. *)
 
 val shift : t -> float -> t
 (** [shift w dt] delays the waveform by [dt]. *)

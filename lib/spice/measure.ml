@@ -19,11 +19,12 @@ let propagation_delay ~vin ~vout ~vdd ~in_rising ~out_rising =
      | [] -> None
      | (t_out, _) :: _ -> Some (t_out -. t_in))
 
+(* every other crossing is earlier than the last one, so the last one
+   at or after [t_start] is the last one of all, or there is none *)
 let net_delay w ~vdd ~t_start =
-  let crossings = Phys.Pwl.crossings w ~level:(vdd /. 2.0) in
-  match List.rev (List.filter (fun (t, _) -> t >= t_start) crossings) with
-  | [] -> None
-  | (t, _) :: _ -> Some (t -. t_start)
+  match Phys.Pwl.last_crossing w ~level:(vdd /. 2.0) with
+  | Some t when t >= t_start -> Some (t -. t_start)
+  | Some _ | None -> None
 
 let critical_delay outputs delay =
   Array.fold_left

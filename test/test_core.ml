@@ -183,6 +183,30 @@ let test_bp_extreme_resistance () =
   Alcotest.(check bool) "delay exploded" true (d_slow > 100.0 *. d_fast);
   Alcotest.(check bool) "bounce near cutoff" true (BP.vx_peak slow > 0.5)
 
+(* a sleep device so small that, late in the run, a breakpoint lies
+   within one ulp of the current time: the simulation must step past it
+   and finish, and the delay scales as 1/(W/L) *)
+let test_bp_tiny_sleep_device () =
+  let c = Fixtures.adder8 () in
+  let delay wl =
+    let r =
+      BP.simulate_ints ~config:(BP.mtcmos_config tech ~wl) c
+        ~before:[ (8, 0); (8, 0) ] ~after:[ (8, 255); (8, 1) ]
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "W/L %g: under 1000 breakpoints" wl)
+      true
+      (BP.events r < 1000);
+    match BP.critical_delay r with
+    | Some (_, d) -> d
+    | None -> Alcotest.fail "no transition"
+  in
+  let d6 = delay 1e-6 and d9 = delay 1e-9 and d12 = delay 1e-12 in
+  Alcotest.(check (float 0.01)) "1e-6 -> 1e-9 scales by 1000" 1.0
+    (d9 /. d6 /. 1e3);
+  Alcotest.(check (float 0.01)) "1e-9 -> 1e-12 scales by 1000" 1.0
+    (d12 /. d9 /. 1e3)
+
 let test_bp_input_validation () =
   Alcotest.check_raises "x input"
     (Invalid_argument "Breakpoint_sim: X in before") (fun () ->
@@ -638,6 +662,8 @@ let suite =
     Alcotest.test_case "bp no transition" `Quick test_bp_no_transition;
     Alcotest.test_case "bp extreme resistance" `Quick
       test_bp_extreme_resistance;
+    Alcotest.test_case "bp tiny sleep device finishes" `Quick
+      test_bp_tiny_sleep_device;
     Alcotest.test_case "bp input validation" `Quick test_bp_input_validation;
     Alcotest.test_case "bp partition range check" `Quick
       test_bp_partition_range_checked;

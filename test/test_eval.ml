@@ -47,6 +47,32 @@ let test_key_float_exact () =
     "adjacent representable floats differ" false
     (digest_of 1.0 = digest_of (Float.succ 1.0))
 
+(* Key.float writes the bytes Printf's "%Lx" gives for the bit pattern,
+   so a cache file saved by a build that used Printf still hits *)
+let prop_key_float_is_printf =
+  let specials =
+    List.map Int64.bits_of_float
+      [ 0.0; -0.0; infinity; neg_infinity; Float.nan; Float.min_float;
+        Float.max_float; Float.epsilon; 1.0 ]
+    @ [ 0x1L; 0x000fffffffffffffL; 0x8000000000000001L;
+        0x7ff0000000000001L; 0x7ff8000000000000L; 0xfff8000000000123L;
+        0x7fffffffffffffffL; -1L; 0x10L; 0xf0L ]
+  in
+  QCheck.Test.make ~count:2000
+    ~name:"key: Key.float = Printf \"%Lx\" of the bits"
+    QCheck.(
+      make ~print:(Printf.sprintf "%Lx")
+        Gen.(
+          oneof
+            [ oneofl specials;
+              int64;
+              map (fun x -> Int64.shift_right_logical x 12) int64;
+              map Int64.of_int (int_range 0 4096) ]))
+    (fun bits ->
+      let k = K.create () in
+      K.float k (Int64.float_of_bits bits);
+      K.contents k = Printf.sprintf "f%Lx;" bits)
+
 (* distinct evaluation points must get distinct digests: sweep a corpus
    of circuits / techs / sleep sizes / configs / vectors and check no
    two keys collide *)
@@ -673,4 +699,5 @@ let suite =
       test_spice_sweep_cold_warm_off;
     Alcotest.test_case "search invariant under cache and jobs" `Slow
       test_search_cache_and_jobs_invariant;
-    to_alcotest prop_cache_invisible ]
+    to_alcotest prop_cache_invisible;
+    to_alcotest prop_key_float_is_printf ]

@@ -90,6 +90,34 @@ let test_gate_logic () =
     (Invalid_argument "Gate.logic inv: arity mismatch") (fun () ->
       ignore (G.logic G.Inv [| S.L0; S.L1 |]))
 
+(* eval_levels is logic on two-valued levels: every kind, every input
+   combination, pins read through an index array *)
+let test_gate_eval_levels () =
+  let kinds =
+    [ G.Inv; G.Buf; G.Xor2; G.Xnor2; G.Aoi21; G.Oai21; G.Carry_inv;
+      G.Sum_inv ]
+    @ List.concat_map
+        (fun n -> [ G.Nand n; G.Nor n; G.And n; G.Or n ])
+        [ 1; 2; 3; 4 ]
+  in
+  List.iter
+    (fun kind ->
+      let n = G.arity kind in
+      (* pin k reads net n - 1 - k of a level array laid out in reverse *)
+      let pins = Array.init n (fun k -> n - 1 - k) in
+      for v = 0 to (1 lsl n) - 1 do
+        let bit k = (v lsr k) land 1 = 1 in
+        let level = Array.init n (fun net -> bit (n - 1 - net)) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s on %d" (G.name kind) v)
+          (G.logic kind (Array.init n (fun k -> S.of_bool (bit k))) = S.L1)
+          (G.eval_levels kind level pins)
+      done)
+    kinds;
+  Alcotest.check_raises "arity mismatch"
+    (Invalid_argument "Gate.eval_levels inv: arity mismatch") (fun () ->
+      ignore (G.eval_levels G.Inv [| true; false |] [| 0; 1 |]))
+
 let test_gate_drive () =
   let inv = G.drive tech ~strength:1.0 G.Inv in
   let nand3 = G.drive tech ~strength:1.0 (G.Nand 3) in
@@ -314,6 +342,8 @@ let suite =
     Alcotest.test_case "signal ints" `Quick test_signal_ints;
     Alcotest.test_case "gate logic" `Quick test_gate_logic;
     Alcotest.test_case "aoi/oai gates" `Quick test_aoi_oai_logic;
+    Alcotest.test_case "gate eval_levels = logic" `Quick
+      test_gate_eval_levels;
     Alcotest.test_case "gate drive" `Quick test_gate_drive;
     Alcotest.test_case "circuit builder" `Quick test_circuit_builder;
     Alcotest.test_case "circuit errors" `Quick test_circuit_errors;

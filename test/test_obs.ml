@@ -488,8 +488,9 @@ let test_map_obs () =
     (Obs.Metrics.count m "par.pool.calls" >= 1);
   Alcotest.(check (float 0.0)) "jobs gauge" 3.0 (Obs.Metrics.valuef m "par.jobs")
 
-(* bp.rail_solves counts the rail equilibria actually solved: at most
-   one per block per breakpoint plus the initial one, none on CMOS *)
+(* bp.rail_solves counts the rail equilibria a simulation needs (memo
+   hits included, reuses within the simulation not): at most one per
+   block per breakpoint plus the initial one, none on CMOS *)
 let test_bp_rail_solves () =
   let module BP = Mtcmos.Breakpoint_sim in
   let c = Fixtures.adder_circuit 4 in
@@ -505,6 +506,10 @@ let test_bp_rail_solves () =
   in
   let solves, events, report = counts (BP.mtcmos_config tech ~wl:8.0) in
   Alcotest.(check bool) "mtcmos solves something" true (solves > 0);
+  (* the second run's equilibria all come from the cross-simulation
+     memo, and still count *)
+  let again, _, _ = counts (BP.mtcmos_config tech ~wl:8.0) in
+  Alcotest.(check int) "same count when run again" solves again;
   Alcotest.(check bool) "at most one solve per breakpoint" true
     (solves <= events + 1);
   Alcotest.(check bool) "report prints it" true

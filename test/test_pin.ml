@@ -112,10 +112,52 @@ let test_sizers () =
 
 let pwl w = List.concat_map (fun (t, v) -> [ t; v ]) (Phys.Pwl.points w)
 
-(* every breakpoint-simulator pin runs the same circuits x configs x
-   vectors; [floats c r] reduces one simulation *)
-let bp_sims floats =
-  let footer wl = BP.mtcmos_config tech ~wl in
+let footer wl = BP.mtcmos_config tech ~wl
+
+(* the configs every breakpoint pin runs on circuit [c] *)
+let bp_configs c =
+  [ BP.default_config;
+    footer 8.0;
+    { (footer 8.0) with BP.cx = 50e-15 };
+    Mtcmos.Hierarchy.config tech c ~wl_per_block:6.0 ~blocks:3;
+    BP.mtcmos_pmos_config tech ~wl:8.0;
+    { (footer 4.0) with BP.reverse_conduction = true; input_slope = true } ]
+
+(* the configs only the ablations golden reached before: the resistor
+   sleep model, another card through [tech_override] (the 0.3 um card,
+   and the 0.7 um card at another alpha), and a partition that mixes a
+   resistor block with a sleep-FET block *)
+let bp_more_configs c =
+  let s8 = Device.Sleep.nmos_footer tech ~wl:8.0 in
+  let r8 = Device.Sleep.effective_resistance s8 in
+  let alpha15 = Device.Tech.with_alpha tech 1.5 in
+  [ { BP.default_config with BP.sleep = BP.Resistor r8 };
+    { (footer 8.0) with BP.tech_override = Some Fixtures.tech03 };
+    { (footer 8.0) with BP.tech_override = Some alpha15 };
+    { (BP.mtcmos_pmos_config tech ~wl:8.0) with
+      BP.tech_override = Some alpha15;
+      body_effect = false };
+    { (footer 6.0) with
+      BP.partition =
+        Some
+          { BP.block_of_gate = Array.init (C.num_gates c) (fun i -> i mod 2);
+            sleeps = [| BP.Resistor (2.0 *. r8); BP.Sleep_fet s8 |] };
+      reverse_conduction = true } ]
+
+let bp_circuits =
+  [ Fixtures.chain_circuit 8;
+    Fixtures.tree_circuit ~stages:3 ~fanout:3 ();
+    Fixtures.adder_circuit 4;
+    Fixtures.mult_circuit 3 ]
+
+(* gates of four strengths, so that two discharging sets of one size
+   hold different W/Ls *)
+let mixed_strengths c =
+  C.with_strengths c (fun g -> 1.0 +. (0.5 *. float_of_int (g.C.id mod 4)))
+
+(* every breakpoint-simulator pin runs [circuits] x the same vectors
+   over [configs c]; [floats c r] reduces one simulation *)
+let bp_sims ?(configs = bp_configs) ?(circuits = bp_circuits) floats =
   List.concat_map
     (fun c ->
       let widths = [ Array.length (C.inputs c) ] in
@@ -125,18 +167,8 @@ let bp_sims floats =
             (fun (before, after) ->
               floats c (BP.simulate_ints ~config c ~before ~after))
             (Mtcmos.Vectors.random_pairs ~seed:3 ~widths 12))
-        [ BP.default_config;
-          footer 8.0;
-          { (footer 8.0) with BP.cx = 50e-15 };
-          Mtcmos.Hierarchy.config tech c ~wl_per_block:6.0 ~blocks:3;
-          BP.mtcmos_pmos_config tech ~wl:8.0;
-          { (footer 4.0) with
-            BP.reverse_conduction = true;
-            input_slope = true } ])
-    [ Fixtures.chain_circuit 8;
-      Fixtures.tree_circuit ~stages:3 ~fanout:3 ();
-      Fixtures.adder_circuit 4;
-      Fixtures.mult_circuit 3 ]
+        (configs c))
+    circuits
 
 let test_breakpoint () =
   pin "breakpoint" "47d0e275a49175653aa314e57f2c6789"
@@ -159,6 +191,28 @@ let test_breakpoint_nets () =
          :: List.concat_map
               (fun n -> pwl (BP.waveform r n))
               (List.init (C.num_nets c) Fun.id)))
+
+(* the same reduction as the two sections above, plus block 0's rail,
+   over the configs only the ablations golden reached before and over
+   every config on a circuit of mixed gate strengths *)
+let test_breakpoint_more () =
+  pin "breakpoint: resistor, tech override, mixed partition"
+    "db47dd7062b4a36a0d5495d0ef1086ce"
+    (bp_sims
+       ~configs:(fun c -> bp_configs c @ bp_more_configs c)
+       ~circuits:(bp_circuits @ [ mixed_strengths (Fixtures.adder_circuit 4) ])
+       (fun c r ->
+         (match BP.critical_delay r with
+          | None -> []
+          | Some (n, d) -> [ float_of_int n; d ])
+         @ [ float_of_int (BP.events r); BP.vx_peak r;
+             BP.peak_discharge_current r ]
+         @ pwl (BP.vground_waveform r)
+         @ pwl (BP.vground_waveform_block r 0)
+         @ pwl (BP.discharge_current_waveform r)
+         @ List.concat_map
+             (fun n -> pwl (BP.waveform r n))
+             (List.init (C.num_nets c) Fun.id)))
 
 let prop_ungated_is_gated_nothing =
   QCheck.Test.make ~count:40
@@ -189,4 +243,6 @@ let suite =
     Alcotest.test_case "breakpoint delays and waveforms" `Quick test_breakpoint;
     Alcotest.test_case "breakpoint: every net and event count" `Quick
       test_breakpoint_nets;
+    Alcotest.test_case "breakpoint: resistor, tech override, mixed partition"
+      `Quick test_breakpoint_more;
     QCheck_alcotest.to_alcotest prop_ungated_is_gated_nothing ]

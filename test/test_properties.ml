@@ -23,6 +23,39 @@ let prop_pwl_crossings_alternate =
       QCheck.assume (List.for_all (fun v -> Float.abs (v -. 0.25) > 1e-9) vs);
       alternates crossings)
 
+(* the breakpoint simulator's one-pass waveform and the delay scan
+   agree with the general path: [create_rev] = [create] of the reversed
+   points (time-sorted or not, duplicate times included) and
+   [last_crossing] = the last of [crossings] *)
+let prop_pwl_create_rev_last_crossing =
+  QCheck.Test.make ~count:500
+    ~name:"pwl: create_rev = create of rev, last_crossing = last crossings"
+    QCheck.(
+      pair bool
+        (list_of_size Gen.(int_range 1 12)
+           (pair (int_range 0 6) (float_range (-1.0) 1.0))))
+    (fun (sorted, pts) ->
+      let pts = List.map (fun (t, v) -> (float_of_int t *. 1e-10, v)) pts in
+      let pts =
+        if sorted then List.stable_sort (fun (a, _) (b, _) -> compare a b) pts
+        else pts
+      in
+      let newest_first = List.rev pts in
+      let w = Phys.Pwl.create pts in
+      let bits w =
+        List.map
+          (fun (t, v) -> (Int64.bits_of_float t, Int64.bits_of_float v))
+          (Phys.Pwl.points w)
+      in
+      let last =
+        match List.rev (Phys.Pwl.crossings w ~level:0.0) with
+        | (t, _) :: _ -> Some (Int64.bits_of_float t)
+        | [] -> None
+      in
+      bits (Phys.Pwl.create_rev newest_first) = bits w
+      && Option.map Int64.bits_of_float (Phys.Pwl.last_crossing w ~level:0.0)
+         = last)
+
 let prop_pwl_sub_is_linear =
   QCheck.Test.make ~count:200 ~name:"pwl: (a - b) + b = a at sample points"
     QCheck.(
@@ -271,6 +304,103 @@ let prop_hunt_reproducible =
       let a = hunt 1 and b = hunt 1 and p = hunt 2 in
       a = b && a = p)
 
+(* The breakpoint simulator shares state across calls: per-circuit
+   constants and a memo of rail equilibria.  None of it may leave a
+   trace: a vector list run cold (a W/L no earlier case used), in
+   reverse, interleaved with another circuit and config, on 4 Par.Pool
+   domains and on 2 systhreads gives the same bits every time: each
+   net's waveform, the events, vx peak, peak current and rail solves. *)
+let prop_bp_history_free =
+  QCheck.Test.make ~count:6
+    ~name:"bp: answers do not depend on call history (memo, caches)"
+    (QCheck.make
+       ~print:(fun (seed, gates) ->
+         Printf.sprintf "Random_logic seed %d, %d gates" seed gates)
+       QCheck.Gen.(pair (int_range 1 100_000) (int_range 10 60)))
+    (fun (seed, gates) ->
+      (* mixed strengths, so discharging sets of one size differ *)
+      let c =
+        Netlist.Circuit.with_strengths
+          (Fixtures.random_circuit ~seed ~inputs:6 ~gates ())
+          (fun g ->
+            1.0 +. (0.5 *. float_of_int ((g.Netlist.Circuit.id + seed) mod 4)))
+      in
+      let n_nets = Netlist.Circuit.num_nets c in
+      let vectors =
+        Array.of_list (Mtcmos.Vectors.random_pairs ~seed ~widths:[ 6 ] 8)
+      in
+      (* a W/L of this case's own, so the memo starts cold for it *)
+      let wl = 4.0 +. (float_of_int seed /. 1e5) in
+      let footer wl = BP.mtcmos_config tech ~wl in
+      let r_eff =
+        Device.Sleep.effective_resistance (Device.Sleep.nmos_footer tech ~wl)
+      in
+      let configs =
+        [ BP.default_config;
+          footer wl;
+          { (footer wl) with BP.cx = 50e-15 };
+          Mtcmos.Hierarchy.config tech c ~wl_per_block:(0.75 *. wl) ~blocks:3;
+          BP.mtcmos_pmos_config tech ~wl;
+          { (footer (0.5 *. wl)) with
+            BP.reverse_conduction = true;
+            input_slope = true };
+          { BP.default_config with BP.sleep = BP.Resistor r_eff } ]
+      in
+      let other = Fixtures.adder_circuit 3 in
+      let other_config = BP.mtcmos_pmos_config tech ~wl:(2.0 *. wl) in
+      let run config (before, after) =
+        let obs = Obs.create () in
+        let r = BP.simulate_ints ~config ~obs c ~before ~after in
+        let solves = Obs.Metrics.count (Obs.metrics obs) "bp.rail_solves" in
+        let floats =
+          [ float_of_int (BP.events r); float_of_int solves; BP.vx_peak r;
+            BP.peak_discharge_current r ]
+          @ List.concat_map
+              (fun n ->
+                List.concat_map
+                  (fun (t, v) -> [ t; v ])
+                  (Phys.Pwl.points (BP.waveform r n)))
+              (List.init n_nets Fun.id)
+        in
+        String.concat " " (List.map (Printf.sprintf "%h") floats)
+      in
+      let n = Array.length vectors in
+      List.for_all
+        (fun config ->
+          let cold = Array.map (run config) vectors in
+          let reverse =
+            Array.init n (fun i -> run config vectors.(n - 1 - i))
+          in
+          let interleaved =
+            Array.map
+              (fun (before, after) ->
+                ignore
+                  (BP.simulate_ints ~config:other_config other
+                     ~before:[ (3, 0); (3, 0) ] ~after:[ (3, 7); (3, 1) ]);
+                run config (before, after))
+              vectors
+          in
+          let domains =
+            Par.Pool.map ~jobs:4 ~chunk:1 n (fun i -> run config vectors.(i))
+          in
+          let threads =
+            let out = Array.make n "" in
+            let half lo hi () =
+              for i = lo to hi - 1 do
+                out.(i) <- run config vectors.(i)
+              done
+            in
+            let a = Thread.create (half 0 (n / 2)) () in
+            let b = Thread.create (half (n / 2) n) () in
+            Thread.join a;
+            Thread.join b;
+            out
+          in
+          Array.for_all2 ( = ) cold
+            (Array.init n (fun i -> reverse.(n - 1 - i)))
+          && cold = interleaved && cold = domains && cold = threads)
+        configs)
+
 (* every QCheck suite below draws from an explicitly seeded generator:
    a run is reproducible from the source alone, with no dependence on
    qcheck's global seed or the QCHECK_SEED environment *)
@@ -282,6 +412,7 @@ let seeded test =
 let suite =
   [ seeded prop_pwl_crossings_alternate;
     seeded prop_pwl_sub_is_linear;
+    seeded prop_pwl_create_rev_last_crossing;
     seeded prop_vground_current_conservation;
     seeded prop_search_flipbit_involution;
     seeded prop_resize_idempotent;
@@ -292,4 +423,5 @@ let suite =
     seeded prop_result_api_never_raises;
     seeded prop_hierarchy_blocks_cover;
     seeded prop_score_jobs_invariant;
-    seeded prop_hunt_reproducible ]
+    seeded prop_hunt_reproducible;
+    seeded prop_bp_history_free ]
