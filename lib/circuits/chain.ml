@@ -26,41 +26,3 @@ let inverter_chain ?(cl = 20e-15) tech ~length =
   C.add_load b last cl;
   C.mark_output b last;
   { circuit = C.freeze b; input; taps }
-
-let nand_chain ?(cl = 20e-15) tech ~length =
-  if length < 1 then invalid_arg "Chain.nand_chain: length < 1";
-  let b = C.builder tech in
-  let input = C.add_input ~name:"in" b in
-  let hi = C.add_tie ~name:"tie1" b true in
-  let taps = Array.make length 0 in
-  let last =
-    List.fold_left
-      (fun prev i ->
-        let out =
-          C.add_gate ~name:(Printf.sprintf "s%d" i) b (Netlist.Gate.Nand 2)
-            [ prev; hi ]
-        in
-        taps.(i) <- out;
-        out)
-      input
-      (List.init length (fun i -> i))
-  in
-  C.add_load b last cl;
-  C.mark_output b last;
-  { circuit = C.freeze b; input; taps }
-
-let parallel_inverters ?(cl = 20e-15) tech ~n =
-  if n < 1 then invalid_arg "Chain.parallel_inverters: n < 1";
-  let b = C.builder tech in
-  let input = C.add_input ~name:"in" b in
-  let taps =
-    Array.init n (fun i ->
-        let out =
-          C.add_gate ~name:(Printf.sprintf "o%d" i) b Netlist.Gate.Inv
-            [ input ]
-        in
-        C.add_load b out cl;
-        C.mark_output b out;
-        out)
-  in
-  { circuit = C.freeze b; input; taps }

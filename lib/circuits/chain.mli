@@ -1,5 +1,4 @@
-(** Inverter chains and simple fixtures used by unit tests and the
-    quickstart example. *)
+(** Inverter chains, used by unit tests and the quickstart example. *)
 
 type t = {
   circuit : Netlist.Circuit.t;
@@ -10,11 +9,3 @@ type t = {
 val inverter_chain : ?cl:float -> Device.Tech.t -> length:int -> t
 (** A chain of [length] inverters; the final output carries [cl]
     (default 20 fF). *)
-
-val nand_chain : ?cl:float -> Device.Tech.t -> length:int -> t
-(** A chain of 2-input NAND gates with the second pin tied high —
-    exercises the multi-input and tie machinery. *)
-
-val parallel_inverters : ?cl:float -> Device.Tech.t -> n:int -> t
-(** [n] inverters sharing one input — the N-simultaneous-discharge
-    fixture behind the delay model of §5.1 (Fig. 8). *)

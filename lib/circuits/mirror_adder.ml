@@ -24,7 +24,3 @@ let add_cell ?(strength = 1.0) ?name builder ~a ~b ~cin =
   let cout = C.add_gate ?name:(nm "cout") ~strength builder G.Inv [ cout_bar ] in
   let sum = C.add_gate ?name:(nm "sum") ~strength builder G.Inv [ sum_bar ] in
   { sum; cout; sum_bar; cout_bar }
-
-let transistors_per_cell =
-  G.transistor_count G.Carry_inv + G.transistor_count G.Sum_inv
-  + (2 * G.transistor_count G.Inv)

@@ -19,6 +19,3 @@ val add_cell :
   cin:Netlist.Circuit.net ->
   outputs
 (** Instantiate one cell into an open builder. *)
-
-val transistors_per_cell : int
-(** 28, as the paper states for its 3 x 28 adder. *)

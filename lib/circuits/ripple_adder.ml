@@ -38,7 +38,3 @@ let make ?(cl = 15e-15) ?(strength = 1.0) tech ~bits =
   C.add_load bld !carry cl;
   C.mark_output ~name:"cout" bld !carry;
   { circuit = C.freeze bld; a; b; sums; cout = !carry }
-
-let reference_sum ~bits a b =
-  let mask = (1 lsl (bits + 1)) - 1 in
-  (a + b) land mask

@@ -14,7 +14,3 @@ val make : ?cl:float -> ?strength:float -> Device.Tech.t -> bits:int -> t
     15 fF) loads each primary output.  Primary inputs are ordered
     [a0..a_{n-1}, b0..b_{n-1}] so a vector pair packs into
     [eval_ints [(n, a); (n, b)]]. *)
-
-val reference_sum : bits:int -> int -> int -> int
-(** Golden model: [(a + b) mod 2^(bits+1)] including the carry-out bit,
-    matching the concatenation of [sums] and [cout]. *)

@@ -190,6 +190,7 @@ let gate ?ctx ?(loads = [ 10e-15; 20e-15; 50e-15; 100e-15 ])
   in
   Array.to_list points
 
+(* the switch-level model's own prediction, for the calibration ratio *)
 let first_order_fall tech kind ~cl =
   let model = Delay_model.of_tech tech in
   let d = Netlist.Gate.drive tech ~strength:1.0 kind in

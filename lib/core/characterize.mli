@@ -42,9 +42,6 @@ val gate :
     list (and stats totals) is identical whatever [jobs] is, and
     whatever the cache already holds. *)
 
-val first_order_fall : Device.Tech.t -> Netlist.Gate.kind -> cl:float -> float
-(** The switch-level model's own prediction for comparison. *)
-
 val calibration_factor :
   ?ctx:Eval.Ctx.t -> ?loads:float list -> Device.Tech.t -> float
 (** Mean transistor-level / first-order fall-delay ratio of an inverter

@@ -40,5 +40,3 @@ let mtcmos_gate_delay t ~r ~others_beta_wl ~beta_wl ~cl =
          (beta_wl :: others_beta_wl))
   in
   fall_delay t ~vx ~beta_wl ~cl
-
-let degradation_fraction ~cmos ~mtcmos = (mtcmos -. cmos) /. cmos

@@ -41,6 +41,3 @@ val mtcmos_gate_delay :
 (** Delay of one gate while [others_beta_wl] gates discharge through the
     same sleep resistance simultaneously — the N-inverter model of
     Fig. 8. *)
-
-val degradation_fraction : cmos:float -> mtcmos:float -> float
-(** [(mtcmos - cmos) / cmos]. *)

@@ -28,10 +28,6 @@ val delay :
     grid points and clamped outside the grid.
     @raise Not_found for an uncharacterised kind. *)
 
-val output_slew :
-  library -> Netlist.Gate.kind -> cl:float -> slew_in:float -> float
-(** Worst of rise/fall output transition time, same interpolation. *)
-
 type timing = {
   arrival : float array;  (** per net *)
   slew : float array;     (** per net, 10–90 % transition time *)

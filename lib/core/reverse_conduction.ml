@@ -12,13 +12,3 @@ let assess (tech : Device.Tech.t) ~vx =
     nm_low_remaining = vt -. vx;
     precharge_speedup = vx /. vdd;
     logic_failure = vx >= vdd /. 2.0 }
-
-let max_safe_vx (tech : Device.Tech.t) ~margin =
-  let vt = tech.Device.Tech.nmos.Device.Mosfet.vt0 in
-  Float.max 0.0 (vt -. margin)
-
-let min_wl_for_margin tech ~i_peak ~margin =
-  let v_budget = max_safe_vx tech ~margin in
-  if v_budget <= 0.0 then
-    invalid_arg "Reverse_conduction.min_wl_for_margin: margin too large";
-  Estimators.peak_current_wl tech ~i_peak ~v_budget

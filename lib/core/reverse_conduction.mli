@@ -21,12 +21,3 @@ type assessment = {
 }
 
 val assess : Device.Tech.t -> vx:float -> assessment
-
-val max_safe_vx : Device.Tech.t -> margin:float -> float
-(** Largest bounce that keeps [margin] volts of low-side noise margin. *)
-
-val min_wl_for_margin :
-  Device.Tech.t -> i_peak:float -> margin:float -> float
-(** Sleep size keeping the bounce below {!max_safe_vx} at a sustained
-    peak current — a noise-margin-driven sizing rule derived from the
-    §2.3 discussion. *)

@@ -143,6 +143,9 @@ let score ?ctx c ~sleep objective pair =
   let ctx = resolve ?ctx () in
   score_ctx ctx c ~sleep objective pair
 
+(* score a batch of transitions; element [i] scores the [i]-th pair.
+   Per-worker stats accumulators are merged in worker order, so the
+   array and the counters are identical whatever [jobs] is *)
 let score_all ?ctx c ~sleep objective pairs =
   let ctx = resolve ?ctx () in
   Obs.Span.with_ ctx.Eval.Ctx.obs "search.score_all" @@ fun () ->

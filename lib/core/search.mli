@@ -58,18 +58,6 @@ val score :
     (The context's [body_effect] only applies to the breakpoint oracle;
     the transistor-level engine always models it.) *)
 
-val score_all :
-  ?ctx:Eval.Ctx.t ->
-  Netlist.Circuit.t ->
-  sleep:Breakpoint_sim.sleep_model ->
-  objective ->
-  Vectors.pair list ->
-  float array
-(** Score a batch of transitions; element [i] is the score of the
-    [i]-th pair.  [jobs] spreads the candidates over domains with
-    per-worker stats accumulators merged in worker order, so the
-    array and the counters are identical whatever [jobs] is. *)
-
 val hill_climb :
   ?seed:int ->
   ?restarts:int ->

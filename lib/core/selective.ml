@@ -85,6 +85,7 @@ let standby_leakage circuit ~vt_high ~cluster_of_gate ~sleep_wl =
     sleep_wl;
   !gated +. !ungrouped
 
+(* total silicon area of the cluster devices, [sum (wl *. lmin^2)] *)
 let sleep_area circuit ~sleep_wl =
   let lmin = (C.tech circuit).Device.Tech.lmin in
   Array.fold_left

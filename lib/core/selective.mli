@@ -102,10 +102,6 @@ val standby_leakage :
     ground); low-Vt gates in a device-less cluster leak at the full
     ungated low-Vt rate. *)
 
-val sleep_area : Netlist.Circuit.t -> sleep_wl:float array -> float
-(** Total silicon area of the cluster devices,
-    [sum (wl *. lmin^2)]. *)
-
 val ungated_leakage : Netlist.Circuit.t -> float
 (** All-low-Vt, no-gating standby leakage baseline. *)
 

@@ -57,14 +57,28 @@ let feasibility_bp ?cache ?obs c vectors ~base ~target =
    the whole sweep.  Cached per (circuit, spice config, fallback
    config, vector): the entry stores the post-fallback (delay, vx)
    together with the resilience deltas the computation recorded, so a
-   hit replays the exact counters of the miss that filled it. *)
+   hit replays the exact counters of the miss that filled it.
+
+   A transient in which no output crosses vdd/2 reads as delay 0 only
+   when the switch-level run of the same vector switches no output
+   either (the vector does nothing); otherwise the sleep device is too
+   small for the transition to finish within the window, and the
+   vector reads as an infinite delay, which meets no target. *)
 let spice_vector ?cache ?obs ~config ~bp_config ?stats c (before, after) =
   let compute stats =
     match Spice_ref.run_ints_r ~config ?obs c ~before ~after with
     | Ok r ->
       Eval.Resilience.record_success ?stats (Spice_ref.telemetry r);
-      ( Option.fold ~none:0.0 ~some:snd (Spice_ref.critical_delay r),
-        Spice_ref.vx_peak r )
+      let d =
+        match Spice_ref.critical_delay r with
+        | Some (_, d) -> d
+        | None ->
+          let bp_d, _, _ =
+            Cached.bp_metrics ?obs ~config:bp_config c ~before ~after
+          in
+          if Option.is_some bp_d then Float.infinity else 0.0
+      in
+      (d, Spice_ref.vx_peak r)
     | Error f ->
       Eval.Resilience.record_skip ?stats ~kind:Eval.Resilience.Estimated
         ~label:(Vectors.label (before, after))
@@ -73,7 +87,7 @@ let spice_vector ?cache ?obs ~config ~bp_config ?stats c (before, after) =
   in
   let key =
     lazy
-      (Cached.digest ~tag:"szv1"
+      (Cached.digest ~tag:"szv2"
          [ Cached.circuit_key c;
            Cached.sp_config_key config;
            Cached.bp_config_key bp_config;
@@ -229,10 +243,13 @@ let size_for_degradation ?ctx ?(wl_lo = 0.5) ?(wl_hi = 4096.0)
   if not (feasible wl_hi) then raise Not_found;
   smallest_feasible ~tolerance ~lo:wl_lo ~hi:wl_hi feasible
 
+(* a W/L below 0.05 would print as 0.0 at one decimal: give it
+   significant digits instead *)
 let pp_measurement fmt m =
   Format.fprintf fmt
-    "W/L=%7.1f  cmos=%s  mtcmos=%s  degradation=%5.1f%%  vx_peak=%s"
-    m.wl
+    "W/L=%s  cmos=%s  mtcmos=%s  degradation=%5.1f%%  vx_peak=%s"
+    (if m.wl >= 0.05 then Printf.sprintf "%7.1f" m.wl
+     else Printf.sprintf "%7.3g" m.wl)
     (Phys.Units.to_eng_string ~unit:"s" m.cmos_delay)
     (Phys.Units.to_eng_string ~unit:"s" m.mtcmos_delay)
     (100.0 *. m.degradation)

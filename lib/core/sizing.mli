@@ -4,7 +4,11 @@
     A sizing question is always posed against a set of input transitions
     (because the worst-case vector depends on the sleep size itself,
     §2.4): the delay at a given W/L is the worst critical delay over the
-    vector set.
+    vector set.  Under the transistor-level engine, a vector whose
+    transient switches no output reads as delay 0 when the switch-level
+    run of the vector switches none either, and as an infinite delay
+    (which meets no target) when it does: the sleep device is then too
+    small for the transition to finish within the simulated window.
 
     Every entry point takes [?ctx:Eval.Ctx.t] — engine, body effect,
     recovery policy, fast transient mode, stats accumulator, worker

@@ -55,6 +55,8 @@ let stimulus cfg ~vdd before after =
     Phys.Pwl.create
       [ (0.0, v0); (cfg.t_start, v0); (cfg.t_start +. input_ramp, v1) ]
 
+(* a transient that fails even after the config's recovery policy
+   returns its diagnosis instead of raising *)
 let run_r ?(config = default_config) ?obs circuit ~before ~after =
   let primary = C.inputs circuit in
   if Array.length before <> Array.length primary
@@ -157,6 +159,9 @@ let vx_peak r =
       r.vdd -. fst (Phys.Pwl.extrema w)
     else snd (Phys.Pwl.extrema w)
 
+(* current through the sleep element: the measured rail voltage mapped
+   through the device's I-V curve (Ohm's law for the resistor model);
+   [None] for conventional CMOS *)
 let sleep_current_waveform r =
   match vground_waveform r with
   | None -> None

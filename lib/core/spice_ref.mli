@@ -26,18 +26,6 @@ val input_ramp : float
 
 type run
 
-val run_r :
-  ?config:config ->
-  ?obs:Obs.t ->
-  Netlist.Circuit.t ->
-  before:Netlist.Signal.level array ->
-  after:Netlist.Signal.level array ->
-  (run, Spice.Diag.failure) result
-(** Result-typed variant: a transient that fails even after the
-    config's recovery policy returns its structured diagnosis instead
-    of raising, so sweeps can degrade gracefully.
-    @raise Invalid_argument on [X] inputs. *)
-
 val run :
   ?config:config ->
   ?obs:Obs.t ->
@@ -73,13 +61,6 @@ val vground_waveform : run -> Phys.Pwl.t option
 
 val vx_peak : run -> float
 (** 0 for a conventional-CMOS run. *)
-
-val sleep_current_waveform : run -> Phys.Pwl.t option
-(** Current through the sleep element, reconstructed by mapping the
-    measured rail voltage through the device's I–V curve (or Ohm's law
-    for the resistor model); [None] for conventional CMOS.  This is the
-    transistor-level counterpart of
-    [Breakpoint_sim.discharge_current_waveform]. *)
 
 val peak_sleep_current : run -> float
 

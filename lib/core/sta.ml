@@ -197,6 +197,7 @@ let analyze ?body_effect ?gating circuit =
 let gate_delay t gid = t.delays.(gid)
 let arrival t net = t.arrivals.(net)
 
+(* the critical path ending at [endpoint] *)
 let path_to (t : t) endpoint =
   let rec walk net acc =
     match C.gate_of_output t.circuit net with

@@ -90,9 +90,6 @@ val critical_path : t -> path
 val critical_arrival : t -> float
 (** [(critical_path t).arrival] without tracing the path. *)
 
-val path_to : t -> Netlist.Circuit.net -> path
-(** Critical path terminating at a specific net. *)
-
 val slack : t -> Netlist.Circuit.net -> float
 (** [critical_arrival - arrival net]: 0 on the critical path. *)
 

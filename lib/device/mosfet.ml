@@ -21,6 +21,7 @@ type operating_point = {
   vth : float;
 }
 
+(* kT/q at 300 K *)
 let thermal_voltage = 0.02585
 
 let threshold p ~vbs =

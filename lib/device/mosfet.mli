@@ -33,9 +33,6 @@ type operating_point = {
   vth : float;  (** threshold including body effect *)
 }
 
-val thermal_voltage : float
-(** kT/q at 300 K. *)
-
 val threshold : params -> vbs:float -> float
 (** Threshold voltage with body effect, in the NMOS convention. *)
 

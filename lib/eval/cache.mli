@@ -45,8 +45,6 @@ val create : ?max_entries:int -> ?shards:int -> unit -> t
     @raise Invalid_argument when [max_entries <= 0] or [shards] is
     outside [1, 256]. *)
 
-val max_entries : t -> int
-
 val shards : t -> int
 (** Number of lock stripes this cache was created with. *)
 

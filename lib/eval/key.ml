@@ -130,4 +130,3 @@ let circuit b c =
 
 let contents = Buffer.contents
 let digest b = Digest.string (Buffer.contents b)
-let digest_hex b = Digest.to_hex (digest b)

@@ -37,7 +37,6 @@ val option : t -> (t -> 'a -> unit) -> 'a option -> unit
 val ints : t -> (int * int) list -> unit
 (** A (net, value) assignment list, length-prefixed. *)
 
-val mosfet : t -> Device.Mosfet.params -> unit
 val tech : t -> Device.Tech.t -> unit
 val sleep : t -> Device.Sleep.t -> unit
 val policy : t -> Spice.Recover.policy -> unit
@@ -54,5 +53,3 @@ val contents : t -> string
 
 val digest : t -> string
 (** 16-byte MD5 of {!contents} — the cache key. *)
-
-val digest_hex : t -> string

@@ -4,7 +4,6 @@ let create n m =
   if n <= 0 || m <= 0 then invalid_arg "Dense.create";
   { n; m; data = Array.make (n * m) 0.0 }
 
-let dims a = (a.n, a.m)
 let get a i j = a.data.((i * a.m) + j)
 let set a i j x = a.data.((i * a.m) + j) <- x
 let add_to a i j x = a.data.((i * a.m) + j) <- a.data.((i * a.m) + j) +. x
@@ -28,11 +27,6 @@ let of_arrays rows =
     rows;
   a
 
-let to_arrays a =
-  Array.init a.n (fun i -> Array.init a.m (fun j -> get a i j))
-
-let copy a = { a with data = Array.copy a.data }
-
 let mul_vec a x =
   if Array.length x <> a.m then invalid_arg "Dense.mul_vec";
   Array.init a.n (fun i ->
@@ -44,12 +38,11 @@ let mul_vec a x =
 
 exception Singular of int
 
-type lu = { fact : t; perm : int array }
-
-let lu_factor a0 =
-  let n, m = dims a0 in
-  if n <> m then invalid_arg "Dense.lu_factor: not square";
-  let a = copy a0 in
+let solve a0 b =
+  let n = a0.n in
+  if a0.m <> n then invalid_arg "Dense.solve: not square";
+  if Array.length b <> n then invalid_arg "Dense.solve";
+  let a = { a0 with data = Array.copy a0.data } in
   let perm = Array.init n (fun i -> i) in
   for k = 0 to n - 1 do
     (* partial pivoting *)
@@ -84,11 +77,6 @@ let lu_factor a0 =
         done
     done
   done;
-  { fact = a; perm }
-
-let lu_solve { fact = a; perm } b =
-  let n, _ = dims a in
-  if Array.length b <> n then invalid_arg "Dense.lu_solve";
   let x = Array.init n (fun i -> b.(perm.(i))) in
   (* forward substitution, unit lower triangle *)
   for i = 1 to n - 1 do
@@ -104,13 +92,3 @@ let lu_solve { fact = a; perm } b =
     x.(i) <- x.(i) /. get a i i
   done;
   x
-
-let solve a b = lu_solve (lu_factor a) b
-
-let pp fmt a =
-  for i = 0 to a.n - 1 do
-    for j = 0 to a.m - 1 do
-      Format.fprintf fmt "%12.5g " (get a i j)
-    done;
-    Format.pp_print_newline fmt ()
-  done

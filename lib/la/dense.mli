@@ -1,7 +1,7 @@
-(** Dense matrices with LU factorisation (partial pivoting).
+(** Dense matrices solved by LU factorisation with partial pivoting.
 
-    Used for small MNA systems and as the reference implementation the
-    sparse solver is tested against. *)
+    The reference implementation the sparse solver is tested against;
+    no analysis path uses it. *)
 
 type t
 (** A mutable [n x m] matrix of floats. *)
@@ -11,32 +11,19 @@ val create : int -> int -> t
 
 val identity : int -> t
 val of_arrays : float array array -> t
-val to_arrays : t -> float array array
-val dims : t -> int * int
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 val add_to : t -> int -> int -> float -> unit
 (** [add_to a i j x] performs [a.(i).(j) <- a.(i).(j) +. x] — the MNA
     "stamp" primitive. *)
 
-val copy : t -> t
 val mul_vec : t -> float array -> float array
 
 exception Singular of int
-(** Raised by factorisation when no usable pivot exists in the given
+(** Raised by {!solve} when no usable pivot exists in the given
     column. *)
 
-type lu
-(** An LU factorisation with row permutation. *)
-
-val lu_factor : t -> lu
-(** Factor a square matrix.  The input is not modified.
-    @raise Singular when the matrix is numerically singular. *)
-
-val lu_solve : lu -> float array -> float array
-(** Solve [A x = b] given the factorisation of [A]. *)
-
 val solve : t -> float array -> float array
-(** One-shot [lu_solve (lu_factor a) b]. *)
-
-val pp : Format.formatter -> t -> unit
+(** [solve a b] is [x] with [A x = b], by LU factorisation of a copy of
+    the square matrix [a] ([a] is not modified).
+    @raise Singular when the matrix is numerically singular. *)

@@ -77,16 +77,6 @@ let mul_vec m x =
       done;
       !s)
 
-let to_dense m =
-  let p = m.pattern in
-  let d = Dense.create p.n p.n in
-  for i = 0 to p.n - 1 do
-    for k = p.row_ptr.(i) to p.row_ptr.(i + 1) - 1 do
-      Dense.set d i p.col_idx.(k) m.values.(k)
-    done
-  done;
-  d
-
 (* ---- ordering ---------------------------------------------------------- *)
 
 (* Minimum-degree ordering on the symmetrised adjacency graph.  Quotient

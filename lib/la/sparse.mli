@@ -67,6 +67,3 @@ val factor : symbolic -> matrix -> numeric
 
 val solve : numeric -> float array -> float array
 (** Solve [A x = b]. *)
-
-val to_dense : matrix -> Dense.t
-(** For tests and small-system debugging. *)

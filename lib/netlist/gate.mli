@@ -59,7 +59,5 @@ val drive : Device.Tech.t -> strength:float -> kind -> drive
 val pulldown_stack_depth : kind -> int
 (** Worst-case series-NMOS depth of the template (1 for an inverter). *)
 
-val pullup_stack_depth : kind -> int
-
 val transistor_count : kind -> int
 (** Devices in the static-CMOS implementation of the gate. *)

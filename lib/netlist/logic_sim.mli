@@ -24,7 +24,6 @@ val pack_ints : Circuit.t -> (int * int) list -> Signal.level array
 val eval_ints : Circuit.t -> (int * int) list -> state
 (** [eval c (pack_ints c groups)]. *)
 
-val outputs_of : Circuit.t -> state -> Signal.level array
 val output_int : Circuit.t -> state -> int option
 
 val switched_gates : Circuit.t -> state -> state -> Circuit.gate_id list

@@ -1,7 +1,6 @@
 type level = L0 | L1 | X
 
 let of_bool b = if b then L1 else L0
-let to_bool = function L0 -> Some false | L1 -> Some true | X -> None
 let lnot = function L0 -> L1 | L1 -> L0 | X -> X
 
 let land_ a b =

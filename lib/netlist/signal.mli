@@ -3,7 +3,6 @@
 type level = L0 | L1 | X
 
 val of_bool : bool -> level
-val to_bool : level -> bool option
 val lnot : level -> level
 val land_ : level -> level -> level
 val lor_ : level -> level -> level

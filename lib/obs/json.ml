@@ -1,4 +1,4 @@
-(* Minimal JSON reader, no external dependencies. *)
+(* Minimal JSON reader and token writers, no external dependencies. *)
 
 type t =
   | J_obj of (string * t) list
@@ -141,3 +141,25 @@ let num_field k j =
 
 let str_field k j =
   match field k j with Some (J_str v) -> Some v | _ -> None
+
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\r' -> Buffer.add_string b "\\r"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+let number v =
+  if Float.is_finite v then
+    let short = Printf.sprintf "%g" v in
+    if float_of_string short = v then short else Printf.sprintf "%.17g" v
+  else "null"

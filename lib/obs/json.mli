@@ -1,6 +1,10 @@
-(** Minimal JSON reader: the trace validator reads trace files with it,
-    and the serve client reads the daemon's event lines.  Strings decode
-    the standard escapes; a [\u] escape above ASCII becomes ['?']. *)
+(** Minimal JSON reader and the two token writers every emitter shares.
+
+    The trace validator reads trace files with the reader, and the
+    serve client reads the daemon's event lines.  Strings decode the
+    standard escapes; a [\u] escape above ASCII becomes ['?'].  Traces,
+    metrics dumps and the runner's manifests write strings with
+    {!escape}; traces and metrics write floats with {!number}. *)
 
 type t =
   | J_obj of (string * t) list  (** members in document order *)
@@ -24,3 +28,12 @@ val field : string -> t -> t option
 val num_field : string -> t -> float option
 val str_field : string -> t -> string option
 (** {!field}, when the member is a number (a string). *)
+
+val escape : string -> string
+(** The body of a JSON string literal, without the quotes: a double
+    quote, a backslash, newline, tab and return become two-character
+    escapes, other control bytes [\u00XX], every other byte stays. *)
+
+val number : float -> string
+(** A JSON number token: ["%g"] when it reads back as the same float,
+    else ["%.17g"]; ["null"] when the float is not finite. *)

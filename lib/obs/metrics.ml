@@ -204,14 +204,6 @@ let dump t =
   Hashtbl.fold (fun name cell acc -> (name, value_of cell) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-(* Minimal JSON float syntax: finite shortest round-trip, else null. *)
-let json_float v =
-  if Float.is_finite v then
-    let s = Printf.sprintf "%.17g" v in
-    let short = Printf.sprintf "%g" v in
-    if float_of_string short = v then short else s
-  else "null"
-
 let to_jsonl t =
   let buf = Buffer.create 1024 in
   List.iter
@@ -222,16 +214,16 @@ let to_jsonl t =
            name n
        | Value f ->
          Printf.bprintf buf {|{"name":"%s","type":"value","value":%s}|} name
-           (json_float f)
+           (Json.number f)
        | Dist d ->
          Printf.bprintf buf
            {|{"name":"%s","type":"histogram","bounds":[%s],"counts":[%s],"sum":%s,"total":%d}|}
            name
            (String.concat ","
-              (Array.to_list (Array.map json_float d.bounds)))
+              (Array.to_list (Array.map Json.number d.bounds)))
            (String.concat ","
               (Array.to_list (Array.map string_of_int d.counts)))
-           (json_float d.sum) d.total);
+           (Json.number d.sum) d.total);
       Buffer.add_char buf '\n')
     (dump t);
   Buffer.contents buf

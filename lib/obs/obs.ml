@@ -27,7 +27,6 @@ let create ?(trace = false) () =
 
 let enabled t = t.metrics_on || Option.is_some t.trace
 let metrics_on t = t.metrics_on
-let tracing t = Option.is_some t.trace
 let metrics t = t.metrics
 let trace t = t.trace
 

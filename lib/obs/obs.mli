@@ -38,8 +38,6 @@ val create : ?trace:bool -> unit -> t
 
 val enabled : t -> bool
 val metrics_on : t -> bool
-val tracing : t -> bool
-
 val metrics : t -> Metrics.t
 val trace : t -> Trace.t option
 

@@ -76,32 +76,10 @@ let clear t =
 
 (* ---- export ------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_num v =
-  if Float.is_finite v then
-    let short = Printf.sprintf "%g" v in
-    if float_of_string short = v then short else Printf.sprintf "%.17g" v
-  else "null"
-
 let args_json args =
   String.concat ","
     (List.map
-       (fun (k, v) -> Printf.sprintf {|"%s":%s|} (json_escape k) (json_num v))
+       (fun (k, v) -> Printf.sprintf {|"%s":%s|} (Json.escape k) (Json.number v))
        args)
 
 let to_chrome_json ?metrics t =
@@ -114,9 +92,9 @@ let to_chrome_json ?metrics t =
       if i > 0 then Buffer.add_char buf ',';
       Printf.bprintf buf
         {|{"name":"%s","cat":"mtsize","ph":"X","pid":1,"tid":%d,"ts":%s,"dur":%s|}
-        (json_escape e.name) e.tid
-        (json_num ((e.ts -. t0) *. 1e6))
-        (json_num (e.dur *. 1e6));
+        (Json.escape e.name) e.tid
+        (Json.number ((e.ts -. t0) *. 1e6))
+        (Json.number (e.dur *. 1e6));
       if e.args <> [] then Printf.bprintf buf {|,"args":{%s}|} (args_json e.args);
       Buffer.add_char buf '}')
     evs;
@@ -128,7 +106,7 @@ let to_chrome_json ?metrics t =
        List.filter_map
          (function
            | name, Metrics.Count n ->
-             Some (Printf.sprintf {|"%s":%d|} (json_escape name) n)
+             Some (Printf.sprintf {|"%s":%d|} (Json.escape name) n)
            | _ -> None)
          (Metrics.dump m)
      in
@@ -148,9 +126,9 @@ let to_jsonl t =
     (fun e ->
       Printf.bprintf buf
         {|{"name":"%s","tid":%d,"ts_us":%s,"dur_us":%s,"depth":%d|}
-        (json_escape e.name) e.tid
-        (json_num (e.ts *. 1e6))
-        (json_num (e.dur *. 1e6))
+        (Json.escape e.name) e.tid
+        (Json.number (e.ts *. 1e6))
+        (Json.number (e.dur *. 1e6))
         e.depth;
       if e.args <> [] then Printf.bprintf buf {|,"args":{%s}|} (args_json e.args);
       Buffer.add_string buf "}\n")

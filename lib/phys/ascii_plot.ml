@@ -68,47 +68,3 @@ let waveforms ?(width = 64) ?(height = 16) ?t0 ?t1 waves =
       (Units.to_eng_string ~unit:"s" t1)
   in
   render_grid ~width ~height ~plot_points:pts ~y_label ~x_label
-
-let xy ?(width = 64) ?(height = 16) ?(logx = false) series =
-  if List.length series < 2 then invalid_arg "Ascii_plot.xy: need 2+ points";
-  let tx x =
-    if logx then
-      if x <= 0.0 then invalid_arg "Ascii_plot.xy: logx needs x > 0"
-      else log x
-    else x
-  in
-  let xs = List.map (fun (x, _) -> tx x) series in
-  let ys = List.map snd series in
-  let x_lo = List.fold_left Float.min (List.hd xs) xs in
-  let x_hi = List.fold_left Float.max (List.hd xs) xs in
-  let y_lo = List.fold_left Float.min (List.hd ys) ys in
-  let y_hi = List.fold_left Float.max (List.hd ys) ys in
-  let x_hi = if x_hi <= x_lo then x_lo +. 1.0 else x_hi in
-  let y_hi = if y_hi <= y_lo then y_lo +. 1.0 else y_hi in
-  let pts =
-    List.map
-      (fun (x, y) ->
-        let col =
-          int_of_float
-            (Float.round
-               ((tx x -. x_lo) /. (x_hi -. x_lo) *. float_of_int (width - 1)))
-        in
-        let row =
-          int_of_float
-            (Float.round
-               ((y -. y_lo) /. (y_hi -. y_lo) *. float_of_int (height - 1)))
-        in
-        (col, row, '*'))
-      series
-  in
-  let y_label = function
-    | `Top -> Printf.sprintf "%.3g" y_hi
-    | `Bottom -> Printf.sprintf "%.3g" y_lo
-  in
-  let x_label =
-    Printf.sprintf "x: %.4g .. %.4g%s"
-      (if logx then exp x_lo else x_lo)
-      (if logx then exp x_hi else x_hi)
-      (if logx then " (log)" else "")
-  in
-  render_grid ~width ~height ~plot_points:pts ~y_label ~x_label

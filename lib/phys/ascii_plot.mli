@@ -11,13 +11,3 @@ val waveforms :
     is drawn with its character, later entries win collisions.  Axis
     ranges default to the union of the inputs.
     @raise Invalid_argument on an empty list. *)
-
-val xy :
-  ?width:int ->
-  ?height:int ->
-  ?logx:bool ->
-  (float * float) list ->
-  string
-(** Scatter/line plot of one series, e.g. delay vs W/L.
-    @raise Invalid_argument with fewer than two points or non-positive
-    x-values under [logx]. *)

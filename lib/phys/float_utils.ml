@@ -1,18 +1,9 @@
-let approx_eq ?(rel = 1e-9) ?(abs = 1e-12) a b =
-  let diff = Float.abs (a -. b) in
-  diff <= abs || diff <= rel *. Float.max (Float.abs a) (Float.abs b)
-
 let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
 
 let linspace a b n =
   if n < 2 then invalid_arg "Float_utils.linspace: n must be >= 2";
   let step = (b -. a) /. float_of_int (n - 1) in
   Array.init n (fun i -> a +. (float_of_int i *. step))
-
-let logspace a b n =
-  if a <= 0.0 || b <= 0.0 then
-    invalid_arg "Float_utils.logspace: bounds must be positive";
-  Array.map exp (linspace (log a) (log b) n)
 
 let sum xs =
   let total = ref 0.0 and comp = ref 0.0 in
@@ -24,18 +15,4 @@ let sum xs =
   done;
   !total
 
-let extremum_by name better f = function
-  | [] -> invalid_arg name
-  | x :: xs ->
-    let keep best best_v x =
-      let v = f x in
-      if better v best_v then (x, v) else (best, best_v)
-    in
-    let best, _ =
-      List.fold_left (fun (b, bv) x -> keep b bv x) (x, f x) xs
-    in
-    best
-
-let max_by f xs = extremum_by "Float_utils.max_by" ( > ) f xs
-let min_by f xs = extremum_by "Float_utils.min_by" ( < ) f xs
 let is_finite x = Float.is_finite x

@@ -1,10 +1,5 @@
 (** Small floating-point helpers shared across the project. *)
 
-val approx_eq : ?rel:float -> ?abs:float -> float -> float -> bool
-(** [approx_eq ?rel ?abs a b] is true when [a] and [b] agree within the
-    relative tolerance [rel] (default 1e-9) or absolute tolerance [abs]
-    (default 1e-12). *)
-
 val clamp : lo:float -> hi:float -> float -> float
 (** [clamp ~lo ~hi x] restricts [x] to the interval [lo, hi]. *)
 
@@ -12,20 +7,8 @@ val linspace : float -> float -> int -> float array
 (** [linspace a b n] is [n] evenly spaced points from [a] to [b]
     inclusive.  [n] must be at least 2. *)
 
-val logspace : float -> float -> int -> float array
-(** [logspace a b n] is [n] logarithmically spaced points from [a] to [b]
-    inclusive; [a] and [b] must be positive. *)
-
 val sum : float array -> float
 (** Kahan-compensated sum. *)
-
-val max_by : ('a -> float) -> 'a list -> 'a
-(** [max_by f xs] is the element of [xs] maximising [f].
-    @raise Invalid_argument on the empty list. *)
-
-val min_by : ('a -> float) -> 'a list -> 'a
-(** [min_by f xs] is the element of [xs] minimising [f].
-    @raise Invalid_argument on the empty list. *)
 
 val is_finite : float -> bool
 (** True when the argument is neither infinite nor NaN. *)

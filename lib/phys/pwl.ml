@@ -216,8 +216,3 @@ let settle_time w ~target ~tolerance ~after =
     | Some t when t = infinity -> None
     | Some t -> Some (Float.max t after)
     | None -> Some (Float.max w.times.(0) after)
-
-let l2_distance a b ~t0 ~t1 ~n =
-  let pts = sample (sub a b) ~t0 ~t1 ~n in
-  let acc = Array.fold_left (fun s (_, d) -> s +. (d *. d)) 0.0 pts in
-  sqrt (acc /. float_of_int n)

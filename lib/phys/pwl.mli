@@ -71,7 +71,3 @@ val settle_time :
   t -> target:float -> tolerance:float -> after:float -> float option
 (** [settle_time w ~target ~tolerance ~after] is the earliest time [>= after]
     from which the waveform stays within [tolerance] of [target] forever. *)
-
-val l2_distance : t -> t -> t0:float -> t1:float -> n:int -> float
-(** RMS difference between two waveforms over a sampled window; used to
-    compare simulator outputs against the SPICE substrate. *)

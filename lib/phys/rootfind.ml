@@ -97,11 +97,3 @@ let brent ?(tol = 1e-14) ?(max_iter = 200) f ~lo ~hi =
     done;
     !b
   end
-
-let find_monotonic_crossing ?(tol = 1e-14) f ~target ~lo ~hi =
-  let g x = f x -. target in
-  let glo = g lo and ghi = g hi in
-  if glo = 0.0 then Some lo
-  else if ghi = 0.0 then Some hi
-  else if glo *. ghi > 0.0 then None
-  else Some (brent ~tol g ~lo ~hi)

@@ -24,10 +24,3 @@ val brent :
   float
 (** Brent's method: bisection reliability with superlinear convergence.
     Same contract as {!bisect}. *)
-
-val find_monotonic_crossing :
-  ?tol:float -> (float -> float) -> target:float -> lo:float -> hi:float ->
-  float option
-(** [find_monotonic_crossing f ~target ~lo ~hi] returns the abscissa where
-    the monotonic function [f] crosses [target], or [None] when the target
-    lies outside [f lo, f hi]. *)

@@ -16,7 +16,6 @@ let add_row t row =
 let add_floats ?(fmt = Printf.sprintf "%.6g") t xs =
   add_row t (List.map fmt xs)
 
-let columns t = t.cols
 let rows t = List.rev t.body
 
 let pp fmt t =

@@ -12,7 +12,6 @@ val add_row : t -> string list -> unit
 val add_floats : ?fmt:(float -> string) -> t -> float list -> unit
 (** Row of numbers (default ["%.6g"]). *)
 
-val columns : t -> string list
 val rows : t -> string list list
 
 val pp : Format.formatter -> t -> unit

@@ -1,29 +1,13 @@
-let femto = 1e-15
-let pico = 1e-12
-let nano = 1e-9
-let micro = 1e-6
-let milli = 1e-3
-let kilo = 1e3
-let mega = 1e6
-let giga = 1e9
-let fF x = x *. femto
-let pF x = x *. pico
-let ps x = x *. pico
-let ns x = x *. nano
-let mV x = x *. milli
-let mA x = x *. milli
-let uA x = x *. micro
-let um x = x *. micro
-
 let prefixes =
   [ (1e-18, "a"); (1e-15, "f"); (1e-12, "p"); (1e-9, "n"); (1e-6, "u");
     (1e-3, "m"); (1.0, ""); (1e3, "k"); (1e6, "M"); (1e9, "G"); (1e12, "T") ]
 
-let pp_eng ~unit fmt x =
-  if x = 0.0 then Format.fprintf fmt "0%s" unit
-  else if Float.is_nan x then Format.fprintf fmt "nan%s" unit
+let to_eng_string ~unit x =
+  if x = 0.0 then "0" ^ unit
+  else if Float.is_nan x then "nan" ^ unit
+  else if Float.abs x = Float.infinity then if x > 0.0 then "inf" else "-inf"
   else if Float.is_integer (Float.abs x) && Float.abs x >= 1e15 then
-    Format.fprintf fmt "%.4g%s" x unit
+    Printf.sprintf "%.4g%s" x unit
   else
     let mag = Float.abs x in
     let rec pick = function
@@ -33,6 +17,4 @@ let pp_eng ~unit fmt x =
         if mag < scale *. 1000.0 then (scale, p) else pick rest
     in
     let scale, prefix = pick prefixes in
-    Format.fprintf fmt "%.4g%s%s" (x /. scale) prefix unit
-
-let to_eng_string ~unit x = Format.asprintf "%a" (pp_eng ~unit) x
+    Printf.sprintf "%.4g%s%s" (x /. scale) prefix unit

@@ -1,47 +1,11 @@
-(** SI unit helpers and engineering-notation formatting.
+(** Engineering-notation formatting.
 
     All quantities in this project are plain [float]s in base SI units
-    (volts, amperes, seconds, farads, ohms, metres).  This module provides
-    the multipliers used to write them readably and a formatter that prints
-    them back in engineering notation. *)
-
-val femto : float
-val pico : float
-val nano : float
-val micro : float
-val milli : float
-val kilo : float
-val mega : float
-val giga : float
-
-val fF : float -> float
-(** [fF x] is [x] femtofarads in farads. *)
-
-val pF : float -> float
-(** [pF x] is [x] picofarads in farads. *)
-
-val ps : float -> float
-(** [ps x] is [x] picoseconds in seconds. *)
-
-val ns : float -> float
-(** [ns x] is [x] nanoseconds in seconds. *)
-
-val mV : float -> float
-(** [mV x] is [x] millivolts in volts. *)
-
-val mA : float -> float
-(** [mA x] is [x] milliamperes in amperes. *)
-
-val uA : float -> float
-(** [uA x] is [x] microamperes in amperes. *)
-
-val um : float -> float
-(** [um x] is [x] micrometres in metres. *)
-
-val pp_eng : unit:string -> Format.formatter -> float -> unit
-(** [pp_eng ~unit fmt x] prints [x] in engineering notation with 4
-    significant digits, e.g. [pp_eng ~unit:"s" fmt 3.2e-10] prints
-    ["320.0ps"]. *)
+    (volts, amperes, seconds, farads, ohms, metres); this module prints
+    them back with an SI prefix. *)
 
 val to_eng_string : unit:string -> float -> string
-(** [to_eng_string ~unit x] is [Format.asprintf "%a" (pp_eng ~unit) x]. *)
+(** [to_eng_string ~unit x] prints [x] in engineering notation with 4
+    significant digits, e.g. [to_eng_string ~unit:"s" 3.2e-10] is
+    ["320ps"].  An infinite [x] prints as ["inf"] or ["-inf"], without
+    the unit. *)

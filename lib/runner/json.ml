@@ -15,22 +15,6 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let float_repr f =
   if Float.is_nan f then "\"nan\""
   else if f = Float.infinity then "\"inf\""
@@ -54,7 +38,7 @@ let rec write b = function
   | Float f -> Buffer.add_string b (float_repr f)
   | Str s ->
     Buffer.add_char b '"';
-    Buffer.add_string b (escape s);
+    Buffer.add_string b (Obs.Json.escape s);
     Buffer.add_char b '"'
   | Arr l ->
     Buffer.add_char b '[';
@@ -70,7 +54,7 @@ let rec write b = function
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char b ',';
         Buffer.add_char b '"';
-        Buffer.add_string b (escape k);
+        Buffer.add_string b (Obs.Json.escape k);
         Buffer.add_string b "\":";
         write b v)
       fields;

@@ -513,6 +513,8 @@ let sexp_of_kind = function
           Sexp.Atom (Mtcmos.Selective.objective_name objective) ];
       Sexp.List [ Sexp.Atom "passes"; Sexp.Atom (string_of_int passes) ] ]
 
+(* comments, whitespace and field order inside a job do not change the
+   rendering, so it identifies what the batch computes *)
 let to_canonical t =
   let job j =
     Sexp.List

@@ -83,11 +83,6 @@ val check_overrides : ?flag:string -> overrides -> (unit, string) result
 val parse_string : string -> (t, string) result
 val parse_file : string -> (t, string) result
 
-val to_canonical : t -> string
-(** Deterministic rendering: comments, whitespace and field order
-    inside a job do not change it, so it identifies {e what the batch
-    computes}. *)
-
 val fingerprint : t -> string
 (** Hex digest of {!to_canonical} — stamped into the journal and the
     manifest so a stale checkpoint is never replayed against an edited

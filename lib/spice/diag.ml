@@ -99,18 +99,3 @@ let pp_failure fmt f =
   if f.message <> "" then Format.fprintf fmt " [%s]" f.message
 
 let failure_to_string f = Format.asprintf "%a" pp_failure f
-
-let pp_telemetry fmt tm =
-  Format.fprintf fmt
-    "%d Newton iterations, %d factorizations, %d step rejections, \
-     %d gmin rounds, %d source steps, %.3f s"
-    tm.newton_iterations tm.factorizations tm.step_rejections
-    tm.gmin_rounds tm.source_steps tm.wall_s;
-  match tm.recoveries with
-  | [] -> ()
-  | l ->
-    Format.fprintf fmt "; recovered via %s"
-      (String.concat ", "
-         (List.map (fun (n, k) -> Printf.sprintf "%s x%d" n k) l))
-
-let telemetry_to_string tm = Format.asprintf "%a" pp_telemetry tm

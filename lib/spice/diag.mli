@@ -52,10 +52,7 @@ val merge_telemetry : into:telemetry -> telemetry -> unit
     in worker order afterwards, so totals match the sequential run
     exactly (see [Par.Pool.map_stateful]). *)
 
-val analysis_name : analysis -> string
 val kind_name : failure_kind -> string
 
 val pp_failure : Format.formatter -> failure -> unit
 val failure_to_string : failure -> string
-val pp_telemetry : Format.formatter -> telemetry -> unit
-val telemetry_to_string : telemetry -> string

@@ -23,11 +23,6 @@ module Opts = struct
   let with_fast fast t = { t with fast }
   let with_policy policy t = { t with policy }
 
-  let fast_to_string = function
-    | `Off -> "off"
-    | `Reduce -> "reduce"
-    | `Reduce_bypass -> "reduce-bypass"
-
   let fast_of_string s =
     match String.lowercase_ascii s with
     | "off" -> Ok `Off
@@ -1021,9 +1016,6 @@ let waveform res node =
   match Hashtbl.find_opt res.recorded node with
   | Some cell -> Phys.Pwl.create (List.rev !cell)
   | None -> raise Not_found
-
-let waveform_named res name =
-  waveform res (Netlist.Transistor.find_node res.netlist name)
 
 let final_solution res = res.final_x
 let steps_taken res = res.n_steps

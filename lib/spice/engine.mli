@@ -58,8 +58,6 @@ module Opts : sig
 
   val fast_of_string : string -> (fast, string) result
   (** Parse ["off"], ["reduce"] or ["reduce-bypass"]. *)
-
-  val fast_to_string : fast -> string
 end
 
 type t
@@ -151,9 +149,6 @@ val waveform : result -> Netlist.Transistor.node -> Phys.Pwl.t
 (** Samples of a recorded node, including back-substituted
     chain-interior nodes under a reducing fast mode.
     @raise Not_found for a node that was not recorded. *)
-
-val waveform_named : result -> string -> Phys.Pwl.t
-(** Look a node up by name first. *)
 
 val final_solution : result -> float array
 val steps_taken : result -> int

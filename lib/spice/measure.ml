@@ -37,24 +37,3 @@ let critical_delay outputs delay =
          | Some _ | None -> Some (n, d)))
     None outputs
 
-(* exact for a PWL: the maximum is attained at a breakpoint or window
-   endpoint *)
-let peak_value w ~between:(t0, t1) =
-  let at_bounds =
-    Float.max (Phys.Pwl.value_at w t0) (Phys.Pwl.value_at w t1)
-  in
-  List.fold_left
-    (fun acc (t, v) -> if t >= t0 && t <= t1 then Float.max acc v else acc)
-    at_bounds (Phys.Pwl.points w)
-
-let peak_current_through_cap w ~c ~window:(t0, t1) ~n =
-  let pts = Phys.Pwl.sample w ~t0 ~t1 ~n in
-  let best = ref 0.0 in
-  for i = 0 to n - 2 do
-    let t_a, v_a = pts.(i) and t_b, v_b = pts.(i + 1) in
-    if t_b > t_a then begin
-      let i_c = c *. Float.abs ((v_b -. v_a) /. (t_b -. t_a)) in
-      if i_c > !best then best := i_c
-    end
-  done;
-  !best

@@ -27,11 +27,3 @@ val critical_delay :
   int array -> (int -> float option) -> (int * float) option
 (** [critical_delay outputs delay]: the output with the largest [delay]
     (the first one on ties), or [None] when no output switches. *)
-
-val peak_value : Phys.Pwl.t -> between:float * float -> float
-(** Maximum sampled value over a window. *)
-
-val peak_current_through_cap :
-  Phys.Pwl.t -> c:float -> window:float * float -> n:int -> float
-(** Max |C dV/dt| over the window: the discharge-current probe used by
-    the peak-current sizing baseline of §4. *)

@@ -16,6 +16,50 @@ let chain ?(tech = tech) ?cl n =
 let chain_circuit ?tech ?cl n = (chain ?tech ?cl n).Circuits.Chain.circuit
 let chain6 () = chain_circuit 6
 
+module C = Netlist.Circuit
+
+(* NAND2 gates with the second pin tied high: exercises the multi-input
+   and tie machinery *)
+let nand_chain ?(cl = 20e-15) tech ~length =
+  if length < 1 then invalid_arg "Fixtures.nand_chain: length < 1";
+  let b = C.builder tech in
+  let input = C.add_input ~name:"in" b in
+  let hi = C.add_tie ~name:"tie1" b true in
+  let taps = Array.make length 0 in
+  let last =
+    List.fold_left
+      (fun prev i ->
+        let out =
+          C.add_gate ~name:(Printf.sprintf "s%d" i) b (Netlist.Gate.Nand 2)
+            [ prev; hi ]
+        in
+        taps.(i) <- out;
+        out)
+      input
+      (List.init length (fun i -> i))
+  in
+  C.add_load b last cl;
+  C.mark_output b last;
+  { Circuits.Chain.circuit = C.freeze b; input; taps }
+
+(* [n] inverters sharing one input: the N-simultaneous-discharge case of
+   the section 5.1 delay model (Fig. 8) *)
+let parallel_inverters ?(cl = 20e-15) tech ~n =
+  if n < 1 then invalid_arg "Fixtures.parallel_inverters: n < 1";
+  let b = C.builder tech in
+  let input = C.add_input ~name:"in" b in
+  let taps =
+    Array.init n (fun i ->
+        let out =
+          C.add_gate ~name:(Printf.sprintf "o%d" i) b Netlist.Gate.Inv
+            [ input ]
+        in
+        C.add_load b out cl;
+        C.mark_output b out;
+        out)
+  in
+  { Circuits.Chain.circuit = C.freeze b; input; taps }
+
 let tree ?(tech = tech) ~stages ~fanout () =
   Circuits.Inverter_tree.make tech ~stages ~fanout
 

@@ -354,8 +354,6 @@ let test_nldm_interpolation () =
   Alcotest.(check (float 1e-15)) "clamp below"
     d_lo
     (Mtcmos.Nldm.delay lib Netlist.Gate.Inv ~cl:1e-15 ~slew_in:30e-12);
-  let s = Mtcmos.Nldm.output_slew lib Netlist.Gate.Inv ~cl:60e-15 ~slew_in:30e-12 in
-  Alcotest.(check bool) "slew positive" true (s > 0.0 && Float.is_finite s);
   (try
      ignore (Mtcmos.Nldm.delay lib Netlist.Gate.Xor2 ~cl:1e-15 ~slew_in:1e-12);
      Alcotest.fail "expected Not_found"
@@ -417,7 +415,9 @@ let test_waveform_csv () =
   let w = Phys.Pwl.create [ (0.0, 0.0); (1.0, 1.0) ] in
   let t = Phys.Table.waveform_csv [ ("v", w) ] ~t0:0.0 ~t1:1.0 ~n:5 in
   Alcotest.(check int) "5 samples" 5 (List.length (Phys.Table.rows t));
-  Alcotest.(check int) "2 columns" 2 (List.length (Phys.Table.columns t))
+  let header = List.hd (String.split_on_char '\n' (Phys.Table.to_csv t)) in
+  Alcotest.(check int) "2 columns" 2
+    (List.length (String.split_on_char ',' header))
 
 let suite =
   [ Alcotest.test_case "search matches exhaustive" `Quick

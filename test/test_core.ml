@@ -91,8 +91,6 @@ let test_delay_model () =
   in
   Alcotest.(check bool) "mtcmos slower than cmos" true (d1 > d0);
   Alcotest.(check bool) "companions slow a gate further" true (d9 > d1);
-  Alcotest.(check (float 1e-9)) "degradation formula" 0.5
-    (Mtcmos.Delay_model.degradation_fraction ~cmos:1.0 ~mtcmos:1.5);
   let sl = Mtcmos.Delay_model.discharge_slope m ~vx:0.0 ~beta_wl:1.5
       ~vin:1.2 ~cl:50e-15 in
   Alcotest.(check bool) "discharge slope negative" true (sl < 0.0);
@@ -490,12 +488,7 @@ let test_reverse_conduction_assess () =
     a.Mtcmos.Reverse_conduction.logic_failure;
   let bad = Mtcmos.Reverse_conduction.assess tech ~vx:0.7 in
   Alcotest.(check bool) "failure at vx > vdd/2" true
-    bad.Mtcmos.Reverse_conduction.logic_failure;
-  Alcotest.(check (float 1e-12)) "safe vx" 0.25
-    (Mtcmos.Reverse_conduction.max_safe_vx tech ~margin:0.1);
-  Alcotest.(check bool) "margin sizing positive" true
-    (Mtcmos.Reverse_conduction.min_wl_for_margin tech ~i_peak:1e-3
-       ~margin:0.1 > 0.0)
+    bad.Mtcmos.Reverse_conduction.logic_failure
 
 (* ---- properties ----------------------------------------------------------- *)
 

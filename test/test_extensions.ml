@@ -358,68 +358,6 @@ let test_deck_export () =
   Alcotest.(check bool) "pwl source present" true
     (count_prefix "V" >= 2)
 
-(* ---- extra generators ------------------------------------------------------------ *)
-
-let test_parity_tree () =
-  let pt = Circuits.Parity_tree.make tech ~width:8 in
-  let c = pt.Circuits.Parity_tree.circuit in
-  for v = 0 to 255 do
-    let st = Netlist.Logic_sim.eval_ints c [ (8, v) ] in
-    Alcotest.(check char)
-      (Printf.sprintf "parity of %d" v)
-      (S.to_char (S.of_bool (Circuits.Parity_tree.reference_parity v)))
-      (S.to_char st.(pt.Circuits.Parity_tree.output))
-  done;
-  (* odd width exercises the pass-through leg *)
-  let pt5 = Circuits.Parity_tree.make tech ~width:5 in
-  let st =
-    Netlist.Logic_sim.eval_ints pt5.Circuits.Parity_tree.circuit
-      [ (5, 0b10110) ]
-  in
-  Alcotest.(check char) "width 5" '1'
-    (S.to_char st.(pt5.Circuits.Parity_tree.output))
-
-let test_decoder () =
-  let d = Circuits.Decoder.make tech ~bits:3 in
-  let c = d.Circuits.Decoder.circuit in
-  for v = 0 to 7 do
-    let st = Netlist.Logic_sim.eval_ints c [ (3, v) ] in
-    Alcotest.(check (option int))
-      (Printf.sprintf "select %d" v)
-      (Some (Circuits.Decoder.reference_output ~bits:3 v))
-      (Netlist.Logic_sim.output_int c st)
-  done
-
-let test_decoder_mtcmos_mild () =
-  (* only one output falls per transition: the decoder is a light MTCMOS
-     load compared with the tree *)
-  let d = Circuits.Decoder.make tech ~bits:3 in
-  let c = d.Circuits.Decoder.circuit in
-  let cfg = BP.mtcmos_config tech ~wl:6.0 in
-  let r = BP.simulate_ints ~config:cfg c ~before:[ (3, 0) ] ~after:[ (3, 5) ] in
-  let tree_r =
-    BP.simulate_ints ~config:cfg tree_c ~before:(fst tree_vec)
-      ~after:(snd tree_vec)
-  in
-  Alcotest.(check bool) "decoder bounce below tree bounce" true
-    (BP.vx_peak r < BP.vx_peak tree_r)
-
-let test_parity_tree_mtcmos () =
-  let pt = Circuits.Parity_tree.make tech ~width:8 in
-  let c = pt.Circuits.Parity_tree.circuit in
-  let cfg = BP.mtcmos_config tech ~wl:10.0 in
-  (* 1 -> 0 on one input: every level's gate on that path falls, so
-     the whole chain discharges through the sleep device *)
-  let r = BP.simulate_ints ~config:cfg c ~before:[ (8, 1) ] ~after:[ (8, 0) ] in
-  Alcotest.(check bool) "rail bounced" true (BP.vx_peak r > 0.01);
-  (match BP.critical_delay r with
-   | Some (_, d) -> Alcotest.(check bool) "parity delay positive" true (d > 0.0)
-   | None -> Alcotest.fail "parity output did not switch");
-  (* simultaneous symmetric input flips cancel before any gate moves:
-     the model sees no transitions at all (no skew between inputs) *)
-  let r0 = BP.simulate_ints ~config:cfg c ~before:[ (8, 0) ] ~after:[ (8, 255) ] in
-  Alcotest.(check int) "symmetric flip produces no events" 0 (BP.events r0)
-
 (* ---- §5.3 model refinements ------------------------------------------------ *)
 
 let run_tree cfg =
@@ -577,11 +515,6 @@ let suite =
     Alcotest.test_case "parse ties and strength" `Quick
       test_parse_ties_and_strength;
     Alcotest.test_case "deck export" `Quick test_deck_export;
-    Alcotest.test_case "parity tree" `Quick test_parity_tree;
-    Alcotest.test_case "decoder" `Quick test_decoder;
-    Alcotest.test_case "decoder mtcmos mild" `Quick test_decoder_mtcmos_mild;
-    Alcotest.test_case "parity tree mtcmos" `Quick
-      test_parity_tree_mtcmos;
     Alcotest.test_case "cx relaxation" `Quick test_cx_relaxation;
     Alcotest.test_case "cx zero unchanged" `Quick test_cx_zero_unchanged;
     Alcotest.test_case "input slope penalty" `Quick

@@ -4,21 +4,22 @@ let check_float ?(eps = 1e-9) msg expected actual =
   Alcotest.(check (float eps)) msg expected actual
 
 let test_units () =
-  check_float "fF" 5e-14 (Phys.Units.fF 50.0);
-  check_float "ps" 3.2e-10 (Phys.Units.ps 320.0);
-  check_float "mV" 0.05 (Phys.Units.mV 50.0);
   Alcotest.(check string) "eng ps" "320ps"
     (Phys.Units.to_eng_string ~unit:"s" 320e-12);
   Alcotest.(check string) "eng zero" "0s"
     (Phys.Units.to_eng_string ~unit:"s" 0.0);
   Alcotest.(check string) "eng negative" "-1.5nA"
-    (Phys.Units.to_eng_string ~unit:"A" (-1.5e-9))
+    (Phys.Units.to_eng_string ~unit:"A" (-1.5e-9));
+  Alcotest.(check string) "eng infinite" "inf"
+    (Phys.Units.to_eng_string ~unit:"s" Float.infinity);
+  Alcotest.(check string) "eng -infinite" "-inf"
+    (Phys.Units.to_eng_string ~unit:"s" Float.neg_infinity)
+
+let approx_eq ?(rel = 1e-9) ?(abs = 1e-12) a b =
+  let diff = Float.abs (a -. b) in
+  diff <= abs || diff <= rel *. Float.max (Float.abs a) (Float.abs b)
 
 let test_float_utils () =
-  Alcotest.(check bool) "approx_eq close" true
-    (Phys.Float_utils.approx_eq 1.0 (1.0 +. 1e-12));
-  Alcotest.(check bool) "approx_eq far" false
-    (Phys.Float_utils.approx_eq 1.0 1.1);
   check_float "clamp low" 0.0 (Phys.Float_utils.clamp ~lo:0.0 ~hi:1.0 (-5.0));
   check_float "clamp high" 1.0 (Phys.Float_utils.clamp ~lo:0.0 ~hi:1.0 5.0);
   check_float "clamp mid" 0.5 (Phys.Float_utils.clamp ~lo:0.0 ~hi:1.0 0.5);
@@ -26,12 +27,6 @@ let test_float_utils () =
   Alcotest.(check int) "linspace length" 5 (Array.length ls);
   check_float "linspace mid" 0.5 ls.(2);
   check_float "linspace end" 1.0 ls.(4);
-  let lg = Phys.Float_utils.logspace 1.0 100.0 3 in
-  check_float "logspace mid" 10.0 lg.(1);
-  check_float "max_by" 3.0
-    (Phys.Float_utils.max_by Float.abs [ 1.0; -3.0; 2.0 ] |> Float.abs);
-  check_float "min_by" 1.0
-    (Phys.Float_utils.min_by Float.abs [ 1.0; -3.0; 2.0 ]);
   Alcotest.check_raises "linspace n=1" (Invalid_argument
     "Float_utils.linspace: n must be >= 2")
     (fun () -> ignore (Phys.Float_utils.linspace 0.0 1.0 1))
@@ -46,16 +41,7 @@ let test_rootfind () =
    | Some x -> check_float ~eps:1e-9 "newton sqrt2" (sqrt 2.0) x
    | None -> Alcotest.fail "newton failed");
   Alcotest.check_raises "no bracket" Phys.Rootfind.No_bracket (fun () ->
-      ignore (Phys.Rootfind.bisect f ~lo:2.0 ~hi:3.0));
-  (match
-     Phys.Rootfind.find_monotonic_crossing (fun x -> x ** 3.0) ~target:8.0
-       ~lo:0.0 ~hi:3.0
-   with
-   | Some x -> check_float ~eps:1e-9 "crossing cube" 2.0 x
-   | None -> Alcotest.fail "crossing not found");
-  Alcotest.(check (option (float 1e-9))) "crossing out of range" None
-    (Phys.Rootfind.find_monotonic_crossing (fun x -> x) ~target:5.0 ~lo:0.0
-       ~hi:1.0)
+      ignore (Phys.Rootfind.bisect f ~lo:2.0 ~hi:3.0))
 
 let test_pwl_basic () =
   let w = Phys.Pwl.create [ (0.0, 0.0); (1.0, 1.0); (2.0, 0.0) ] in
@@ -79,8 +65,7 @@ let test_pwl_basic () =
   let doubled = Phys.Pwl.map (fun v -> 2.0 *. v) w in
   check_float "map" 1.0 (Phys.Pwl.value_at doubled 0.5);
   let diff = Phys.Pwl.sub w w in
-  check_float "self sub" 0.0 (Phys.Pwl.value_at diff 0.7);
-  check_float "l2 self" 0.0 (Phys.Pwl.l2_distance w w ~t0:0.0 ~t1:2.0 ~n:64)
+  check_float "self sub" 0.0 (Phys.Pwl.value_at diff 0.7)
 
 let test_pwl_edge_cases () =
   Alcotest.check_raises "empty" (Invalid_argument "Pwl.create: empty")
@@ -152,7 +137,7 @@ let prop_sum_matches_naive =
     (fun xs ->
       let arr = Array.of_list xs in
       let naive = Array.fold_left ( +. ) 0.0 arr in
-      Phys.Float_utils.approx_eq ~rel:1e-9 ~abs:1e-9
+      approx_eq ~rel:1e-9 ~abs:1e-9
         (Phys.Float_utils.sum arr) naive)
 
 let prop_brent_root =
@@ -179,17 +164,9 @@ let test_ascii_plot () =
   Alcotest.(check bool) "nonempty render" true (String.length s > 100);
   Alcotest.(check bool) "marker drawn" true (String.contains s 'x');
   Alcotest.(check bool) "axis drawn" true (String.contains s '+');
-  let xy =
-    Phys.Ascii_plot.xy ~logx:true
-      [ (1.0, 10.0); (10.0, 5.0); (100.0, 2.0) ]
-  in
-  Alcotest.(check bool) "xy render" true (String.contains xy '*');
   Alcotest.check_raises "empty waveforms"
     (Invalid_argument "Ascii_plot.waveforms: empty") (fun () ->
-      ignore (Phys.Ascii_plot.waveforms []));
-  Alcotest.check_raises "xy too short"
-    (Invalid_argument "Ascii_plot.xy: need 2+ points") (fun () ->
-      ignore (Phys.Ascii_plot.xy [ (1.0, 1.0) ]))
+      ignore (Phys.Ascii_plot.waveforms []))
 
 let suite =
   [ Alcotest.test_case "units" `Quick test_units;

@@ -78,7 +78,7 @@ let test_select () =
 let test_nldm () =
   let lib = Lazy.force Test_analysis.nldm_lib in
   let nands =
-    (Circuits.Chain.nand_chain tech ~length:4).Circuits.Chain.circuit
+    (Fixtures.nand_chain tech ~length:4).Circuits.Chain.circuit
   in
   pin "nldm" "3ae85d0d7f546d816d2ea77423c5c397"
     (List.concat_map

@@ -192,7 +192,7 @@ let prop_bypass_within_band =
         | Ok r -> r
         | Error f ->
           QCheck.Test.fail_reportf "run (%s): %s"
-            (E.Opts.fast_to_string fast)
+            (if fast = `Off then "off" else "reduce-bypass")
             (Spice.Diag.failure_to_string f)
       in
       let off = run `Off and fb = run `Reduce_bypass in

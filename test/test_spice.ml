@@ -69,7 +69,6 @@ let test_record_subset () =
      ignore (Spice.Engine.waveform res T.ground);
      Alcotest.fail "expected Not_found"
    with Not_found -> ());
-  ignore (Spice.Engine.waveform_named res "out");
   Alcotest.(check bool) "steps counted" true
     (Spice.Engine.steps_taken res >= 50);
   Alcotest.(check bool) "newton iterations counted" true
@@ -150,15 +149,6 @@ let test_inverter_matches_alpha_model () =
 
 let test_measure_helpers () =
   let w = Phys.Pwl.create [ (0.0, 0.0); (1e-9, 1.2); (2e-9, 0.3) ] in
-  Alcotest.(check (float 1e-15)) "peak over window" 1.2
-    (Spice.Measure.peak_value w ~between:(0.0, 2e-9));
-  let i =
-    Spice.Measure.peak_current_through_cap w ~c:1e-12 ~window:(0.0, 2e-9)
-      ~n:256
-  in
-  (* dV/dt = 1.2 V/ns on the rise: I = 1.2 mA *)
-  Alcotest.(check bool) "cap current magnitude" true
-    (i > 1.0e-3 && i < 1.4e-3);
   (match
      Spice.Measure.crossing_time w ~level:0.6 ~rising:true ~after:0.0
    with
