@@ -354,6 +354,17 @@ let exec_one ?(fast = "off") ?(render = fun _ a -> print_answer a) ~overrides
   finish_obs ~co oo;
   if Result.is_error result then exit 1
 
+(* A breakpoint simulation that cannot finish (every switching gate
+   stalled, or the event bound) raises [Failure]: one [mtsize:] line and
+   exit 1, after the obs output, as a failed job does. *)
+let or_fail oo f =
+  match f () with
+  | v -> v
+  | exception Failure m ->
+    prerr_endline ("mtsize: " ^ m);
+    finish_obs oo;
+    exit 1
+
 (* ---- subcommands ---------------------------------------------------------- *)
 
 let sweep_cmd =
@@ -457,8 +468,9 @@ let simulate_cmd =
       else Mtcmos.Breakpoint_sim.default_config
     in
     let r =
-      Mtcmos.Breakpoint_sim.simulate_ints ~config ~obs:oo.obs bc.circuit
-        ~before ~after
+      or_fail oo (fun () ->
+          Mtcmos.Breakpoint_sim.simulate_ints ~config ~obs:oo.obs bc.circuit
+            ~before ~after)
     in
     Format.printf "events: %d, finished at %s, vx peak %s, peak current %s@."
       (Mtcmos.Breakpoint_sim.events r)
@@ -584,8 +596,9 @@ let sta_cmd =
       let hi = List.map (fun w -> (w, (1 lsl w) - 1)) bc.widths in
       let lo = List.map (fun w -> (w, 0)) bc.widths in
       let under =
-        Mtcmos.Sta.mtcmos_underestimate t bc.circuit ~sleep
-          ~vectors:[ (lo, hi); (hi, lo) ]
+        or_fail oo (fun () ->
+            Mtcmos.Sta.mtcmos_underestimate t bc.circuit ~sleep
+              ~vectors:[ (lo, hi); (hi, lo) ])
       in
       Format.printf
         "MTCMOS at W/L = %.0f runs %.1f%% past the static estimate@." wl

@@ -16,10 +16,7 @@ type partition = {
 type config = {
   sleep : sleep_model;
   body_effect : bool;
-  reverse_conduction : bool;
   partition : partition option;
-  cx : float;
-  input_slope : bool;
   tech_override : Device.Tech.t option;
   rail : rail_side;
 }
@@ -31,10 +28,7 @@ let max_events = 1_000_000
 let default_config =
   { sleep = Cmos;
     body_effect = true;
-    reverse_conduction = false;
     partition = None;
-    cx = 0.0;
-    input_slope = false;
     tech_override = None;
     rail = Gnd_switch }
 
@@ -63,8 +57,6 @@ type result = {
   mutable n_solves : int; (* rail equilibria needed, reuses excluded *)
   mutable t_last : float;
 }
-
-exception Starved of float
 
 let validate_inputs c levels name =
   if Array.length levels <> Array.length (C.inputs c) then
@@ -294,8 +286,6 @@ let simulate_core ?(config = default_config) c ~before ~after =
   let v = Array.map (fun n -> v_net.(n)) out in
   let phase = Array.make n_gates Idle in
   let slope = Array.make n_gates 0.0 in
-  (* input-slope extension: transition committed but not moving yet *)
-  let hold_until = Array.make n_gates neg_infinity in
   (* the gates in transition, ascending by id: the per-breakpoint passes
      walk only these.  A gate joins when it leaves Idle and is dropped
      by the slope pass once Idle, when its slope is zeroed. *)
@@ -321,33 +311,15 @@ let simulate_core ?(config = default_config) c ~before ~after =
     record_net 0.0 n v_net.(n)
   done;
   (* --- logic retargeting ------------------------------------------------ *)
-  (* Sakurai-Newton slow-input correction: a gate driven by a ramp of
-     transition time t_tr starts [coeff * t_tr] after the vdd/2 crossing *)
-  let slope_coeff =
-    let vt = tech.Device.Tech.nmos.Device.Mosfet.vt0 in
-    Float.max 0.0
-      (0.5 -. ((1.0 -. (vt /. vdd)) /. (1.0 +. tech.Device.Tech.alpha)))
-  in
-  let onset_hold t trigger =
-    if not config.input_slope then neg_infinity
-    else
-      match C.gate_of_output c trigger with
-      | None -> neg_infinity (* primary input: a step *)
-      | Some driver ->
-        let s = slope.(driver.C.id) in
-        if s = 0.0 then neg_infinity
-        else t +. (slope_coeff *. vdd /. Float.abs s)
-  in
   (* start or reverse the gate's transition when its logic target moved
-     away from where it is heading; [trigger] is the input that changed *)
-  let retarget ~trigger t i =
+     away from where it is heading *)
+  let retarget t i =
     let g = gates.(i) in
     let target = Netlist.Gate.eval_levels g.C.kind level g.C.inputs in
     let o = out.(i) in
     match phase.(i) with
     | Idle when target <> level.(o) ->
       phase.(i) <- (if target then Rising else Falling);
-      hold_until.(i) <- onset_hold t trigger;
       if not listed.(i) then begin
         listed.(i) <- true;
         active.(!n_active) <- i;
@@ -363,29 +335,28 @@ let simulate_core ?(config = default_config) c ~before ~after =
       record_net t o v.(i)
     | Idle | Rising | Falling -> ()
   in
-  (* the fan-out worklist: each gate queued once per breakpoint with the
-     last net that queued it.  A retarget touches only its own gate, so
-     the order they run in does not matter. *)
+  (* the fan-out worklist: each gate queued once per breakpoint.  A
+     retarget touches only its own gate, so the order they run in does
+     not matter. *)
   let queued = Array.make n_gates 0 in
   let n_queued = ref 0 in
-  let trigger = Array.make n_gates (-1) in
-  let rec queue_readers n = function
+  let in_queue = Array.make n_gates false in
+  let rec queue_readers = function
     | [] -> ()
     | (g, _) :: rest ->
-      if trigger.(g) < 0 then begin
+      if not in_queue.(g) then begin
+        in_queue.(g) <- true;
         queued.(!n_queued) <- g;
         incr n_queued
       end;
-      trigger.(g) <- n;
-      queue_readers n rest
+      queue_readers rest
   in
-  let queue_fanout n = queue_readers n (C.fanout c n) in
+  let queue_fanout n = queue_readers (C.fanout c n) in
   let process_reevals t =
     for q = 0 to !n_queued - 1 do
       let g = queued.(q) in
-      let n = trigger.(g) in
-      trigger.(g) <- -1;
-      retarget ~trigger:n t g
+      in_queue.(g) <- false;
+      retarget t g
     done;
     n_queued := 0;
     (* newly active gates were appended: insertion-sort them in *)
@@ -454,13 +425,14 @@ let simulate_core ?(config = default_config) c ~before ~after =
       !j = n
     end
   in
+  (* each rail sits at its block's equilibrium (the quasi-static model);
+     [vxs_prev] holds the rails of the breakpoint before *)
   let vxs = Array.make n_blocks 0.0 in
-  let targets = Array.make n_blocks 0.0 in
   let vxs_prev = Array.make n_blocks 0.0 in
   let solve_rails () =
     for b = 0 to n_blocks - 1 do
       match sleeps.(b) with
-      | Cmos -> targets.(b) <- 0.0
+      | Cmos -> vxs.(b) <- 0.0
       | (Resistor _ | Sleep_fet _) as sleep ->
         if not (same_set b) then begin
           let n = set_n.(b) in
@@ -471,13 +443,9 @@ let simulate_core ?(config = default_config) c ~before ~after =
           last_n.(b) <- n;
           res.n_solves <- res.n_solves + 1
         end;
-        targets.(b) <- last_vx.(b)
+        vxs.(b) <- last_vx.(b)
     done
   in
-  (* §2.3 reverse conduction: idle-low outputs ride at the virtual ground
-     (a virtual Vdd pins idle-high outputs below vdd) *)
-  let rc_floor = config.reverse_conduction && not gated_rising in
-  let rc_ceil = config.reverse_conduction && gated_rising in
   (* one alpha-power factor per rail, shared by its gated devices *)
   let power = Array.make n_blocks 0.0 in
   let recompute_slopes () =
@@ -558,39 +526,12 @@ let simulate_core ?(config = default_config) c ~before ~after =
         queue_fanout n
       end)
     (C.inputs c);
-  (* RC relaxation of each rail when cx > 0: tau = cx * r_scale *)
-  let tau_of_block =
-    Array.map
-      (fun sleep ->
-        if config.cx <= 0.0 then 0.0
-        else
-          match sleep with
-          | Cmos -> 0.0
-          | Resistor r -> config.cx *. r
-          | Sleep_fet s ->
-            config.cx *. Device.Sleep.effective_resistance s)
-      sleeps
-  in
-  (* the rails relax toward the last equilibria over [dt] *)
-  let relax_state dt =
-    if config.cx <= 0.0 then Array.blit targets 0 vxs 0 n_blocks
-    else
-      for b = 0 to n_blocks - 1 do
-        let tau = tau_of_block.(b) in
-        if tau <= 0.0 then vxs.(b) <- targets.(b)
-        else
-          vxs.(b) <-
-            targets.(b) +. ((vxs.(b) -. targets.(b)) *. exp (-.dt /. tau))
-      done
-  in
   process_reevals t_start;
   (* gate states are fixed from here to the slope update, so one
      discharging-set pass feeds both the rail solve and the current
      trace *)
   discharging_sets ();
   solve_rails ();
-  Array.blit vxs 0 vxs_prev 0 n_blocks;
-  relax_state 0.0;
   record_vx ();
   recompute_slopes ();
   (* a zero-length breakpoint that changed nothing would repeat forever:
@@ -602,38 +543,34 @@ let simulate_core ?(config = default_config) c ~before ~after =
     let t = now.(0) in
     (* --- breakpoint prediction --- *)
     let best = ref infinity in
-    (* rails still relaxing toward equilibrium need refresh points *)
-    for b = 0 to n_blocks - 1 do
-      let tau = tau_of_block.(b) in
-      if tau > 0.0 && Float.abs (vxs.(b) -. targets.(b)) > 1e-3 then
-        best := fmin !best (t +. (tau /. 3.0))
-    done;
     for a = 0 to !n_active - 1 do
       let i = active.(a) in
       let vi = v.(i) and s = slope.(i) in
       match phase.(i) with
       | Idle -> ()
-      | (Rising | Falling) when hold_until.(i) > t ->
-        best := fmin !best hold_until.(i)
       | Rising ->
         if s > 0.0 then begin
-          let ceil = if rc_ceil then vdd -. vxs.(block.(i)) else vdd in
           if (not level.(out.(i))) && vi < half then
             best := fmin !best (t +. ((half -. vi) /. s));
-          if vi < ceil then best := fmin !best (t +. ((ceil -. vi) /. s))
+          if vi < vdd then best := fmin !best (t +. ((vdd -. vi) /. s))
         end
       | Falling ->
         if s < 0.0 then begin
-          let fl = if rc_floor then vxs.(block.(i)) else 0.0 in
           if level.(out.(i)) && vi > half then
             best := fmin !best (t +. ((half -. vi) /. s));
-          if vi > fl then best := fmin !best (t +. ((fl -. vi) /. s))
+          if vi > 0.0 then best := fmin !best (t +. (-.vi /. s))
         end
     done;
     let t_next = if !best = t && !stalled then Float.succ t else !best in
     if t_next = infinity then begin
-      (* no pending breakpoints: either done or starved *)
-      if !n_active > 0 then raise (Starved t);
+      (* no pending breakpoints: either done, or no gate still in
+         transition can move *)
+      if !n_active > 0 then
+        failwith
+          (Printf.sprintf
+             "Breakpoint_sim: stalled at t = %s: the sleep device is too \
+              small for any switching gate to move"
+             (Phys.Units.to_eng_string ~unit:"s" t));
       continue := false
     end
     else begin
@@ -648,12 +585,9 @@ let simulate_core ?(config = default_config) c ~before ~after =
         let i = active.(a) in
         match phase.(i) with
         | Idle -> ()
-        | (Rising | Falling) when hold_until.(i) >= t_next -> ()
         | (Rising | Falling) as ph ->
-          let fl = if rc_floor then vxs.(block.(i)) else 0.0 in
-          let ceil = if rc_ceil then vdd -. vxs.(block.(i)) else vdd in
           let v_new =
-            Phys.Float_utils.clamp ~lo:fl ~hi:ceil
+            Phys.Float_utils.clamp ~lo:0.0 ~hi:vdd
               (v.(i) +. (slope.(i) *. dt))
           in
           if not (!moved || same_bits v_new v.(i)) then moved := true;
@@ -673,28 +607,25 @@ let simulate_core ?(config = default_config) c ~before ~after =
           end;
           (* rail arrival *)
           (match ph with
-           | Rising when v_new >= ceil -. eps ->
+           | Rising when v_new >= vdd -. eps ->
              moved := true;
-             v.(i) <- ceil;
-             v_net.(o) <- ceil;
+             v.(i) <- vdd;
+             v_net.(o) <- vdd;
              phase.(i) <- Idle;
-             record_net t_next o ceil
-           | Falling when v_new <= fl +. eps ->
+             record_net t_next o vdd
+           | Falling when v_new <= eps ->
              moved := true;
-             v.(i) <- fl;
-             v_net.(o) <- fl;
+             v.(i) <- 0.0;
+             v_net.(o) <- 0.0;
              phase.(i) <- Idle;
-             record_net t_next o fl
+             record_net t_next o 0.0
            | Rising | Falling | Idle -> record_net t_next o v_new)
       done;
       now.(0) <- t_next;
-      (* the rail relaxed toward the old equilibrium during [dt] *)
       Array.blit vxs 0 vxs_prev 0 n_blocks;
-      relax_state dt;
       process_reevals t_next;
       discharging_sets ();
       solve_rails ();
-      if config.cx <= 0.0 then Array.blit targets 0 vxs 0 n_blocks;
       for b = 0 to n_blocks - 1 do
         if not (!moved || same_bits vxs.(b) vxs_prev.(b)) then moved := true
       done;

@@ -40,21 +40,8 @@ type partition = {
 type config = {
   sleep : sleep_model;  (** the shared device when [partition] is [None] *)
   body_effect : bool;   (** model the bounced source's body effect *)
-  reverse_conduction : bool;
-      (** §2.3 extension: idle-low outputs ride at the virtual-ground
-          voltage, and rising transitions start precharged from it *)
   partition : partition option;
       (** when set, overrides [sleep] with per-block devices *)
-  cx : float;
-      (** virtual-ground parasitic capacitance (§2.2/§5.3 extension):
-          with [cx > 0] the rail relaxes exponentially toward its
-          equilibrium instead of jumping, low-passing the bounce.
-          Default 0 (the paper's quasi-static model). *)
-  input_slope : bool;
-      (** §5.3 extension: delay a gate's transition onset by a fraction
-          of the driving edge's transition time (Sakurai–Newton slow-
-          input correction) instead of switching exactly at [vdd/2].
-          Default off. *)
   tech_override : Device.Tech.t option;
       (** simulate against a different technology card than the one the
           circuit was built with (process-variation studies, or another
@@ -65,12 +52,17 @@ type config = {
           paper's §1 notes the NMOS footer is preferable and the PMOS
           header exists — this lets the claim be measured). *)
 }
-(** The primary inputs always flip at [t = 0], and a simulation stops
-    with [Failure] after 1,000,000 breakpoints (a hang guard no
-    physical circuit reaches). *)
+(** The model is the paper's quasi-static one: each rail sits at its
+    equilibrium between breakpoints, idle outputs stay at the rails, and
+    a gate starts switching the instant its input crosses [vdd / 2].
+    The §5.3 refinements (rail capacitance, input-slope onset delay,
+    reverse conduction) are not modelled: each one broke the law that a
+    larger sleep device never slows the circuit.  The primary inputs
+    always flip at [t = 0]. *)
 
 val default_config : config
-(** [Cmos] sleep model, body effect on, every extension off. *)
+(** [Cmos] sleep model, body effect on, no partition, the circuit's own
+    card, [Gnd_switch]. *)
 
 val mtcmos_config : Device.Tech.t -> wl:float -> config
 (** Config with an NMOS footer of size [wl] built from the technology's
@@ -81,11 +73,6 @@ val mtcmos_pmos_config : Device.Tech.t -> wl:float -> config
     rising transitions are the gated ones. *)
 
 type result
-
-exception Starved of float
-(** Raised when the virtual ground rises so far that every active gate
-    stalls (only possible with absurdly small sleep devices); carries
-    the time of the stall. *)
 
 val simulate :
   ?config:config ->
@@ -107,7 +94,13 @@ val simulate :
     are exact, so any call order gives the same bits.
     @raise Invalid_argument on [X] inputs, length mismatches, or a
     {!partition} with no device, the wrong length or a block out of
-    range. *)
+    range.
+    @raise Failure naming the time when every gate still in transition
+    has stopped moving: the rail sits so close to the other supply that
+    no gated edge has current left, which takes a sleep device many
+    orders of magnitude too small (W/L 1e-30 on [adder8]; W/L 1e-9
+    still finishes).  Also [Failure] past 1,000,000 breakpoints, a hang
+    guard no physical circuit reaches. *)
 
 val pack_ints : (int * int) list -> Netlist.Signal.level array
 (** [(width, value)] groups to input levels, LSB first within a group,

@@ -31,7 +31,6 @@ let bp_config_key (cfg : BP.config) =
   let b = K.create () in
   sleep_model b cfg.BP.sleep;
   K.bool b cfg.BP.body_effect;
-  K.bool b cfg.BP.reverse_conduction;
   K.option b
     (fun b (p : BP.partition) ->
       K.int b (Array.length p.BP.block_of_gate);
@@ -39,8 +38,6 @@ let bp_config_key (cfg : BP.config) =
       K.int b (Array.length p.BP.sleeps);
       Array.iter (sleep_model b) p.BP.sleeps)
     cfg.BP.partition;
-  K.float b cfg.BP.cx;
-  K.bool b cfg.BP.input_slope;
   K.option b K.tech cfg.BP.tech_override;
   K.raw b
     (match cfg.BP.rail with BP.Gnd_switch -> "gnd;" | BP.Vdd_switch -> "vdd;");

@@ -49,5 +49,5 @@ val bp_metrics :
     [Sizing.worst_delay_bp] Hierarchy, Sta and Selective), Search,
     Variation and Vectors consume.  Cached, keyed on circuit, config and
     vector, when a cache is given.
-    @raise Breakpoint_sim.Starved as the simulator does (never
+    @raise Failure as {!Breakpoint_sim.simulate} does (never
     cached). *)

@@ -187,32 +187,3 @@ let sample w ~t0 ~t1 ~n =
   Array.init n (fun i ->
       let t = t0 +. ((t1 -. t0) *. float_of_int i /. float_of_int (n - 1)) in
       (t, value_at w t))
-
-let settle_time w ~target ~tolerance ~after =
-  let n = Array.length w.times in
-  let inside v = Float.abs (v -. target) <= tolerance in
-  (* scan backwards for the last departure from the band *)
-  let rec last_departure i acc =
-    if i < 0 then acc
-    else
-      let t0 = if i = 0 then w.times.(0) else w.times.(i - 1) in
-      let v0 = if i = 0 then w.values.(0) else w.values.(i - 1) in
-      let t1 = w.times.(i) and v1 = w.values.(i) in
-      if inside v0 && inside v1 then last_departure (i - 1) acc
-      else if inside v1 then
-        (* entered the band during this segment: crossing toward target *)
-        let level =
-          if v0 > target then target +. tolerance else target -. tolerance
-        in
-        let rising = v0 < level in
-        (match segment_crossing t0 v0 t1 v1 ~level ~rising with
-         | Some t -> Some t
-         | None -> Some t1)
-      else Some infinity
-  in
-  if not (inside w.values.(n - 1)) then None
-  else
-    match last_departure (n - 1) None with
-    | Some t when t = infinity -> None
-    | Some t -> Some (Float.max t after)
-    | None -> Some (Float.max w.times.(0) after)

@@ -67,7 +67,3 @@ val sample : t -> t0:float -> t1:float -> n:int -> (float * float) array
 (** [sample w ~t0 ~t1 ~n] evaluates the waveform at [n] evenly spaced
     times. *)
 
-val settle_time :
-  t -> target:float -> tolerance:float -> after:float -> float option
-(** [settle_time w ~target ~tolerance ~after] is the earliest time [>= after]
-    from which the waveform stays within [tolerance] of [target] forever. *)

@@ -56,23 +56,6 @@ let record_recovery tm name =
 
 let recovered tm = tm.recoveries <> []
 
-let merge_telemetry ~into tm =
-  into.newton_iterations <- into.newton_iterations + tm.newton_iterations;
-  into.factorizations <- into.factorizations + tm.factorizations;
-  into.step_rejections <- into.step_rejections + tm.step_rejections;
-  into.gmin_rounds <- into.gmin_rounds + tm.gmin_rounds;
-  into.source_steps <- into.source_steps + tm.source_steps;
-  let rec bump name k = function
-    | [] -> [ (name, k) ]
-    | (n, k0) :: rest when n = name -> (n, k0 + k) :: rest
-    | p :: rest -> p :: bump name k rest
-  in
-  into.recoveries <-
-    List.fold_left
-      (fun acc (n, k) -> bump n k acc)
-      into.recoveries tm.recoveries;
-  into.wall_s <- into.wall_s +. tm.wall_s
-
 let analysis_name = function Dc -> "dc" | Transient -> "transient"
 
 let kind_name = function

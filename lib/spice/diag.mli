@@ -46,12 +46,6 @@ val record_recovery : telemetry -> string -> unit
 val recovered : telemetry -> bool
 (** True when at least one recovery strategy fired. *)
 
-val merge_telemetry : into:telemetry -> telemetry -> unit
-(** Add [tm]'s counters (and recovery tallies) into [into].  Parallel
-    sweeps give each worker domain its own accumulator and merge them
-    in worker order afterwards, so totals match the sequential run
-    exactly (see [Par.Pool.map_stateful]). *)
-
 val kind_name : failure_kind -> string
 
 val pp_failure : Format.formatter -> failure -> unit

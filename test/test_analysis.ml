@@ -453,5 +453,5 @@ let suite =
     Alcotest.test_case "table basics" `Quick test_table_basics;
     Alcotest.test_case "table csv escaping" `Quick test_table_csv_escaping;
     Alcotest.test_case "waveform csv" `Quick test_waveform_csv;
-    QCheck_alcotest.to_alcotest prop_random_circuits_settle_to_logic;
-    QCheck_alcotest.to_alcotest prop_random_circuits_monotone_in_wl ]
+    Prop.to_alcotest prop_random_circuits_settle_to_logic;
+    Prop.to_alcotest prop_random_circuits_monotone_in_wl ]

@@ -269,20 +269,6 @@ let test_bp_glitch_visible () =
   let mn, mx = Phys.Pwl.extrema w in
   Alcotest.(check bool) "within rails" true (mn >= -1e-9 && mx <= 1.2 +. 1e-9)
 
-let test_bp_reverse_conduction_mode () =
-  let base = BP.mtcmos_config tech ~wl:8.0 in
-  let cfg = { base with BP.reverse_conduction = true } in
-  let r = run_tree cfg in
-  let r0 = run_tree base in
-  (* low outputs ride at vx: the stage-1 output (falling) must bottom out
-     above true ground while the bounce lasts *)
-  let w = BP.waveform r tree3.Circuits.Inverter_tree.stage_nets.(0).(0) in
-  let mn, _ = Phys.Pwl.extrema w in
-  Alcotest.(check bool) "pinned above ground" true (mn >= 0.0);
-  let d = match BP.critical_delay r with Some (_, d) -> d | None -> 0.0 in
-  let d0 = match BP.critical_delay r0 with Some (_, d) -> d | None -> 0.0 in
-  Alcotest.(check bool) "both complete" true (d > 0.0 && d0 > 0.0)
-
 (* ---- sizing -------------------------------------------------------------- *)
 
 let tree_vec = ([ (1, 0) ], [ (1, 1) ])
@@ -663,8 +649,6 @@ let suite =
     Alcotest.test_case "bp partition length check" `Quick
       test_bp_partition_length_checked;
     Alcotest.test_case "bp glitch" `Quick test_bp_glitch_visible;
-    Alcotest.test_case "bp reverse conduction" `Quick
-      test_bp_reverse_conduction_mode;
     Alcotest.test_case "sizing sweep" `Quick test_sizing_sweep_monotone;
     Alcotest.test_case "sizing target" `Quick test_size_for_degradation;
     Alcotest.test_case "sizing guards" `Quick test_sizing_guards;
@@ -676,10 +660,10 @@ let suite =
     Alcotest.test_case "estimators" `Quick test_estimators;
     Alcotest.test_case "reverse conduction assess" `Quick
       test_reverse_conduction_assess;
-    QCheck_alcotest.to_alcotest prop_vground_bounded;
-    QCheck_alcotest.to_alcotest prop_total_current_is_gate_fold;
-    QCheck_alcotest.to_alcotest prop_sat_current_is_overdrive_power;
-    QCheck_alcotest.to_alcotest prop_bp_delay_monotone_in_wl;
-    QCheck_alcotest.to_alcotest prop_size_probe_matches_reference;
-    QCheck_alcotest.to_alcotest prop_bp_waveforms_in_rails;
-    QCheck_alcotest.to_alcotest prop_bp_final_state_matches_logic ]
+    Prop.to_alcotest prop_vground_bounded;
+    Prop.to_alcotest prop_total_current_is_gate_fold;
+    Prop.to_alcotest prop_sat_current_is_overdrive_power;
+    Prop.to_alcotest prop_bp_delay_monotone_in_wl;
+    Prop.to_alcotest prop_size_probe_matches_reference;
+    Prop.to_alcotest prop_bp_waveforms_in_rails;
+    Prop.to_alcotest prop_bp_final_state_matches_logic ]

@@ -212,6 +212,6 @@ let suite =
     Alcotest.test_case "leakage" `Quick test_leakage;
     Alcotest.test_case "sleep transistor" `Quick test_sleep;
     Alcotest.test_case "technology cards" `Quick test_tech_cards;
-    QCheck_alcotest.to_alcotest prop_monotone_in_vgs;
-    QCheck_alcotest.to_alcotest prop_monotone_in_vds;
-    QCheck_alcotest.to_alcotest prop_gm_matches_fd ]
+    Prop.to_alcotest prop_monotone_in_vgs;
+    Prop.to_alcotest prop_monotone_in_vds;
+    Prop.to_alcotest prop_gm_matches_fd ]

@@ -136,8 +136,7 @@ let test_digest_corpus_distinct () =
 let test_bp_config_key_fields () =
   let module BP = Mtcmos.Breakpoint_sim in
   let base = BP.default_config in
-  let { BP.sleep = _; body_effect = _; reverse_conduction = _;
-        partition = _; cx = _; input_slope = _; tech_override = _;
+  let { BP.sleep = _; body_effect = _; partition = _; tech_override = _;
         rail = _ } =
     base
   in
@@ -150,7 +149,6 @@ let test_bp_config_key_fields () =
     [ ("default", base);
       ("sleep", { base with BP.sleep = BP.Resistor 100.0 });
       ("body_effect", { base with BP.body_effect = false });
-      ("reverse_conduction", { base with BP.reverse_conduction = true });
       ("partition", { base with BP.partition = Some part });
       ( "partition.block_of_gate",
         { base with
@@ -160,8 +158,6 @@ let test_bp_config_key_fields () =
         { base with
           BP.partition =
             Some { part with BP.sleeps = [| footer 5.0; footer 9.0 |] } } );
-      ("cx", { base with BP.cx = 1e-12 });
-      ("input_slope", { base with BP.input_slope = true });
       ("tech_override", { base with BP.tech_override = Some Fixtures.tech03 });
       ("rail", { base with BP.rail = BP.Vdd_switch }) ]
   in
@@ -662,8 +658,6 @@ let prop_cache_invisible =
          a measurement, and NaN <> NaN under (=) even when bit-identical *)
       compare cold off = 0 && compare warm off = 0)
 
-let to_alcotest = QCheck_alcotest.to_alcotest
-
 let suite =
   [ Alcotest.test_case "key framing is unambiguous" `Quick test_key_framing;
     Alcotest.test_case "key floats are exact" `Quick test_key_float_exact;
@@ -699,5 +693,5 @@ let suite =
       test_spice_sweep_cold_warm_off;
     Alcotest.test_case "search invariant under cache and jobs" `Slow
       test_search_cache_and_jobs_invariant;
-    to_alcotest prop_cache_invisible;
-    to_alcotest prop_key_float_is_printf ]
+    Prop.to_alcotest prop_cache_invisible;
+    Prop.to_alcotest prop_key_float_is_printf ]

@@ -358,60 +358,6 @@ let test_deck_export () =
   Alcotest.(check bool) "pwl source present" true
     (count_prefix "V" >= 2)
 
-(* ---- §5.3 model refinements ------------------------------------------------ *)
-
-let run_tree cfg =
-  BP.simulate_ints ~config:cfg tree_c ~before:(fst tree_vec)
-    ~after:(snd tree_vec)
-
-let test_cx_relaxation () =
-  let base = BP.mtcmos_config tech ~wl:8.0 in
-  let r0 = run_tree base in
-  let r1 = run_tree { base with BP.cx = 1e-12 } in
-  let r5 = run_tree { base with BP.cx = 5e-12 } in
-  (* the rail capacitor low-passes the bounce, like the spice ablation *)
-  Alcotest.(check bool) "1 pF cuts the peak" true
-    (BP.vx_peak r1 < BP.vx_peak r0);
-  Alcotest.(check bool) "5 pF cuts it further" true
-    (BP.vx_peak r5 < BP.vx_peak r1);
-  let d0 = match BP.critical_delay r0 with Some (_, d) -> d | None -> nan in
-  let d5 = match BP.critical_delay r5 with Some (_, d) -> d | None -> nan in
-  Alcotest.(check bool) "charge reservoir speeds the burst" true (d5 < d0);
-  (* relaxation refreshes generate extra breakpoints *)
-  Alcotest.(check bool) "relaxation events present" true
-    (BP.events r1 > BP.events r0)
-
-let test_cx_zero_unchanged () =
-  let base = BP.mtcmos_config tech ~wl:8.0 in
-  let r0 = run_tree base in
-  let r0' = run_tree { base with BP.cx = 0.0 } in
-  let d r = match BP.critical_delay r with Some (_, d) -> d | None -> nan in
-  Alcotest.(check (float 1e-18)) "cx=0 is the quasi-static model" (d r0)
-    (d r0')
-
-let test_input_slope_penalty () =
-  let base = BP.mtcmos_config tech ~wl:8.0 in
-  let r0 = run_tree base in
-  let r1 = run_tree { base with BP.input_slope = true } in
-  let d r = match BP.critical_delay r with Some (_, d) -> d | None -> nan in
-  Alcotest.(check bool) "slow-input correction adds delay" true
-    (d r1 > d r0);
-  Alcotest.(check bool) "within 2x (a correction, not a rewrite)" true
-    (d r1 < 2.0 *. d r0);
-  (* a step input on a single gate gets no hold: first-stage delay
-     unaffected *)
-  let ch = Fixtures.chain 1 in
-  let cc = ch.Circuits.Chain.circuit in
-  let dd cfg =
-    let r = BP.simulate ~config:cfg cc ~before:[| S.L0 |] ~after:[| S.L1 |] in
-    match BP.net_delay r ch.Circuits.Chain.taps.(0) with
-    | Some d -> d
-    | None -> nan
-  in
-  Alcotest.(check (float 1e-18)) "step-driven gate unaffected"
-    (dd BP.default_config)
-    (dd { BP.default_config with BP.input_slope = true })
-
 (* ---- PMOS header (virtual Vdd) ---------------------------------------------- *)
 
 let test_pmos_header_switch_level () =
@@ -515,10 +461,6 @@ let suite =
     Alcotest.test_case "parse ties and strength" `Quick
       test_parse_ties_and_strength;
     Alcotest.test_case "deck export" `Quick test_deck_export;
-    Alcotest.test_case "cx relaxation" `Quick test_cx_relaxation;
-    Alcotest.test_case "cx zero unchanged" `Quick test_cx_zero_unchanged;
-    Alcotest.test_case "input slope penalty" `Quick
-      test_input_slope_penalty;
     Alcotest.test_case "pmos header switch-level" `Quick
       test_pmos_header_switch_level;
     Alcotest.test_case "pmos header transistor-level" `Slow

@@ -172,5 +172,5 @@ let suite =
     Alcotest.test_case "sparse matrix ops" `Quick test_sparse_matrix_ops;
     Alcotest.test_case "sparse vs dense" `Quick test_sparse_vs_dense;
     Alcotest.test_case "sparse fill (arrow)" `Quick test_sparse_fill;
-    QCheck_alcotest.to_alcotest prop_sparse_solve_random;
-    QCheck_alcotest.to_alcotest prop_dense_roundtrip ]
+    Prop.to_alcotest prop_sparse_solve_random;
+    Prop.to_alcotest prop_dense_roundtrip ]

@@ -196,7 +196,7 @@ let suite =
     Alcotest.test_case "chain fixtures" `Quick test_chain_fixtures;
     Alcotest.test_case "kogge-stone exhaustive + depth" `Quick
       test_kogge_stone_exhaustive;
-    QCheck_alcotest.to_alcotest prop_kogge_stone_matches_reference;
-    QCheck_alcotest.to_alcotest prop_adder_matches_reference;
-    QCheck_alcotest.to_alcotest prop_multiplier_matches_reference;
-    QCheck_alcotest.to_alcotest prop_activity_symmetric ]
+    Prop.to_alcotest prop_kogge_stone_matches_reference;
+    Prop.to_alcotest prop_adder_matches_reference;
+    Prop.to_alcotest prop_multiplier_matches_reference;
+    Prop.to_alcotest prop_activity_symmetric ]

@@ -356,6 +356,6 @@ let suite =
     Alcotest.test_case "expand missing stimulus" `Quick
       test_expand_missing_stimulus;
     Alcotest.test_case "depth and dot export" `Quick test_depth_and_dot;
-    QCheck_alcotest.to_alcotest prop_expand_matches_transistor_count;
-    QCheck_alcotest.to_alcotest prop_signal_int_roundtrip;
-    QCheck_alcotest.to_alcotest prop_gate_logic_total ]
+    Prop.to_alcotest prop_expand_matches_transistor_count;
+    Prop.to_alcotest prop_signal_int_roundtrip;
+    Prop.to_alcotest prop_gate_logic_total ]

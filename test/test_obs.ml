@@ -579,5 +579,5 @@ let suite =
       test_bp_rail_solves;
     Alcotest.test_case "selective counters in the report" `Quick
       test_selective_report;
-    QCheck_alcotest.to_alcotest prop_partition_invariant;
-    QCheck_alcotest.to_alcotest prop_histogram_conserves ]
+    Prop.to_alcotest prop_partition_invariant;
+    Prop.to_alcotest prop_histogram_conserves ]

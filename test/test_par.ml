@@ -196,30 +196,6 @@ let test_scored_zero_distinct_from_quiet_zero () =
      let rec find i = i + m <= n && (String.sub report i m = re || find (i + 1)) in
      find 0)
 
-(* merged telemetry: two accumulators folded with Diag.merge_telemetry
-   must sum every counter and merge the recovery lists *)
-let test_merge_telemetry () =
-  let tm name =
-    { Spice.Diag.newton_iterations = 10;
-      factorizations = 4;
-      step_rejections = 2;
-      gmin_rounds = 1;
-      source_steps = 0;
-      recoveries = [ (name, 1) ];
-      wall_s = 0.5 }
-  in
-  let into = tm "gmin" in
-  Spice.Diag.merge_telemetry ~into (tm "gmin");
-  Spice.Diag.merge_telemetry ~into (tm "source-step");
-  Alcotest.(check int) "newton" 30 into.Spice.Diag.newton_iterations;
-  Alcotest.(check int) "factorizations" 12 into.Spice.Diag.factorizations;
-  Alcotest.(check int) "rejections" 6 into.Spice.Diag.step_rejections;
-  Alcotest.(check (list (pair string int)))
-    "recoveries merged"
-    [ ("gmin", 2); ("source-step", 1) ]
-    into.Spice.Diag.recoveries;
-  Alcotest.(check (float 1e-9)) "wall time" 1.5 into.Spice.Diag.wall_s
-
 (* --- Cooperative cancellation ---------------------------------------- *)
 
 let test_cancel_token_basics () =
@@ -300,8 +276,6 @@ let suite =
       test_resilience_counters_match_sequential;
     Alcotest.test_case "scored-zero distinct from nothing-switches" `Quick
       test_scored_zero_distinct_from_quiet_zero;
-    Alcotest.test_case "telemetry merge sums counters" `Quick
-      test_merge_telemetry;
     Alcotest.test_case "cancel token basics" `Quick test_cancel_token_basics;
     Alcotest.test_case "pre-cancelled pool raises untorn" `Quick
       test_cancel_pool_raises_untorn;

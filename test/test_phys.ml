@@ -86,16 +86,6 @@ let test_pwl_edge_cases () =
     (Invalid_argument "Pwl.append: time not increasing") (fun () ->
       ignore (Phys.Pwl.append w2 2.5 0.0))
 
-let test_pwl_settle () =
-  let w =
-    Phys.Pwl.create [ (0.0, 1.0); (1.0, 0.2); (2.0, 0.0); (3.0, 0.0) ]
-  in
-  (match Phys.Pwl.settle_time w ~target:0.0 ~tolerance:0.1 ~after:0.0 with
-   | Some t -> Alcotest.(check bool) "settle in (1,2)" true (t > 1.0 && t <= 2.0)
-   | None -> Alcotest.fail "did not settle");
-  Alcotest.(check (option (float 1e-12))) "never settles" None
-    (Phys.Pwl.settle_time w ~target:1.0 ~tolerance:0.1 ~after:0.0)
-
 let test_stats () =
   let xs = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
   let s = Phys.Stats.summarize xs in
@@ -175,9 +165,8 @@ let suite =
     Alcotest.test_case "rootfind" `Quick test_rootfind;
     Alcotest.test_case "pwl basic" `Quick test_pwl_basic;
     Alcotest.test_case "pwl edge cases" `Quick test_pwl_edge_cases;
-    Alcotest.test_case "pwl settle" `Quick test_pwl_settle;
     Alcotest.test_case "stats" `Quick test_stats;
-    QCheck_alcotest.to_alcotest prop_pwl_within_extrema;
-    QCheck_alcotest.to_alcotest prop_sum_matches_naive;
-    QCheck_alcotest.to_alcotest prop_brent_root;
-    QCheck_alcotest.to_alcotest prop_rank_corr_bounded ]
+    Prop.to_alcotest prop_pwl_within_extrema;
+    Prop.to_alcotest prop_sum_matches_naive;
+    Prop.to_alcotest prop_brent_root;
+    Prop.to_alcotest prop_rank_corr_bounded ]

@@ -118,10 +118,8 @@ let footer wl = BP.mtcmos_config tech ~wl
 let bp_configs c =
   [ BP.default_config;
     footer 8.0;
-    { (footer 8.0) with BP.cx = 50e-15 };
     Mtcmos.Hierarchy.config tech c ~wl_per_block:6.0 ~blocks:3;
-    BP.mtcmos_pmos_config tech ~wl:8.0;
-    { (footer 4.0) with BP.reverse_conduction = true; input_slope = true } ]
+    BP.mtcmos_pmos_config tech ~wl:8.0 ]
 
 (* the configs only the ablations golden reached before: the resistor
    sleep model, another card through [tech_override] (the 0.3 um card,
@@ -141,8 +139,7 @@ let bp_more_configs c =
       BP.partition =
         Some
           { BP.block_of_gate = Array.init (C.num_gates c) (fun i -> i mod 2);
-            sleeps = [| BP.Resistor (2.0 *. r8); BP.Sleep_fet s8 |] };
-      reverse_conduction = true } ]
+            sleeps = [| BP.Resistor (2.0 *. r8); BP.Sleep_fet s8 |] } } ]
 
 let bp_circuits =
   [ Fixtures.chain_circuit 8;
@@ -171,7 +168,7 @@ let bp_sims ?(configs = bp_configs) ?(circuits = bp_circuits) floats =
     circuits
 
 let test_breakpoint () =
-  pin "breakpoint" "47d0e275a49175653aa314e57f2c6789"
+  pin "breakpoint" "693658d70932a114c640f2622acb6fe0"
     (bp_sims (fun c r ->
          (match BP.critical_delay r with
           | None -> []
@@ -185,7 +182,7 @@ let test_breakpoint () =
 
 (* internal nets too, and the breakpoint count *)
 let test_breakpoint_nets () =
-  pin "breakpoint nets" "85a5be1db025e1c2822e31c461877214"
+  pin "breakpoint nets" "d3a5cc87cf3e46f4fbce61f6cb5d8313"
     (bp_sims (fun c r ->
          float_of_int (BP.events r)
          :: List.concat_map
@@ -197,7 +194,7 @@ let test_breakpoint_nets () =
    every config on a circuit of mixed gate strengths *)
 let test_breakpoint_more () =
   pin "breakpoint: resistor, tech override, mixed partition"
-    "db47dd7062b4a36a0d5495d0ef1086ce"
+    "23faa626eb099049a938339ad76a4962"
     (bp_sims
        ~configs:(fun c -> bp_configs c @ bp_more_configs c)
        ~circuits:(bp_circuits @ [ mixed_strengths (Fixtures.adder_circuit 4) ])
@@ -245,4 +242,4 @@ let suite =
       test_breakpoint_nets;
     Alcotest.test_case "breakpoint: resistor, tech override, mixed partition"
       `Quick test_breakpoint_more;
-    QCheck_alcotest.to_alcotest prop_ungated_is_gated_nothing ]
+    Prop.to_alcotest prop_ungated_is_gated_nothing ]

@@ -338,12 +338,8 @@ let prop_bp_history_free =
       let configs =
         [ BP.default_config;
           footer wl;
-          { (footer wl) with BP.cx = 50e-15 };
           Mtcmos.Hierarchy.config tech c ~wl_per_block:(0.75 *. wl) ~blocks:3;
           BP.mtcmos_pmos_config tech ~wl;
-          { (footer (0.5 *. wl)) with
-            BP.reverse_conduction = true;
-            input_slope = true };
           { BP.default_config with BP.sleep = BP.Resistor r_eff } ]
       in
       let other = Fixtures.adder_circuit 3 in
@@ -404,10 +400,7 @@ let prop_bp_history_free =
 (* every QCheck suite below draws from an explicitly seeded generator:
    a run is reproducible from the source alone, with no dependence on
    qcheck's global seed or the QCHECK_SEED environment *)
-let seeded test =
-  QCheck_alcotest.to_alcotest
-    ~rand:(Random.State.make [| 0x5eed; 0xca5e |])
-    test
+let seeded test = Prop.to_alcotest ~seed:[| 0x5eed; 0xca5e |] test
 
 let suite =
   [ seeded prop_pwl_crossings_alternate;

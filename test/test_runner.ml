@@ -462,7 +462,7 @@ let suite =
   [ Alcotest.test_case "sexp round trip" `Quick test_sexp_round_trip;
     Alcotest.test_case "sexp errors carry line numbers" `Quick
       test_sexp_errors;
-    QCheck_alcotest.to_alcotest prop_json_float_round_trip;
+    Prop.to_alcotest prop_json_float_round_trip;
     Alcotest.test_case "json escaping" `Quick test_json_escaping;
     Alcotest.test_case "spec parses in file order" `Quick test_spec_parses;
     Alcotest.test_case "fingerprint ignores layout" `Quick
@@ -484,4 +484,4 @@ let suite =
     Alcotest.test_case "runner obs metrics" `Quick test_runner_metrics;
     Alcotest.test_case "manifest invariant under jobs and warm cache" `Quick
       test_manifest_jobs_cache_invariant;
-    QCheck_alcotest.to_alcotest prop_resume_bit_identical ]
+    Prop.to_alcotest prop_resume_bit_identical ]

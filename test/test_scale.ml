@@ -192,8 +192,8 @@ let test_touched_set_is_sparse () =
     (touched < gates / 2)
 
 let suite =
-  [ QCheck_alcotest.to_alcotest prop_event_matches_dense;
-    QCheck_alcotest.to_alcotest prop_chained_steps_match_dense;
+  [ Prop.to_alcotest prop_event_matches_dense;
+    Prop.to_alcotest prop_chained_steps_match_dense;
     Alcotest.test_case "shared compilation across jobs" `Quick
       test_shared_compilation_across_jobs;
     Alcotest.test_case "ctx jobs/cache invariance on the event core"

@@ -484,10 +484,7 @@ let test_oracle_contains_greedy () =
   Alcotest.(check bool) "oracle <= greedy" true
     (best <= r.Sel.leakage +. 1e-30)
 
-let seeded test =
-  QCheck_alcotest.to_alcotest
-    ~rand:(Random.State.make [| 0x5e1; 0xec7 |])
-    test
+let seeded test = Prop.to_alcotest ~seed:[| 0x5e1; 0xec7 |] test
 
 let suite =
   [ Alcotest.test_case "adder8 budgets + independent STA" `Quick

@@ -469,4 +469,4 @@ let suite =
       test_remote_error_message;
     Alcotest.test_case "http endpoints answer real clients" `Quick
       test_http_endpoints;
-    QCheck_alcotest.to_alcotest prop_concurrent_clients_identical ]
+    Prop.to_alcotest prop_concurrent_clients_identical ]

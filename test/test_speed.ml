@@ -224,10 +224,7 @@ let prop_bypass_within_band =
            d1);
       true)
 
-let seeded test =
-  QCheck_alcotest.to_alcotest
-    ~rand:(Random.State.make [| 0x5eed; 0xfa57 |])
-    test
+let seeded test = Prop.to_alcotest ~seed:[| 0x5eed; 0xfa57 |] test
 
 let suite =
   [ Alcotest.test_case "reduce shrinks the unknown vector" `Quick
