@@ -73,11 +73,11 @@ let or_die = function
 let newton_budget_term =
   let doc =
     "Cap the transistor-level engine's Newton iterations for the DC \
-     solve and for every recovery-ladder solve.  Nominal transient \
-     steps and step-halving retries keep the engine's fixed 40 \
-     iterations.  Small values force recovery strategies or per-vector \
-     skips instead of aborting; the run ends with a resilience report. \
-     0 (default) keeps the engine's own budgets."
+     direct solve and for each rung of its gmin ramp.  Nominal \
+     transient steps and step-halving retries keep the engine's fixed \
+     40 iterations.  Small values force the recovery ladder or \
+     per-vector skips instead of aborting; the run ends with a \
+     resilience report.  0 (default) keeps the engine's own budgets."
   in
   Arg.(value & opt int 0 & info [ "newton-budget" ] ~docv:"N" ~doc)
 

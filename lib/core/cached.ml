@@ -51,7 +51,7 @@ let sp_config_key (cfg : Spice_ref.config) =
   K.float b cfg.Spice_ref.t_start;
   K.float b cfg.Spice_ref.t_stop;
   K.option b K.float cfg.Spice_ref.dt;
-  K.policy b cfg.Spice_ref.policy;
+  K.option b K.int cfg.Spice_ref.newton_budget;
   K.raw b
     (match cfg.Spice_ref.fast with
      | `Off -> "f0;"

@@ -21,8 +21,8 @@ val bp_config_key : Breakpoint_sim.config -> string
     key. *)
 
 val sp_config_key : Spice_ref.config -> string
-(** Framed bytes for a transistor-level config, including the recovery
-    policy (a different policy can produce a different — recovered vs
+(** Framed bytes for a transistor-level config, including the Newton
+    budget (a different budget can produce a different — recovered vs
     failed — result), the time grid ([t_start]/[t_stop]/[dt], which
     Sizing derives from a circuit-dependent estimate) and the fast
     transient mode (fast-path results live in a different band than

@@ -53,7 +53,7 @@ let edge ~t0 ~ramp ~rising ~vdd =
   if rising then Phys.Pwl.create [ (0.0, 0.0); (t0, 0.0); (t0 +. ramp, vdd) ]
   else Phys.Pwl.create [ (0.0, vdd); (t0, vdd); (t0 +. ramp, 0.0) ]
 
-let measure_uncached ~policy ?obs ?stats tech kind ~cl ~ramp =
+let measure_uncached ~newton_budget ?obs ?stats tech kind ~cl ~ramp =
   let vdd = tech.Device.Tech.vdd in
   let circuit, drive_in, out = fixture tech kind ~cl in
   let t0 = 200e-12 in
@@ -66,7 +66,7 @@ let measure_uncached ~policy ?obs ?stats tech kind ~cl ~ramp =
       Spice.Engine.prepare
         ~opts:
           Spice.Engine.Opts.(
-            default |> with_dt 2e-12 |> with_policy policy
+            default |> with_dt 2e-12 |> with_newton_budget newton_budget
             |> with_record
                  (Spice.Engine.Nodes [ inst.Netlist.Expand.node_of_net.(out) ]))
         inst.Netlist.Expand.netlist
@@ -134,9 +134,10 @@ let measure_uncached ~policy ?obs ?stats tech kind ~cl ~ramp =
 
 let measure ?ctx tech kind ~cl ~ramp =
   let ctx = resolve ?ctx () in
-  let policy = ctx.Eval.Ctx.policy in
+  let newton_budget = ctx.Eval.Ctx.newton_budget in
   let compute stats =
-    measure_uncached ~policy ~obs:ctx.Eval.Ctx.obs ?stats tech kind ~cl ~ramp
+    measure_uncached ~newton_budget ~obs:ctx.Eval.Ctx.obs ?stats tech kind
+      ~cl ~ramp
   in
   match ctx.Eval.Ctx.cache with
   | None -> compute ctx.Eval.Ctx.stats
@@ -149,7 +150,7 @@ let measure ?ctx tech kind ~cl ~ramp =
          K.int b (Netlist.Gate.arity kind);
          K.float b cl;
          K.float b ramp;
-         K.policy b policy;
+         K.option b K.int newton_budget;
          Cached.digest ~tag:"char1" [ K.contents b ])
     in
     Eval.Cache.memo ?cache:ctx.Eval.Ctx.cache ?stats:ctx.Eval.Ctx.stats ~key

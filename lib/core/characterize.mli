@@ -8,9 +8,9 @@
     "improve the simulator accuracy" direction of §5.3/§6.3.
 
     Entry points take [?ctx:Eval.Ctx.t]; the context supplies the
-    recovery policy, stats accumulator, worker count and evaluation
+    Newton budget, stats accumulator, worker count and evaluation
     cache (operating points are cached per (tech card, gate kind, load,
-    ramp, policy), so re-characterising a grid is nearly free). *)
+    ramp, Newton budget), so re-characterising a grid is nearly free). *)
 
 type point = {
   cl : float;           (** output load, F *)

@@ -84,12 +84,13 @@ let sp_scored ?cache ?obs ?stats ~config ~label c (before, after) =
    an honest nothing-switches zero, which records a plain success — so
    a hunt over thousands of vectors survives individual failures
    without silently conflating the two cases *)
-let score_spice ?cache ?(obs = Obs.disabled) ?stats ~policy ~fast ~jobs c
-    ~sleep objective pair =
+let score_spice ?cache ?(obs = Obs.disabled) ?stats ~newton_budget ~fast
+    ~jobs c ~sleep objective pair =
   let label = Vectors.label pair in
   let run_one ?cache obs wstats sl =
     let config =
-      { Spice_ref.default_config with Spice_ref.sleep = sl; policy; fast }
+      { Spice_ref.default_config with
+        Spice_ref.sleep = sl; newton_budget; fast }
     in
     sp_scored ?cache ~obs ?stats:wstats ~config ~label c pair
   in
@@ -136,7 +137,7 @@ let score_ctx (ctx : Eval.Ctx.t) c ~sleep objective pair =
       objective pair
   | Eval.Spice_level ->
     score_spice ?cache ~obs ?stats:ctx.Eval.Ctx.stats
-      ~policy:ctx.Eval.Ctx.policy ~fast:ctx.Eval.Ctx.fast
+      ~newton_budget:ctx.Eval.Ctx.newton_budget ~fast:ctx.Eval.Ctx.fast
       ~jobs:ctx.Eval.Ctx.jobs c ~sleep objective pair
 
 let score ?ctx c ~sleep objective pair =

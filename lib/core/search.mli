@@ -7,8 +7,8 @@
     as the (cheap) oracle: exactly the "narrow down the vector space"
     role §5 assigns the tool.
 
-    Entry points take [?ctx:Eval.Ctx.t] (engine, body effect, recovery
-    policy, fast transient mode, stats, jobs, cache).  Work is
+    Entry points take [?ctx:Eval.Ctx.t] (engine, body effect, Newton
+    budget, fast transient mode, stats, jobs, cache).  Work is
     distributed over [jobs] domains via
     [Par.Pool]: the outcome — best pair, score, evaluation count, and
     the stats counter totals — is identical whatever [jobs] is
@@ -46,7 +46,7 @@ val score :
   float
 (** Evaluate one transition under the chosen objective (0 when nothing
     switches).  With [Eval.Spice_level] the transistor-level reference
-    scores the transition under the context's recovery policy; a
+    scores the transition under the context's Newton budget; a
     transient that fails even after recovery scores 0 and is recorded
     as a [Eval.Resilience.Scored_zero] skip — distinct from the honest
     nothing-switches zero, which records a plain success — so a hunt

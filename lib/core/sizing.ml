@@ -164,7 +164,7 @@ let worst_delay_ctx (ctx : Eval.Ctx.t) c ~sleep vectors =
       { Spice_ref.default_config with
         Spice_ref.sleep;
         t_stop;
-        policy = ctx.Eval.Ctx.policy;
+        newton_budget = ctx.Eval.Ctx.newton_budget;
         fast = ctx.Eval.Ctx.fast }
     in
     worst_delay_spice ?cache ~obs ~config ~bp_config

@@ -11,7 +11,7 @@
     small for the transition to finish within the simulated window.
 
     Every entry point takes [?ctx:Eval.Ctx.t] — engine, body effect,
-    recovery policy, fast transient mode, stats accumulator, worker
+    Newton budget, fast transient mode, stats accumulator, worker
     count and evaluation cache in one record.  With a cache in the
     context, repeated evaluations of the same (circuit, config, vector,
     W/L) point — across [delay_at] calls, sweep points, bisection
@@ -87,7 +87,7 @@ val delay_at :
 
     With {!Eval.Spice_level} in the context, every function here is
     fault-tolerant: a vector whose transient fails even after the
-    engine's recovery policy is recorded as a skipped sample (with its
+    engine's recovery ladder is recorded as a skipped sample (with its
     structured diagnosis) in the stats accumulator and replaced by the
     breakpoint-simulator estimate, instead of aborting the sweep.
     @raise Invalid_argument on an empty vector list. *)

@@ -8,7 +8,7 @@ type config = {
   t_start : float;
   t_stop : float;
   dt : float option;
-  policy : Spice.Recover.policy;
+  newton_budget : int option;
   fast : Spice.Engine.Opts.fast;
 }
 
@@ -19,7 +19,7 @@ let default_config =
     t_start = 100e-12;
     t_stop = 6e-9;
     dt = None;
-    policy = Spice.Recover.default;
+    newton_budget = None;
     fast = `Off }
 
 let input_ramp = 50e-12
@@ -55,7 +55,7 @@ let stimulus cfg ~vdd before after =
     Phys.Pwl.create
       [ (0.0, v0); (cfg.t_start, v0); (cfg.t_start +. input_ramp, v1) ]
 
-(* a transient that fails even after the config's recovery policy
+(* a transient that fails even after the engine's recovery ladder
    returns its diagnosis instead of raising *)
 let run_r ?(config = default_config) ?obs circuit ~before ~after =
   let primary = C.inputs circuit in
@@ -100,7 +100,7 @@ let run_r ?(config = default_config) ?obs circuit ~before ~after =
       |> with_dt dt
       |> with_record record
       |> with_uic uic
-      |> with_policy config.policy)
+      |> with_newton_budget config.newton_budget)
   in
   let engine =
     Spice.Engine.prepare ~opts instance.Netlist.Expand.netlist

@@ -13,7 +13,9 @@ type config = {
   t_start : float;         (** input edges begin here *)
   t_stop : float;          (** simulation horizon (default 6 ns) *)
   dt : float option;       (** time step; default [t_stop / 3000] *)
-  policy : Spice.Recover.policy; (** engine recovery-policy ladder *)
+  newton_budget : int option;
+      (** engine Newton budget (default [None]; see
+          {!Spice.Engine.Opts.t}) *)
   fast : Spice.Engine.Opts.fast;
       (** fast transient path (default [`Off]; see
           {!Spice.Engine.Opts.fast}) *)

@@ -1,7 +1,7 @@
 type t = {
   engine : Engine.t;
   body_effect : bool;
-  policy : Spice.Recover.policy;
+  newton_budget : int option;
   fast : Spice.Engine.Opts.fast;
   stats : Resilience.t option;
   jobs : int;
@@ -12,7 +12,7 @@ type t = {
 let default =
   { engine = Engine.Breakpoint;
     body_effect = true;
-    policy = Spice.Recover.default;
+    newton_budget = None;
     fast = `Off;
     stats = None;
     jobs = 1;
@@ -22,7 +22,7 @@ let default =
 let with_engine engine t = { t with engine }
 let with_fast fast t = { t with fast }
 let with_body_effect body_effect t = { t with body_effect }
-let with_policy policy t = { t with policy }
+let with_newton_budget newton_budget t = { t with newton_budget }
 let with_stats s t = { t with stats = Some s }
 let with_jobs jobs t = { t with jobs }
 let with_cache c t = { t with cache = Some c }

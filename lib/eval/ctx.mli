@@ -9,7 +9,9 @@
 type t = {
   engine : Engine.t;          (** delay engine (default {!Engine.Breakpoint}) *)
   body_effect : bool;         (** model the body effect (default [true]) *)
-  policy : Spice.Recover.policy;  (** solver recovery policy *)
+  newton_budget : int option;
+      (** Newton budget of the transistor-level solver (default [None],
+          the engine's own; see {!Spice.Engine.Opts.t}) *)
   fast : Spice.Engine.Opts.fast;
       (** fast transient path for spice-level evaluation (default
           [`Off]); enters the cache key, so cached results never cross
@@ -21,8 +23,8 @@ type t = {
 }
 
 val default : t
-(** Breakpoint engine, body effect on, [Spice.Recover.default], no
-    stats, [jobs = 1], no cache, observability off — exactly the
+(** Breakpoint engine, body effect on, the engine's own Newton budget,
+    no stats, [jobs = 1], no cache, observability off — exactly the
     historical defaults of every entry point. *)
 
 (** Builders, pipeline style:
@@ -31,7 +33,7 @@ val default : t
 val with_engine : Engine.t -> t -> t
 val with_fast : Spice.Engine.Opts.fast -> t -> t
 val with_body_effect : bool -> t -> t
-val with_policy : Spice.Recover.policy -> t -> t
+val with_newton_budget : int option -> t -> t
 val with_stats : Resilience.t -> t -> t
 val with_jobs : int -> t -> t
 val with_cache : Cache.t -> t -> t

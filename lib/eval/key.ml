@@ -80,20 +80,6 @@ let sleep b (s : Device.Sleep.t) =
   float b s.Device.Sleep.wl;
   float b s.Device.Sleep.vdd
 
-let policy b (p : Spice.Recover.policy) =
-  let strategies l =
-    int b (List.length l);
-    List.iter (fun s -> string b (Spice.Recover.strategy_name s)) l
-  in
-  strategies p.Spice.Recover.dc_strategies;
-  strategies p.Spice.Recover.transient_strategies;
-  int b p.Spice.Recover.direct_max_iter;
-  int b p.Spice.Recover.ladder_max_iter;
-  float b p.Spice.Recover.gmin_start;
-  float b p.Spice.Recover.transient_gmin_start;
-  int b p.Spice.Recover.source_steps;
-  int b p.Spice.Recover.max_step_halvings
-
 let circuit b c =
   let module C = Netlist.Circuit in
   tech b (C.tech c);

@@ -39,7 +39,6 @@ val ints : t -> (int * int) list -> unit
 
 val tech : t -> Device.Tech.t -> unit
 val sleep : t -> Device.Sleep.t -> unit
-val policy : t -> Spice.Recover.policy -> unit
 
 val circuit : t -> Netlist.Circuit.t -> unit
 (** Structural digest of a frozen circuit: technology card, net count,

@@ -84,8 +84,7 @@ let pp fmt ((m : Metrics.t), (trace : Trace.t option)) =
       if v > 0 then line "  %-22s %d@." label v
     in
     opt "spice.step_rejections" "step rejections";
-    opt "spice.gmin_rounds" "gmin rounds";
-    opt "spice.source_steps" "source steps"
+    opt "spice.gmin_rounds" "gmin rounds"
   end;
   (* breakpoint simulator *)
   if have m [ "bp.simulations" ] then begin

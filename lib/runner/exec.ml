@@ -4,7 +4,7 @@
    budget — journaling each completed job's manifest fragment so an
    interrupted run resumes bit-identically, and isolating per-job
    failures: an exception inside a job becomes a "failed" manifest
-   entry, a job whose solver skipped work under its recovery policy
+   entry, a job whose solver skipped work after its recovery ladder
    becomes "degraded", and the batch keeps going either way.
 
    The manifest deliberately contains no wall times, worker counts, or
@@ -268,10 +268,7 @@ let error_message = function
 let with_overrides (ov : Spec.overrides) ctx =
   let ctx = Eval.Ctx.override ?engine:ov.Spec.engine ?jobs:ov.Spec.jobs ctx in
   match ov.Spec.newton_budget with
-  | Some n when n > 0 ->
-    Eval.Ctx.with_policy
-      (Spice.Recover.with_newton_budget n ctx.Eval.Ctx.policy)
-      ctx
+  | Some n when n > 0 -> Eval.Ctx.with_newton_budget (Some n) ctx
   | _ -> ctx
 
 (* effective per-job context: job override > spec defaults > base ctx *)

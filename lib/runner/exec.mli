@@ -23,7 +23,7 @@ type outcome = {
   executed : int;  (** jobs run in this invocation *)
   replayed : int;  (** jobs served verbatim from the journal *)
   ok : int;
-  degraded : int;  (** completed, but the recovery policy skipped work *)
+  degraded : int;  (** completed, but the recovery ladder skipped work *)
   failed : int;
   interrupted : bool;  (** stopped early by [?stop_after] *)
 }
@@ -58,7 +58,8 @@ val answer_json : answer -> Json.t
 
 val with_overrides : Spec.overrides -> Eval.Ctx.t -> Eval.Ctx.t
 (** Apply engine / worker-count / Newton-budget overrides to a context;
-    a budget [n > 0] caps the recovery policy's Newton iterations. *)
+    a budget [n > 0] caps the transistor-level solver's Newton
+    iterations (see {!Spice.Engine.Opts.t}). *)
 
 val exec_job :
   ?defaults:Spec.overrides ->

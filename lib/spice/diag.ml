@@ -30,7 +30,6 @@ type telemetry = {
   mutable factorizations : int;
   mutable step_rejections : int;     (* transient step attempts rejected *)
   mutable gmin_rounds : int;         (* gmin-ramp ladder solves *)
-  mutable source_steps : int;        (* source-stepping ramp solves *)
   mutable recoveries : (string * int) list;
       (* strategy name -> times it rescued an analysis or a step *)
   mutable wall_s : float;
@@ -42,7 +41,6 @@ let create_telemetry () =
     factorizations = 0;
     step_rejections = 0;
     gmin_rounds = 0;
-    source_steps = 0;
     recoveries = [];
     wall_s = 0.0 }
 

@@ -31,7 +31,6 @@ type telemetry = {
   mutable factorizations : int;
   mutable step_rejections : int;
   mutable gmin_rounds : int;
-  mutable source_steps : int;
   mutable recoveries : (string * int) list;
       (** strategy name -> times it rescued an analysis or a step *)
   mutable wall_s : float;

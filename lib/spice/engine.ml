@@ -10,18 +10,18 @@ module Opts = struct
     record : record;
     uic : bool;
     fast : fast;
-    policy : Recover.policy;
+    newton_budget : int option;
   }
 
   let default =
     { dt = None; record = All; uic = false; fast = `Off;
-      policy = Recover.default }
+      newton_budget = None }
 
   let with_dt dt t = { t with dt = Some dt }
   let with_record record t = { t with record }
   let with_uic uic t = { t with uic }
   let with_fast fast t = { t with fast }
-  let with_policy policy t = { t with policy }
+  let with_newton_budget newton_budget t = { t with newton_budget }
 
   let fast_of_string s =
     match String.lowercase_ascii s with
@@ -37,12 +37,20 @@ module Opts = struct
 end
 
 (* Fixed solver constants.  [max_newton] bounds each nominal transient
-   step and each step-halving retry (the recovery ladder's other solves
-   take their budgets from the policy); the rest tune the
-   [`Reduce_bypass] path: the terminal-voltage quiescence threshold of
-   the device bypass, in volts, and the relative and absolute (volts)
-   bands of the LTE step controller. *)
+   step and each step-halving retry.  The recovery ladders: a failed DC
+   direct solve ([direct_max_iter] iterations) falls back to a gmin ramp
+   from [gmin_start] down a decade per rung to the 1e-12 floor, each
+   rung warm-started and given [ladder_max_iter] iterations (an
+   [Opts.newton_budget] replaces both DC budgets); a rejected transient
+   step is retried at up to [max_step_halvings] successive halvings.
+   The rest tune the [`Reduce_bypass] path: the terminal-voltage
+   quiescence threshold of the device bypass, in volts, and the relative
+   and absolute (volts) bands of the LTE step controller. *)
 let max_newton = 40
+let direct_max_iter = 150
+let ladder_max_iter = 200
+let gmin_start = 1e-3
+let max_step_halvings = 14
 let bypass_vtol = 2e-4
 let lte_rel = 0.02
 let lte_abs = 5e-4
@@ -85,6 +93,9 @@ type t = {
 }
 
 let prepare ?(opts = Opts.default) netlist =
+  (match opts.Opts.newton_budget with
+   | Some n when n <= 0 -> invalid_arg "Engine.prepare: newton_budget <= 0"
+   | Some _ | None -> ());
   let reduce = opts.Opts.fast <> `Off in
   let sys = Mna.prepare ~reduce netlist in
   let chain_st =
@@ -217,10 +228,8 @@ let back_substitute t x =
 
 (* Assemble J and b = J x - F for the trial point [x].  [cap] = None in
    DC mode; in a transient it is the step [h] and every capacitor's
-   voltage at the last accepted step, for the Backward-Euler companions.
-   [src_scale] scales every source value (source stepping). *)
-let assemble t ~x ~gmin ~time ~src_scale
-    ~(cap : (float * float array) option) =
+   voltage at the last accepted step, for the Backward-Euler companions. *)
+let assemble t ~x ~gmin ~time ~(cap : (float * float array) option) =
   let m = t.matrix and rhs = t.rhs and sys = t.sys in
   La.Sparse.clear m;
   Array.fill rhs 0 (Array.length rhs) 0.0;
@@ -262,8 +271,7 @@ let assemble t ~x ~gmin ~time ~src_scale
            diagonal: the LU runs without pivoting *)
         La.Sparse.add_to m v.Mna.ubr v.Mna.ubr 1e-9;
         rhs.(v.Mna.ubr) <-
-          rhs.(v.Mna.ubr)
-          +. (src_scale *. Phys.Pwl.value_at v.Mna.wave time)
+          rhs.(v.Mna.ubr) +. Phys.Pwl.value_at v.Mna.wave time
       | Mna.P_mos d ->
         let vd = vat d.Mna.ud and vg = vat d.Mna.ug in
         let vs = vat d.Mna.us and vb = vat d.Mna.ub in
@@ -365,7 +373,7 @@ let kind_of_outcome = function
   | N_nonfinite -> Diag.Nan_in_solution
   | N_exhausted | N_converged _ -> Diag.Newton_divergence
 
-let newton_solve ?(src_scale = 1.0) t ~x0 ~gmin ~time ~cap ~max_iter
+let newton_solve t ~x0 ~gmin ~time ~cap ~max_iter
     ~(tm : Diag.telemetry) =
   let n = t.sys.Mna.n_unknowns in
   let nn = t.sys.Mna.n_node_unknowns in
@@ -375,7 +383,7 @@ let newton_solve ?(src_scale = 1.0) t ~x0 ~gmin ~time ~cap ~max_iter
     if iter >= max_iter then N_exhausted
     else begin
       tm.Diag.newton_iterations <- tm.Diag.newton_iterations + 1;
-      assemble t ~x ~gmin ~time ~src_scale ~cap;
+      assemble t ~x ~gmin ~time ~cap;
       tm.Diag.factorizations <- tm.Diag.factorizations + 1;
       match La.Sparse.factor t.sys.Mna.symbolic t.matrix with
       | exception La.Sparse.Singular _ -> N_singular
@@ -426,7 +434,7 @@ let newton_solve ?(src_scale = 1.0) t ~x0 ~gmin ~time ~cap ~max_iter
 (* KCL residual F(x) = J x - b at a trial point: the node with the
    largest magnitude names the spot where Newton was stuck. *)
 let worst_residual t ~x ~gmin ~time ~cap =
-  assemble t ~x ~gmin ~time ~src_scale:1.0 ~cap;
+  assemble t ~x ~gmin ~time ~cap;
   let ax = La.Sparse.mul_vec t.matrix x in
   let nn = t.sys.Mna.n_node_unknowns in
   let worst = ref 0.0 and worst_i = ref (-1) in
@@ -449,7 +457,11 @@ let worst_residual t ~x ~gmin ~time ~cap =
   end
 
 let dc_r ?(time = 0.0) ?x0 ?telemetry ?(obs = Obs.disabled) t =
-  let policy = t.opts.Opts.policy in
+  let direct_iter, rung_iter =
+    match t.opts.Opts.newton_budget with
+    | Some n -> (n, n)
+    | None -> (direct_max_iter, ladder_max_iter)
+  in
   let tm =
     match telemetry with Some v -> v | None -> Diag.create_telemetry ()
   in
@@ -458,7 +470,7 @@ let dc_r ?(time = 0.0) ?x0 ?telemetry ?(obs = Obs.disabled) t =
      called with [Obs.spans_only], so its effort is flushed exactly
      once — by the enclosing transient (see transient_r). *)
   let nw0 = tm.Diag.newton_iterations and fc0 = tm.Diag.factorizations in
-  let gm0 = tm.Diag.gmin_rounds and ss0 = tm.Diag.source_steps in
+  let gm0 = tm.Diag.gmin_rounds in
   let flush ~failed =
     if Obs.metrics_on obs then begin
       Obs.incr obs "spice.dc.analyses";
@@ -467,7 +479,6 @@ let dc_r ?(time = 0.0) ?x0 ?telemetry ?(obs = Obs.disabled) t =
         "spice.newton_iterations";
       Obs.incr obs ~by:(tm.Diag.factorizations - fc0) "spice.factorizations";
       Obs.incr obs ~by:(tm.Diag.gmin_rounds - gm0) "spice.gmin_rounds";
-      Obs.incr obs ~by:(tm.Diag.source_steps - ss0) "spice.source_steps";
       Obs.set_gauge obs "spice.fast_mode" (fast_gauge t.opts.Opts.fast);
       Obs.observe obs "spice.newton_per_analysis"
         (float_of_int (tm.Diag.newton_iterations - nw0))
@@ -486,10 +497,8 @@ let dc_r ?(time = 0.0) ?x0 ?telemetry ?(obs = Obs.disabled) t =
     | Some _ | None -> Array.make n 0.0
   in
   let last = ref N_exhausted in
-  let run ?(src_scale = 1.0) ~x0 ~gmin ~max_iter () =
-    match
-      newton_solve ~src_scale t ~x0 ~gmin ~time ~cap:None ~max_iter ~tm
-    with
+  let run ~x0 ~gmin ~max_iter =
+    match newton_solve t ~x0 ~gmin ~time ~cap:None ~max_iter ~tm with
     | N_converged x -> Some x
     | o ->
       last := o;
@@ -501,104 +510,39 @@ let dc_r ?(time = 0.0) ?x0 ?telemetry ?(obs = Obs.disabled) t =
     flush ~failed:false;
     Ok x
   in
-  match
-    run ~x0:start ~gmin:1e-12 ~max_iter:policy.Recover.direct_max_iter ()
-  with
+  match run ~x0:start ~gmin:1e-12 ~max_iter:direct_iter with
   | Some x -> finish x
   | None ->
-    let attempts = ref [] in
-    let apply = function
-      | Recover.Gmin_ramp ->
-        (* gmin stepping, warm-started from the supplied guess *)
-        let rec step gmin x =
-          if gmin < 1e-12 then
-            run ~x0:x ~gmin:1e-12 ~max_iter:policy.Recover.ladder_max_iter ()
-          else begin
-            tm.Diag.gmin_rounds <- tm.Diag.gmin_rounds + 1;
-            match
-              run ~x0:x ~gmin ~max_iter:policy.Recover.ladder_max_iter ()
-            with
-            | Some x' -> step (gmin /. 10.0) x'
-            | None -> None
-          end
-        in
-        step policy.Recover.gmin_start (Array.copy start)
-      | Recover.Source_step ->
-        (* ramp every source from zero, warm-started from the caller's
-           guess (the gmin ladder above used it too).  The ramp runs
-           under a heavy 1uS shunt — partial supplies park every device
-           at threshold, where a lightly loaded matrix limit-cycles —
-           and a failing increment is bisected (bounded) before giving
-           up; the shunt is then ramped off the full-source solution. *)
-        let steps = Stdlib.max 1 policy.Recover.source_steps in
-        let dscale = 1.0 /. float_of_int steps in
-        let rec ramp ~splits scale x =
-          if scale >= 1.0 -. (dscale *. 1e-9) then Some x
-          else begin
-            let target = Float.min 1.0 (scale +. dscale) in
-            tm.Diag.source_steps <- tm.Diag.source_steps + 1;
-            match
-              run ~src_scale:target ~x0:x ~gmin:1e-6
-                ~max_iter:policy.Recover.ladder_max_iter ()
-            with
-            | Some x' -> ramp ~splits target x'
-            | None when splits > 0 ->
-              (match
-                 run
-                   ~src_scale:(scale +. (0.5 *. (target -. scale)))
-                   ~x0:x ~gmin:1e-6
-                   ~max_iter:policy.Recover.ladder_max_iter ()
-               with
-               | Some x' ->
-                 ramp ~splits:(splits - 1)
-                   (scale +. (0.5 *. (target -. scale)))
-                   x'
-               | None -> None)
-            | None -> None
-          end
-        in
-        let rec shed gmin x =
-          if gmin < 1e-12 then
-            run ~x0:x ~gmin:1e-12 ~max_iter:policy.Recover.ladder_max_iter ()
-          else
-            match
-              run ~x0:x ~gmin ~max_iter:policy.Recover.ladder_max_iter ()
-            with
-            | Some x' -> shed (gmin /. 100.0) x'
-            | None -> None
-        in
-        (match ramp ~splits:steps 0.0 (Array.copy start) with
-         | Some x -> shed 1e-8 x
-         | None -> None)
-      | Recover.Shrink_step | Recover.Warm_start_dc ->
-        None (* transient-only *)
+    (* gmin stepping, warm-started from the supplied guess *)
+    let rec ramp gmin x =
+      if gmin < 1e-12 then run ~x0:x ~gmin:1e-12 ~max_iter:rung_iter
+      else begin
+        tm.Diag.gmin_rounds <- tm.Diag.gmin_rounds + 1;
+        match run ~x0:x ~gmin ~max_iter:rung_iter with
+        | Some x' -> ramp (gmin /. 10.0) x'
+        | None -> None
+      end
     in
-    let rec walk = function
-      | [] ->
-        let node, res =
-          worst_residual t ~x:start ~gmin:1e-12 ~time ~cap:None
-        in
-        tm.Diag.wall_s <- tm.Diag.wall_s +. Obs.Clock.elapsed_since wall0;
-        flush ~failed:true;
-        Error
-          { Diag.analysis = Diag.Dc;
-            kind = kind_of_outcome !last;
-            time;
-            last_good_time = 0.0;
-            worst_residual_node = node;
-            worst_residual = res;
-            newton_iterations = tm.Diag.newton_iterations;
-            recovery_attempts = List.rev !attempts;
-            message = "" }
-      | s :: rest ->
-        attempts := Recover.strategy_name s :: !attempts;
-        (match apply s with
-         | Some x ->
-           Diag.record_recovery tm (Recover.strategy_name s);
-           finish x
-         | None -> walk rest)
-    in
-    walk policy.Recover.dc_strategies
+    (match ramp gmin_start start with
+     | Some x ->
+       Diag.record_recovery tm "gmin-ramp";
+       finish x
+     | None ->
+       let node, res =
+         worst_residual t ~x:start ~gmin:1e-12 ~time ~cap:None
+       in
+       tm.Diag.wall_s <- tm.Diag.wall_s +. Obs.Clock.elapsed_since wall0;
+       flush ~failed:true;
+       Error
+         { Diag.analysis = Diag.Dc;
+           kind = kind_of_outcome !last;
+           time;
+           last_good_time = 0.0;
+           worst_residual_node = node;
+           worst_residual = res;
+           newton_iterations = tm.Diag.newton_iterations;
+           recovery_attempts = [ "gmin-ramp" ];
+           message = "" })
 
 let initial_guess t assignments =
   let x = Array.make t.sys.Mna.n_unknowns 0.0 in
@@ -649,7 +593,7 @@ let source_breakpoints sys ~t_stop =
 
 let transient_r ?x0 ?telemetry ?(obs = Obs.disabled) t ~t_stop =
   if t_stop <= 0.0 then invalid_arg "Engine.transient: t_stop <= 0";
-  let { Opts.dt; record; uic; fast; policy } = t.opts in
+  let { Opts.dt; record; uic; fast; newton_budget = _ } = t.opts in
   let dt = match dt with Some d -> d | None -> default_dt t ~t_stop in
   if dt <= 0.0 then invalid_arg "Engine.transient: dt <= 0";
   if dt > t_stop then invalid_arg "Engine.transient: dt > t_stop";
@@ -666,7 +610,7 @@ let transient_r ?x0 ?telemetry ?(obs = Obs.disabled) t ~t_stop =
      already include them *)
   let obs_nested = Obs.spans_only obs in
   let fc0 = tm.Diag.factorizations and sr0 = tm.Diag.step_rejections in
-  let gm0 = tm.Diag.gmin_rounds and ss0 = tm.Diag.source_steps in
+  let gm0 = tm.Diag.gmin_rounds in
   (* fast-path telemetry, accumulated in plain refs on the hot path and
      published once per analysis by [flush] (same delta discipline as
      the Diag counters, so an engine reused across analyses never
@@ -688,7 +632,6 @@ let transient_r ?x0 ?telemetry ?(obs = Obs.disabled) t ~t_stop =
       Obs.incr obs ~by:(tm.Diag.step_rejections - sr0)
         "spice.step_rejections";
       Obs.incr obs ~by:(tm.Diag.gmin_rounds - gm0) "spice.gmin_rounds";
-      Obs.incr obs ~by:(tm.Diag.source_steps - ss0) "spice.source_steps";
       Obs.set_gauge obs "spice.fast_mode" (fast_gauge fast);
       (* chain reduction is structural: per analysis, how many RC
          chains the MNA system collapsed and how many interior nodes
@@ -760,7 +703,7 @@ let transient_r ?x0 ?telemetry ?(obs = Obs.disabled) t ~t_stop =
       (* interior initial state: the DC path back-substituted already;
          under [uic] recover it from a static (caps-open) assembly *)
       if uic then begin
-        assemble t ~x:!x ~gmin:1e-12 ~time:0.0 ~src_scale:1.0 ~cap:None;
+        assemble t ~x:!x ~gmin:1e-12 ~time:0.0 ~cap:None;
         back_substitute t !x
       end;
       Array.iter
@@ -818,88 +761,44 @@ let transient_r ?x0 ?telemetry ?(obs = Obs.disabled) t ~t_stop =
         last := o;
         None
     in
-    (* the per-step recovery ladder: the nominal attempt, then the
-       policy's transient strategies in order, each bounded *)
+    (* the per-step recovery ladder: the nominal attempt, then up to
+       [max_step_halvings] successive halvings of the step *)
     let step h_step =
       match solve ~h:h_step ~x0:!x ~gmin:1e-12 ~max_iter:max_newton with
       | Some s -> s
       | None ->
-        let attempts = ref [] in
-        let apply = function
-          | Recover.Shrink_step ->
-            let rec halve h k =
-              if k > policy.Recover.max_step_halvings then None
-              else
-                match solve ~h ~x0:!x ~gmin:1e-12 ~max_iter:max_newton with
-                | Some s -> Some s
-                | None -> halve (h /. 2.0) (k + 1)
-            in
-            halve (h_step /. 2.0) 1
-          | Recover.Gmin_ramp ->
-            (* solve the stuck step at elevated gmin and walk back down,
-               warm-starting each rung; only the 1e-12 solve is kept *)
-            let rec ramp gmin x0 =
-              if gmin < 1e-12 then
-                solve ~h:h_step ~x0 ~gmin:1e-12
-                  ~max_iter:policy.Recover.ladder_max_iter
-              else begin
-                tm.Diag.gmin_rounds <- tm.Diag.gmin_rounds + 1;
-                match
-                  solve ~h:h_step ~x0 ~gmin
-                    ~max_iter:policy.Recover.ladder_max_iter
-                with
-                | Some (x', _, _) -> ramp (gmin /. 10.0) x'
-                | None -> None
-              end
-            in
-            ramp policy.Recover.transient_gmin_start !x
-          | Recover.Warm_start_dc ->
-            (* re-seed from a fresh operating point at the target time *)
-            (match
-               dc_r
-                 ~time:(Float.min (!time +. h_step) t_stop)
-                 ~x0:!x ~telemetry:tm ~obs:obs_nested t
-             with
-             | Ok xdc ->
-               solve ~h:h_step ~x0:xdc ~gmin:1e-12
-                 ~max_iter:policy.Recover.ladder_max_iter
-             | Error _ -> None)
-          | Recover.Source_step -> None (* DC-only *)
+        let rec halve h k =
+          if k > max_step_halvings then None
+          else
+            match solve ~h ~x0:!x ~gmin:1e-12 ~max_iter:max_newton with
+            | Some s -> Some s
+            | None -> halve (h /. 2.0) (k + 1)
         in
-        let rec walk = function
-          | [] ->
-            let kind =
-              if !last = N_exhausted
-                 && List.mem Recover.Shrink_step
-                      policy.Recover.transient_strategies
-              then Diag.Step_underflow
-              else kind_of_outcome !last
-            in
-            let t_next = Float.min (!time +. h_step) t_stop in
-            let node, res_worst =
-              worst_residual t ~x:!x ~gmin:1e-12 ~time:t_next
-                ~cap:(Some (t_next -. !time, v_prev))
-            in
-            raise
-              (Abort
-                 { Diag.analysis = Diag.Transient;
-                   kind;
-                   time = t_next;
-                   last_good_time = !time;
-                   worst_residual_node = node;
-                   worst_residual = res_worst;
-                   newton_iterations = tm.Diag.newton_iterations;
-                   recovery_attempts = List.rev !attempts;
-                   message = "" })
-          | s :: rest ->
-            attempts := Recover.strategy_name s :: !attempts;
-            (match apply s with
-             | Some step ->
-               Diag.record_recovery tm (Recover.strategy_name s);
-               step
-             | None -> walk rest)
-        in
-        walk policy.Recover.transient_strategies
+        (match halve (h_step /. 2.0) 1 with
+         | Some s ->
+           Diag.record_recovery tm "shrink-step";
+           s
+         | None ->
+           let kind =
+             if !last = N_exhausted then Diag.Step_underflow
+             else kind_of_outcome !last
+           in
+           let t_next = Float.min (!time +. h_step) t_stop in
+           let node, res_worst =
+             worst_residual t ~x:!x ~gmin:1e-12 ~time:t_next
+               ~cap:(Some (t_next -. !time, v_prev))
+           in
+           raise
+             (Abort
+                { Diag.analysis = Diag.Transient;
+                  kind;
+                  time = t_next;
+                  last_good_time = !time;
+                  worst_residual_node = node;
+                  worst_residual = res_worst;
+                  newton_iterations = tm.Diag.newton_iterations;
+                  recovery_attempts = [ "shrink-step" ];
+                  message = "" }))
     in
     (* never stride across a source-waveform corner in LTE mode *)
     let clamp_to_breakpoint h =

@@ -1,10 +1,9 @@
 (** DC and transient analysis — the repo's SPICE substitute.
 
     Newton–Raphson over the MNA system with per-step voltage limiting,
-    Backward-Euler integration, and an explicit recovery-policy ladder
-    ({!Recover}) for hard solves: gmin stepping and source stepping for
-    DC, step halving / transient gmin ramping / DC re-seeding for
-    rejected transient steps.
+    Backward-Euler integration, and a fixed two-rung recovery ladder for
+    hard solves: a failed DC solve is retried by gmin stepping, a
+    rejected transient step by step halving.
 
     Analysis knobs live in a typed options record, {!Opts.t}, set once
     at {!prepare}; {!dc_r} and {!transient_r} take none.  The [fast]
@@ -45,7 +44,12 @@ module Opts : sig
     record : record;            (** default [All] *)
     uic : bool;                 (** skip the initial DC solve *)
     fast : fast;                (** default [`Off] *)
-    policy : Recover.policy;  (** default {!Recover.default} *)
+    newton_budget : int option;
+        (** [Some n] caps the DC direct solve and each gmin-ramp rung at
+            [n] Newton iterations; default [None], the engine's own
+            budgets (150 direct, 200 per rung).  Nominal transient steps
+            and step-halving retries always keep 40.  {!prepare} rejects
+            [n <= 0]. *)
   }
 
   val default : t
@@ -54,7 +58,7 @@ module Opts : sig
   val with_record : record -> t -> t
   val with_uic : bool -> t -> t
   val with_fast : fast -> t -> t
-  val with_policy : Recover.policy -> t -> t
+  val with_newton_budget : int option -> t -> t
 
   val fast_of_string : string -> (fast, string) result
   (** Parse ["off"], ["reduce"] or ["reduce-bypass"]. *)
@@ -69,7 +73,8 @@ val prepare : ?opts:Opts.t -> Netlist.Transistor.t -> t
     the options of every analysis run on the context.  The [fast]
     option is structural — it decides the unknown numbering and
     sparsity pattern; the others set the transient grid, the recorded
-    nodes, the initial condition and the recovery policy. *)
+    nodes, the initial condition and the Newton budget.
+    @raise Invalid_argument when [newton_budget] is [Some n], [n <= 0]. *)
 
 val system : t -> Mna.system
 
@@ -88,9 +93,10 @@ val dc_r :
   (float array, Diag.failure) result
 (** Operating point with the sources evaluated at [time] (default 0).
     [x0] seeds the Newton iteration (see {!initial_guess}) and also
-    warm-starts every recovery strategy.  On failure of the direct
-    solve the policy's DC strategies (default: gmin ramp, then source
-    stepping) are tried in order, each bounded by the policy budgets.
+    warm-starts the recovery ladder: when the direct solve fails, a gmin
+    ramp from 1e-3 S walks down a decade per rung to the 1e-12 S floor,
+    each rung warm-started from the last; a failed rung is the analysis
+    failure.
     [telemetry] (optional,
     caller-owned) accumulates effort counters across calls.  [obs]
     (default [Obs.disabled]) records a ["spice.dc"] span carrying the
@@ -133,10 +139,9 @@ val transient_r :
     across a source-waveform breakpoint.  Only recorded nodes (default
     [All]) can be read back with {!waveform}.
 
-    A rejected step walks the policy's transient strategies in order
-    (default: step halving, transient gmin ramping, DC re-seeding), each bounded, so every run terminates with
-    either [Ok] — whose waveforms contain only finite samples — or a
-    structured [Error].
+    A rejected step is retried at half the step, up to 14 successive
+    halvings, so every run terminates with either [Ok] — whose waveforms
+    contain only finite samples — or a structured [Error].
 
     [obs] records a ["spice.transient"] span (the nested
     operating-point solve appears as a ["spice.dc"] child span, with

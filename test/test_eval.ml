@@ -172,24 +172,17 @@ let test_bp_config_key_fields () =
   Alcotest.(check int)
     "one key per variant" (List.length variants) (Hashtbl.length keys)
 
-(* Every field of a transistor-level config, its recovery policy
+(* Every field of a transistor-level config, its Newton budget
    included, reaches [sp_config_key]: varying any one field alone gives
-   a key no other variant has.  The record patterns name every field, so
+   a key no other variant has.  The record pattern names every field, so
    a new field fails to compile here until it is varied below too. *)
 let test_sp_config_key_fields () =
   let module SR = Mtcmos.Spice_ref in
-  let module R = Spice.Recover in
-  let base = SR.default_config and p = R.default in
+  let base = SR.default_config in
   let { SR.sleep = _; cx_extra = _; pmos_header = _; t_start = _;
-        t_stop = _; dt = _; policy = _; fast = _ } =
+        t_stop = _; dt = _; newton_budget = _; fast = _ } =
     base
   in
-  let { R.dc_strategies = _; transient_strategies = _; direct_max_iter = _;
-        ladder_max_iter = _; gmin_start = _; transient_gmin_start = _;
-        source_steps = _; max_step_halvings = _ } =
-    p
-  in
-  let policy what q = ("policy." ^ what, { base with SR.policy = q }) in
   let variants =
     [ ("default", base);
       ("sleep", { base with SR.sleep = Mtcmos.Breakpoint_sim.Resistor 100.0 });
@@ -199,15 +192,7 @@ let test_sp_config_key_fields () =
       ("t_stop", { base with SR.t_stop = 8e-9 });
       ("dt", { base with SR.dt = Some 1e-12 });
       ("fast", { base with SR.fast = `Reduce });
-      policy "dc_strategies" { p with R.dc_strategies = [ R.Gmin_ramp ] };
-      policy "transient_strategies"
-        { p with R.transient_strategies = [ R.Shrink_step ] };
-      policy "direct_max_iter" { p with R.direct_max_iter = 4 };
-      policy "ladder_max_iter" { p with R.ladder_max_iter = 4 };
-      policy "gmin_start" { p with R.gmin_start = 1e-4 };
-      policy "transient_gmin_start" { p with R.transient_gmin_start = 1e-7 };
-      policy "source_steps" { p with R.source_steps = 20 };
-      policy "max_step_halvings" { p with R.max_step_halvings = 7 } ]
+      ("newton_budget", { base with SR.newton_budget = Some 4 }) ]
   in
   let keys = Hashtbl.create 16 in
   List.iter
@@ -285,7 +270,6 @@ let test_memo_replays_stats () =
       factorizations = 4;
       step_rejections = 0;
       gmin_rounds = 0;
-      source_steps = 0;
       recoveries = [];
       wall_s = 0.1 }
   in
@@ -578,7 +562,6 @@ let test_spice_sweep_cold_warm_off () =
   let c = chain 4 in
   let vec = ([ (1, 0) ], [ (1, 1) ]) in
   let wls = [ 2.0; 10.0 ] in
-  let policy = Spice.Recover.with_newton_budget 4 Spice.Recover.default in
   let run ctx =
     let stats = Eval.Resilience.create () in
     let ctx = E.Ctx.with_stats stats ctx in
@@ -588,7 +571,7 @@ let test_spice_sweep_cold_warm_off () =
   let base =
     E.Ctx.default
     |> E.Ctx.with_engine E.Spice_level
-    |> E.Ctx.with_policy policy
+    |> E.Ctx.with_newton_budget (Some 4)
   in
   let cache = C.create () in
   let off = run base in

@@ -95,9 +95,6 @@ let test_resilience_counters_match_sequential () =
   let ch = Fixtures.chain 4 in
   let c = ch.Circuits.Chain.circuit in
   let vec = ([ (1, 0) ], [ (1, 1) ]) in
-  let policy =
-    Spice.Recover.with_newton_budget 4 Spice.Recover.default
-  in
   let run jobs =
     let stats = Eval.Resilience.create () in
     let ms =
@@ -105,7 +102,7 @@ let test_resilience_counters_match_sequential () =
         ~ctx:
           Eval.Ctx.(
             default |> with_engine Eval.Spice_level |> with_stats stats
-            |> with_policy policy |> with_jobs jobs)
+            |> with_newton_budget (Some 4) |> with_jobs jobs)
         c ~vectors:[ vec ] ~wls:[ 2.0; 5.0; 10.0; 20.0 ]
     in
     (ms, stats)
@@ -175,8 +172,7 @@ let test_scored_zero_distinct_from_quiet_zero () =
       ~ctx:
         Eval.Ctx.(
           default |> with_engine Eval.Spice_level |> with_stats broken
-          |> with_policy
-               (Spice.Recover.with_newton_budget 1 Spice.Recover.strict))
+          |> with_newton_budget (Some 1))
       c ~sleep Mtcmos.Search.Max_degradation
       ([ (1, 0) ], [ (1, 1) ])
   in
