@@ -119,10 +119,9 @@ let overrides_of ?engine ?(jobs = 0) ?(budget = 0) () =
 let fast_term =
   let doc =
     "Fast transient path for the transistor-level engine: $(b,off) \
-     (exact, the default), $(b,reduce) (series-RC chain reduction, \
-     exact up to LU rounding) or $(b,reduce-bypass) (reduction plus \
-     quiescent-device bypass and LTE-controlled stepping, fastest, \
-     within calibrated tolerance bands)."
+     (exact, the default) or $(b,reduce-bypass) (quiescent-device \
+     bypass and LTE-controlled stepping, faster, within calibrated \
+     tolerance bands)."
   in
   Arg.(value & opt string "off" & info [ "fast" ] ~docv:"MODE" ~doc)
 

@@ -52,10 +52,11 @@ let sp_config_key (cfg : Spice_ref.config) =
   K.float b cfg.Spice_ref.t_stop;
   K.option b K.float cfg.Spice_ref.dt;
   K.option b K.int cfg.Spice_ref.newton_budget;
+  (* "f1;" was a deleted fast mode; the other atoms stay as they were so
+     cache files saved before still hit *)
   K.raw b
     (match cfg.Spice_ref.fast with
      | `Off -> "f0;"
-     | `Reduce -> "f1;"
      | `Reduce_bypass -> "f2;");
   K.contents b
 

@@ -163,17 +163,6 @@ let publish t obs =
   Obs.set_gauge obs "eval.cache.entries" (float_of_int c.entries);
   Obs.set_gauge obs "eval.cache.bytes" (float_of_int c.bytes)
 
-let report_string t =
-  let c = counters t in
-  let looked_up = c.hits + c.misses in
-  let rate =
-    if looked_up = 0 then 0.0
-    else 100.0 *. float_of_int c.hits /. float_of_int looked_up
-  in
-  Printf.sprintf
-    "cache: %d entries (~%d KiB), %d hits / %d misses (%.1f%% hit rate), %d evictions"
-    c.entries ((c.bytes + 1023) / 1024) c.hits c.misses rate c.evictions
-
 let memo ?cache ?stats ~key ~arity ~to_floats ~of_floats compute =
   match cache with
   | None -> compute stats

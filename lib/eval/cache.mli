@@ -64,10 +64,6 @@ val publish : t -> Obs.t -> unit
     run; [--cache-stats] and the run report then render the registry
     view ([Obs.Report.cache_summary]). *)
 
-val report_string : t -> string
-(** One-line [Resilience]-style report, e.g.
-    ["cache: 1200 entries (~150 KiB), 3400 hits / 1200 misses (73.9% hit rate), 0 evictions"]. *)
-
 val memo :
   ?cache:t ->
   ?stats:Resilience.t ->

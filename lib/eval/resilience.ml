@@ -140,4 +140,3 @@ let pp_report fmt t =
         Spice.Diag.pp_failure f)
     t.skips
 
-let report_string t = Format.asprintf "%a" pp_report t

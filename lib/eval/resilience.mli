@@ -72,4 +72,3 @@ val merge_into : into:t -> t -> unit
     the caller's, in worker order. *)
 
 val pp_report : Format.formatter -> t -> unit
-val report_string : t -> string

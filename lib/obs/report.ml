@@ -40,14 +40,11 @@ let cache_summary m =
   end
 
 (* the engine publishes its fast-transient mode as a gauge (0 = off,
-   1 = reduce, 2 = reduce-bypass) so the report header can name it *)
+   2 = reduce-bypass) so the report header can name it *)
 let fast_mode_string m =
   match Metrics.get m "spice.fast_mode" with
   | Some (Metrics.Value v) ->
-    Some
-      (if v >= 2.0 then "reduce-bypass"
-       else if v >= 1.0 then "reduce"
-       else "off")
+    Some (if v >= 2.0 then "reduce-bypass" else "off")
   | _ -> None
 
 let pp fmt ((m : Metrics.t), (trace : Trace.t option)) =

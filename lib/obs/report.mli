@@ -9,6 +9,5 @@ val pp : Format.formatter -> Metrics.t * Trace.t option -> unit
 val render : Metrics.t -> Trace.t option -> string
 
 val cache_summary : Metrics.t -> string option
-(** The one-line cache view over the registry's [eval.cache.*] metrics
-    (same shape as the pre-registry [Eval.Cache.report_string]); [None]
-    when no cache metrics were published. *)
+(** The one-line cache view over the registry's [eval.cache.*] metrics;
+    [None] when no cache metrics were published. *)

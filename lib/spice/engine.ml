@@ -3,7 +3,7 @@ exception No_convergence of string
 type record = All | Nodes of Netlist.Transistor.node list
 
 module Opts = struct
-  type fast = [ `Off | `Reduce | `Reduce_bypass ]
+  type fast = [ `Off | `Reduce_bypass ]
 
   type t = {
     dt : float option;
@@ -26,13 +26,11 @@ module Opts = struct
   let fast_of_string s =
     match String.lowercase_ascii s with
     | "off" -> Ok `Off
-    | "reduce" -> Ok `Reduce
     | "reduce-bypass" | "reduce_bypass" -> Ok `Reduce_bypass
     | other ->
       Error
         (Printf.sprintf
-           "unknown fast mode %S (expected \"off\", \"reduce\" or \
-            \"reduce-bypass\")"
+           "unknown fast mode %S (expected \"off\" or \"reduce-bypass\")"
            other)
 end
 
@@ -55,18 +53,6 @@ let bypass_vtol = 2e-4
 let lte_rel = 0.02
 let lte_abs = 5e-4
 
-(* Per-chain scratch: the Thomas-elimination coefficients of the last
-   assembly (v_i = alpha_i + gamma_i v_a + beta_i v_{i+1}), the interior
-   companion state, and the voltages recovered at the last accepted
-   point. *)
-type chain_scratch = {
-  alpha : float array;
-  beta : float array;
-  gamma : float array;
-  cv_prev : float array;
-  cvolt : float array;
-}
-
 (* Device-bypass cache: last-stamped terminal voltages and linearisation
    per MOS, so a quiescent device skips its model evaluation. *)
 type bypass = {
@@ -88,7 +74,6 @@ type t = {
   matrix : La.Sparse.matrix;
   rhs : float array;
   opts : Opts.t;
-  chain_st : chain_scratch array;
   bypass : bypass option;
 }
 
@@ -96,19 +81,7 @@ let prepare ?(opts = Opts.default) netlist =
   (match opts.Opts.newton_budget with
    | Some n when n <= 0 -> invalid_arg "Engine.prepare: newton_budget <= 0"
    | Some _ | None -> ());
-  let reduce = opts.Opts.fast <> `Off in
-  let sys = Mna.prepare ~reduce netlist in
-  let chain_st =
-    Array.map
-      (fun (ch : Mna.chain) ->
-        let n = Array.length ch.Mna.nodes in
-        { alpha = Array.make n 0.0;
-          beta = Array.make n 0.0;
-          gamma = Array.make n 0.0;
-          cv_prev = Array.make n 0.0;
-          cvolt = Array.make n 0.0 })
-      sys.Mna.chains
-  in
+  let sys = Mna.prepare netlist in
   let bypass =
     if opts.Opts.fast = `Reduce_bypass then begin
       let n_mos =
@@ -134,7 +107,6 @@ let prepare ?(opts = Opts.default) netlist =
     matrix = La.Sparse.create_matrix sys.Mna.pattern;
     rhs = Array.make sys.Mna.n_unknowns 0.0;
     opts;
-    chain_st;
     bypass }
 
 let system t = t.sys
@@ -158,73 +130,6 @@ let cap_voltage (c : Mna.two_pin) x =
 let stamp m slot v = if slot >= 0 then m.La.Sparse.values.(slot) <- m.La.Sparse.values.(slot) +. v
 
 let add_rhs rhs u v = if u >= 0 then rhs.(u) <- rhs.(u) +. v
-
-(* Reduced-chain stamping: eliminate the interior unknowns of each chain
-   with the Thomas recurrences and fold the result into the two anchor
-   rows.  Exact — the eliminated equations (including their gmin leak
-   and companion currents) are satisfied by construction, and the
-   interior voltages are recovered by [back_substitute]. *)
-let stamp_chains t ~gmin ~(cap : float option) =
-  let m = t.matrix and rhs = t.rhs in
-  Array.iteri
-    (fun ci (ch : Mna.chain) ->
-      let st = t.chain_st.(ci) in
-      let n = Array.length ch.Mna.nodes in
-      for i = 0 to n - 1 do
-        let geq, ieq =
-          match cap with
-          | None -> (0.0, 0.0)
-          | Some h ->
-            let geq = ch.Mna.cvals.(i) /. h in
-            (geq, geq *. st.cv_prev.(i))
-        in
-        let gl = ch.Mna.g.(i) and gr = ch.Mna.g.(i + 1) in
-        let d =
-          gl +. gr +. geq +. gmin
-          -. (if i = 0 then 0.0 else gl *. st.beta.(i - 1))
-        in
-        st.alpha.(i) <-
-          (ieq +. (if i = 0 then 0.0 else gl *. st.alpha.(i - 1))) /. d;
-        st.gamma.(i) <- (if i = 0 then gl else gl *. st.gamma.(i - 1)) /. d;
-        st.beta.(i) <- gr /. d
-      done;
-      (* b-side anchor: g_n (v_b - v_n) with v_n eliminated *)
-      let gn = ch.Mna.g.(n) in
-      stamp m ch.Mna.s_bb (gn *. (1.0 -. st.beta.(n - 1)));
-      stamp m ch.Mna.s_ba (-.(gn *. st.gamma.(n - 1)));
-      add_rhs rhs ch.Mna.cb (gn *. st.alpha.(n - 1));
-      (* a-side anchor: g_0 (v_a - v_1) with v_1 = P + Q v_a + R v_b *)
-      let p = ref st.alpha.(n - 1)
-      and q = ref st.gamma.(n - 1)
-      and r = ref st.beta.(n - 1) in
-      for i = n - 2 downto 0 do
-        p := st.alpha.(i) +. (st.beta.(i) *. !p);
-        q := st.gamma.(i) +. (st.beta.(i) *. !q);
-        r := st.beta.(i) *. !r
-      done;
-      let g0 = ch.Mna.g.(0) in
-      stamp m ch.Mna.s_aa (g0 *. (1.0 -. !q));
-      stamp m ch.Mna.s_ab (-.(g0 *. !r));
-      add_rhs rhs ch.Mna.ca (g0 *. !p))
-    t.sys.Mna.chains
-
-(* Recover the eliminated interior voltages from the anchors, using the
-   coefficients of the last assembly (they do not depend on the trial
-   point, so any assembly of the accepted solve is valid). *)
-let back_substitute t x =
-  Array.iteri
-    (fun ci (ch : Mna.chain) ->
-      let st = t.chain_st.(ci) in
-      let n = Array.length ch.Mna.nodes in
-      let va = if ch.Mna.ca >= 0 then x.(ch.Mna.ca) else 0.0 in
-      let vb = if ch.Mna.cb >= 0 then x.(ch.Mna.cb) else 0.0 in
-      let next = ref vb in
-      for i = n - 1 downto 0 do
-        let v = st.alpha.(i) +. (st.gamma.(i) *. va) +. (st.beta.(i) *. !next) in
-        st.cvolt.(i) <- v;
-        next := v
-      done)
-    t.sys.Mna.chains
 
 (* Assemble J and b = J x - F for the trial point [x].  [cap] = None in
    DC mode; in a transient it is the step [h] and every capacitor's
@@ -337,17 +242,14 @@ let assemble t ~x ~gmin ~time ~(cap : (float * float array) option) =
         stamp m d.Mna.sss (-.gs);
         add_rhs rhs d.Mna.ud (-.ieq);
         add_rhs rhs d.Mna.us ieq)
-    sys.Mna.elems;
-  if Array.length sys.Mna.chains > 0 then
-    stamp_chains t ~gmin ~cap:(Option.map fst cap)
+    sys.Mna.elems
 
 let v_limit = 0.5
 
 (* fast-transient mode as a gauge value, so reports can name the mode
-   a registry was recorded under (0 = off, 1 = reduce, 2 = bypass) *)
+   a registry was recorded under (0 = off, 2 = bypass) *)
 let fast_gauge = function
   | `Off -> 0.0
-  | `Reduce -> 1.0
   | `Reduce_bypass -> 2.0
 
 (* accepted LTE step sizes, as a ratio to the nominal dt; the stepper
@@ -505,7 +407,6 @@ let dc_r ?(time = 0.0) ?x0 ?telemetry ?(obs = Obs.disabled) t =
       None
   in
   let finish x =
-    if Array.length t.sys.Mna.chains > 0 then back_substitute t x;
     tm.Diag.wall_s <- tm.Diag.wall_s +. Obs.Clock.elapsed_since wall0;
     flush ~failed:false;
     Ok x
@@ -555,17 +456,12 @@ let initial_guess t assignments =
 
 let voltage t x node =
   let u = t.sys.Mna.unknown_of_node.(node) in
-  if u >= 0 then x.(u)
-  else if u = -1 then 0.0
-  else
-    let ci, pos = t.sys.Mna.chain_pos.(node) in
-    t.chain_st.(ci).cvolt.(pos)
+  if u >= 0 then x.(u) else 0.0
 
 type result = {
   recorded : (Netlist.Transistor.node, (float * float) list ref) Hashtbl.t;
   netlist : Netlist.Transistor.t;
   mutable final_x : float array;
-  mutable n_steps : int;
   mutable n_newton : int;
   mutable tele : Diag.telemetry;
 }
@@ -633,19 +529,6 @@ let transient_r ?x0 ?telemetry ?(obs = Obs.disabled) t ~t_stop =
         "spice.step_rejections";
       Obs.incr obs ~by:(tm.Diag.gmin_rounds - gm0) "spice.gmin_rounds";
       Obs.set_gauge obs "spice.fast_mode" (fast_gauge fast);
-      (* chain reduction is structural: per analysis, how many RC
-         chains the MNA system collapsed and how many interior nodes
-         the solve therefore never saw *)
-      let nchains = Array.length t.sys.Mna.chains in
-      if nchains > 0 then begin
-        Obs.incr obs ~by:nchains "spice.chains.reduced";
-        Obs.incr obs
-          ~by:
-            (Array.fold_left
-               (fun acc (ch : Mna.chain) -> acc + Array.length ch.Mna.nodes)
-               0 t.sys.Mna.chains)
-          "spice.chains.interior_nodes"
-      end;
       if lte then begin
         Obs.incr obs ~by:!lte_accepted "spice.lte.accepted_steps";
         Obs.incr obs ~by:!lte_rejected "spice.lte.rejected_steps";
@@ -698,18 +581,6 @@ let transient_r ?x0 ?telemetry ?(obs = Obs.disabled) t ~t_stop =
     let ncap = Array.length caps in
     (* voltage across each cap at the last accepted step *)
     let v_prev = Array.init ncap (fun k -> cap_voltage caps.(k) !x) in
-    let nchain = Array.length sys.Mna.chains in
-    if nchain > 0 then begin
-      (* interior initial state: the DC path back-substituted already;
-         under [uic] recover it from a static (caps-open) assembly *)
-      if uic then begin
-        assemble t ~x:!x ~gmin:1e-12 ~time:0.0 ~cap:None;
-        back_substitute t !x
-      end;
-      Array.iter
-        (fun cs -> Array.blit cs.cvolt 0 cs.cv_prev 0 (Array.length cs.cvolt))
-        t.chain_st
-    end;
     let nodes_to_record =
       match record with
       | All ->
@@ -727,7 +598,7 @@ let transient_r ?x0 ?telemetry ?(obs = Obs.disabled) t ~t_stop =
     in
     sample 0.0;
     let res =
-      { recorded; netlist = sys.Mna.netlist; final_x = !x; n_steps = 0;
+      { recorded; netlist = sys.Mna.netlist; final_x = !x;
         n_newton = 0; tele = tm }
     in
     let time = ref 0.0 in
@@ -826,12 +697,6 @@ let transient_r ?x0 ?telemetry ?(obs = Obs.disabled) t ~t_stop =
       for k = 0 to ncap - 1 do
         v_prev.(k) <- cap_voltage caps.(k) x'
       done;
-      if nchain > 0 then begin
-        back_substitute t x';
-        Array.iter
-          (fun cs -> Array.blit cs.cvolt 0 cs.cv_prev 0 (Array.length cs.cvolt))
-          t.chain_st
-      end;
       if lte then begin
         if Array.length !x_prev = 0 then x_prev := Array.copy !x
         else Array.blit !x 0 !x_prev 0 (Array.length !x);
@@ -839,7 +704,6 @@ let transient_r ?x0 ?telemetry ?(obs = Obs.disabled) t ~t_stop =
       end;
       x := x';
       time := t_next;
-      res.n_steps <- res.n_steps + 1;
       sample !time
     in
     let nn = sys.Mna.n_node_unknowns in
@@ -917,6 +781,5 @@ let waveform res node =
   | None -> raise Not_found
 
 let final_solution res = res.final_x
-let steps_taken res = res.n_steps
 let newton_iterations res = res.n_newton
 let telemetry res = res.tele

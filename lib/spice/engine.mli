@@ -7,13 +7,10 @@
 
     Analysis knobs live in a typed options record, {!Opts.t}, set once
     at {!prepare}; {!dc_r} and {!transient_r} take none.  The [fast]
-    option selects the fast transient path:
-    [`Reduce] eliminates series-RC chain interiors from the unknown
-    vector at prepare time (exact — interior waveforms are recovered by
-    back-substitution), and [`Reduce_bypass] additionally skips model
-    re-evaluation for quiescent transistors and drives the time step
-    with a local-truncation-error controller.  [`Off] (the default) is
-    bit-identical to the historical engine.
+    option selects the fast transient path: [`Reduce_bypass] skips
+    model re-evaluation for quiescent transistors and drives the time
+    step with a local-truncation-error controller.  [`Off] (the default)
+    is bit-identical to the historical engine.
 
     Each analysis ({!dc_r}, {!transient_r}) returns [Ok result] or a
     structured [Error Diag.failure]. *)
@@ -30,12 +27,12 @@ type record = All | Nodes of Netlist.Transistor.node list
       Engine.Opts.(default |> with_fast `Reduce_bypass |> with_dt 2e-12)
     ]} *)
 module Opts : sig
-  type fast = [ `Off | `Reduce | `Reduce_bypass ]
+  type fast = [ `Off | `Reduce_bypass ]
   (** Fast transient path.  [`Off]: historical engine, bit-identical
-      results.  [`Reduce]: series-RC chain reduction only (exact up to
-      LU rounding).  [`Reduce_bypass]: reduction plus quiescent-device
-      stamp bypass and LTE-controlled stepping — results within
-      calibrated tolerance bands of [`Off]. *)
+      results.  [`Reduce_bypass]: quiescent-device stamp bypass and
+      LTE-controlled stepping — results within calibrated tolerance
+      bands of [`Off].  (The name is kept from when it also reduced
+      series-RC chains; no deck the tool builds has one.) *)
 
   type t = {
     dt : float option;
@@ -61,19 +58,18 @@ module Opts : sig
   val with_newton_budget : int option -> t -> t
 
   val fast_of_string : string -> (fast, string) result
-  (** Parse ["off"], ["reduce"] or ["reduce-bypass"]. *)
+  (** Parse ["off"] or ["reduce-bypass"]. *)
 end
 
 type t
-(** A prepared simulation context (pattern, symbolic LU, stamp slots,
-    reduced chains and their scratch state). *)
+(** A prepared simulation context (pattern, symbolic LU, stamp slots
+    and the device-bypass cache). *)
 
 val prepare : ?opts:Opts.t -> Netlist.Transistor.t -> t
 (** [prepare ?opts netlist] resolves the MNA structure once and fixes
-    the options of every analysis run on the context.  The [fast]
-    option is structural — it decides the unknown numbering and
-    sparsity pattern; the others set the transient grid, the recorded
-    nodes, the initial condition and the Newton budget.
+    the options of every analysis run on the context: the fast path,
+    the transient grid, the recorded nodes, the initial condition and
+    the Newton budget.
     @raise Invalid_argument when [newton_budget] is [Some n], [n <= 0]. *)
 
 val system : t -> Mna.system
@@ -103,10 +99,7 @@ val dc_r :
     analysis's Newton/factorization deltas as args, and flushes the
     telemetry deltas once per analysis into the registry
     ([spice.dc.analyses], [spice.newton_iterations], ... and the
-    [spice.newton_per_analysis] histogram).
-
-    Under a reducing fast mode the chain-interior voltages of the
-    solution are recovered on success and readable with {!voltage}. *)
+    [spice.newton_per_analysis] histogram). *)
 
 val initial_guess :
   t -> (Netlist.Transistor.node * float) list -> float array
@@ -114,9 +107,7 @@ val initial_guess :
     logic-simulator steady state). *)
 
 val voltage : t -> float array -> Netlist.Transistor.node -> float
-(** Read a node voltage: from the solution vector for retained
-    unknowns, 0 for ground, and from the back-substituted chain state
-    for nodes eliminated by a reducing fast mode. *)
+(** Read a node voltage from a solution vector (0 for ground). *)
 
 type result
 
@@ -151,12 +142,10 @@ val transient_r :
     [dt > t_stop]. *)
 
 val waveform : result -> Netlist.Transistor.node -> Phys.Pwl.t
-(** Samples of a recorded node, including back-substituted
-    chain-interior nodes under a reducing fast mode.
+(** Samples of a recorded node.
     @raise Not_found for a node that was not recorded. *)
 
 val final_solution : result -> float array
-val steps_taken : result -> int
 val newton_iterations : result -> int
 (** Newton iterations spent by this run (performance accounting). *)
 

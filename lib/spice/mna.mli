@@ -41,24 +41,6 @@ type prep =
   | P_cap of two_pin
   | P_vsrc of vsrc_prep
 
-type chain = {
-  ca : int;              (** unknown of the a-side anchor, -1 for ground *)
-  cb : int;              (** unknown of the b-side anchor, -1 for ground *)
-  g : float array;       (** [n+1] conductances; [g.(0)] joins the a-side
-                             anchor to the first interior node *)
-  cvals : float array;   (** [n] grounded capacitances, one per interior
-                             node (0 when none) *)
-  nodes : int array;     (** [n] interior node ids, ordered a-side first *)
-  s_aa : int; s_ab : int; s_ba : int; s_bb : int;
-                         (** anchor stamp slots, -1 when that anchor is
-                             ground *)
-}
-(** A series RC run of eliminated internal nodes: each interior node had
-    exactly two incident resistors and nothing else but grounded caps.
-    The engine eliminates the interior unknowns per assembly (Thomas
-    recurrences) and recovers their voltages by exact back-substitution
-    after each accepted step. *)
-
 type system = {
   netlist : Netlist.Transistor.t;
   n_node_unknowns : int;
@@ -67,26 +49,14 @@ type system = {
   symbolic : La.Sparse.symbolic;
   elems : prep array;
   caps : two_pin array;       (** the capacitor subset, for state handling *)
-  chains : chain array;       (** reduced RC chains ([||] unless prepared
-                                  with [~reduce:true]) *)
-  chain_pos : (int * int) array;
-      (** node id -> (chain index, interior position) for eliminated
-          nodes, (-1, -1) otherwise *)
   tau_min : float option;
       (** fastest node RC time constant (explicit resistors/caps only),
           used to derive the default transient step *)
   gmin_slots : int array;     (** diagonal slots of the node unknowns *)
   unknown_of_node : int array
-      (** node id -> unknown index; -1 for ground, -2 for a node
-          eliminated into a chain *);
+      (** node id -> unknown index; -1 for ground *);
 }
 
-val prepare : ?reduce:bool -> Netlist.Transistor.t -> system
+val prepare : Netlist.Transistor.t -> system
 (** [prepare netlist] resolves unknown numbering, the sparsity pattern
-    and every stamp slot.  With [~reduce:true] (default false) series RC
-    chains are detected and their interior nodes eliminated from the
-    unknown vector; with the default the prepared system is exactly the
-    historical one. *)
-
-val reduced_nodes : system -> int
-(** Number of node unknowns eliminated into chains. *)
+    and every stamp slot.  Node [i > 0] is unknown [i - 1]. *)

@@ -4,7 +4,9 @@
 
    A caller is a word-boundary match of the value's name in the code of
    lib/, bin/, bench/, perfbench/ or examples/, with comments and string
-   literals removed.  The match is by name only, so a common name can be
+   literals removed.  A name right after [let], [and], [rec], [val] or
+   [external] is being defined or declared there, not used, so it is
+   no caller.  The match is by name only, so a common name can be
    "used" by an unrelated value of the same name; the check therefore
    errs towards passing.
 
@@ -112,18 +114,41 @@ let identifiers s =
   go 0;
   !ids
 
-(* The value names an interface declares: every [val name :] at any
-   nesting depth.  An operator ([val ( +. ) : ...]) is not a name; the
-   word after its [val] does not start right after the blank. *)
-let vals_of_mli src =
-  let rec scan acc = function
-    | (i, "val") :: (j, name) :: rest
-      when String.trim (String.sub src (i + 3) (j - i - 3)) = "" ->
-        scan (name :: acc) rest
-    | _ :: rest -> scan acc rest
-    | [] -> acc
+(* The identifiers of [src] in order, each with the word right before
+   it when only blanks separate the two.  An operator ([val ( +. ) :
+   ...]) is not a name; the word after its [val] does not start right
+   after the blank. *)
+let words src =
+  let rec go prev acc = function
+    | [] -> List.rev acc
+    | (j, name) :: rest ->
+        let before =
+          match prev with
+          | Some (i, w) ->
+              let k = i + String.length w in
+              if String.trim (String.sub src k (j - k)) = "" then Some w else None
+          | None -> None
+        in
+        go (Some (j, name)) ((before, name) :: acc) rest
   in
-  identifiers src |> List.rev |> scan [] |> List.sort_uniq compare
+  go None [] (List.rev (identifiers src))
+
+let definers = [ "let"; "and"; "rec"; "val"; "external" ]
+
+(* The value names an interface declares: every [val name :] at any
+   nesting depth. *)
+let vals_of_mli src =
+  words src
+  |> List.filter_map (function Some "val", name -> Some name | _ -> None)
+  |> List.sort_uniq compare
+
+(* The names [src] uses: every identifier but the ones it defines or
+   declares. *)
+let uses src =
+  words src
+  |> List.filter_map (function
+       | Some w, _ when List.mem w definers -> None
+       | _, name -> Some name)
 
 (* A module is its .ml and .mli: the path without its extension. *)
 let module_of path = Filename.remove_extension path
@@ -173,7 +198,7 @@ let () =
         (fun id ->
           let ms = Option.value ~default:[] (Hashtbl.find_opt users id) in
           if not (List.mem m ms) then Hashtbl.replace users id (m :: ms))
-        (identifiers (read_file path) |> List.map snd))
+        (uses (read_file path)))
     files;
   let called path name =
     let m = module_of path in

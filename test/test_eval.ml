@@ -191,7 +191,7 @@ let test_sp_config_key_fields () =
       ("t_start", { base with SR.t_start = 200e-12 });
       ("t_stop", { base with SR.t_stop = 8e-9 });
       ("dt", { base with SR.dt = Some 1e-12 });
-      ("fast", { base with SR.fast = `Reduce });
+      ("fast", { base with SR.fast = `Reduce_bypass });
       ("newton_budget", { base with SR.newton_budget = Some 4 }) ]
   in
   let keys = Hashtbl.create 16 in

@@ -184,7 +184,7 @@ let test_scored_zero_distinct_from_quiet_zero () =
     "scored-zero skips are the only skips"
     broken.Eval.Resilience.skipped broken.Eval.Resilience.scored_zero;
   (* and the report names them *)
-  let report = Eval.Resilience.report_string broken in
+  let report = Format.asprintf "%a" Eval.Resilience.pp_report broken in
   Alcotest.(check bool)
     "report mentions scored-0 candidates" true
     (let re = "scored 0" in
