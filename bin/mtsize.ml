@@ -138,7 +138,7 @@ type cache_opts = {
   show_stats : bool;
 }
 
-(* [shards] is a term so that serve can stripe the cache it loads *)
+(* [shards]: the lock stripes of the cache, [None] for the default *)
 let cache_term_with shards =
   let off =
     let doc = "Disable the evaluation cache." in
@@ -157,11 +157,7 @@ let cache_term_with shards =
     let doc = "Print cache hit/miss/eviction counters at the end." in
     Arg.(value & flag & info [ "cache-stats" ] ~doc)
   in
-  let make off file show shards =
-    (match shards with
-     | Some n when n < 1 || n > 256 ->
-       or_die (Error (Printf.sprintf "--cache-shards %d: must be in [1, 256]" n))
-     | _ -> ());
+  let make off file show =
     if off then { cache = None; cache_file = None; show_stats = show }
     else
       let c =
@@ -175,9 +171,9 @@ let cache_term_with shards =
       in
       { cache = Some c; cache_file = file; show_stats = show }
   in
-  Term.(const make $ off $ file $ show $ shards)
+  Term.(const make $ off $ file $ show)
 
-let cache_term = cache_term_with (Term.const None)
+let cache_term = cache_term_with None
 
 let finish_cache co =
   match (co.cache, co.cache_file) with
@@ -1124,17 +1120,9 @@ let serve_cmd =
     let doc = "Concurrent batch executors." in
     Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N" ~doc)
   in
-  let shards_term =
-    let doc =
-      "Lock stripes in the shared evaluation cache.  More stripes, \
-       less contention between concurrent batches; counters and cached \
-       values are shard-count-invariant."
-    in
-    Arg.(value & opt int 16 & info [ "cache-shards" ] ~docv:"N" ~doc)
-  in
-  (* the daemon shares one cache across worker threads: stripe it so
-     concurrent batches do not serialize on a single lock *)
-  let cache_term = cache_term_with Term.(const Option.some $ shards_term) in
+  (* the daemon shares one cache across worker threads: stripe it 16
+     ways so concurrent batches do not serialize on a single lock *)
+  let cache_term = cache_term_with (Some 16) in
   let max_requests_term =
     let doc =
       "Drain and exit after $(docv) finished requests (0 = serve \

@@ -12,7 +12,8 @@ type t = {
    (i >= 1) combines pp.(i).(j) with the previous row's sums and carries;
    a final ripple row propagates the leftover carries.  Boundary zeros
    share one tied-low net. *)
-let make ?(cl = 15e-15) ?(strength = 1.0) tech ~bits =
+let make tech ~bits =
+  let cl = 15e-15 in
   if bits < 2 then invalid_arg "Csa_multiplier.make: bits < 2";
   let n = bits in
   let bld = C.builder tech in
@@ -28,12 +29,12 @@ let make ?(cl = 15e-15) ?(strength = 1.0) tech ~bits =
         Array.init n (fun j ->
             C.add_gate
               ~name:(Printf.sprintf "pp%d_%d" i j)
-              ~strength bld (G.And 2) [ x.(j); y.(i) ]))
+              bld (G.And 2) [ x.(j); y.(i) ]))
   in
   let product = Array.make (2 * n) zero in
   product.(0) <- pp.(0).(0);
   let fa name a b cin =
-    let cell = Mirror_adder.add_cell ~strength ~name bld ~a ~b ~cin in
+    let cell = Mirror_adder.add_cell ~name bld ~a ~b ~cin in
     (cell.Mirror_adder.sum, cell.Mirror_adder.cout)
   in
   (* sums.(j) holds S_{i-1}[j] entering row i (weight i-1+j); carries.(j)

@@ -10,10 +10,10 @@ type t = {
   product : Netlist.Circuit.net array;  (** 2N product bits *)
 }
 
-val make : ?cl:float -> ?strength:float -> Device.Tech.t -> bits:int -> t
+val make : Device.Tech.t -> bits:int -> t
 (** Primary inputs are ordered [x0..x_{n-1}, y0..y_{n-1}], so a vector
-    packs as [eval_ints [(n, x); (n, y)]].  [cl] (default 15 fF) loads
-    each product bit. *)
+    packs as [eval_ints [(n, x); (n, y)]].  A 15 fF load
+    sits on each product bit. *)
 
 (** The two §4 example transitions, little-endian packed as (x, y): *)
 

@@ -6,7 +6,8 @@ type t = {
   stage_nets : C.net array array;
 }
 
-let make ?(cl = 50e-15) ?(strength = 1.0) tech ~stages ~fanout =
+let make ?(strength = 1.0) tech ~stages ~fanout =
+  let cl = 50e-15 in
   if stages < 1 then invalid_arg "Inverter_tree.make: stages < 1";
   if fanout < 1 then invalid_arg "Inverter_tree.make: fanout < 1";
   let b = C.builder tech in

@@ -14,10 +14,11 @@ type t = {
 }
 
 val make :
-  ?cl:float -> ?strength:float -> Device.Tech.t -> stages:int ->
+  ?strength:float -> Device.Tech.t -> stages:int ->
   fanout:int -> t
-(** [make tech ~stages ~fanout] builds the tree.  [cl] (default 50 fF,
-    the Fig. 4 value) loads every leaf output.
+(** [make tech ~stages ~fanout] builds the tree.  A 50 fF load
+    (the Fig. 4 value) sits on every leaf output; [strength] (default
+    1) scales every inverter.
     @raise Invalid_argument when [stages < 1] or [fanout < 1]. *)
 
 val leaf_net : t -> Netlist.Circuit.net

@@ -12,7 +12,8 @@ type t = {
 (* Parallel prefix over (generate, propagate) pairs:
    (g, p) o (g', p') = (g or (p and g'), p and p') where the primed pair
    is the less-significant one. *)
-let make ?(cl = 15e-15) ?(strength = 1.0) tech ~bits =
+let make tech ~bits =
+  let cl = 15e-15 in
   if bits < 1 then invalid_arg "Kogge_stone.make: bits < 1";
   let bld = C.builder tech in
   let a =
@@ -21,7 +22,7 @@ let make ?(cl = 15e-15) ?(strength = 1.0) tech ~bits =
   let b =
     Array.init bits (fun i -> C.add_input ~name:(Printf.sprintf "b%d" i) bld)
   in
-  let gate = C.add_gate ~strength bld in
+  let gate = C.add_gate bld in
   let p = Array.init bits (fun i -> gate G.Xor2 [ a.(i); b.(i) ]) in
   let g = Array.init bits (fun i -> gate (G.And 2) [ a.(i); b.(i) ]) in
   (* prefix levels with doubling span *)

@@ -14,6 +14,7 @@ type t = {
   cout : Netlist.Circuit.net;
 }
 
-val make : ?cl:float -> ?strength:float -> Device.Tech.t -> bits:int -> t
-(** Inputs ordered [a0..a_{n-1}, b0..b_{n-1}] as in {!Ripple_adder}.
+val make : Device.Tech.t -> bits:int -> t
+(** Inputs ordered [a0..a_{n-1}, b0..b_{n-1}] as in {!Ripple_adder};
+    a 15 fF load sits on each primary output.
     @raise Invalid_argument when [bits < 1]. *)

@@ -11,7 +11,6 @@ type outputs = {
 }
 
 val add_cell :
-  ?strength:float ->
   ?name:string ->
   Netlist.Circuit.builder ->
   a:Netlist.Circuit.net ->

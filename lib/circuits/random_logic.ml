@@ -10,7 +10,8 @@ let kinds =
   [| G.Inv; G.Nand 2; G.Nand 3; G.Nor 2; G.And 2; G.Or 2; G.Xor2; G.Aoi21;
      G.Oai21 |]
 
-let make ?(seed = 7) ?(cl = 10e-15) tech ~inputs ~gates =
+let make ?(seed = 7) tech ~inputs ~gates =
+  let cl = 10e-15 in
   if inputs < 1 then invalid_arg "Random_logic.make: inputs < 1";
   if gates < 1 then invalid_arg "Random_logic.make: gates < 1";
   let st = Random.State.make [| seed |] in

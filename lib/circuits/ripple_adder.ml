@@ -8,7 +8,8 @@ type t = {
   cout : C.net;
 }
 
-let make ?(cl = 15e-15) ?(strength = 1.0) tech ~bits =
+let make tech ~bits =
+  let cl = 15e-15 in
   if bits < 1 then invalid_arg "Ripple_adder.make: bits < 1";
   let bld = C.builder tech in
   let a =
@@ -24,7 +25,7 @@ let make ?(cl = 15e-15) ?(strength = 1.0) tech ~bits =
   let carry = ref c0 in
   for i = 0 to bits - 1 do
     let cell =
-      Mirror_adder.add_cell ~strength ~name:(Printf.sprintf "fa%d" i) bld
+      Mirror_adder.add_cell ~name:(Printf.sprintf "fa%d" i) bld
         ~a:a.(i) ~b:b.(i) ~cin:!carry
     in
     sums.(i) <- cell.Mirror_adder.sum;

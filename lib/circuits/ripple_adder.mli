@@ -9,8 +9,8 @@ type t = {
   cout : Netlist.Circuit.net;
 }
 
-val make : ?cl:float -> ?strength:float -> Device.Tech.t -> bits:int -> t
-(** The initial carry is tied to ground as in the paper.  [cl] (default
-    15 fF) loads each primary output.  Primary inputs are ordered
+val make : Device.Tech.t -> bits:int -> t
+(** The initial carry is tied to ground as in the paper.  A 15 fF load
+    sits on each primary output.  Primary inputs are ordered
     [a0..a_{n-1}, b0..b_{n-1}] so a vector pair packs into
     [eval_ints [(n, a); (n, b)]]. *)

@@ -644,7 +644,7 @@ let simulate_core ?(config = default_config) c ~before ~after =
   res.i_points <- (res.t_last, 0.0) :: res.i_points;
   res
 
-let simulate ?config ?(obs = Obs.disabled) c ~before ~after =
+let simulate_obs ?config ~obs c ~before ~after =
   Obs.Span.with_ obs "bp.simulate" @@ fun () ->
   let r = simulate_core ?config c ~before ~after in
   if Obs.metrics_on obs then begin
@@ -654,14 +654,12 @@ let simulate ?config ?(obs = Obs.disabled) c ~before ~after =
   end;
   r
 
-let pack_ints groups =
-  Array.of_list
-    (List.concat_map
-       (fun (w, v) -> Array.to_list (S.bits_of_int ~width:w v))
-       groups)
+let simulate ?config c ~before ~after =
+  simulate_obs ?config ~obs:Obs.disabled c ~before ~after
 
-let simulate_ints ?config ?obs c ~before ~after =
-  simulate ?config ?obs c ~before:(pack_ints before) ~after:(pack_ints after)
+let simulate_ints ?config ?(obs = Obs.disabled) c ~before ~after =
+  simulate_obs ?config ~obs c ~before:(C.pack_ints c before)
+    ~after:(C.pack_ints c after)
 
 let waveform res n =
   match res.wave_points.(n) with

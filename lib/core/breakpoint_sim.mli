@@ -76,17 +76,12 @@ type result
 
 val simulate :
   ?config:config ->
-  ?obs:Obs.t ->
   Netlist.Circuit.t ->
   before:Netlist.Signal.level array ->
   after:Netlist.Signal.level array ->
   result
 (** Simulate the input transition [before -> after] (primary-input
-    assignments in [Circuit.inputs] order, no [X] allowed).  [obs]
-    (default [Obs.disabled]) records a ["bp.simulate"] span and the
-    [bp.simulations] / [bp.events] / [bp.rail_solves] counters
-    ([bp.rail_solves]: the rail equilibria this simulation needs, reuses
-    within it excluded).
+    assignments in [Circuit.inputs] order, no [X] allowed).
 
     Safe to call from several domains and from daemon systhreads at
     once, and its result does not depend on call history: the
@@ -102,10 +97,6 @@ val simulate :
     still finishes).  Also [Failure] past 1,000,000 breakpoints, a hang
     guard no physical circuit reaches. *)
 
-val pack_ints : (int * int) list -> Netlist.Signal.level array
-(** [(width, value)] groups to input levels, LSB first within a group,
-    groups in order: the packing of every [*_ints] entry point. *)
-
 val simulate_ints :
   ?config:config ->
   ?obs:Obs.t ->
@@ -113,7 +104,12 @@ val simulate_ints :
   before:(int * int) list ->
   after:(int * int) list ->
   result
-(** Packed variant mirroring [Logic_sim.eval_ints]. *)
+(** {!simulate} on [Netlist.Circuit.pack_ints] of each side.  [obs]
+    (default [Obs.disabled]) records a ["bp.simulate"] span and the
+    [bp.simulations] / [bp.events] / [bp.rail_solves] counters
+    ([bp.rail_solves]: the rail equilibria this simulation needs, reuses
+    within it excluded).
+    @raise Invalid_argument as [Netlist.Circuit.pack_ints] does. *)
 
 val waveform : result -> Netlist.Circuit.net -> Phys.Pwl.t
 (** Piecewise-linear output voltage of a net. *)

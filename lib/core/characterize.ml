@@ -132,7 +132,7 @@ let measure_uncached ~newton_budget ?obs ?stats tech kind ~cl ~ramp =
       fall_slew = slew fall_run ~out_rising:false;
       rise_slew = slew rise_run ~out_rising:true }
 
-let measure ?ctx tech kind ~cl ~ramp =
+let measure_ctx ?ctx tech kind ~cl ~ramp =
   let ctx = resolve ?ctx () in
   let newton_budget = ctx.Eval.Ctx.newton_budget in
   let compute stats =
@@ -165,6 +165,8 @@ let measure ?ctx tech kind ~cl ~ramp =
           rise_slew = a.(3) })
       compute
 
+let measure tech kind ~cl ~ramp = measure_ctx tech kind ~cl ~ramp
+
 let gate ?ctx ?(loads = [ 10e-15; 20e-15; 50e-15; 100e-15 ])
     ?(ramps = [ 20e-12; 100e-12 ]) tech kind =
   let ctx = resolve ?ctx () in
@@ -187,7 +189,7 @@ let gate ?ctx ?(loads = [ 10e-15; 20e-15; 50e-15; 100e-15 ])
       (Array.length grid)
       (fun wctx i ->
         let cl, ramp = grid.(i) in
-        measure ~ctx:wctx tech kind ~cl ~ramp)
+        measure_ctx ~ctx:wctx tech kind ~cl ~ramp)
   in
   Array.to_list points
 
@@ -198,11 +200,11 @@ let first_order_fall tech kind ~cl =
   Delay_model.cmos_gate_delay model ~beta_wl:d.Netlist.Gate.wl_pull_down
     ~cl
 
-let calibration_factor ?ctx ?(loads = [ 20e-15; 50e-15; 100e-15 ]) tech =
+let calibration_factor ?(loads = [ 20e-15; 50e-15; 100e-15 ]) tech =
   let ratios =
     List.map
       (fun cl ->
-        let p = measure ?ctx tech Netlist.Gate.Inv ~cl ~ramp:20e-12 in
+        let p = measure tech Netlist.Gate.Inv ~cl ~ramp:20e-12 in
         (* the fixture load includes pin/junction parasitics on top of cl *)
         let b = C.builder tech in
         let a = C.add_input b in

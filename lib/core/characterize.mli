@@ -22,7 +22,6 @@ type point = {
 }
 
 val measure :
-  ?ctx:Eval.Ctx.t ->
   Device.Tech.t -> Netlist.Gate.kind -> cl:float -> ramp:float -> point
 (** One fixture run at one operating point.  A transient that fails
     even after recovery yields NaN delay/slew entries (recorded with
@@ -42,8 +41,7 @@ val gate :
     list (and stats totals) is identical whatever [jobs] is, and
     whatever the cache already holds. *)
 
-val calibration_factor :
-  ?ctx:Eval.Ctx.t -> ?loads:float list -> Device.Tech.t -> float
+val calibration_factor : ?loads:float list -> Device.Tech.t -> float
 (** Mean transistor-level / first-order fall-delay ratio of an inverter
     across loads; multiply switch-level delays by it to report in
     transistor-level time.  (Degradation percentages are ratio-based and

@@ -13,8 +13,8 @@ let switching_energy_of_transition circuit ~before ~after =
   let es = Netlist.Event_sim.of_circuit circuit in
   let m =
     Netlist.Event_sim.transition es
-      ~before:(Netlist.Logic_sim.pack_ints circuit before)
-      ~after:(Netlist.Logic_sim.pack_ints circuit after)
+      ~before:(Netlist.Circuit.pack_ints circuit before)
+      ~after:(Netlist.Circuit.pack_ints circuit after)
   in
   (* changed_nets comes back in ascending net order — the same order
      the old dense 0..nets-1 scan summed in, so the float total is

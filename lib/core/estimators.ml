@@ -7,9 +7,9 @@ let peak_current_wl (tech : Device.Tech.t) ~i_peak ~v_budget =
   Device.Sleep.wl_for_resistance tech.Device.Tech.sleep_nmos
     ~vdd:tech.Device.Tech.vdd ~r
 
-let peak_current_of_transition ?(body_effect = true) c ~before ~after =
+let peak_current_of_transition c ~before ~after =
   let config =
-    { Breakpoint_sim.default_config with Breakpoint_sim.body_effect }
+    { Breakpoint_sim.default_config with Breakpoint_sim.body_effect = true }
   in
   let r = Breakpoint_sim.simulate_ints ~config c ~before ~after in
   Breakpoint_sim.peak_discharge_current r

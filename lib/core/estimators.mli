@@ -15,13 +15,13 @@ val peak_current_wl :
     @raise Invalid_argument on non-positive arguments. *)
 
 val peak_current_of_transition :
-  ?body_effect:bool ->
   Netlist.Circuit.t ->
   before:(int * int) list ->
   after:(int * int) list ->
   float
 (** Peak total discharge current of a transition with an ideal ground
-    (conventional-CMOS conditions), from the breakpoint simulator. *)
+    (conventional-CMOS conditions), from the breakpoint simulator with
+    the body effect on. *)
 
 val v_budget_for_degradation :
   Device.Tech.t -> target:float -> float

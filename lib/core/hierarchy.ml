@@ -21,12 +21,12 @@ let config tech circuit ~wl_per_block ~blocks =
         { Breakpoint_sim.block_of_gate = by_level circuit ~blocks;
           sleeps = Array.make blocks (Breakpoint_sim.Sleep_fet sleep) } }
 
-let size_uniform_for_degradation ?(wl_lo = 0.5) ?(wl_hi = 4096.0)
-    ?(tolerance = 0.01) circuit ~vectors ~target ~blocks =
+let size_uniform_for_degradation circuit ~vectors ~target ~blocks =
+  let wl_lo = 0.5 and wl_hi = 4096.0 in
   if vectors = [] then invalid_arg "Hierarchy: empty vector list";
   let tech = C.tech circuit in
   let base = Sizing.cmos_delay circuit ~vectors in
   let meets = Sizing.feasibility_bp circuit vectors ~base ~target in
   let feasible wl = meets (config tech circuit ~wl_per_block:wl ~blocks) in
   if not (feasible wl_hi) then raise Not_found;
-  Sizing.smallest_feasible ~tolerance ~lo:wl_lo ~hi:wl_hi feasible
+  Sizing.smallest_feasible ~lo:wl_lo ~hi:wl_hi feasible

@@ -39,9 +39,6 @@ val config :
     @raise Invalid_argument when [blocks < 1]. *)
 
 val size_uniform_for_degradation :
-  ?wl_lo:float ->
-  ?wl_hi:float ->
-  ?tolerance:float ->
   Netlist.Circuit.t ->
   vectors:Sizing.vector_pair list ->
   target:float ->
@@ -50,5 +47,6 @@ val size_uniform_for_degradation :
 (** Smallest per-block W/L meeting the degradation target with a
     level-banded partition of [blocks] devices.  Total sleep width is
     [blocks * result]; compare against [Sizing.size_for_degradation]'s
-    single shared device.
-    @raise Not_found when infeasible within [wl_hi]. *)
+    single shared device.  The bisection
+    ({!Sizing.smallest_feasible}) runs over W/L [[0.5, 4096]].
+    @raise Not_found when infeasible at W/L 4096. *)

@@ -63,8 +63,8 @@ let discharge_hotspot ~fraction ~samples c =
       let before = random_vec () and after = random_vec () in
       let m =
         Netlist.Event_sim.transition es
-          ~before:(Netlist.Logic_sim.pack_ints c before)
-          ~after:(Netlist.Logic_sim.pack_ints c after)
+          ~before:(Netlist.Circuit.pack_ints c before)
+          ~after:(Netlist.Circuit.pack_ints c after)
       in
       let falling = List.length (Netlist.Event_sim.falling_gates es m) in
       if falling > !worst then begin
@@ -110,11 +110,10 @@ let unused_inputs c =
                    (C.net_name c n) }
          else None)
 
-let check ?(weak_driver_ratio = 20.0) ?(hotspot_fraction = 0.5)
-    ?(sample_vectors = 64) c =
-  weak_drivers ~ratio:weak_driver_ratio c
+let check ?(hotspot_fraction = 0.5) c =
+  weak_drivers ~ratio:20.0 c
   @ wide_gates c
-  @ discharge_hotspot ~fraction:hotspot_fraction ~samples:sample_vectors c
+  @ discharge_hotspot ~fraction:hotspot_fraction ~samples:64 c
   @ dangling_outputs c
   @ unused_inputs c
 

@@ -10,23 +10,21 @@ type finding = {
 }
 
 val check :
-  ?weak_driver_ratio:float ->
   ?hotspot_fraction:float ->
-  ?sample_vectors:int ->
   Netlist.Circuit.t ->
   finding list
 (** Run all rules:
 
-    - [weak-driver]: a gate whose load exceeds [weak_driver_ratio]
-      (default 20) times a unit inverter's input capacitance per unit of
-      drive strength — a slew hazard the Vdd/2-switching model handles
-      poorly (§5.3's input-slope caveat).
+    - [weak-driver]: a gate whose load exceeds 20 times a unit
+      inverter's input capacitance per unit of drive strength — a slew
+      hazard the Vdd/2-switching model handles poorly (§5.3's
+      input-slope caveat).
     - [wide-gate]: series stacks deeper than 4 — the equivalent-inverter
       reduction degrades (§5.3's compound-gate caveat).
-    - [discharge-hotspot]: over [sample_vectors] random transitions
-      (default 64), some transition discharges more than
-      [hotspot_fraction] (default 0.5) of all gates simultaneously —
-      expect severe virtual-ground bounce (§3's scenario).
+    - [discharge-hotspot]: over 64 random transitions, some transition
+      discharges more than [hotspot_fraction] (default 0.5) of all
+      gates simultaneously — expect severe virtual-ground bounce (§3's
+      scenario).
     - [dangling-output]: an internal gate output with no fanout that is
       not a primary output.
     - [unused-input]: a primary input no gate reads. *)

@@ -42,7 +42,6 @@ let characterize ?(loads = [ 10e-15; 30e-15; 80e-15 ])
     kind_list;
   { tech; tables }
 
-let kinds lib = Hashtbl.fold (fun k _ acc -> k :: acc) lib.tables []
 
 (* clamped bracketing: index i with axis.(i) <= x <= axis.(i+1), plus the
    interpolation fraction *)

@@ -20,8 +20,6 @@ val characterize :
 (** Run the transistor-level fixtures over the grid (defaults: loads
     10/30/80 fF, ramps 20/80/200 ps).  Expensive — seconds per kind. *)
 
-val kinds : library -> Netlist.Gate.kind list
-
 val delay :
   library -> Netlist.Gate.kind -> cl:float -> slew_in:float -> float
 (** Worst of rise/fall delay at the operating point, bilinear between

@@ -18,9 +18,8 @@ let weak_gates ~ratio c =
          if cl > ratio *. unit_cin *. g.C.strength then Some g.C.id
          else None)
 
-let fix_weak_drivers ?(ratio = 20.0) ?(max_iterations = 8) ?(factor = 2.0)
-    circuit =
-  if factor <= 1.0 then invalid_arg "Resize: factor must exceed 1";
+let fix_weak_drivers circuit =
+  let ratio = 20.0 and max_iterations = 8 and factor = 2.0 in
   let n_gates = C.num_gates circuit in
   let strengths =
     Array.map (fun (g : C.gate_inst) -> g.C.strength) (C.gates circuit)

@@ -14,14 +14,8 @@ type report = {
       (** final strength of every gate that changed *)
 }
 
-val fix_weak_drivers :
-  ?ratio:float ->
-  ?max_iterations:int ->
-  ?factor:float ->
-  Netlist.Circuit.t ->
-  report
-(** Repeatedly multiply the strength of every [weak-driver]-flagged gate
-    by [factor] (default 2) until none remain or [max_iterations]
-    (default 8) passes elapse.  [ratio] is forwarded to
-    [Lint.check ~weak_driver_ratio].  Upsizing a gate loads its {e own}
+val fix_weak_drivers : Netlist.Circuit.t -> report
+(** Repeatedly double the strength of every [weak-driver]-flagged gate
+    (the rule {!Lint.check} applies) until none remain or 8 passes
+    elapse.  Upsizing a gate loads its {e own}
     drivers harder, which is why the loop iterates to a fixpoint. *)

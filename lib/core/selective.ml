@@ -116,8 +116,9 @@ let timed timer ~vt_high ~cluster_of_gate ~sleep_wl =
     (Sta.analyze_with ~gating:(gating ~vt_high ~cluster_of_gate ~sleep_wl)
        timer)
 
-let arrival ?(ctx = Eval.Ctx.default) circuit =
-  timed (Sta.prepare ~body_effect:ctx.Eval.Ctx.body_effect circuit)
+let arrival circuit =
+  let body_effect = Eval.Ctx.default.Eval.Ctx.body_effect in
+  timed (Sta.prepare ~body_effect circuit)
 
 let size_clusters_with ~eval ~wl_lo ~wl_hi circuit ~budget ~vt_high
     ~cluster_of_gate ~n_clusters =
@@ -160,7 +161,9 @@ let size_clusters_with ~eval ~wl_lo ~wl_hi circuit ~budget ~vt_high
 
 let size_clusters ?(ctx = Eval.Ctx.default) ?(wl_lo = 0.5) ?(wl_hi = 4096.0)
     circuit ~budget ~vt_high ~cluster_of_gate ~n_clusters =
-  let eval = arrival ~ctx circuit in
+  let eval =
+    timed (Sta.prepare ~body_effect:ctx.Eval.Ctx.body_effect circuit)
+  in
   size_clusters_with ~eval ~wl_lo ~wl_hi circuit ~budget ~vt_high
     ~cluster_of_gate ~n_clusters
 

@@ -81,13 +81,13 @@ val gating :
     to re-verify the slack constraint independently. *)
 
 val arrival :
-  ?ctx:Eval.Ctx.t ->
   Netlist.Circuit.t ->
   vt_high:bool array ->
   cluster_of_gate:int array ->
   sleep_wl:float array ->
   float
-(** Worst primary-output arrival of one gated configuration. *)
+(** Worst primary-output arrival of one gated configuration, with
+    [Eval.Ctx.default]'s body effect. *)
 
 val standby_leakage :
   Netlist.Circuit.t ->
@@ -101,12 +101,6 @@ val standby_leakage :
     high-Vt off-current of every high-Vt cell (which sits on the real
     ground); low-Vt gates in a device-less cluster leak at the full
     ungated low-Vt rate. *)
-
-val ungated_leakage : Netlist.Circuit.t -> float
-(** All-low-Vt, no-gating standby leakage baseline. *)
-
-val objective_value :
-  Netlist.Circuit.t -> objective -> leakage:float -> area:float -> float
 
 val size_clusters :
   ?ctx:Eval.Ctx.t ->

@@ -10,13 +10,16 @@ type measurement = {
   vx_peak : float;
 }
 
-let worst_delay_bp ?cache ?obs ~config c vectors =
+let worst_delay_cached ?cache ?obs ~config c vectors =
   List.fold_left
     (fun (dmax, vxmax) (before, after) ->
       let d, vx, _ = Cached.bp_metrics ?cache ?obs ~config c ~before ~after in
       let d = Option.value d ~default:0.0 in
       (Float.max dmax d, Float.max vxmax vx))
     (0.0, 0.0) vectors
+
+let worst_delay_bp ?obs ~config c vectors =
+  worst_delay_cached ?obs ~config c vectors
 
 let check_target target =
   if Float.is_nan target then invalid_arg "Sizing: target is NaN"
@@ -32,7 +35,7 @@ let within ~base ~target d = (d -. base) /. base <= target
    vector passes" and "the maximum passes" agree bit for bit, whatever
    the delays do across W/L.  [d] is clamped at 0 as the fold in
    [worst_delay_bp] starts from 0. *)
-let feasibility_bp ?cache ?obs c vectors ~base ~target =
+let feasibility_cached ?cache ?obs c vectors ~base ~target =
   check_target target;
   let vecs = Array.of_list vectors in
   let last = Array.make (Array.length vecs) neg_infinity in
@@ -50,6 +53,9 @@ let feasibility_bp ?cache ?obs c vectors ~base ~target =
         last.(i) <- d;
         within ~base ~target d)
       order
+
+let feasibility_bp c vectors ~base ~target =
+  feasibility_cached c vectors ~base ~target
 
 (* one vector's transistor-level measurement, with graceful
    degradation: record the diagnosis and fall back to the
@@ -128,12 +134,12 @@ let worst_delay_spice ?cache ?(obs = Obs.disabled) ~config ~bp_config ?stats
 let footer_at c ~wl =
   BP.Sleep_fet (Device.Sleep.nmos_footer (Netlist.Circuit.tech c) ~wl)
 
-let smallest_feasible ?(tolerance = 0.01) ~lo ~hi feasible =
+let smallest_feasible ~lo ~hi feasible =
   if feasible lo then lo
   else
     (* bisection on log scale: feasibility is monotone in wl *)
     let rec refine lo hi iter =
-      if iter > 60 || hi /. lo <= 1.0 +. tolerance then hi
+      if iter > 60 || hi /. lo <= 1.01 then hi
       else
         let mid = sqrt (lo *. hi) in
         if feasible mid then refine lo mid (iter + 1)
@@ -149,12 +155,13 @@ let worst_delay_ctx (ctx : Eval.Ctx.t) c ~sleep vectors =
   let obs = ctx.Eval.Ctx.obs in
   let bp_config = bp_config ctx ~sleep in
   match ctx.Eval.Ctx.engine with
-  | Eval.Breakpoint -> worst_delay_bp ?cache ~obs ~config:bp_config c vectors
+  | Eval.Breakpoint ->
+    worst_delay_cached ?cache ~obs ~config:bp_config c vectors
   | Eval.Spice_level ->
     (* size the transient horizon from the fast estimate so slow (small
        sleep device) cases are not cut off *)
     let estimate, _ =
-      worst_delay_bp ?cache ~obs ~config:bp_config c vectors
+      worst_delay_cached ?cache ~obs ~config:bp_config c vectors
     in
     let t_stop =
       Float.max Spice_ref.default_config.Spice_ref.t_stop
@@ -215,8 +222,7 @@ let sweep ?(ctx = Eval.Ctx.default) c ~vectors ~wls =
   in
   Array.to_list ms
 
-let size_for_degradation ?ctx ?(wl_lo = 0.5) ?(wl_hi = 4096.0)
-    ?(tolerance = 0.01) c ~vectors ~target =
+let size_for_degradation ?ctx ?(wl_hi = 4096.0) c ~vectors ~target =
   check_target target;
   let ctx, base = baseline ?ctx c vectors in
   (* a zero baseline makes every degradation NaN, which would steer the
@@ -229,7 +235,7 @@ let size_for_degradation ?ctx ?(wl_lo = 0.5) ?(wl_hi = 4096.0)
     match ctx.Eval.Ctx.engine with
     | Eval.Breakpoint ->
       let meets =
-        feasibility_bp ?cache:ctx.Eval.Ctx.cache ~obs:ctx.Eval.Ctx.obs c
+        feasibility_cached ?cache:ctx.Eval.Ctx.cache ~obs:ctx.Eval.Ctx.obs c
           vectors ~base ~target
       in
       fun wl -> meets (bp_config ctx ~sleep:(footer_at c ~wl))
@@ -241,7 +247,7 @@ let size_for_degradation ?ctx ?(wl_lo = 0.5) ?(wl_hi = 4096.0)
           (fst (worst_delay_ctx ctx c ~sleep:(footer_at c ~wl) vectors))
   in
   if not (feasible wl_hi) then raise Not_found;
-  smallest_feasible ~tolerance ~lo:wl_lo ~hi:wl_hi feasible
+  smallest_feasible ~lo:0.5 ~hi:wl_hi feasible
 
 (* a W/L below 0.05 would print as 0.0 at one decimal: give it
    significant digits instead *)

@@ -19,7 +19,7 @@
     identical results and replayed resilience counters. *)
 
 type vector_pair = (int * int) list * (int * int) list
-(** [(before, after)] in [Logic_sim.eval_ints] packing. *)
+(** [(before, after)] in [Netlist.Circuit.pack_ints] groups. *)
 
 type measurement = {
   wl : float;
@@ -30,7 +30,6 @@ type measurement = {
 }
 
 val worst_delay_bp :
-  ?cache:Eval.Cache.t ->
   ?obs:Obs.t ->
   config:Breakpoint_sim.config ->
   Netlist.Circuit.t ->
@@ -42,8 +41,6 @@ val worst_delay_bp :
     [Selective.bounce]. *)
 
 val feasibility_bp :
-  ?cache:Eval.Cache.t ->
-  ?obs:Obs.t ->
   Netlist.Circuit.t ->
   vector_pair list ->
   base:float ->
@@ -58,20 +55,17 @@ val feasibility_bp :
     one probe for a whole bisection.  The answer equals
     [(fst (worst_delay_bp ~config c vectors) - base) / base <= target]
     bit for bit: the test is monotone in [d] in floating point, and no
-    assumption about how delay moves with W/L is made.  A cache
-    receives only the vectors actually simulated, so it holds fewer
-    entries than after the full worst-delay loop.  The sizing
+    assumption about how delay moves with W/L is made.  The sizing
     bisections of {!size_for_degradation} (breakpoint engine) and
     [Hierarchy.size_uniform_for_degradation] probe with it.
     @raise Invalid_argument when [target] is NaN. *)
 
-val smallest_feasible :
-  ?tolerance:float -> lo:float -> hi:float -> (float -> bool) -> float
+val smallest_feasible : lo:float -> hi:float -> (float -> bool) -> float
 (** The one sizing bisection ({!size_for_degradation}, [Hierarchy],
     [Selective]): the smallest [feasible] W/L in [[lo, hi]], by
-    geometric midpoints until [hi / lo <= 1 + tolerance] (default 0.01)
-    or 60 halvings.  The caller has checked [feasible hi]; [lo] is probed
-    first, then the midpoints, so the probe sequence is fixed. *)
+    geometric midpoints until [hi / lo <= 1.01] or 60 halvings.  The
+    caller has checked [feasible hi]; [lo] is probed first, then the
+    midpoints, so the probe sequence is fixed. *)
 
 val delay_at :
   ?ctx:Eval.Ctx.t ->
@@ -114,16 +108,14 @@ val sweep :
 
 val size_for_degradation :
   ?ctx:Eval.Ctx.t ->
-  ?wl_lo:float ->
   ?wl_hi:float ->
-  ?tolerance:float ->
   Netlist.Circuit.t ->
   vectors:vector_pair list ->
   target:float ->
   float
 (** Smallest W/L whose degradation is at most [target] (e.g. 0.05 for
     the paper's 5 % budget), found by bisection over
-    [wl_lo, wl_hi] (defaults 0.5 and 4096).  With a cache in the
+    [0.5, wl_hi] (default 4096) with {!smallest_feasible}.  With a cache in the
     context the repeated baseline and probe evaluations hit across
     calls (and across [sweep]/[delay_at] of the same points).
     With the breakpoint engine each probe runs {!feasibility_bp}, which

@@ -128,19 +128,20 @@ let run_r ?(config = default_config) ?obs circuit ~before ~after =
   | Ok result -> Ok { circuit; cfg = config; instance; result; vdd }
   | Error f -> Error f
 
-let run ?config ?obs circuit ~before ~after =
-  match run_r ?config ?obs circuit ~before ~after with
+let run ?config circuit ~before ~after =
+  match run_r ?config circuit ~before ~after with
   | Ok r -> r
   | Error f ->
     raise (Spice.Engine.No_convergence (Spice.Diag.failure_to_string f))
 
-let pack = Breakpoint_sim.pack_ints
+let pack = Netlist.Circuit.pack_ints
 
 let run_ints_r ?config ?obs circuit ~before ~after =
-  run_r ?config ?obs circuit ~before:(pack before) ~after:(pack after)
+  run_r ?config ?obs circuit ~before:(pack circuit before)
+    ~after:(pack circuit after)
 
-let run_ints ?config ?obs circuit ~before ~after =
-  run ?config ?obs circuit ~before:(pack before) ~after:(pack after)
+let run_ints ?config circuit ~before ~after =
+  run ?config circuit ~before:(pack circuit before) ~after:(pack circuit after)
 
 let net_waveform r net =
   Spice.Engine.waveform r.result r.instance.Netlist.Expand.node_of_net.(net)

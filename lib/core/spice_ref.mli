@@ -30,7 +30,6 @@ type run
 
 val run :
   ?config:config ->
-  ?obs:Obs.t ->
   Netlist.Circuit.t ->
   before:Netlist.Signal.level array ->
   after:Netlist.Signal.level array ->
@@ -48,7 +47,6 @@ val run_ints_r :
 
 val run_ints :
   ?config:config ->
-  ?obs:Obs.t ->
   Netlist.Circuit.t ->
   before:(int * int) list ->
   after:(int * int) list ->

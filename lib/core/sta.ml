@@ -222,8 +222,6 @@ let path_to (t : t) endpoint =
 let critical_path (t : t) = path_to t (fst (worst_output t.circuit t.arrivals))
 let critical_arrival (t : t) = snd (worst_output t.circuit t.arrivals)
 
-let slack t net = critical_arrival t -. t.arrivals.(net)
-
 let mtcmos_underestimate t circuit ~sleep ~vectors =
   let sta_delay = critical_arrival t in
   let simulated, _ =

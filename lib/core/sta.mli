@@ -90,9 +90,6 @@ val critical_path : t -> path
 val critical_arrival : t -> float
 (** [(critical_path t).arrival] without tracing the path. *)
 
-val slack : t -> Netlist.Circuit.net -> float
-(** [critical_arrival - arrival net]: 0 on the critical path. *)
-
 val mtcmos_underestimate :
   t ->
   Netlist.Circuit.t ->

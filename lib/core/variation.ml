@@ -33,8 +33,7 @@ let shift_tech (tech : Device.Tech.t) ~dvt ~dkp_rel =
     sleep_nmos = shift_params tech.Device.Tech.sleep_nmos ~dvt ~dkp_rel;
     sleep_pmos = shift_params tech.Device.Tech.sleep_pmos ~dvt ~dkp_rel }
 
-let monte_carlo ?ctx ?(seed = 99) ?(sigma_vt = 0.02) ?(sigma_kp_rel = 0.05)
-    ~n circuit ~wl ~vector =
+let monte_carlo ?ctx ?(seed = 99) ~n circuit ~wl ~vector =
   if n < 1 then invalid_arg "Variation.monte_carlo: n < 1";
   let ctx = Option.value ctx ~default:Eval.Ctx.default in
   let cache = ctx.Eval.Ctx.cache in
@@ -61,8 +60,8 @@ let monte_carlo ?ctx ?(seed = 99) ?(sigma_vt = 0.02) ?(sigma_kp_rel = 0.05)
      simulations fan out across domains *)
   let params =
     Array.init n (fun _ ->
-        let dvt = sigma_vt *. gaussian st in
-        let dkp_rel = sigma_kp_rel *. gaussian st in
+        let dvt = 0.02 *. gaussian st in
+        let dkp_rel = 0.05 *. gaussian st in
         (dvt, dkp_rel))
   in
   let run_sample wobs (dvt, dkp_rel) =

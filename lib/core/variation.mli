@@ -31,14 +31,12 @@ type stats = {
 val monte_carlo :
   ?ctx:Eval.Ctx.t ->
   ?seed:int ->
-  ?sigma_vt:float ->
-  ?sigma_kp_rel:float ->
   n:int ->
   Netlist.Circuit.t ->
   wl:float ->
   vector:Sizing.vector_pair ->
   stats
-(** [n] samples with Gaussian die-to-die shifts (defaults: 20 mV on Vt,
+(** [n] samples with Gaussian die-to-die shifts (sigma 20 mV on Vt,
     5 % on kp).  The circuit's own technology card is the nominal.
     The parameter shifts are presampled sequentially from the seeded
     stream before the simulations fan out over [jobs] (default 1)

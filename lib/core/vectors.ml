@@ -43,7 +43,7 @@ type ranking = {
   vx_peak : float;
 }
 
-let rank ?(ctx = Eval.Ctx.default) c ~sleep ~pairs =
+let rank_ctx ?(ctx = Eval.Ctx.default) c ~sleep ~pairs =
   let body_effect = ctx.Eval.Ctx.body_effect in
   let cache = ctx.Eval.Ctx.cache in
   let obs = ctx.Eval.Ctx.obs in
@@ -74,8 +74,10 @@ let rank ?(ctx = Eval.Ctx.default) c ~sleep ~pairs =
   List.filter_map evaluate pairs
   |> List.sort (fun a b -> compare b.degradation a.degradation)
 
+let rank c ~sleep ~pairs = rank_ctx c ~sleep ~pairs
+
 let worst ?ctx c ~sleep ~pairs ~top =
-  let ranked = rank ?ctx c ~sleep ~pairs in
+  let ranked = rank_ctx ?ctx c ~sleep ~pairs in
   List.filteri (fun i _ -> i < top) ranked
 
 let involving_output c ~net ~pairs =
@@ -88,7 +90,7 @@ let involving_output c ~net ~pairs =
     match Hashtbl.find_opt memo groups with
     | Some v -> v
     | None ->
-      let st = Netlist.Event_sim.init es (Netlist.Logic_sim.pack_ints c groups) in
+      let st = Netlist.Event_sim.init es (Netlist.Circuit.pack_ints c groups) in
       let v = Netlist.Event_sim.level st net in
       Hashtbl.add memo groups v;
       v

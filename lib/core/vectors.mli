@@ -5,7 +5,7 @@
     the suspicious few to the detailed simulator. *)
 
 type pair = (int * int) list * (int * int) list
-(** A transition, packed as [Logic_sim.eval_ints] groups. *)
+(** A transition, as [Netlist.Circuit.pack_ints] groups. *)
 
 val all_pairs : widths:int list -> pair Seq.t
 (** Every (before, after) combination over the packed input groups —
@@ -32,7 +32,6 @@ type ranking = {
 }
 
 val rank :
-  ?ctx:Eval.Ctx.t ->
   Netlist.Circuit.t ->
   sleep:Breakpoint_sim.sleep_model ->
   pairs:pair list ->

@@ -51,12 +51,10 @@ let estimate circuit ~wl =
     v_float;
     analytic = (if i_sat <= 0.0 then infinity else c *. v_float /. i_sat) }
 
-let simulate ?v_threshold ?(t_stop = 20e-9) circuit ~wl =
+let simulate circuit ~wl =
   let tech = C.tech circuit in
   let vdd = tech.Device.Tech.vdd in
-  let v_threshold =
-    match v_threshold with Some v -> v | None -> 0.1 *. vdd
-  in
+  let v_threshold = 0.1 *. vdd and t_stop = 20e-9 in
   let t_edge = 1e-9 in
   (* build the MTCMOS netlist by hand so the sleep gate can ramp *)
   let stimuli =

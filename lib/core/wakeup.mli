@@ -16,14 +16,8 @@ type estimate = {
 val estimate : Netlist.Circuit.t -> wl:float -> estimate
 (** Closed-form estimate. *)
 
-val simulate :
-  ?v_threshold:float ->
-  ?t_stop:float ->
-  Netlist.Circuit.t ->
-  wl:float ->
-  float
+val simulate : Netlist.Circuit.t -> wl:float -> float
 (** Transistor-level wake-up: the block sits in sleep mode (rail
     floated), the sleep gate ramps at [t = 1 ns]; returns the time from
-    the gate edge until the virtual ground falls below [v_threshold]
-    (default 10 % of Vdd).
-    @raise Not_found when the rail never settles within [t_stop]. *)
+    the gate edge until the virtual ground falls below 10 % of Vdd.
+    @raise Not_found when the rail never settles within 20 ns. *)

@@ -18,10 +18,6 @@ val of_level1 : Mosfet.params -> alpha:float -> t
 (** Derive an alpha-power card from a Level-1 card, matching the
     saturation current at [vgs = vds = 1 V] overdrive. *)
 
-val threshold : t -> vsb:float -> float
-(** Threshold raised by the body effect for a source at [vsb] above the
-    body (the paper's §2.1 mechanism when the virtual ground bounces). *)
-
 val overdrive_power : t -> vgs:float -> vsb:float -> float
 (** [(vgs - threshold t ~vsb) ** alpha], or 0 at or below threshold:
     the size-independent factor of {!sat_current}, shared by every

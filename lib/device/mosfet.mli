@@ -33,9 +33,6 @@ type operating_point = {
   vth : float;  (** threshold including body effect *)
 }
 
-val threshold : params -> vbs:float -> float
-(** Threshold voltage with body effect, in the NMOS convention. *)
-
 val eval : params -> wl:float -> bias -> operating_point
 (** [eval p ~wl bias] evaluates the device of size [wl = W/L].  For a PMOS
     device pass the physical terminal voltages; the conversion to the

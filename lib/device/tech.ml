@@ -105,9 +105,3 @@ let with_alpha t alpha =
 
 let nmos_alpha t = Alpha_power.of_level1 t.nmos ~alpha:t.alpha
 let pmos_alpha t = Alpha_power.of_level1 t.pmos ~alpha:t.alpha
-
-let pp fmt t =
-  Format.fprintf fmt
-    "%s: vdd=%.2gV lmin=%.2gum vtn=%.2g vtp=-%.2g vt_high=%.2g alpha=%.2g"
-    t.name t.vdd (t.lmin *. 1e6) t.nmos.Mosfet.vt0 t.pmos.Mosfet.vt0
-    t.sleep_nmos.Mosfet.vt0 t.alpha

@@ -49,5 +49,3 @@ val nmos_alpha : t -> Alpha_power.t
     simulator's discharge model). *)
 
 val pmos_alpha : t -> Alpha_power.t
-
-val pp : Format.formatter -> t -> unit

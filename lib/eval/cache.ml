@@ -68,8 +68,6 @@ let create ?(max_entries = 65536) ?(shards = 1) () =
   { shards = Array.init shards (fun _ -> make_shard cap);
     total_cap = max_entries }
 
-let shards t = Array.length t.shards
-
 (* digest-prefix routing: a pure function of the key *)
 let shard_of t key =
   let n = Array.length t.shards in

@@ -45,9 +45,6 @@ val create : ?max_entries:int -> ?shards:int -> unit -> t
     @raise Invalid_argument when [max_entries <= 0] or [shards] is
     outside [1, 256]. *)
 
-val shards : t -> int
-(** Number of lock stripes this cache was created with. *)
-
 val find : t -> string -> entry option
 (** Look up a key, counting a hit (and bumping recency) or a miss. *)
 

@@ -10,4 +10,3 @@ let of_string s =
     Error
       (Printf.sprintf "unknown engine %S (expected \"bp\" or \"spice\")" other)
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -11,4 +11,3 @@ val of_string : string -> (t, string) result
 (** Accepts ["bp"], ["breakpoint"], ["spice"]; anything else is an
     [Error] naming the valid spellings. *)
 
-val pp : Format.formatter -> t -> unit

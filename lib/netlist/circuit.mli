@@ -54,6 +54,15 @@ val num_nets : t -> int
 val num_gates : t -> int
 val inputs : t -> net array
 
+val pack_ints : t -> (int * int) list -> Signal.level array
+(** Expand little-endian [(width, value)] groups into a flat input
+    vector, consumed in the order of {!inputs}: the packing of every
+    [*_ints] entry point.
+    @raise Invalid_argument when the widths don't sum to the number of
+    primary inputs (the message lists the widths and the input count)
+    or when a value doesn't fit its width (the message names the
+    offending group index). *)
+
 val outputs : t -> net array
 
 val ties : t -> (net * bool) array

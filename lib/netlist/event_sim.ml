@@ -149,7 +149,6 @@ let of_circuit c =
        Mutex.unlock memo_lock;
        t)
 
-let circuit t = t.circuit
 let num_gates t = t.n_gates
 let num_nets t = t.n_nets
 
@@ -350,7 +349,7 @@ let step ?(obs = Obs.disabled) t st ins =
   end;
   m
 
-let transition ?obs t ~before ~after = step ?obs t (init t before) after
+let transition t ~before ~after = step t (init t before) after
 
 let switched_gates t m =
   List.filter

@@ -33,7 +33,6 @@ val of_circuit : Circuit.t -> t
     vector ranking, lint — share one compilation per circuit even when
     called from {!Par.Pool} worker domains. *)
 
-val circuit : t -> Circuit.t
 val num_gates : t -> int
 val num_nets : t -> int
 
@@ -74,7 +73,6 @@ val step : ?obs:Obs.t -> t -> state -> Signal.level array -> move
     @raise Invalid_argument on an input-length mismatch. *)
 
 val transition :
-  ?obs:Obs.t ->
   t -> before:Signal.level array -> after:Signal.level array -> move
 (** [init] on [before], then {!step} to [after]. *)
 

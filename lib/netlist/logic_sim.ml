@@ -16,33 +16,7 @@ let eval c ins =
     (Circuit.gates c);
   state
 
-let pack_ints c groups =
-  let total = List.fold_left (fun acc (w, _) -> acc + w) 0 groups in
-  let primary = Circuit.inputs c in
-  if total <> Array.length primary then
-    invalid_arg
-      (Printf.sprintf
-         "Logic_sim.eval_ints: widths [%s] cover %d bit(s) but the \
-          circuit has %d primary inputs"
-         (String.concat "; "
-            (List.map (fun (w, _) -> string_of_int w) groups))
-         total (Array.length primary));
-  let bits =
-    List.concat
-      (List.mapi
-         (fun i (w, v) ->
-           if w < 0 || v < 0
-              || (w < Sys.int_size - 1 && v lsr (max w 0) <> 0)
-           then
-             invalid_arg
-               (Printf.sprintf
-                  "Logic_sim.eval_ints: group %d (width %d) cannot hold \
-                   value %d"
-                  i w v);
-           Array.to_list (Signal.bits_of_int ~width:w v))
-         groups)
-  in
-  Array.of_list bits
+let pack_ints = Circuit.pack_ints
 
 let eval_ints c groups = eval c (pack_ints c groups)
 

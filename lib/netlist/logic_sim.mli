@@ -14,15 +14,10 @@ val eval : Circuit.t -> Signal.level array -> state
     @raise Invalid_argument on a length mismatch. *)
 
 val pack_ints : Circuit.t -> (int * int) list -> Signal.level array
-(** Expand little-endian [(width, value)] groups into the flat input
-    vector [eval] expects, consumed in the order of [Circuit.inputs].
-    @raise Invalid_argument when the widths don't sum to the number of
-    primary inputs (the message lists the widths and the input count)
-    or when a value doesn't fit its width (the message names the
-    offending group index). *)
+(** [Circuit.pack_ints], under the name the benchmark calls. *)
 
 val eval_ints : Circuit.t -> (int * int) list -> state
-(** [eval c (pack_ints c groups)]. *)
+(** [eval c (Circuit.pack_ints c groups)]. *)
 
 val output_int : Circuit.t -> state -> int option
 

@@ -37,7 +37,6 @@ let equal a b =
   | (L0 | L1 | X), (L0 | L1 | X) -> false
 
 let to_char = function L0 -> '0' | L1 -> '1' | X -> 'x'
-let pp fmt l = Format.pp_print_char fmt (to_char l)
 
 let bits_of_int ~width v =
   if v < 0 then invalid_arg "Signal.bits_of_int: negative";

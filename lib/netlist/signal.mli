@@ -22,8 +22,6 @@ val majority3 : level -> level -> level -> level
 
 val equal : level -> level -> bool
 val to_char : level -> char
-val pp : Format.formatter -> level -> unit
-
 val bits_of_int : width:int -> int -> level array
 (** [bits_of_int ~width v] is the little-endian bit vector of [v]
     (index 0 = LSB).  @raise Invalid_argument when [v] needs more than

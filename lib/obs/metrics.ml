@@ -227,22 +227,3 @@ let to_jsonl t =
       Buffer.add_char buf '\n')
     (dump t);
   Buffer.contents buf
-
-let pp fmt t =
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Count n -> Format.fprintf fmt "%s %d@." name n
-      | Value f -> Format.fprintf fmt "%s %g@." name f
-      | Dist d ->
-        Format.fprintf fmt "%s total=%d sum=%g buckets=[%s]@." name d.total
-          d.sum
-          (String.concat " "
-             (List.mapi
-                (fun i k ->
-                  if i < Array.length d.bounds then
-                    Printf.sprintf "<=%g:%d" d.bounds.(i) k
-                  else Printf.sprintf ">%g:%d"
-                         d.bounds.(Array.length d.bounds - 1) k)
-                (Array.to_list d.counts))))
-    (dump t)

@@ -84,5 +84,3 @@ val dump : t -> (string * value) list
 val to_jsonl : t -> string
 (** One JSON object per line per metric, sorted by name. *)
 
-val pp : Format.formatter -> t -> unit
-(** Human-readable [name value] lines, sorted by name. *)

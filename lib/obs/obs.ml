@@ -50,14 +50,14 @@ let max_gauge t name v =
 let observe ?buckets t name v =
   if t.metrics_on then Metrics.observe ?buckets t.metrics name v
 
-let with_span t ?args name f =
-  match t.trace with
-  | None -> f ()
-  | Some tr -> Trace.with_span tr ?args name f
-
 module Span = struct
-  let with_ = with_span
+  let with_ t ?args name f =
+    match t.trace with
+    | None -> f ()
+    | Some tr -> Trace.with_span tr ?args name f
 end
+
+let with_span t name f = Span.with_ t name f
 
 (* Worker-domain sharding, mirroring Eval.Resilience: a shard gets a
    private registry (domain-local, lock-free) but shares the

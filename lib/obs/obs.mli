@@ -59,16 +59,17 @@ val max_gauge : t -> string -> float -> unit
 
 val observe : ?buckets:float array -> t -> string -> float -> unit
 
-val with_span :
-  t -> ?args:(unit -> (string * float) list) -> string -> (unit -> 'a) -> 'a
+val with_span : t -> string -> (unit -> 'a) -> 'a
 (** Run the thunk inside a named span when tracing, else call it
-    directly.  [args] is only evaluated at span close. *)
+    directly. *)
 
 (** The spelling from the tracing API:
     [Obs.Span.with_ obs "newton" @@ fun () -> ...]. *)
 module Span : sig
   val with_ :
     t -> ?args:(unit -> (string * float) list) -> string -> (unit -> 'a) -> 'a
+  (** {!with_span}, with span arguments; [args] is only evaluated at
+      span close. *)
 end
 
 (** {1 Parallel sharding} *)

@@ -146,17 +146,3 @@ let golden t =
     (fun (name, calls, _, _) -> Printf.bprintf buf "%s %d\n" name calls)
     (labels t);
   Buffer.contents buf
-
-let render ?(k = 8) t =
-  if t.by_path = [] then ""
-  else begin
-    let buf = Buffer.create 512 in
-    Printf.bprintf buf "profile (top %d by self time):\n"
-      (min k (List.length t.by_path));
-    List.iter
-      (fun n ->
-        Printf.bprintf buf "  %10.4f s self  %10.4f s total  %6d calls  %s\n"
-          n.self_s n.total_s n.calls (path_key n.path))
-      (top ~k t);
-    Buffer.contents buf
-  end

@@ -50,5 +50,3 @@ val golden : t -> string
 (** Timing-free view: one ["label calls"] line per span name, sorted —
     byte-identical across jobs and cache settings for the same work. *)
 
-val render : ?k:int -> t -> string
-(** Human-readable top-[k] table; [""] for an empty profile. *)

@@ -4,8 +4,6 @@
     utilization and the top-k hottest spans.  Sections whose metrics
     were never recorded are omitted. *)
 
-val pp : Format.formatter -> Metrics.t * Trace.t option -> unit
-
 val render : Metrics.t -> Trace.t option -> string
 
 val cache_summary : Metrics.t -> string option

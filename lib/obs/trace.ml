@@ -30,15 +30,6 @@ let push t e =
       t.evs <- e :: t.evs;
       t.n <- t.n + 1)
 
-let record t ~name ~ts ~dur ?(args = []) () =
-  push t
-    { name;
-      tid = (Domain.self () :> int);
-      ts;
-      dur;
-      depth = !(Domain.DLS.get depth_key);
-      args }
-
 let with_span t ?args name f =
   let d = Domain.DLS.get depth_key in
   let my_depth = !d in
@@ -68,11 +59,6 @@ let events t =
         | c -> c)
       | c -> c)
     l
-
-let clear t =
-  Mutex.protect t.lock (fun () ->
-      t.evs <- [];
-      t.n <- 0)
 
 (* ---- export ------------------------------------------------------- *)
 
@@ -120,20 +106,6 @@ let write_chrome ?metrics t file =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (to_chrome_json ?metrics t))
 
-let to_jsonl t =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun e ->
-      Printf.bprintf buf
-        {|{"name":"%s","tid":%d,"ts_us":%s,"dur_us":%s,"depth":%d|}
-        (Json.escape e.name) e.tid
-        (Json.number (e.ts *. 1e6))
-        (Json.number (e.dur *. 1e6))
-        e.depth;
-      if e.args <> [] then Printf.bprintf buf {|,"args":{%s}|} (args_json e.args);
-      Buffer.add_string buf "}\n")
-    (events t);
-  Buffer.contents buf
 
 (* ---- validation --------------------------------------------------- *)
 

@@ -26,16 +26,8 @@ val with_span :
 (** Run the thunk inside a span.  The span is recorded when the thunk
     returns {e or raises}; [args] is evaluated at close time. *)
 
-val record :
-  t -> name:string -> ts:float -> dur:float ->
-  ?args:(string * float) list -> unit -> unit
-(** Append a pre-timed event (used by {!with_span}; exposed for
-    callers that time a region themselves). *)
-
 val events : t -> event list
 (** Snapshot of all events, sorted by [(ts, tid, depth)]. *)
-
-val clear : t -> unit
 
 (** {1 Export} *)
 
@@ -48,9 +40,6 @@ val to_chrome_json : ?metrics:Metrics.t -> t -> string
 
 val write_chrome : ?metrics:Metrics.t -> t -> string -> unit
 (** Write {!to_chrome_json} to a file. *)
-
-val to_jsonl : t -> string
-(** One JSON object per event per line, in {!events} order. *)
 
 (** {1 Validation}
 

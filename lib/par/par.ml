@@ -4,31 +4,14 @@
    order, worker states merged in worker order, worker exceptions
    re-raised in the caller (lowest worker wins). *)
 
-(* Cooperative cancellation: an atomic flag plus an optional absolute
-   wall-clock deadline.  Cancellation is only ever observed at safe
-   points the holder chooses (between pool chunks, between batch jobs),
-   so results are never torn: either a region completes bit-identically
-   to an uncancelled run, or it raises Cancelled having produced
-   nothing. *)
+(* A deadline token: an absolute wall-clock time ([Unix.gettimeofday]
+   seconds).  Its holder polls it only at safe points (the batch runner
+   between jobs), so results are never torn. *)
 module Cancel = struct
-  type t = { flag : bool Atomic.t; deadline : float option }
+  type t = float
 
-  exception Cancelled
-
-  let create ?deadline () = { flag = Atomic.make false; deadline }
-  let cancel t = Atomic.set t.flag true
-
-  let cancelled t =
-    Atomic.get t.flag
-    ||
-    match t.deadline with
-    | Some d when Unix.gettimeofday () > d ->
-      (* latch, so later polls skip the clock read *)
-      Atomic.set t.flag true;
-      true
-    | _ -> false
-
-  let check t = if cancelled t then raise Cancelled
+  let create ~deadline = deadline
+  let cancelled deadline = Unix.gettimeofday () > deadline
 end
 
 module Pool = struct
@@ -59,8 +42,8 @@ module Pool = struct
       dst
     end
 
-  let map_stateful ?(obs = Obs.disabled) ?(jobs = 1) ?chunk ?cancel ~create
-      ~merge n f =
+  let map_stateful ?(obs = Obs.disabled) ?(jobs = 1) ?chunk ~create ~merge n
+      f =
     if n < 0 then invalid_arg "Par.Pool: negative range";
     if jobs < 1 then invalid_arg (Printf.sprintf "Par.Pool: jobs = %d" jobs);
     let jobs = max 1 (min jobs n) in
@@ -90,22 +73,14 @@ module Pool = struct
         done
       end
     in
-    (* cooperative cancellation: polled between chunks only (a chunk in
-       flight always completes), so a cancelled call either raises
-       Cancelled after the join or returns the full, untorn result *)
-    let stop () =
-      match cancel with Some c -> Cancel.cancelled c | None -> false
-    in
     Obs.Span.with_ obs "par.pool" @@ fun () ->
     if jobs = 1 then begin
       (* single-domain fallback: same chunk walk, no spawn *)
       let state = create () in
       let t0 = if active then Obs.Clock.now () else 0.0 in
       let parts = Array.make num_chunks [||] in
-      let c = ref 0 in
-      while !c < num_chunks && not (stop ()) do
-        parts.(!c) <- eval_chunk ~chunk ~n f state !c;
-        incr c
+      for c = 0 to num_chunks - 1 do
+        parts.(c) <- eval_chunk ~chunk ~n f state c
       done;
       if active then begin
         wtasks.(0) <- n;
@@ -113,7 +88,6 @@ module Pool = struct
       end;
       merge state;
       record_pool ();
-      if stop () then raise Cancel.Cancelled;
       Array.concat (Array.to_list parts)
     end
     else begin
@@ -123,7 +97,7 @@ module Pool = struct
           let state = create () in
           let t0 = if active then Obs.Clock.now () else 0.0 in
           let c = ref w in
-          while !c < num_chunks && not (stop ()) do
+          while !c < num_chunks do
             let lo, hi = chunk_bounds ~chunk ~n !c in
             parts.(!c) <- eval_chunk ~chunk ~n f state !c;
             if active then wtasks.(w) <- wtasks.(w) + (hi - lo);
@@ -152,11 +126,6 @@ module Pool = struct
         (function Finished s -> merge s | Aborted _ -> assert false)
         outcomes;
       record_pool ();
-      if stop () then raise Cancel.Cancelled;
       Array.concat (Array.to_list parts)
     end
-
-  let map ?obs ?jobs ?chunk ?cancel n f =
-    map_stateful ?obs ?jobs ?chunk ?cancel ~create:ignore ~merge:ignore n
-      (fun () i -> f i)
 end

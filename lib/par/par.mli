@@ -27,32 +27,17 @@
     / [Domain.join], one spawn per worker per call.  Calls are
     independent — there is no persistent pool to shut down. *)
 
-(** Cooperative cancellation tokens.
-
-    A token is an atomic flag plus an optional absolute wall-clock
-    deadline ([Unix.gettimeofday] seconds).  Holders poll it only at
-    safe points — {!Pool} between chunks, the batch runner between
-    jobs, the serve daemon between requests — so cancellation never
-    tears a result: a cancelled region either completes bit-identically
-    to an uncancelled run or raises {!Cancel.Cancelled} having
-    published nothing. *)
+(** Deadline tokens for the batch runner, which polls one between jobs
+    (the serve daemon's per-request [deadline-s]); a job in flight
+    always completes, so cancellation never tears a result. *)
 module Cancel : sig
   type t
 
-  exception Cancelled
-
-  val create : ?deadline:float -> unit -> t
-  (** A fresh token; with [?deadline] it auto-cancels once
-      [Unix.gettimeofday () > deadline]. *)
-
-  val cancel : t -> unit
-  (** Set the flag.  Idempotent, safe from any domain or thread. *)
+  val create : deadline:float -> t
+  (** A token that trips once [Unix.gettimeofday () > deadline]. *)
 
   val cancelled : t -> bool
-  (** Flag set, or deadline passed (which latches the flag). *)
-
-  val check : t -> unit
-  (** @raise Cancelled when {!cancelled}. *)
+  (** The deadline has passed. *)
 end
 
 module Pool : sig
@@ -60,60 +45,37 @@ module Pool : sig
   (** [Domain.recommended_domain_count ()] — what [?jobs] defaults to
       at the CLI surface. *)
 
-  val map :
-    ?obs:Obs.t ->
-    ?jobs:int ->
-    ?chunk:int ->
-    ?cancel:Cancel.t ->
-    int ->
-    (int -> 'a) ->
-    'a array
-  (** [map n f] is [[| f 0; ...; f (n-1) |]], computed on [jobs]
-      domains (default 1 — parallelism is strictly opt-in for library
-      callers).  [chunk] is the fixed chunk length (default: [n]
-      divided over 4 chunks per worker, at least 1).  Deterministic:
-      the result is identical for every [jobs]/[chunk] choice.
-      [cancel] is polled between chunks; see {!map_stateful}.
-      @raise Invalid_argument when [jobs < 1]. *)
-
   val map_stateful :
     ?obs:Obs.t ->
     ?jobs:int ->
     ?chunk:int ->
-    ?cancel:Cancel.t ->
     create:(unit -> 'w) ->
     merge:('w -> unit) ->
     int ->
     ('w -> int -> 'a) ->
     'a array
-  (** The general form: each worker domain gets its own state from
-      [create ()] (run inside that domain), every index it owns is
-      evaluated with that state, and after all workers have joined,
-      [merge] is called on each state {e in worker order} in the
-      caller's domain.  This is how sweeps thread
-      [Eval.Resilience] / [Spice.Diag] accumulators through a
-      parallel region without locks: worker-local recording, exact
-      merged totals.
+  (** [map_stateful ~create ~merge n f] is [[| f w 0; ...; f w (n-1) |]],
+      computed on [jobs] domains (default 1 — parallelism is strictly
+      opt-in for library callers).  [chunk] is the fixed chunk length
+      (default: [n] divided over 4 chunks per worker, at least 1).
+      Deterministic: the result is identical for every [jobs]/[chunk]
+      choice.
 
-      [obs] (default [Obs.disabled], on {!map} too)
-      records the pool's self-metrics — [par.pool.calls], the
-      [par.jobs] high-water gauge, and per-worker
+      Each worker domain gets its own state [w] from [create ()] (run
+      inside that domain), every index it owns is evaluated with that
+      state, and after all workers have joined, [merge] is called on
+      each state {e in worker order} in the caller's domain.  This is
+      how sweeps thread [Eval.Resilience] / [Spice.Diag] accumulators
+      through a parallel region without locks: worker-local recording,
+      exact merged totals.
+
+      [obs] (default [Obs.disabled]) records the pool's self-metrics —
+      [par.pool.calls], the [par.jobs] high-water gauge, and per-worker
       [par.worker.<w>.tasks] / [par.worker.<w>.busy_s] — plus a
       ["par.pool"] span when tracing.  Workers time and count their
       own chunks at disjoint indices; the counters are folded into the
       registry in worker order after the join.  These [par.*] metrics
       describe the schedule itself and are the one metric family that
-      legitimately varies with [jobs]. *)
-
-  (** {2 Cancellation semantics}
-
-      [?cancel] (default: never) is polled {e between} chunks: a chunk
-      in flight always runs to completion, workers launch no further
-      chunks once the token trips, and after every domain has joined
-      the call raises {!Cancel.Cancelled}.  No partial result array
-      escapes, worker states are still merged (so observability shards
-      are not lost), and a call that finished all chunks before the
-      token tripped still raises — the caller asked for the region to
-      be abandoned.  A worker exception takes precedence over
-      cancellation, under the usual lowest-worker rule. *)
+      legitimately varies with [jobs].
+      @raise Invalid_argument when [jobs < 1]. *)
 end

@@ -21,7 +21,8 @@ let render_grid ~width ~height ~plot_points ~y_label ~x_label =
   Buffer.add_string buf (Printf.sprintf "%10s  %s\n" "" x_label);
   Buffer.contents buf
 
-let waveforms ?(width = 64) ?(height = 16) ?t0 ?t1 waves =
+let waveforms ?t0 ?t1 waves =
+  let width = 64 and height = 16 in
   if waves = [] then invalid_arg "Ascii_plot.waveforms: empty";
   let t_lo, t_hi =
     List.fold_left

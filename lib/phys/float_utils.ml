@@ -15,4 +15,3 @@ let sum xs =
   done;
   !total
 
-let is_finite x = Float.is_finite x

@@ -10,5 +10,3 @@ val linspace : float -> float -> int -> float array
 val sum : float array -> float
 (** Kahan-compensated sum. *)
 
-val is_finite : float -> bool
-(** True when the argument is neither infinite nor NaN. *)

@@ -1,6 +1,6 @@
 (* Waveforms are stored as parallel arrays for cache-friendly
-   interpolation; appends reallocate, which is fine because both simulators
-   build waveforms monotonically and then only read them. *)
+   interpolation; both simulators build waveforms monotonically and then
+   only read them. *)
 type t = { times : float array; values : float array }
 
 let check_finite t v =
@@ -86,14 +86,6 @@ let value_at w t =
     let v0 = w.values.(i) and v1 = w.values.(i + 1) in
     v0 +. ((v1 -. v0) *. (t -. t0) /. (t1 -. t0))
 
-let append w t v =
-  check_finite t v;
-  let n = Array.length w.times in
-  if t <= w.times.(n - 1) then
-    invalid_arg "Pwl.append: time not increasing";
-  { times = Array.append w.times [| t |];
-    values = Array.append w.values [| v |] }
-
 let crossing_time t0 v0 t1 v1 ~level =
   if v1 = v0 then t0 else t0 +. ((level -. v0) *. (t1 -. t0) /. (v1 -. v0))
 
@@ -157,20 +149,6 @@ let shift w dt =
   { w with times = Array.map (fun t -> t +. dt) w.times }
 
 let map f w = { w with values = Array.map f w.values }
-
-let sub a b =
-  let all = Array.append a.times b.times in
-  Array.sort compare all;
-  let pts = ref [] in
-  let last = ref neg_infinity in
-  Array.iter
-    (fun t ->
-      if t > !last then begin
-        last := t;
-        pts := (t, value_at a t -. value_at b t) :: !pts
-      end)
-    all;
-  create (List.rev !pts)
 
 let extrema w =
   Array.fold_left

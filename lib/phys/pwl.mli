@@ -28,11 +28,6 @@ val points : t -> (float * float) list
 val value_at : t -> float -> float
 (** [value_at w t] linearly interpolates the waveform at time [t]. *)
 
-val append : t -> float -> float -> t
-(** [append w t v] adds a point at the end.  [t] must be strictly greater
-    than the last time in [w].
-    @raise Invalid_argument otherwise. *)
-
 val first_crossing :
   ?after:float -> t -> level:float -> rising:bool -> float option
 (** [first_crossing w ~level ~rising] is the earliest time at or after
@@ -52,10 +47,6 @@ val shift : t -> float -> t
 
 val map : (float -> float) -> t -> t
 (** Pointwise transform of values (breakpoint times preserved). *)
-
-val sub : t -> t -> t
-(** [sub a b] is the pointwise difference [a - b] sampled on the union of
-    both breakpoint sets. *)
 
 val extrema : t -> float * float
 (** [(min, max)] over all breakpoints. *)

@@ -1,6 +1,9 @@
 exception No_bracket
 
-let bisect ?(tol = 1e-12) ?(max_iter = 200) f ~lo ~hi =
+let max_iter = 200
+
+let bisect f ~lo ~hi =
+  let tol = 1e-12 in
   let flo = f lo and fhi = f hi in
   if flo = 0.0 then lo
   else if fhi = 0.0 then hi
@@ -17,26 +20,9 @@ let bisect ?(tol = 1e-12) ?(max_iter = 200) f ~lo ~hi =
     in
     loop lo hi flo 0
 
-let newton ?(tol = 1e-12) ?(max_iter = 50) ~f ~df x0 =
-  let rec loop x iter =
-    if iter >= max_iter then None
-    else
-      let fx = f x in
-      let dfx = df x in
-      if not (Float.is_finite fx && Float.is_finite dfx) || dfx = 0.0 then
-        None
-      else
-        let x' = x -. (fx /. dfx) in
-        if not (Float.is_finite x') then None
-        else if Float.abs (x' -. x) <= tol *. (1.0 +. Float.abs x') then
-          Some x'
-        else loop x' (iter + 1)
-  in
-  loop x0 0
-
 (* Classic Brent root bracketing: inverse quadratic interpolation with
    secant and bisection fallbacks. *)
-let brent ?(tol = 1e-14) ?(max_iter = 200) f ~lo ~hi =
+let brent ?(tol = 1e-14) f ~lo ~hi =
   let a = ref lo and b = ref hi in
   let fa = ref (f lo) and fb = ref (f hi) in
   if !fa = 0.0 then lo

@@ -4,23 +4,13 @@
 exception No_bracket
 (** Raised when the supplied interval does not bracket a sign change. *)
 
-val bisect :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:float ->
-  float
+val bisect : (float -> float) -> lo:float -> hi:float -> float
 (** [bisect f ~lo ~hi] finds [x] in [lo, hi] with [f x = 0] by bisection.
     [f lo] and [f hi] must have opposite signs (zero counts as either).
-    [tol] (default 1e-12) is the absolute interval tolerance.
+    It stops when the interval is 1e-12 wide, or after 200 halvings.
     @raise No_bracket when the interval does not bracket a root. *)
 
-val newton :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> df:(float -> float) ->
-  float -> float option
-(** [newton ~f ~df x0] runs Newton–Raphson from [x0]; [None] when it fails
-    to converge within [max_iter] (default 50) iterations or leaves the
-    finite domain. *)
-
-val brent :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:float ->
-  float
+val brent : ?tol:float -> (float -> float) -> lo:float -> hi:float -> float
 (** Brent's method: bisection reliability with superlinear convergence.
-    Same contract as {!bisect}. *)
+    Same contract as {!bisect}, but [tol] (default 1e-14) is the
+    interval tolerance. *)

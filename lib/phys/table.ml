@@ -13,30 +13,9 @@ let add_row t row =
     invalid_arg "Table.add_row: width mismatch";
   t.body <- row :: t.body
 
-let add_floats ?(fmt = Printf.sprintf "%.6g") t xs =
-  add_row t (List.map fmt xs)
+let add_floats t xs = add_row t (List.map (Printf.sprintf "%.6g") xs)
 
 let rows t = List.rev t.body
-
-let pp fmt t =
-  let all = t.cols :: rows t in
-  let widths = Array.make t.width 0 in
-  List.iter
-    (fun row ->
-      List.iteri
-        (fun i cell -> widths.(i) <- Int.max widths.(i) (String.length cell))
-        row)
-    all;
-  let print_row row =
-    List.iteri
-      (fun i cell -> Format.fprintf fmt "%-*s  " widths.(i) cell)
-      row;
-    Format.pp_print_newline fmt ()
-  in
-  print_row t.cols;
-  print_row
-    (List.mapi (fun i _ -> String.make widths.(i) '-') t.cols);
-  List.iter print_row (rows t)
 
 let csv_escape field =
   let needs_quoting =

@@ -1,5 +1,5 @@
-(** Tabular experiment reporting: aligned text, CSV files and waveform
-    dumps for external plotting. *)
+(** Tabular experiment reporting: CSV files and waveform dumps for
+    external plotting. *)
 
 type t
 
@@ -9,13 +9,8 @@ val create : columns:string list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument on a width mismatch. *)
 
-val add_floats : ?fmt:(float -> string) -> t -> float list -> unit
-(** Row of numbers (default ["%.6g"]). *)
-
-val rows : t -> string list list
-
-val pp : Format.formatter -> t -> unit
-(** Aligned plain-text rendering. *)
+val add_floats : t -> float list -> unit
+(** Row of numbers, each printed with ["%.6g"]. *)
 
 val to_csv : t -> string
 (** RFC-4180-ish: fields with commas/quotes/newlines are quoted. *)

@@ -280,11 +280,14 @@ let job_ctx base (defaults : Spec.overrides) (job : Spec.job) =
       newton_budget = pick (fun o -> o.Spec.newton_budget) }
     base
 
-let exec_job ?(defaults = Spec.no_overrides) ctx tech bc job =
+let exec_job_with ~defaults ctx tech bc job =
   let jctx, stats = Eval.Ctx.for_job (job_ctx ctx defaults job) in
   match answer jctx tech bc job with
   | a -> (Ok a, stats)
   | exception e -> (Error (error_message e), stats)
+
+let exec_job ctx tech bc job =
+  exec_job_with ~defaults:Spec.no_overrides ctx tech bc job
 
 (* ---- the run loop ------------------------------------------------ *)
 
@@ -371,7 +374,7 @@ let run ?(ctx = Eval.Ctx.default) ?journal ?(fresh = false) ?stop_after
               interrupted := true;
               raise Exit
             | _ -> ());
-           (* cancellation (deadline or explicit) is observed only at
+           (* cancellation (the deadline) is observed only at
               job boundaries: a job in flight always completes and is
               journaled, so a cancelled batch is indistinguishable from
               one interrupted by a crash — resume replays it *)
@@ -386,7 +389,7 @@ let run ?(ctx = Eval.Ctx.default) ?journal ?(fresh = false) ?stop_after
            in
            let result, stats =
              Obs.Span.with_ obs "runner.job" (fun () ->
-                 exec_job ~defaults:spec.Spec.defaults ctx tech bc job)
+                 exec_job_with ~defaults:spec.Spec.defaults ctx tech bc job)
            in
            let status, tail =
              match result with

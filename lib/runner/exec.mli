@@ -62,7 +62,6 @@ val with_overrides : Spec.overrides -> Eval.Ctx.t -> Eval.Ctx.t
     iterations (see {!Spice.Engine.Opts.t}). *)
 
 val exec_job :
-  ?defaults:Spec.overrides ->
   Eval.Ctx.t ->
   Device.Tech.t ->
   Catalog.bench_circuit option ->
@@ -70,8 +69,9 @@ val exec_job :
   (answer, string) result * Eval.Resilience.t
 (** Run one job: the single execution path of {!run} and of the
     analysis subcommands, which build a one-job {!Spec.job} from their
-    flags.  The context gets the job's overrides (falling back to
-    [defaults]) and a fresh resilience accumulator
+    flags ({!run} falls back to the batch's defaults where a job has
+    no override).  The context gets the job's overrides and a fresh
+    resilience accumulator
     ({!Eval.Ctx.for_job}), returned for the caller's report.  Any
     exception inside the job (infeasible size or budget, bad vector,
     solver failure) becomes [Error message]. *)

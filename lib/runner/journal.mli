@@ -13,8 +13,6 @@
     makes {!load} raise.  A line without a length header counts as
     damage. *)
 
-val magic : string
-
 val start : path:string -> fingerprint:string -> unit
 (** Create (or truncate) the journal with a fresh header. *)
 

@@ -132,7 +132,7 @@ let parse ?file src =
   in
   forms []
 
-let parse_string ?file src = parse ?file src
+let parse_string src = parse src
 
 let parse_file path =
   match

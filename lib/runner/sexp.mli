@@ -8,10 +8,9 @@ type t =
   | Atom of string
   | List of t list
 
-val parse_string : ?file:string -> string -> (t list, string) result
+val parse_string : string -> (t list, string) result
 (** All top-level forms, or an error naming the offending line —
-    ["line 3: msg"], or compiler-style ["name:3: msg"] when [?file]
-    supplies a source name. *)
+    ["line 3: msg"]. *)
 
 val parse_file : string -> (t list, string) result
 (** Like {!parse_string} with [~file:path]: parse errors read

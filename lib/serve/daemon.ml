@@ -215,7 +215,7 @@ let execute d (t : ticket) =
       "failed"
   | Ok spec ->
     let cancel =
-      Option.map (fun dl -> Par.Cancel.create ~deadline:dl ()) t.deadline
+      Option.map (fun dl -> Par.Cancel.create ~deadline:dl) t.deadline
     in
     (* private metrics shard: the registry is not thread-safe, so the
        request records locally and merges under mlock at the end *)

@@ -34,8 +34,8 @@ type t = {
   slow : slow Queue.t;  (* most recent last *)
 }
 
-let create ?(buckets = default_buckets) ?(slow_threshold_s = 1.0)
-    ?(slow_cap = 16) () =
+let create ?(slow_threshold_s = 1.0) ?(slow_cap = 16) () =
+  let buckets = default_buckets in
   let ring () =
     { slots =
         Array.init ring_slots (fun _ ->

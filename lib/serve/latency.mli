@@ -22,12 +22,11 @@ val default_buckets : float array
 (** Upper edges in seconds, 100µs .. 30s. *)
 
 val create :
-  ?buckets:float array ->
   ?slow_threshold_s:float ->
   ?slow_cap:int ->
   unit ->
   t
-(** Defaults: {!default_buckets}, 1s threshold, last 16 slow requests
+(** Buckets {!default_buckets}; defaults: 1s threshold, last 16 slow requests
     kept. *)
 
 val slow_threshold_s : t -> float

@@ -45,7 +45,5 @@ val record_recovery : telemetry -> string -> unit
 val recovered : telemetry -> bool
 (** True when at least one recovery strategy fired. *)
 
-val kind_name : failure_kind -> string
-
 val pp_failure : Format.formatter -> failure -> unit
 val failure_to_string : failure -> string

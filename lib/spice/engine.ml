@@ -358,7 +358,8 @@ let worst_residual t ~x ~gmin ~time ~cap =
     (!name, !worst)
   end
 
-let dc_r ?(time = 0.0) ?x0 ?telemetry ?(obs = Obs.disabled) t =
+let dc_r ?x0 ?telemetry ?(obs = Obs.disabled) t =
+  let time = 0.0 in
   let direct_iter, rung_iter =
     match t.opts.Opts.newton_budget with
     | Some n -> (n, n)
@@ -568,7 +569,7 @@ let transient_r ?x0 ?telemetry ?(obs = Obs.disabled) t ~t_stop =
          | true, (Some _ | None) -> Array.make sys.Mna.n_unknowns 0.0
          | false, _ ->
            (match
-              dc_r ~time:0.0 ?x0 ~telemetry:tm ~obs:obs_nested t
+              dc_r ?x0 ~telemetry:tm ~obs:obs_nested t
             with
             | Ok x -> x
             | Error f ->

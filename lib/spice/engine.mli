@@ -81,13 +81,12 @@ val default_dt : t -> t_stop:float -> float
     silently under-resolve a fast node. *)
 
 val dc_r :
-  ?time:float ->
   ?x0:float array ->
   ?telemetry:Diag.telemetry ->
   ?obs:Obs.t ->
   t ->
   (float array, Diag.failure) result
-(** Operating point with the sources evaluated at [time] (default 0).
+(** Operating point with the sources evaluated at time 0.
     [x0] seeds the Newton iteration (see {!initial_guess}) and also
     warm-starts the recovery ladder: when the direct solve fails, a gmin
     ramp from 1e-3 S walks down a decade per rung to the 1e-12 S floor,

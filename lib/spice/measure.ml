@@ -1,6 +1,3 @@
-let crossing_time w ~level ~rising ~after =
-  Phys.Pwl.first_crossing ~after w ~level ~rising
-
 let propagation_delay ~vin ~vout ~vdd ~in_rising ~out_rising =
   let half = vdd /. 2.0 in
   match

@@ -1,10 +1,5 @@
 (** Delay and waveform measurements shared by the experiment harness. *)
 
-val crossing_time :
-  Phys.Pwl.t -> level:float -> rising:bool -> after:float -> float option
-(** First crossing of [level] in the given direction at or after
-    [after]. *)
-
 val propagation_delay :
   vin:Phys.Pwl.t ->
   vout:Phys.Pwl.t ->

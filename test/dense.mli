@@ -1,7 +1,6 @@
 (** Dense matrices solved by LU factorisation with partial pivoting.
 
-    The reference implementation the sparse solver is tested against;
-    no analysis path uses it. *)
+    The test oracle [La.Sparse] is checked against. *)
 
 type t
 (** A mutable [n x m] matrix of floats. *)

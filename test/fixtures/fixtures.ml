@@ -85,11 +85,11 @@ let kogge ?(tech = tech) bits = Circuits.Kogge_stone.make tech ~bits
 let kogge_circuit ?tech bits =
   (kogge ?tech bits).Circuits.Kogge_stone.circuit
 
-let random_cloud ?(tech = tech) ?(seed = 7) ?cl ~inputs ~gates () =
-  Circuits.Random_logic.make ~seed ?cl tech ~inputs ~gates
+let random_cloud ?(tech = tech) ?(seed = 7) ~inputs ~gates () =
+  Circuits.Random_logic.make ~seed tech ~inputs ~gates
 
-let random_circuit ?tech ?seed ?cl ~inputs ~gates () =
-  (random_cloud ?tech ?seed ?cl ~inputs ~gates ()).Circuits.Random_logic.circuit
+let random_circuit ?tech ?seed ~inputs ~gates () =
+  (random_cloud ?tech ?seed ~inputs ~gates ()).Circuits.Random_logic.circuit
 
 (* Size multiplier for the scale suites: tier-1 stays fast at the
    default 1; CI (or a curious dev) sets MTSIZE_TEST_SCALE=4/10 to run
@@ -139,3 +139,8 @@ let test_jobs () =
 let solved = function
   | Ok v -> v
   | Error f -> failwith (Spice.Diag.failure_to_string f)
+
+(* [f 0 .. f (n-1)] through [Par.Pool] with no per-worker state. *)
+let pool_map ?obs ?jobs ?chunk n f =
+  Par.Pool.map_stateful ?obs ?jobs ?chunk ~create:ignore ~merge:ignore n
+    (fun () i -> f i)

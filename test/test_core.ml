@@ -213,6 +213,19 @@ let test_bp_input_validation () =
     (Invalid_argument "Breakpoint_sim: before length mismatch") (fun () ->
       ignore (BP.simulate tree_c ~before:[||] ~after:[| S.L1 |]))
 
+(* packed entry points check that the widths cover the inputs, and say
+   which widths they were given *)
+let test_bp_packed_widths () =
+  let c = (Fixtures.adder 2).Circuits.Ripple_adder.circuit in
+  Alcotest.check_raises "widths miss an input"
+    (Invalid_argument
+       "Circuit.pack_ints: widths [2; 1] cover 3 bit(s) but the circuit \
+        has 4 primary inputs")
+    (fun () ->
+      ignore
+        (BP.simulate_ints c ~before:[ (2, 0); (1, 0) ]
+           ~after:[ (2, 3); (1, 1) ]))
+
 (* two inverters, on inputs [a] (gate 0) and [x] (gate 1), under a
    partition of one block *)
 let two_inverters_partitioned block_of_gate =
@@ -644,6 +657,7 @@ let suite =
     Alcotest.test_case "bp tiny sleep device finishes" `Quick
       test_bp_tiny_sleep_device;
     Alcotest.test_case "bp input validation" `Quick test_bp_input_validation;
+    Alcotest.test_case "bp packed widths" `Quick test_bp_packed_widths;
     Alcotest.test_case "bp partition range check" `Quick
       test_bp_partition_range_checked;
     Alcotest.test_case "bp partition length check" `Quick

@@ -48,8 +48,8 @@ let test_reverse_symmetry () =
   Alcotest.(check bool) "reverse current negative" true (rev < 0.0)
 
 let test_body_effect () =
-  let vth0 = Device.Mosfet.threshold nmos ~vbs:0.0 in
-  let vth_rev = Device.Mosfet.threshold nmos ~vbs:(-0.3) in
+  let vth vbs = (Device.Mosfet.eval nmos ~wl:1.0 (bias 1.2 1.2 vbs)).Device.Mosfet.vth in
+  let vth0 = vth 0.0 and vth_rev = vth (-0.3) in
   Alcotest.(check (float 1e-9)) "zero-bias threshold"
     nmos.Device.Mosfet.vt0 vth0;
   Alcotest.(check bool) "reverse body bias raises vth" true (vth_rev > vth0);
@@ -85,9 +85,9 @@ let test_alpha_power () =
   Alcotest.(check (float 1e-15)) "off" 0.0
     (Device.Alpha_power.sat_current ap ~wl:1.0 ~vgs:0.2 ~vsb:0.0);
   (* body effect raises the threshold *)
-  let vt_b = Device.Alpha_power.threshold ap ~vsb:0.4 in
   Alcotest.(check bool) "alpha body effect" true
-    (vt_b > ap.Device.Alpha_power.vt0);
+    (Device.Alpha_power.sat_current ap ~wl:1.0 ~vgs:1.2 ~vsb:0.4
+     < Device.Alpha_power.sat_current ap ~wl:1.0 ~vgs:1.2 ~vsb:0.0);
   (* drive, hence Eq. 3 delay, scales linearly with wl *)
   let i1 = Device.Alpha_power.sat_current ap ~wl:1.0 ~vgs:1.2 ~vsb:0.0 in
   let i2 = Device.Alpha_power.sat_current ap ~wl:2.0 ~vgs:1.2 ~vsb:0.0 in

@@ -9,33 +9,33 @@ let check_vec msg expected actual =
     expected
 
 let test_dense_basic () =
-  let a = La.Dense.of_arrays [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] in
-  let x = La.Dense.solve a [| 3.0; 4.0 |] in
+  let a = Dense.of_arrays [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] in
+  let x = Dense.solve a [| 3.0; 4.0 |] in
   check_vec "2x2 solve" [| 1.0; 1.0 |] x;
-  let id = La.Dense.identity 4 in
+  let id = Dense.identity 4 in
   let b = [| 1.0; 2.0; 3.0; 4.0 |] in
-  check_vec "identity solve" b (La.Dense.solve id b);
-  let y = La.Dense.mul_vec a [| 1.0; 1.0 |] in
+  check_vec "identity solve" b (Dense.solve id b);
+  let y = Dense.mul_vec a [| 1.0; 1.0 |] in
   check_vec "mul_vec" [| 3.0; 4.0 |] y
 
 let test_dense_pivoting () =
   (* leading zero forces a row swap *)
-  let a = La.Dense.of_arrays [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
-  let x = La.Dense.solve a [| 5.0; 7.0 |] in
+  let a = Dense.of_arrays [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
+  let x = Dense.solve a [| 5.0; 7.0 |] in
   check_vec "permutation solve" [| 7.0; 5.0 |] x
 
 let test_dense_singular () =
-  let a = La.Dense.of_arrays [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
+  let a = Dense.of_arrays [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
   (try
-     ignore (La.Dense.solve a [| 1.0; 1.0 |]);
+     ignore (Dense.solve a [| 1.0; 1.0 |]);
      Alcotest.fail "expected Singular"
-   with La.Dense.Singular _ -> ())
+   with Dense.Singular _ -> ())
 
 let test_dense_stamp () =
-  let a = La.Dense.create 2 2 in
-  La.Dense.add_to a 0 0 1.0;
-  La.Dense.add_to a 0 0 2.0;
-  Alcotest.(check (float 1e-12)) "stamp accumulates" 3.0 (La.Dense.get a 0 0)
+  let a = Dense.create 2 2 in
+  Dense.add_to a 0 0 1.0;
+  Dense.add_to a 0 0 2.0;
+  Alcotest.(check (float 1e-12)) "stamp accumulates" 3.0 (Dense.get a 0 0)
 
 let test_sparse_pattern () =
   let p = La.Sparse.pattern_of_entries 3 [ (0, 1); (1, 0); (2, 1); (0, 1) ] in
@@ -66,20 +66,20 @@ let test_sparse_matrix_ops () =
 let solve_sparse_dense_pair n entries values b =
   let p = La.Sparse.pattern_of_entries n entries in
   let m = La.Sparse.create_matrix p in
-  let d = La.Dense.create n n in
+  let d = Dense.create n n in
   List.iter2
     (fun (i, j) v ->
       La.Sparse.add_to m i j v;
-      La.Dense.add_to d i j v)
+      Dense.add_to d i j v)
     entries values;
   (* diagonal dominance via the implicit diagonal slots *)
   for i = 0 to n - 1 do
     La.Sparse.add_to m i i 10.0;
-    La.Dense.add_to d i i 10.0
+    Dense.add_to d i i 10.0
   done;
   let sym = La.Sparse.analyze p in
   let num = La.Sparse.factor sym m in
-  (La.Sparse.solve num b, La.Dense.solve d b)
+  (La.Sparse.solve num b, Dense.solve d b)
 
 let test_sparse_vs_dense () =
   let entries = [ (0, 1); (1, 2); (2, 0); (3, 1); (0, 3) ] in
@@ -151,16 +151,16 @@ let prop_dense_roundtrip =
     QCheck.(
       pair (int_range 1 12) (float_range (-3.0) 3.0))
     (fun (n, scale) ->
-      let a = La.Dense.create n n in
+      let a = Dense.create n n in
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
-          La.Dense.set a i j (scale *. sin (float_of_int ((i * 7) + j)))
+          Dense.set a i j (scale *. sin (float_of_int ((i * 7) + j)))
         done;
-        La.Dense.add_to a i i (10.0 +. Float.abs scale)
+        Dense.add_to a i i (10.0 +. Float.abs scale)
       done;
       let x_true = Array.init n (fun i -> cos (float_of_int i)) in
-      let b = La.Dense.mul_vec a x_true in
-      let x = La.Dense.solve a b in
+      let b = Dense.mul_vec a x_true in
+      let x = Dense.solve a b in
       Array.for_all2 (fun u v -> Float.abs (u -. v) < 1e-7) x_true x)
 
 let suite =

@@ -82,18 +82,18 @@ let test_eval_ints_errors () =
   (* the coverage message must name the widths and the input count *)
   Alcotest.check_raises "width mismatch"
     (Invalid_argument
-       "Logic_sim.eval_ints: widths [2] cover 2 bit(s) but the circuit \
+       "Circuit.pack_ints: widths [2] cover 2 bit(s) but the circuit \
         has 4 primary inputs")
     (fun () -> ignore (L.eval_ints c [ (2, 1) ]));
   (* and a non-fitting value must name the offending group, not just
      fail deep inside Signal.bits_of_int *)
   Alcotest.check_raises "value does not fit its group"
     (Invalid_argument
-       "Logic_sim.eval_ints: group 1 (width 2) cannot hold value 9")
+       "Circuit.pack_ints: group 1 (width 2) cannot hold value 9")
     (fun () -> ignore (L.eval_ints c [ (2, 3); (2, 9) ]));
   Alcotest.check_raises "negative value names its group"
     (Invalid_argument
-       "Logic_sim.eval_ints: group 0 (width 2) cannot hold value -1")
+       "Circuit.pack_ints: group 0 (width 2) cannot hold value -1")
     (fun () -> ignore (L.eval_ints c [ (2, -1); (2, 0) ]))
 
 let test_chain_fixtures () =

@@ -20,19 +20,19 @@ let test_map_matches_sequential () =
       check_float_array
         (Printf.sprintf "map jobs=%d" jobs)
         expected
-        (Par.Pool.map ~jobs n work);
+        (Fixtures.pool_map ~jobs n work);
       (* non-default chunking must not change the result either *)
       check_float_array
         (Printf.sprintf "map jobs=%d chunk=3" jobs)
         expected
-        (Par.Pool.map ~jobs ~chunk:3 n work))
+        (Fixtures.pool_map ~jobs ~chunk:3 n work))
     [ 1; 2; 8 ]
 
 let test_map_edge_sizes () =
   List.iter
     (fun jobs ->
-      check_float_array "empty" [||] (Par.Pool.map ~jobs 0 work);
-      check_float_array "singleton" [| work 0 |] (Par.Pool.map ~jobs 1 work))
+      check_float_array "empty" [||] (Fixtures.pool_map ~jobs 0 work);
+      check_float_array "singleton" [| work 0 |] (Fixtures.pool_map ~jobs 1 work))
     [ 1; 2; 8 ]
 
 exception Boom of int
@@ -45,7 +45,7 @@ let test_exception_propagates () =
         (Boom 5)
         (fun () ->
           ignore
-            (Par.Pool.map ~jobs 16 (fun i ->
+            (Fixtures.pool_map ~jobs 16 (fun i ->
                  if i = 5 then raise (Boom i) else work i))))
     [ 1; 2; 8 ]
 
@@ -55,7 +55,7 @@ let test_exception_lowest_worker_wins () =
      failing worker's exception surfaces *)
   Alcotest.check_raises "lowest worker's exception" (Boom 0) (fun () ->
       ignore
-        (Par.Pool.map ~jobs:2 ~chunk:1 8 (fun i ->
+        (Fixtures.pool_map ~jobs:2 ~chunk:1 8 (fun i ->
              if i <= 1 then raise (Boom i) else work i)))
 
 let test_stateful_worker_order () =
@@ -82,11 +82,11 @@ let test_stateful_worker_order () =
    an omitted one means 1 (sequential), and a count below 1 is rejected *)
 let test_resolve_jobs () =
   let expected = Array.init 4 work in
-  check_float_array "explicit" expected (Par.Pool.map ~jobs:3 4 work);
-  check_float_array "default" expected (Par.Pool.map 4 work);
+  check_float_array "explicit" expected (Fixtures.pool_map ~jobs:3 4 work);
+  check_float_array "default" expected (Fixtures.pool_map 4 work);
   Alcotest.check_raises "zero rejected"
     (Invalid_argument "Par.Pool: jobs = 0") (fun () ->
-      ignore (Par.Pool.map ~jobs:0 4 work))
+      ignore (Fixtures.pool_map ~jobs:0 4 work))
 
 (* resilience accounting under parallelism: a transistor-level sweep
    whose recovery budget is deliberately strangled must report the same
@@ -192,69 +192,14 @@ let test_scored_zero_distinct_from_quiet_zero () =
      let rec find i = i + m <= n && (String.sub report i m = re || find (i + 1)) in
      find 0)
 
-(* --- Cooperative cancellation ---------------------------------------- *)
+(* --- Deadline tokens -------------------------------------------------- *)
 
 let test_cancel_token_basics () =
-  let t = Par.Cancel.create () in
-  Alcotest.(check bool) "fresh token is live" false (Par.Cancel.cancelled t);
-  Par.Cancel.check t (* must not raise *);
-  Par.Cancel.cancel t;
-  Alcotest.(check bool) "cancel latches" true (Par.Cancel.cancelled t);
-  (match Par.Cancel.check t with
-   | () -> Alcotest.fail "check did not raise"
-   | exception Par.Cancel.Cancelled -> ());
-  (* an already-expired deadline cancels without an explicit cancel *)
-  let d = Par.Cancel.create ~deadline:(Unix.gettimeofday () -. 1.0) () in
-  Alcotest.(check bool) "past deadline cancels" true (Par.Cancel.cancelled d);
-  let far = Par.Cancel.create ~deadline:(Unix.gettimeofday () +. 3600.0) () in
+  let past = Par.Cancel.create ~deadline:(Unix.gettimeofday () -. 1.0) in
+  Alcotest.(check bool) "past deadline cancels" true (Par.Cancel.cancelled past);
+  let far = Par.Cancel.create ~deadline:(Unix.gettimeofday () +. 3600.0) in
   Alcotest.(check bool) "future deadline is live" false
     (Par.Cancel.cancelled far)
-
-let test_cancel_pool_raises_untorn () =
-  (* a pre-cancelled token: the pool must raise and evaluate nothing
-     beyond the chunks already committed (here: at most one per worker
-     before the first poll... in fact none, since the poll precedes the
-     first chunk) *)
-  List.iter
-    (fun jobs ->
-      let cancel = Par.Cancel.create () in
-      Par.Cancel.cancel cancel;
-      let touched = Atomic.make 0 in
-      match
-        Par.Pool.map ~jobs ~cancel 64 (fun i ->
-            Atomic.incr touched;
-            i)
-      with
-      | _ -> Alcotest.failf "pre-cancelled map returned at jobs=%d" jobs
-      | exception Par.Cancel.Cancelled ->
-        Alcotest.(check int)
-          (Printf.sprintf "no work after cancel at jobs=%d" jobs)
-          0 (Atomic.get touched))
-    [ 1; 4 ]
-
-let test_cancel_mid_flight_stops_launching () =
-  (* trip the token from inside the map: chunks already running finish,
-     later chunks never start, and the call raises after the join *)
-  let cancel = Par.Cancel.create () in
-  let touched = Atomic.make 0 in
-  match
-    Par.Pool.map ~jobs:2 ~chunk:1 ~cancel 1000 (fun i ->
-        Atomic.incr touched;
-        if i = 0 then Par.Cancel.cancel cancel;
-        i)
-  with
-  | _ -> Alcotest.fail "cancelled map returned"
-  | exception Par.Cancel.Cancelled ->
-    Alcotest.(check bool)
-      "stopped early" true
-      (Atomic.get touched < 1000)
-
-let test_uncancelled_map_unchanged () =
-  (* supplying a live token must not change the result *)
-  let cancel = Par.Cancel.create () in
-  let plain = Par.Pool.map ~jobs:4 100 (fun i -> i * i) in
-  let with_token = Par.Pool.map ~jobs:4 ~cancel 100 (fun i -> i * i) in
-  Alcotest.(check bool) "identical results" true (plain = with_token)
 
 let suite =
   [ Alcotest.test_case "map = sequential for jobs 1/2/8" `Quick
@@ -272,10 +217,4 @@ let suite =
       test_resilience_counters_match_sequential;
     Alcotest.test_case "scored-zero distinct from nothing-switches" `Quick
       test_scored_zero_distinct_from_quiet_zero;
-    Alcotest.test_case "cancel token basics" `Quick test_cancel_token_basics;
-    Alcotest.test_case "pre-cancelled pool raises untorn" `Quick
-      test_cancel_pool_raises_untorn;
-    Alcotest.test_case "mid-flight cancel stops launching chunks" `Quick
-      test_cancel_mid_flight_stops_launching;
-    Alcotest.test_case "live token leaves results unchanged" `Quick
-      test_uncancelled_map_unchanged ]
+    Alcotest.test_case "cancel token basics" `Quick test_cancel_token_basics ]

@@ -37,9 +37,6 @@ let test_rootfind () =
     (Phys.Rootfind.bisect f ~lo:0.0 ~hi:2.0);
   check_float ~eps:1e-9 "brent sqrt2" (sqrt 2.0)
     (Phys.Rootfind.brent f ~lo:0.0 ~hi:2.0);
-  (match Phys.Rootfind.newton ~f ~df:(fun x -> 2.0 *. x) 1.0 with
-   | Some x -> check_float ~eps:1e-9 "newton sqrt2" (sqrt 2.0) x
-   | None -> Alcotest.fail "newton failed");
   Alcotest.check_raises "no bracket" Phys.Rootfind.No_bracket (fun () ->
       ignore (Phys.Rootfind.bisect f ~lo:2.0 ~hi:3.0))
 
@@ -63,9 +60,7 @@ let test_pwl_basic () =
   let shifted = Phys.Pwl.shift w 1.0 in
   check_float "shift" 0.5 (Phys.Pwl.value_at shifted 1.5);
   let doubled = Phys.Pwl.map (fun v -> 2.0 *. v) w in
-  check_float "map" 1.0 (Phys.Pwl.value_at doubled 0.5);
-  let diff = Phys.Pwl.sub w w in
-  check_float "self sub" 0.0 (Phys.Pwl.value_at diff 0.7)
+  check_float "map" 1.0 (Phys.Pwl.value_at doubled 0.5)
 
 let test_pwl_edge_cases () =
   Alcotest.check_raises "empty" (Invalid_argument "Pwl.create: empty")
@@ -79,12 +74,7 @@ let test_pwl_edge_cases () =
   check_float "dup keeps last" 5.0 (Phys.Pwl.value_at w 1.0);
   (* unsorted input is sorted *)
   let w = Phys.Pwl.create [ (2.0, 2.0); (0.0, 0.0); (1.0, 1.0) ] in
-  check_float "sorting" 1.5 (Phys.Pwl.value_at w 1.5);
-  let w2 = Phys.Pwl.append w 3.0 7.0 in
-  check_float "append" 7.0 (Phys.Pwl.value_at w2 3.0);
-  Alcotest.check_raises "append non-increasing"
-    (Invalid_argument "Pwl.append: time not increasing") (fun () ->
-      ignore (Phys.Pwl.append w2 2.5 0.0))
+  check_float "sorting" 1.5 (Phys.Pwl.value_at w 1.5)
 
 let test_stats () =
   let xs = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in

@@ -56,26 +56,6 @@ let prop_pwl_create_rev_last_crossing =
       && Option.map Int64.bits_of_float (Phys.Pwl.last_crossing w ~level:0.0)
          = last)
 
-let prop_pwl_sub_is_linear =
-  QCheck.Test.make ~count:200 ~name:"pwl: (a - b) + b = a at sample points"
-    QCheck.(
-      pair
-        (list_of_size Gen.(int_range 1 10)
-           (pair (float_bound_exclusive 10.0) (float_range (-3.0) 3.0)))
-        (list_of_size Gen.(int_range 1 10)
-           (pair (float_bound_exclusive 10.0) (float_range (-3.0) 3.0))))
-    (fun (pa, pb) ->
-      QCheck.assume (pa <> [] && pb <> []);
-      let a = Phys.Pwl.create pa and b = Phys.Pwl.create pb in
-      let d = Phys.Pwl.sub a b in
-      List.for_all
-        (fun t ->
-          Float.abs
-            (Phys.Pwl.value_at d t +. Phys.Pwl.value_at b t
-             -. Phys.Pwl.value_at a t)
-          < 1e-9)
-        [ 0.0; 2.5; 5.0; 9.9 ])
-
 let prop_vground_current_conservation =
   let cfg = Mtcmos.Vground.config tech in
   QCheck.Test.make ~count:150
@@ -377,7 +357,7 @@ let prop_bp_history_free =
               vectors
           in
           let domains =
-            Par.Pool.map ~jobs:4 ~chunk:1 n (fun i -> run config vectors.(i))
+            Fixtures.pool_map ~jobs:4 ~chunk:1 n (fun i -> run config vectors.(i))
           in
           let threads =
             let out = Array.make n "" in
@@ -404,7 +384,6 @@ let seeded test = Prop.to_alcotest ~seed:[| 0x5eed; 0xca5e |] test
 
 let suite =
   [ seeded prop_pwl_crossings_alternate;
-    seeded prop_pwl_sub_is_linear;
     seeded prop_pwl_create_rev_last_crossing;
     seeded prop_vground_current_conservation;
     seeded prop_search_flipbit_involution;

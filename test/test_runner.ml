@@ -55,12 +55,18 @@ let test_sexp_errors () =
      && String.sub (err "(a\n(b") 0 7 = "line 2:");
   ignore (err "(a))");
   ignore (err {|("unterminated|});
-  (* with a source name the position is compiler-style "file:line:" *)
-  (match Runner.Sexp.parse_string ~file:"jobs.mtz" "(a\n(b" with
-   | Error m ->
-     Alcotest.(check string) "file-qualified position" "jobs.mtz:2:"
-       (String.sub m 0 11)
-   | Ok _ -> Alcotest.fail "unclosed paren parsed")
+  (* a job file's errors are compiler-style "file:line:" *)
+  let path = Filename.temp_file "jobs" ".mtz" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc "(a\n(b");
+      match Runner.Sexp.parse_file path with
+      | Error m ->
+        let want = path ^ ":2:" in
+        Alcotest.(check string) "file-qualified position" want
+          (String.sub m 0 (String.length want))
+      | Ok _ -> Alcotest.fail "unclosed paren parsed")
 
 (* --- JSON emitter --------------------------------------------------- *)
 
@@ -370,9 +376,8 @@ let test_cancel_and_streaming () =
     (fun () ->
       let s = spec () in
       let reference = (run_exn s).Runner.manifest in
-      (* pre-tripped token: nothing executes, nothing raises *)
-      let c = Par.Cancel.create () in
-      Par.Cancel.cancel c;
+      (* an expired deadline: nothing executes, nothing raises *)
+      let c = Par.Cancel.create ~deadline:(Unix.gettimeofday () -. 1.0) in
       let o = run_exn ~journal:path ~fresh:true ~cancel:c s in
       Alcotest.(check int) "cancelled before start" 0 o.Runner.executed;
       Alcotest.(check bool) "interrupted" true o.Runner.interrupted;

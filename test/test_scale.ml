@@ -116,7 +116,7 @@ let test_shared_compilation_across_jobs () =
   List.iter
     (fun jobs ->
       let got =
-        Par.Pool.map ~jobs (Array.length pairs) (fun i ->
+        Fixtures.pool_map ~jobs (Array.length pairs) (fun i ->
             (* of_circuit from inside the worker must hit the memo *)
             let es' = E.of_circuit c in
             let before, after = pairs.(i) in

@@ -150,7 +150,7 @@ let test_inverter_matches_alpha_model () =
 let test_measure_helpers () =
   let w = Phys.Pwl.create [ (0.0, 0.0); (1e-9, 1.2); (2e-9, 0.3) ] in
   (match
-     Spice.Measure.crossing_time w ~level:0.6 ~rising:true ~after:0.0
+     Phys.Pwl.first_crossing w ~level:0.6 ~rising:true ~after:0.0
    with
    | Some t -> Alcotest.(check (float 1e-11)) "crossing" 0.5e-9 t
    | None -> Alcotest.fail "no crossing")
