@@ -8,7 +8,10 @@ type finding = {
   message : string;
 }
 
-let weak_drivers ~ratio c =
+(* the weak-driver rule: each gate whose load exceeds 20 unit-inverter
+   input capacitances per unit of its strength, with that load and
+   budget *)
+let over_budget c =
   let tech = C.tech c in
   let unit_cin =
     (Netlist.Gate.drive tech ~strength:1.0 Netlist.Gate.Inv).Netlist.Gate.cin
@@ -16,20 +19,26 @@ let weak_drivers ~ratio c =
   Array.to_list (C.gates c)
   |> List.filter_map (fun (g : C.gate_inst) ->
          let cl = C.load_capacitance c g.C.output in
-         let budget = ratio *. unit_cin *. g.C.strength in
-         if cl > budget then
-           Some
-             { rule = "weak-driver";
-               severity = Warning;
-               message =
-                 Printf.sprintf
-                   "%s driving %s carries %s against a budget of %s \
-                    (raise its strength)"
-                   (Netlist.Gate.name g.C.kind)
-                   (C.net_name c g.C.output)
-                   (Phys.Units.to_eng_string ~unit:"F" cl)
-                   (Phys.Units.to_eng_string ~unit:"F" budget) }
-         else None)
+         let budget = 20.0 *. unit_cin *. g.C.strength in
+         if cl > budget then Some (g, cl, budget) else None)
+
+let weak_gates c =
+  List.map (fun ((g : C.gate_inst), _, _) -> g.C.id) (over_budget c)
+
+let weak_drivers c =
+  List.map
+    (fun ((g : C.gate_inst), cl, budget) ->
+      { rule = "weak-driver";
+        severity = Warning;
+        message =
+          Printf.sprintf
+            "%s driving %s carries %s against a budget of %s (raise its \
+             strength)"
+            (Netlist.Gate.name g.C.kind)
+            (C.net_name c g.C.output)
+            (Phys.Units.to_eng_string ~unit:"F" cl)
+            (Phys.Units.to_eng_string ~unit:"F" budget) })
+    (over_budget c)
 
 let wide_gates c =
   Array.to_list (C.gates c)
@@ -111,7 +120,7 @@ let unused_inputs c =
          else None)
 
 let check ?(hotspot_fraction = 0.5) c =
-  weak_drivers ~ratio:20.0 c
+  weak_drivers c
   @ wide_gates c
   @ discharge_hotspot ~fraction:hotspot_fraction ~samples:64 c
   @ dangling_outputs c

@@ -29,4 +29,7 @@ val check :
       not a primary output.
     - [unused-input]: a primary input no gate reads. *)
 
+val weak_gates : Netlist.Circuit.t -> Netlist.Circuit.gate_id list
+(** The gates the [weak-driver] rule flags, in id order. *)
+
 val pp_finding : Format.formatter -> finding -> unit

@@ -6,26 +6,14 @@ type report = {
   upsized : (C.gate_id * float) list;
 }
 
-(* gates currently over the weak-driver budget *)
-let weak_gates ~ratio c =
-  let tech = C.tech c in
-  let unit_cin =
-    (Netlist.Gate.drive tech ~strength:1.0 Netlist.Gate.Inv).Netlist.Gate.cin
-  in
-  Array.to_list (C.gates c)
-  |> List.filter_map (fun (g : C.gate_inst) ->
-         let cl = C.load_capacitance c g.C.output in
-         if cl > ratio *. unit_cin *. g.C.strength then Some g.C.id
-         else None)
-
 let fix_weak_drivers circuit =
-  let ratio = 20.0 and max_iterations = 8 and factor = 2.0 in
+  let max_iterations = 8 and factor = 2.0 in
   let n_gates = C.num_gates circuit in
   let strengths =
     Array.map (fun (g : C.gate_inst) -> g.C.strength) (C.gates circuit)
   in
   let rec loop c iter =
-    match weak_gates ~ratio c with
+    match Lint.weak_gates c with
     | [] -> (c, iter)
     | weak when iter >= max_iterations -> ignore weak; (c, iter)
     | weak ->

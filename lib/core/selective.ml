@@ -36,54 +36,93 @@ type result = {
 let gating ~vt_high ~cluster_of_gate ~sleep_wl =
   { Sta.vt_high; block_of_gate = cluster_of_gate; sleep_wl }
 
-let pulldowns circuit =
-  Array.map
-    (fun (g : C.gate_inst) ->
-      (Netlist.Gate.drive (C.tech circuit) ~strength:g.C.strength g.C.kind)
-        .Netlist.Gate.wl_pull_down)
-    (C.gates circuit)
+(* A circuit's per-gate standby terms: pull-down W/L and its off-current
+   on either Vt card. *)
+type leak_terms = {
+  tech : Device.Tech.t;
+  pd : float array;
+  off_high : float array;  (* high-Vt cell on the real ground *)
+  off_low : float array;   (* low-Vt cell on no device *)
+}
 
-let standby_leakage circuit ~vt_high ~cluster_of_gate ~sleep_wl =
+let leak_terms circuit =
   let tech = C.tech circuit in
   let vdd = tech.Device.Tech.vdd in
-  let pd = pulldowns circuit in
-  let k = Array.length sleep_wl in
-  let low_w = Array.make k 0.0 in
+  let pd =
+    Array.map
+      (fun (g : C.gate_inst) ->
+        (Netlist.Gate.drive tech ~strength:g.C.strength g.C.kind)
+          .Netlist.Gate.wl_pull_down)
+      (C.gates circuit)
+  in
+  let off card =
+    Array.map (fun wl -> Device.Leakage.off_current card ~wl ~vdd) pd
+  in
+  { tech; pd;
+    off_high = off tech.Device.Tech.sleep_nmos;
+    off_low = off tech.Device.Tech.nmos }
+
+(* standby current of a cluster's low-Vt pull-down width [low_w] behind
+   a device of W/L [wl] *)
+let stack_current tech ~low_w ~wl =
+  let vdd = tech.Device.Tech.vdd in
+  if wl > 0.0 then
+    snd
+      (Device.Leakage.standby_comparison ~low_vt:tech.Device.Tech.nmos
+         ~high_vt:tech.Device.Tech.sleep_nmos ~total_width_wl:low_w
+         ~sleep_wl:wl ~vdd)
+  else
+    (* a device-less cluster leaves its low-Vt gates ungated *)
+    Device.Leakage.off_current tech.Device.Tech.nmos ~wl:low_w ~vdd
+
+let leakage_with lt ~stack ~vt_high ~cluster_of_gate ~sleep_wl =
+  let low_w = Array.make (Array.length sleep_wl) 0.0 in
   let ungrouped = ref 0.0 in
   Array.iteri
     (fun i w ->
-      if vt_high.(i) then
-        ungrouped :=
-          !ungrouped
-          +. Device.Leakage.off_current tech.Device.Tech.sleep_nmos ~wl:w ~vdd
+      if vt_high.(i) then ungrouped := !ungrouped +. lt.off_high.(i)
       else
         let c = cluster_of_gate.(i) in
         if c >= 0 then low_w.(c) <- low_w.(c) +. w
-        else
-          ungrouped :=
-            !ungrouped
-            +. Device.Leakage.off_current tech.Device.Tech.nmos ~wl:w ~vdd)
-    pd;
+        else ungrouped := !ungrouped +. lt.off_low.(i))
+    lt.pd;
   let gated = ref 0.0 in
   Array.iteri
     (fun c wl ->
-      if low_w.(c) > 0.0 then
-        if wl > 0.0 then
-          gated :=
-            !gated
-            +. snd
-                 (Device.Leakage.standby_comparison
-                    ~low_vt:tech.Device.Tech.nmos
-                    ~high_vt:tech.Device.Tech.sleep_nmos
-                    ~total_width_wl:low_w.(c) ~sleep_wl:wl ~vdd)
-        else
-          (* a device-less cluster leaves its low-Vt gates ungated *)
-          gated :=
-            !gated
-            +. Device.Leakage.off_current tech.Device.Tech.nmos ~wl:low_w.(c)
-                 ~vdd)
+      if low_w.(c) > 0.0 then gated := !gated +. stack ~low_w:low_w.(c) ~wl)
     sleep_wl;
   !gated +. !ungrouped
+
+let standby_leakage circuit =
+  let lt = leak_terms circuit in
+  leakage_with lt ~stack:(stack_current lt.tech)
+
+(* [stack_current] behind an exact direct-mapped memo on (low-Vt width
+   bits, W/L bits), indexed like [Sta]'s equilibrium memo: a tentative
+   move changes one or two clusters, the others price from the memo. *)
+let stack_memo_bits = 8
+
+let memo_stack_current tech =
+  let size = 1 lsl stack_memo_bits in
+  let key_w = Array.make size Float.nan and key_wl = Array.make size 0.0 in
+  let current = Array.make size 0.0 in
+  let bits x = Int64.to_int (Int64.bits_of_float x) in
+  fun ~low_w ~wl ->
+    let h =
+      (((bits low_w * 0x1E3779B97F4A7C15) lxor bits wl) * 0x1E3779B97F4A7C15)
+      lsr (Sys.int_size - stack_memo_bits)
+    in
+    if
+      Int64.equal (Int64.bits_of_float key_w.(h)) (Int64.bits_of_float low_w)
+      && Int64.equal (Int64.bits_of_float key_wl.(h)) (Int64.bits_of_float wl)
+    then current.(h)
+    else begin
+      let i = stack_current tech ~low_w ~wl in
+      key_w.(h) <- low_w;
+      key_wl.(h) <- wl;
+      current.(h) <- i;
+      i
+    end
 
 (* total silicon area of the cluster devices, [sum (wl *. lmin^2)] *)
 let sleep_area circuit ~sleep_wl =
@@ -97,10 +136,10 @@ let ungated_leakage circuit =
   Device.Leakage.off_current tech.Device.Tech.nmos
     ~wl:(C.total_pulldown_wl circuit) ~vdd:tech.Device.Tech.vdd
 
-let objective_value circuit obj ~leakage ~area =
+let objective_value circuit obj =
   match obj with
-  | Leakage -> leakage
-  | Area -> area
+  | Leakage -> fun ~leakage ~area:_ -> leakage
+  | Area -> fun ~leakage:_ ~area -> area
   | Mixed ->
     let tech = C.tech circuit in
     let w = C.total_pulldown_wl circuit in
@@ -109,7 +148,7 @@ let objective_value circuit obj ~leakage ~area =
         ~vdd:tech.Device.Tech.vdd
     in
     let area_norm = w *. tech.Device.Tech.lmin *. tech.Device.Tech.lmin in
-    (leakage /. leak_norm) +. (area /. area_norm)
+    fun ~leakage ~area -> (leakage /. leak_norm) +. (area /. area_norm)
 
 let timed timer ~vt_high ~cluster_of_gate ~sleep_wl =
   Sta.critical_arrival
@@ -228,8 +267,17 @@ let optimize ?(ctx = Eval.Ctx.default) ?(objective = Leakage) ?(clusters = 4)
   let obs = ctx.Eval.Ctx.obs in
   Obs.Span.with_ obs "selective.optimize" @@ fun () ->
   let body_effect = ctx.Eval.Ctx.body_effect in
-  let pd = pulldowns circuit in
+  let lt = leak_terms circuit in
   let timer = Sta.prepare ~body_effect circuit in
+  (* a timer belongs to one domain at a time: phase A's worker 0 runs in
+     this one and queries [timer]; each other worker takes a spare,
+     prepared on first need and kept for later flips *)
+  let home = Domain.self () in
+  let spares =
+    Array.init (Int.max 0 ctx.Eval.Ctx.jobs) (fun _ ->
+        lazy (Sta.prepare ~body_effect circuit))
+  in
+  let lent = Atomic.make 0 in
   let base = Sta.critical_arrival (Sta.analyze_with timer) in
   let budget = (1.0 +. delay_budget) *. base in
   (* seed clustering: level bands, empty bands compacted away *)
@@ -275,10 +323,12 @@ let optimize ?(ctx = Eval.Ctx.default) ?(objective = Leakage) ?(clusters = 4)
       in
       if cands = [] then raise Not_found;
       let cands = Array.of_list cands in
-      (* a timer belongs to one domain: one per worker *)
+      Atomic.set lent 0;
       let scores =
         Par.Pool.map_stateful ~jobs:ctx.Eval.Ctx.jobs
-          ~create:(fun () -> Sta.prepare ~body_effect circuit)
+          ~create:(fun () ->
+            if Domain.self () = home then timer
+            else Lazy.force spares.(Atomic.fetch_and_add lent 1))
           ~merge:ignore (Array.length cands) (fun timer i ->
             let vt' = Array.copy vt in
             vt'.(cands.(i)) <- false;
@@ -303,12 +353,14 @@ let optimize ?(ctx = Eval.Ctx.default) ?(objective = Leakage) ?(clusters = 4)
     size_clusters_with ~eval ~wl_lo ~wl_hi circuit ~budget ~vt_high:vt
       ~cluster_of_gate:cluster_of ~n_clusters:k
   in
+  let stack = memo_stack_current lt.tech in
+  let value = objective_value circuit objective in
   let measure ?(cluster_of_gate = cluster_of) vt wls =
     let leakage =
-      standby_leakage circuit ~vt_high:vt ~cluster_of_gate ~sleep_wl:wls
+      leakage_with lt ~stack ~vt_high:vt ~cluster_of_gate ~sleep_wl:wls
     in
     let area = sleep_area circuit ~sleep_wl:wls in
-    (leakage, area, objective_value circuit objective ~leakage ~area)
+    (leakage, area, value ~leakage ~area)
   in
   let improves cur cand = cand < cur *. (1.0 -. 1e-9) in
   let wls = ref (size vt) in
@@ -358,7 +410,7 @@ let optimize ?(ctx = Eval.Ctx.default) ?(objective = Leakage) ?(clusters = 4)
     let order =
       List.sort
         (fun a b ->
-          match compare pd.(b) pd.(a) with 0 -> compare a b | c -> c)
+          match compare lt.pd.(b) lt.pd.(a) with 0 -> compare a b | c -> c)
         (List.init n (fun i -> i))
     in
     List.iter

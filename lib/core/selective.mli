@@ -22,7 +22,10 @@
     from {!Hierarchy.by_level}, empty bands compacted away) are refined
     by moving gates between devices, which pays because gates behind
     different devices never co-load one rail (see {!Sta.gating}).
-    Every evaluation is a full gated pass of one {!Sta.timer} per call.
+    Every evaluation is a query of one {!Sta.timer} per call, which
+    re-prices only what the tentative change touched; phase A's worker
+    0 shares that timer, and each other worker keeps a spare one for
+    the whole call.
 
     {b Determinism contract}: the loop is purely greedy with fixed
     candidate orders and exact float comparisons — the result is

@@ -59,15 +59,20 @@ val worst_output :
     @raise Invalid_argument when the circuit has no outputs. *)
 
 type timer
-(** A circuit's per-gate timing terms for one body-effect setting, and
-    per (cluster, depth) group the last equilibrium solved, re-solved
-    iff the group's device W/L bits or member ids change: answers equal
-    a fresh {!analyze} bit for bit.  Mutable: one domain only. *)
+(** A circuit's per-gate timing terms for one body-effect setting, plus
+    the last query's gate delays and net arrivals, and an exact memo of
+    rail equilibria (1,024 entries, keyed on the device W/L bits and the
+    group's member drives in id order; allocated on the first gated
+    query).  A query re-prices only the gates whose Vt, rail or rail
+    level changed, and re-propagates arrivals from the first of them
+    on; answers equal a fresh {!analyze} bit for bit.  Mutable: one
+    domain only. *)
 
 val prepare : ?body_effect:bool -> Netlist.Circuit.t -> timer
 
 val analyze_with : ?gating:gating -> timer -> t
-(** Run the timer once, a full arrival propagation; queries below are
+(** Query the timer: an immutable copy of its delays and arrivals,
+    which later queries leave as they are; queries below are
     O(1)/O(path).  Without [gating] this is the conventional timer:
     every cell low-Vt and in no cluster, so each sees an ideal ground.
     @raise Invalid_argument when the gating arrays do not cover every

@@ -23,6 +23,16 @@ module Pool = struct
     | Finished of 'w
     | Aborted of exn * Printexc.raw_backtrace
 
+  (* set while this domain runs a pool worker: a pool started there is
+     nested, its time already inside the enclosing worker's *)
+  let in_worker = Domain.DLS.new_key (fun () -> false)
+
+  (* run [f] as a pool worker of this domain *)
+  let as_worker f =
+    let outer = Domain.DLS.get in_worker in
+    Domain.DLS.set in_worker true;
+    Fun.protect ~finally:(fun () -> Domain.DLS.set in_worker outer) f
+
   let chunk_bounds ~chunk ~n c =
     let lo = c * chunk in
     (lo, min n (lo + chunk))
@@ -59,18 +69,21 @@ module Pool = struct
        join) and recorded into the registry in worker order.  These
        [par.*] metrics describe the pool itself, so — unlike everything
        else recorded through [obs] — they legitimately vary with
-       [jobs]. *)
+       [jobs].  A nested pool records no per-worker figures: its
+       enclosing worker's already count its tasks' time. *)
     let active = Obs.metrics_on obs in
+    let per_worker = active && not (Domain.DLS.get in_worker) in
     let wtasks = Array.make jobs 0 and wbusy = Array.make jobs 0.0 in
     let record_pool () =
       if active then begin
         Obs.incr obs "par.pool.calls";
         Obs.max_gauge obs "par.jobs" (float_of_int jobs);
-        for w = 0 to jobs - 1 do
-          let key = Printf.sprintf "par.worker.%d" w in
-          Obs.incr obs ~by:wtasks.(w) (key ^ ".tasks");
-          Obs.addf obs (key ^ ".busy_s") wbusy.(w)
-        done
+        if per_worker then
+          for w = 0 to jobs - 1 do
+            let key = Printf.sprintf "par.worker.%d" w in
+            Obs.incr obs ~by:wtasks.(w) (key ^ ".tasks");
+            Obs.addf obs (key ^ ".busy_s") wbusy.(w)
+          done
       end
     in
     Obs.Span.with_ obs "par.pool" @@ fun () ->
@@ -79,9 +92,10 @@ module Pool = struct
       let state = create () in
       let t0 = if active then Obs.Clock.now () else 0.0 in
       let parts = Array.make num_chunks [||] in
-      for c = 0 to num_chunks - 1 do
-        parts.(c) <- eval_chunk ~chunk ~n f state c
-      done;
+      as_worker (fun () ->
+          for c = 0 to num_chunks - 1 do
+            parts.(c) <- eval_chunk ~chunk ~n f state c
+          done);
       if active then begin
         wtasks.(0) <- n;
         wbusy.(0) <- Obs.Clock.elapsed_since t0
@@ -94,6 +108,7 @@ module Pool = struct
       let parts = Array.make num_chunks [||] in
       let worker w () =
         match
+          as_worker @@ fun () ->
           let state = create () in
           let t0 = if active then Obs.Clock.now () else 0.0 in
           let c = ref w in

@@ -74,7 +74,10 @@ module Pool : sig
       [par.worker.<w>.tasks] / [par.worker.<w>.busy_s] — plus a
       ["par.pool"] span when tracing.  Workers time and count their
       own chunks at disjoint indices; the counters are folded into the
-      registry in worker order after the join.  These [par.*] metrics
+      registry in worker order after the join.  A pool started inside
+      another pool's worker records no per-worker figures, since the
+      enclosing worker's already cover its time, so each worker's busy
+      seconds stay within the run's wall time.  These [par.*] metrics
       describe the schedule itself and are the one metric family that
       legitimately varies with [jobs].
       @raise Invalid_argument when [jobs < 1]. *)

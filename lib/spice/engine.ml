@@ -174,7 +174,7 @@ let assemble t ~x ~gmin ~time ~(cap : (float * float array) option) =
         stamp m v.Mna.sbn (-1.0);
         (* tiny source resistance regularises the otherwise zero branch
            diagonal: the LU runs without pivoting *)
-        La.Sparse.add_to m v.Mna.ubr v.Mna.ubr 1e-9;
+        stamp m v.Mna.sbr 1e-9;
         rhs.(v.Mna.ubr) <-
           rhs.(v.Mna.ubr) +. Phys.Pwl.value_at v.Mna.wave time
       | Mna.P_mos d ->

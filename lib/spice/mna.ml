@@ -21,6 +21,7 @@ type vsrc_prep = {
   un : int;
   ubr : int;
   spb : int; snb : int; sbp : int; sbn : int;
+  sbr : int;  (* the branch diagonal *)
   wave : Phys.Pwl.t;
 }
 
@@ -150,7 +151,7 @@ let prepare netlist =
           P_vsrc
             { up; un; ubr; wave;
               spb = slot up ubr; snb = slot un ubr;
-              sbp = slot ubr up; sbn = slot ubr un })
+              sbp = slot ubr up; sbn = slot ubr un; sbr = slot ubr ubr })
       skeleton
   in
   let caps =

@@ -32,6 +32,7 @@ type vsrc_prep = {
   un : int;
   ubr : int;  (** branch-current unknown *)
   spb : int; snb : int; sbp : int; sbn : int;
+  sbr : int;  (** the branch diagonal, where the source resistance goes *)
   wave : Phys.Pwl.t;
 }
 

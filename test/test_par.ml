@@ -192,6 +192,40 @@ let test_scored_zero_distinct_from_quiet_zero () =
      let rec find i = i + m <= n && (String.sub report i m = re || find (i + 1)) in
      find 0)
 
+(* a pool inside another pool's worker (a spice sweep's per-vector map
+   inside its per-W/L map) must not add its busy time to the enclosing
+   worker's: each worker stays busy for at most the run's wall time *)
+let test_nested_busy_within_wall () =
+  List.iter
+    (fun jobs ->
+      let obs = Obs.create () in
+      let t0 = Unix.gettimeofday () in
+      ignore
+        (Par.Pool.map_stateful ~obs ~jobs ~chunk:1
+           ~create:(fun () -> Obs.shard obs)
+           ~merge:(fun o -> Obs.merge_shard ~into:obs o)
+           4
+           (fun wobs _ ->
+             Par.Pool.map_stateful ~obs:wobs ~create:ignore ~merge:ignore 2
+               (fun () _ -> Unix.sleepf 0.01)));
+      let wall = Unix.gettimeofday () -. t0 in
+      let m = Obs.metrics obs in
+      Alcotest.(check int)
+        (Printf.sprintf "jobs=%d: every pool call counted" jobs)
+        5
+        (Obs.Metrics.count m "par.pool.calls");
+      for w = 0 to jobs - 1 do
+        let busy = Obs.Metrics.valuef m (Printf.sprintf "par.worker.%d.busy_s" w) in
+        if not (busy > 0.0 && busy <= wall) then
+          Alcotest.failf "jobs=%d: worker %d busy %.4f s in a %.4f s run" jobs
+            w busy wall;
+        Alcotest.(check int)
+          (Printf.sprintf "jobs=%d: worker %d counts the outer tasks" jobs w)
+          (4 / jobs)
+          (Obs.Metrics.count m (Printf.sprintf "par.worker.%d.tasks" w))
+      done)
+    [ 1; 2 ]
+
 (* --- Deadline tokens -------------------------------------------------- *)
 
 let test_cancel_token_basics () =
@@ -217,4 +251,6 @@ let suite =
       test_resilience_counters_match_sequential;
     Alcotest.test_case "scored-zero distinct from nothing-switches" `Quick
       test_scored_zero_distinct_from_quiet_zero;
+    Alcotest.test_case "nested pools: busy within wall" `Quick
+      test_nested_busy_within_wall;
     Alcotest.test_case "cancel token basics" `Quick test_cancel_token_basics ]

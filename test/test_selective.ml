@@ -321,10 +321,15 @@ let prop_jobs_cache_invariant =
    included), an undo of the previous step, a change of cluster count,
    and plain ungated queries; a step applies one to three edits.  After
    every step each gate delay and net arrival must carry the same bits
-   as a fresh [Sta.analyze]. *)
+   as a fresh [Sta.analyze].  A snapshot taken at one random step must
+   keep its bits through every later query.  Last, a sweep over 1,200
+   sleep W/Ls gives the timer more distinct equilibria than its
+   1,024-entry memo holds, and re-queries the first W/Ls swept, whose
+   entries the sweep evicted.
 
-(* every kind has the same equivalent W/L at one strength, so a group's
-   equilibrium only sees which members it has when strengths differ *)
+   Every kind has the same equivalent W/L at one strength, so a group's
+   equilibrium depends on its member count alone unless strengths
+   differ, and then on each member's drive in id order. *)
 let timer_circuit seed rng =
   let c =
     match seed mod 4 with
@@ -367,6 +372,7 @@ let prop_timer_reuse_matches_fresh =
              (List.init (C.num_nets c) Fun.id)
       in
       let ungated = ref false in
+      let kept_at = 1 + Random.State.int rng 40 and kept = ref None in
       let edit () =
         let k = Array.length !wl in
         match Random.State.int rng 9 with
@@ -408,9 +414,31 @@ let prop_timer_reuse_matches_fresh =
               Sta.analyze ~body_effect ~gating c )
         in
         if not (same reused fresh) then
-          QCheck.Test.fail_reportf "seed %d: step %d differs" seed step
+          QCheck.Test.fail_reportf "seed %d: step %d differs" seed step;
+        if step = kept_at then kept := Some (reused, fresh)
       done;
-      true)
+      (* every low-Vt gate on one device whose W/L sweeps past the memo *)
+      let one = Array.make n 0 in
+      let sweep = Array.init 1200 (fun i -> 1.0 +. (float_of_int i *. 0.37)) in
+      let query i =
+        let gating =
+          Sel.gating ~vt_high:vt ~cluster_of_gate:one ~sleep_wl:[| sweep.(i) |]
+        in
+        (Sta.analyze_with ~gating timer, gating)
+      in
+      vt.(Random.State.int rng n) <- false;
+      Array.iteri (fun i _ -> ignore (query i)) sweep;
+      for i = 0 to 39 do
+        let reused, gating = query i in
+        if not (same reused (Sta.analyze ~body_effect ~gating c)) then
+          QCheck.Test.fail_reportf "seed %d: W/L %g differs after the sweep"
+            seed sweep.(i)
+      done;
+      match !kept with
+      | Some (reused, fresh) when not (same reused fresh) ->
+        QCheck.Test.fail_reportf "seed %d: step %d's snapshot changed" seed
+          kept_at
+      | _ -> true)
 
 (* ---- differential oracle: exhaustive Vt enumeration ----------------
    On chains and small fanout trees, enumerate all 2^G Vt assignments at
