@@ -68,20 +68,27 @@ let validate_inputs c levels name =
       | S.L0 | S.L1 -> ())
     levels
 
-(* Float.min and Float.max, copied so they inline here and box nothing *)
+(* Float.min and Float.max with no C call: ordered operands and the
+   signed zeros are told apart by comparisons alone, and only a NaN
+   operand takes the library function, which picks the NaN it would *)
 let[@inline] fmin (x : float) (y : float) =
-  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
-    if y <> y then y else x
-  else if x <> x then x
-  else y
+  if x < y then x
+  else if y < x then y
+  else if x = y then if 1.0 /. x < 0.0 then x else y
+  else Float.min x y
 
 let[@inline] fmax (x : float) (y : float) =
-  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
-    if x <> x then x else y
-  else if y <> y then y
-  else x
+  if x < y then y
+  else if y < x then x
+  else if x = y then if 1.0 /. x < 0.0 then y else x
+  else Float.max x y
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* [same_bits] with no C call, for keys: equal non-zero floats share
+   their bits, zeros are told apart by sign, and a NaN equals nothing *)
+let[@inline] same_key (x : float) (y : float) =
+  x = y && (x <> 0.0 || 1.0 /. x = 1.0 /. y)
 
 (* --- per-circuit constants ---------------------------------------------
    What a simulation reads of its circuit under one card, body-effect
@@ -166,56 +173,119 @@ let constants c tech ~body_effect ~rail =
 (* --- rail equilibria, memoized across simulations ---------------------
    A rail's equilibrium is a pure function of what its solve reads: the
    Vground card, the sleep model, the gates' drive voltage (always vdd)
-   and the ordered discharging set.  The memo is keyed on all of them,
-   floats as their bits, so a hit returns the bits the solve would.  A
-   rail's context (card, vin, model) is interned to an id once per
-   simulation; ids are never reused, so an entry left under an evicted
-   context is only dead.  Both tables are bounded by dropping them whole
-   when full.  One mutex guards them: [serve] runs its workers as
-   systhreads in one domain and [Par.Pool] runs domains, so neither a
-   plain global nor a domain-local table would do. *)
+   and the ordered discharging set.  The card, vin and sleep model are
+   interned to a context id once per simulation: first by physical
+   identity among the last [aliases_cap] contexts met (a simulation's
+   card comes from the shared constants and its sleep model from its
+   config, so a sweep meets the same values again), else by value,
+   every field as bits.  Ids are never reused, so an entry left under a
+   dropped context is only dead, and the by-value table is bounded by
+   dropping it whole when full.
+
+   The memo is direct-mapped: [memo_capacity] slots in flat arrays,
+   each keyed on exactly (context id, set length, every W/L as bits),
+   compared whole on a hit and overwritten on a collision.  A hit takes
+   the lock once and allocates nothing.  One mutex guards every table:
+   [serve] runs its workers as systhreads in one domain and [Par.Pool]
+   runs domains, so neither a plain global nor a domain-local table
+   would do. *)
 let memo_lock = Mutex.create ()
-let memo_cap = 4096
 let contexts_cap = 256
 let contexts : (string, int) Hashtbl.t = Hashtbl.create 64
 let next_context = ref 0
-let memo : (string, float) Hashtbl.t = Hashtbl.create 1024
+
+type alias = {
+  a_vg : Vground.config;
+  a_vin : float;
+  a_sleep : sleep_model;
+  a_id : int;
+}
+
+(* the contexts met last, newest first *)
+let aliases_cap = 16
+let aliases : alias list ref = ref []
 
 let rail_context (vg : Vground.config) ~vin sleep =
-  (* every field, floats as their bits: No_sharing makes the bytes a
-     function of the values alone *)
-  let key = Marshal.to_string (vg, vin, sleep) [ Marshal.No_sharing ] in
-  Mutex.protect memo_lock (fun () ->
-      match Hashtbl.find_opt contexts key with
-      | Some id -> id
-      | None ->
-        if Hashtbl.length contexts >= contexts_cap then Hashtbl.reset contexts;
-        let id = !next_context in
-        incr next_context;
-        Hashtbl.replace contexts key id;
+  let alias =
+    Mutex.protect memo_lock (fun () ->
+        List.find_opt
+          (fun a -> a.a_vg == vg && a.a_sleep == sleep && same_key a.a_vin vin)
+          !aliases)
+  in
+  match alias with
+  | Some a -> a.a_id
+  | None ->
+    (* No_sharing makes the bytes a function of the values alone *)
+    let key = Marshal.to_string (vg, vin, sleep) [ Marshal.No_sharing ] in
+    Mutex.protect memo_lock (fun () ->
+        let id =
+          match Hashtbl.find_opt contexts key with
+          | Some id -> id
+          | None ->
+            if Hashtbl.length contexts >= contexts_cap then
+              Hashtbl.reset contexts;
+            let id = !next_context in
+            incr next_context;
+            Hashtbl.replace contexts key id;
+            id
+        in
+        aliases :=
+          { a_vg = vg; a_vin = vin; a_sleep = sleep; a_id = id }
+          :: List.filteri (fun i _ -> i < aliases_cap - 1) !aliases;
         id)
 
-let equilibrium ~context vg sleep ~vin beta_wls n =
-  let key = Bytes.create (8 * (n + 1)) in
-  Bytes.set_int64_le key 0 (Int64.of_int context);
-  for k = 0 to n - 1 do
-    Bytes.set_int64_le key (8 * (k + 1)) (Int64.bits_of_float beta_wls.(k))
+let memo_bits = 12
+let memo_capacity = 1 lsl memo_bits
+let key_context = Array.make memo_capacity (-1)
+let key_length = Array.make memo_capacity 0
+let key_wls = Array.make memo_capacity [||]
+let memo_vx = Array.make memo_capacity 0.0
+
+(* the slot a key maps to: multiplicative hashing, the index taken from
+   the top bits, which every key bit reaches *)
+let[@inline] memo_index ~context beta_wls n =
+  let mix h x = (h lxor x) * 0x1E3779B97F4A7C15 in
+  let h = ref (mix context n) in
+  for j = 0 to n - 1 do
+    h := mix !h (Int64.to_int (Int64.bits_of_float beta_wls.(j)))
   done;
-  let key = Bytes.unsafe_to_string key in
-  match Mutex.protect memo_lock (fun () -> Hashtbl.find_opt memo key) with
-  | Some vx -> vx
-  | None ->
-    let set = List.init n (fun k -> { Vground.beta_wl = beta_wls.(k); vin }) in
+  !h lsr (Sys.int_size - memo_bits)
+
+(* set [dst.(b)] to the equilibrium of the first [n] W/Ls of
+   [beta_wls] under [context] *)
+let equilibrium ~context vg sleep ~vin beta_wls n dst b =
+  let e = memo_index ~context beta_wls n in
+  Mutex.lock memo_lock;
+  let hit =
+    key_context.(e) = context
+    && key_length.(e) = n
+    &&
+    let ks = key_wls.(e) in
+    let j = ref 0 in
+    while !j < n && same_key ks.(!j) beta_wls.(!j) do
+      incr j
+    done;
+    !j = n
+  in
+  if hit then dst.(b) <- memo_vx.(e);
+  Mutex.unlock memo_lock;
+  if not hit then begin
+    let set = List.init n (fun j -> { Vground.beta_wl = beta_wls.(j); vin }) in
     let vx =
       match sleep with
       | Cmos -> 0.0
       | Resistor r -> Vground.solve_resistor vg ~r set
       | Sleep_fet s -> Vground.solve_device vg ~sleep:s set
     in
-    Mutex.protect memo_lock (fun () ->
-        if Hashtbl.length memo >= memo_cap then Hashtbl.reset memo;
-        Hashtbl.replace memo key vx);
-    vx
+    dst.(b) <- vx;
+    let ks = Array.sub beta_wls 0 n in
+    Mutex.lock memo_lock;
+    key_context.(e) <- context;
+    key_length.(e) <- n;
+    key_wls.(e) <- ks;
+    memo_vx.(e) <- vx;
+    Mutex.unlock memo_lock
+  end
 
 (* --- the simulation ---------------------------------------------------- *)
 
@@ -283,6 +353,7 @@ let simulate_core ?(config = default_config) c ~before ~after =
       p.block_of_gate
   in
   let out = k.out and cl = k.cl and gated_k = k.gated_k in
+  let ungated_slope = k.ungated_slope in
   let v = Array.map (fun n -> v_net.(n)) out in
   let phase = Array.make n_gates Idle in
   let slope = Array.make n_gates 0.0 in
@@ -426,57 +497,91 @@ let simulate_core ?(config = default_config) c ~before ~after =
     end
   in
   (* each rail sits at its block's equilibrium (the quasi-static model);
-     [vxs_prev] holds the rails of the breakpoint before *)
+     [vxs_prev] holds the rails of the breakpoint before.  [power] is
+     each rail's alpha-power factor, shared by its gated devices' slopes
+     and by its current: computed again only when the rail's [vx] bits
+     move ([power_vx] holds the [vx] it was computed at, NaN before the
+     first) *)
   let vxs = Array.make n_blocks 0.0 in
   let vxs_prev = Array.make n_blocks 0.0 in
+  let power = Array.make n_blocks 0.0 in
+  let power_vx = Array.make n_blocks Float.nan in
   let solve_rails () =
     for b = 0 to n_blocks - 1 do
-      match sleeps.(b) with
-      | Cmos -> vxs.(b) <- 0.0
-      | (Resistor _ | Sleep_fet _) as sleep ->
-        if not (same_set b) then begin
-          let n = set_n.(b) in
-          last_vx.(b) <-
-            equilibrium ~context:context.(b) vg_cfg sleep ~vin:vdd set_wl.(b)
-              n;
-          Array.blit set_wl.(b) 0 last_wl.(b) 0 n;
-          last_n.(b) <- n;
-          res.n_solves <- res.n_solves + 1
-        end;
-        vxs.(b) <- last_vx.(b)
+      (match sleeps.(b) with
+       | Cmos -> vxs.(b) <- 0.0
+       | (Resistor _ | Sleep_fet _) as sleep ->
+         if not (same_set b) then begin
+           let n = set_n.(b) in
+           equilibrium ~context:context.(b) vg_cfg sleep ~vin:vdd set_wl.(b) n
+             last_vx b;
+           Array.blit set_wl.(b) 0 last_wl.(b) 0 n;
+           last_n.(b) <- n;
+           res.n_solves <- res.n_solves + 1
+         end;
+         vxs.(b) <- last_vx.(b));
+      let vx = vxs.(b) in
+      if not (same_key vx power_vx.(b)) then begin
+        let vsb = if vg_cfg.Vground.body_effect then vx else 0.0 in
+        power.(b) <-
+          Device.Alpha_power.overdrive_power vg_cfg.Vground.model
+            ~vgs:(vdd -. vx) ~vsb;
+        power_vx.(b) <- vx
+      end
     done
   in
-  (* one alpha-power factor per rail, shared by its gated devices *)
-  let power = Array.make n_blocks 0.0 in
+  (* the time of the current breakpoint and the predicted next one, kept
+     unboxed *)
+  let now = [| t_start |] in
+  let next = [| infinity |] in
+  (* the slope pass, which also predicts the next breakpoint into
+     [next]: the earliest threshold crossing or rail arrival of the
+     gates still in transition, taken in the order of the active list
+     (the order the separate prediction pass took them in).  Idle gates
+     have their slope zeroed and leave the list. *)
   let recompute_slopes () =
-    for b = 0 to n_blocks - 1 do
-      let vx = vxs.(b) in
-      let vsb = if vg_cfg.Vground.body_effect then vx else 0.0 in
-      power.(b) <-
-        Device.Alpha_power.overdrive_power vg_cfg.Vground.model
-          ~vgs:(vdd -. vx) ~vsb
-    done;
+    let t = now.(0) in
+    let best = ref infinity in
     let kept = ref 0 in
     for a = 0 to !n_active - 1 do
       let i = active.(a) in
-      slope.(i) <-
-        (match phase.(i) with
-         | Idle -> 0.0
-         | Rising when gated_rising ->
-           gated_k.(i) *. power.(block.(i)) /. cl.(i)
-         | Falling when not gated_rising ->
-           -.(gated_k.(i) *. power.(block.(i))) /. cl.(i)
-         | Rising | Falling -> k.ungated_slope.(i));
-      if phase.(i) = Idle then listed.(i) <- false
-      else begin
+      match phase.(i) with
+      | Idle ->
+        slope.(i) <- 0.0;
+        listed.(i) <- false
+      | Rising ->
+        let s =
+          if gated_rising then gated_k.(i) *. power.(block.(i)) /. cl.(i)
+          else ungated_slope.(i)
+        in
+        slope.(i) <- s;
         active.(!kept) <- i;
-        incr kept
-      end
+        incr kept;
+        if s > 0.0 then begin
+          let vi = v.(i) in
+          if (not level.(out.(i))) && vi < half then
+            best := fmin !best (t +. ((half -. vi) /. s));
+          if vi < vdd then best := fmin !best (t +. ((vdd -. vi) /. s))
+        end
+      | Falling ->
+        let s =
+          if not gated_rising then -.(gated_k.(i) *. power.(block.(i))) /. cl.(i)
+          else ungated_slope.(i)
+        in
+        slope.(i) <- s;
+        active.(!kept) <- i;
+        incr kept;
+        if s < 0.0 then begin
+          let vi = v.(i) in
+          if level.(out.(i)) && vi > half then
+            best := fmin !best (t +. ((half -. vi) /. s));
+          if vi > 0.0 then best := fmin !best (t +. (-.vi /. s))
+        end
     done;
-    n_active := !kept
+    n_active := !kept;
+    next.(0) <- !best
   in
-  (* the time of the current breakpoint, kept unboxed *)
-  let now = [| t_start |] in
+  let half_beta = 0.5 *. vg_cfg.Vground.model.Device.Alpha_power.beta in
   let record_vx () =
     let t = now.(0) in
     let pre_t = fmax t (t -. 1e-16) in
@@ -498,12 +603,17 @@ let simulate_core ?(config = default_config) c ~before ~after =
       res.vx_points <- (t, vx) :: (pre_t, vx_prev) :: res.vx_points;
       if vx > res.vx_max then res.vx_max <- vx
     end;
+    (* each block's discharge current: the float operations of
+       [Vground.total_current] on its set (every gate at vin = vdd, so
+       one alpha-power factor, the rail's [power]) *)
     let i_total = ref 0.0 in
     for b = 0 to n_blocks - 1 do
-      i_total :=
-        !i_total
-        +. Vground.total_current_wls vg_cfg ~vx:vxs.(b) ~vin:vdd set_wl.(b)
-             set_n.(b)
+      let p = power.(b) and ws = set_wl.(b) in
+      let acc = ref 0.0 in
+      for j = 0 to set_n.(b) - 1 do
+        acc := !acc +. (half_beta *. ws.(j) *. p)
+      done;
+      i_total := !i_total +. !acc
     done;
     let i_total = !i_total in
     let prev_i = match res.i_points with (_, i) :: _ -> i | [] -> 0.0 in
@@ -529,7 +639,7 @@ let simulate_core ?(config = default_config) c ~before ~after =
   process_reevals t_start;
   (* gate states are fixed from here to the slope update, so one
      discharging-set pass feeds both the rail solve and the current
-     trace *)
+     trace, and one power per rail both the current and the slopes *)
   discharging_sets ();
   solve_rails ();
   record_vx ();
@@ -541,27 +651,8 @@ let simulate_core ?(config = default_config) c ~before ~after =
   let continue = ref true in
   while !continue do
     let t = now.(0) in
-    (* --- breakpoint prediction --- *)
-    let best = ref infinity in
-    for a = 0 to !n_active - 1 do
-      let i = active.(a) in
-      let vi = v.(i) and s = slope.(i) in
-      match phase.(i) with
-      | Idle -> ()
-      | Rising ->
-        if s > 0.0 then begin
-          if (not level.(out.(i))) && vi < half then
-            best := fmin !best (t +. ((half -. vi) /. s));
-          if vi < vdd then best := fmin !best (t +. ((vdd -. vi) /. s))
-        end
-      | Falling ->
-        if s < 0.0 then begin
-          if level.(out.(i)) && vi > half then
-            best := fmin !best (t +. ((half -. vi) /. s));
-          if vi > 0.0 then best := fmin !best (t +. (-.vi /. s))
-        end
-    done;
-    let t_next = if !best = t && !stalled then Float.succ t else !best in
+    let best = next.(0) in
+    let t_next = if best = t && !stalled then Float.succ t else best in
     if t_next = infinity then begin
       (* no pending breakpoints: either done, or no gate still in
          transition can move *)
@@ -586,9 +677,10 @@ let simulate_core ?(config = default_config) c ~before ~after =
         match phase.(i) with
         | Idle -> ()
         | (Rising | Falling) as ph ->
+          (* [Phys.Float_utils.clamp ~lo:0.0 ~hi:vdd], inlined *)
+          let v_new = v.(i) +. (slope.(i) *. dt) in
           let v_new =
-            Phys.Float_utils.clamp ~lo:0.0 ~hi:vdd
-              (v.(i) +. (slope.(i) *. dt))
+            if v_new < 0.0 then 0.0 else if v_new > vdd then vdd else v_new
           in
           if not (!moved || same_bits v_new v.(i)) then moved := true;
           v.(i) <- v_new;
@@ -690,8 +782,50 @@ let events res = res.n_events
 
 let peak_discharge_current res = res.i_max
 
+(* [Spice.Measure.net_delay (waveform res n)] read off the recorded
+   points, newest first, with no array built.  The points kept are those
+   [Pwl.create_rev] keeps (of a run of equal times the newest), and the
+   segments between them are compared as [Pwl.last_crossing] compares
+   them, newest first, with the same float operations.  Points out of
+   time order (a primary input's pre-step anchor) or not finite take the
+   [waveform] path. *)
 let net_delay res n =
-  Spice.Measure.net_delay (waveform res n) ~vdd:res.vdd ~t_start
+  let level = res.vdd /. 2.0 in
+  match res.wave_points.(n) with
+  | [] -> None
+  | (t, v) :: older ->
+    (* [t1, v1]: the newer end of the segment the next kept point opens;
+       plain loop refs, so the floats stay unboxed *)
+    let t1 = ref t and v1 = ref v in
+    let found = ref false and best = ref Float.nan in
+    let ordered = ref (Float.is_finite t && Float.is_finite v) in
+    let rest = ref older and walking = ref !ordered in
+    while !walking do
+      match !rest with
+      | [] -> walking := false
+      | (t0, v0) :: tl ->
+        rest := tl;
+        if (not (Float.is_finite t0 && Float.is_finite v0)) || t0 > !t1 then begin
+          ordered := false;
+          walking := false
+        end
+        else if t0 < !t1 then begin
+          let v1' = !v1 in
+          if (v0 < level && v1' >= level) || (v0 > level && v1' <= level) then begin
+            let tc = t0 +. ((level -. v0) *. (!t1 -. t0) /. (v1' -. v0)) in
+            if (not !found) || Float.compare tc !best > 0 then begin
+              best := tc;
+              found := true
+            end
+          end;
+          t1 := t0;
+          v1 := v0
+        end
+    done;
+    if not !ordered then
+      Spice.Measure.net_delay (waveform res n) ~vdd:res.vdd ~t_start
+    else if !found && !best >= t_start then Some (!best -. t_start)
+    else None
 
 let critical_delay res =
   Spice.Measure.critical_delay (C.outputs res.circuit) (net_delay res)

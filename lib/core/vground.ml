@@ -50,24 +50,6 @@ let total_current cfg ~vx gates =
       acc +. (half_beta *. g.beta_wl *. p))
     0.0 gates
 
-(* [total_current] of [n] gates all driven at [vin], their W/Ls
-   [beta_wls.(0) .. beta_wls.(n - 1)] in list order: the same float
-   operations, so the same bits, with no list to build *)
-let total_current_wls cfg ~vx ~vin beta_wls n =
-  if n = 0 then 0.0
-  else begin
-    let vsb = if cfg.body_effect then vx else 0.0 in
-    let half_beta = 0.5 *. cfg.model.Device.Alpha_power.beta in
-    let p =
-      Device.Alpha_power.overdrive_power cfg.model ~vgs:(vin -. vx) ~vsb
-    in
-    let acc = ref 0.0 in
-    for k = 0 to n - 1 do
-      acc := !acc +. (half_beta *. beta_wls.(k) *. p)
-    done;
-    !acc
-  end
-
 (* Both solvers exploit monotonicity: sleep-path current grows with vx
    while the gates' total current shrinks, so the mismatch
    [sleep vx - gates vx] is increasing and brackets a unique root in

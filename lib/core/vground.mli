@@ -27,12 +27,6 @@ val gate_current : config -> vx:float -> gate_drive -> float
 
 val total_current : config -> vx:float -> gate_drive list -> float
 
-val total_current_wls :
-  config -> vx:float -> vin:float -> float array -> int -> float
-(** [total_current_wls cfg ~vx ~vin beta_wls n] is {!total_current} of
-    the gates [{beta_wl = beta_wls.(k); vin}] for [k = 0 .. n - 1], in
-    that order, bit for bit, without building the list. *)
-
 val solve_resistor : config -> r:float -> gate_drive list -> float
 (** Equilibrium [vx] with the sleep device modelled as a resistor [r]
     (Fig. 8).  Returns 0 when nothing is discharging. *)

@@ -211,24 +211,35 @@ let num_nets t = t.num_nets
 let num_gates t = Array.length t.gates
 let inputs t = t.inputs
 
+(* no list is built: the groups are summed, checked in order, and then
+   each one's [Signal.bits_of_int] is copied into one array *)
 let pack_ints t groups =
+  let n_inputs = Array.length t.inputs in
   let total = List.fold_left (fun acc (w, _) -> acc + w) 0 groups in
-  if total <> Array.length t.inputs then
+  if total <> n_inputs then
     invalid_arg
       (Printf.sprintf
          "Circuit.pack_ints: widths [%s] cover %d bit(s) but the circuit \
           has %d primary inputs"
          (String.concat "; " (List.map (fun (w, _) -> string_of_int w) groups))
-         total (Array.length t.inputs));
-  groups
-  |> List.mapi (fun i (w, v) ->
-         if w < 0 || v < 0 || (w < Sys.int_size - 1 && v lsr max w 0 <> 0) then
-           invalid_arg
-             (Printf.sprintf
-                "Circuit.pack_ints: group %d (width %d) cannot hold value %d" i
-                w v);
-         Array.to_list (Signal.bits_of_int ~width:w v))
-  |> List.concat |> Array.of_list
+         total n_inputs);
+  List.iteri
+    (fun i (w, v) ->
+      if w < 0 || v < 0 || (w < Sys.int_size - 1 && v lsr max w 0 <> 0) then
+        invalid_arg
+          (Printf.sprintf
+             "Circuit.pack_ints: group %d (width %d) cannot hold value %d" i w
+             v))
+    groups;
+  let bits = Array.make n_inputs Signal.L0 in
+  let rec fill pos = function
+    | [] -> ()
+    | (w, v) :: rest ->
+      Array.blit (Signal.bits_of_int ~width:w v) 0 bits pos w;
+      fill (pos + w) rest
+  in
+  fill 0 groups;
+  bits
 
 let outputs t = t.outputs
 let ties t = t.ties

@@ -46,7 +46,7 @@ val init : t -> Signal.level array -> state
     @raise Invalid_argument on an input-length mismatch. *)
 
 val level : state -> Circuit.net -> Signal.level
-val levels : t -> state -> Logic_sim.state
+val levels : t -> state -> Signal.state
 (** Expand to the dense [Signal.level array] view. *)
 
 type move = {

@@ -1,4 +1,4 @@
-type state = Signal.level array
+type state = Signal.state
 
 let eval c ins =
   let primary = Circuit.inputs c in

@@ -5,7 +5,7 @@
     switching activity between consecutive vectors (§4's "how many cells
     transition" analysis). *)
 
-type state = Signal.level array
+type state = Signal.state
 (** Indexed by net id. *)
 
 val eval : Circuit.t -> Signal.level array -> state

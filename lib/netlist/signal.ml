@@ -1,4 +1,5 @@
 type level = L0 | L1 | X
+type state = level array
 
 let of_bool b = if b then L1 else L0
 let lnot = function L0 -> L1 | L1 -> L0 | X -> X

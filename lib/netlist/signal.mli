@@ -2,6 +2,9 @@
 
 type level = L0 | L1 | X
 
+type state = level array
+(** A circuit's net levels, indexed by net id. *)
+
 val of_bool : bool -> level
 val lnot : level -> level
 val land_ : level -> level -> level

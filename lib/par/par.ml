@@ -4,16 +4,6 @@
    order, worker states merged in worker order, worker exceptions
    re-raised in the caller (lowest worker wins). *)
 
-(* A deadline token: an absolute wall-clock time ([Unix.gettimeofday]
-   seconds).  Its holder polls it only at safe points (the batch runner
-   between jobs), so results are never torn. *)
-module Cancel = struct
-  type t = float
-
-  let create ~deadline = deadline
-  let cancelled deadline = Unix.gettimeofday () > deadline
-end
-
 module Pool = struct
   let default_jobs () = Domain.recommended_domain_count ()
 

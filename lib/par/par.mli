@@ -27,19 +27,6 @@
     / [Domain.join], one spawn per worker per call.  Calls are
     independent — there is no persistent pool to shut down. *)
 
-(** Deadline tokens for the batch runner, which polls one between jobs
-    (the serve daemon's per-request [deadline-s]); a job in flight
-    always completes, so cancellation never tears a result. *)
-module Cancel : sig
-  type t
-
-  val create : deadline:float -> t
-  (** A token that trips once [Unix.gettimeofday () > deadline]. *)
-
-  val cancelled : t -> bool
-  (** The deadline has passed. *)
-end
-
 module Pool : sig
   val default_jobs : unit -> int
   (** [Domain.recommended_domain_count ()] — what [?jobs] defaults to

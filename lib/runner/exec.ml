@@ -294,7 +294,7 @@ let exec_job ctx tech bc job =
 let ( let* ) = Result.bind
 
 let run ?(ctx = Eval.Ctx.default) ?journal ?(fresh = false) ?stop_after
-    ?cancel ?on_fragment (spec : Spec.t) =
+    ?deadline ?on_fragment (spec : Spec.t) =
   let* tech = C.tech_of_name spec.Spec.tech in
   (* resolve every named circuit up front; a bad declaration is a
      spec-level error, not a per-job one *)
@@ -374,12 +374,12 @@ let run ?(ctx = Eval.Ctx.default) ?journal ?(fresh = false) ?stop_after
               interrupted := true;
               raise Exit
             | _ -> ());
-           (* cancellation (the deadline) is observed only at
-              job boundaries: a job in flight always completes and is
-              journaled, so a cancelled batch is indistinguishable from
-              one interrupted by a crash — resume replays it *)
-           (match cancel with
-            | Some c when Par.Cancel.cancelled c ->
+           (* the deadline is observed only at job boundaries: a job in
+              flight always completes and is journaled, so a batch it
+              stops is indistinguishable from one interrupted by a
+              crash — resume replays it *)
+           (match deadline with
+            | Some d when Unix.gettimeofday () > d ->
               interrupted := true;
               raise Exit
             | _ -> ());

@@ -81,7 +81,7 @@ val run :
   ?journal:string ->
   ?fresh:bool ->
   ?stop_after:int ->
-  ?cancel:Par.Cancel.t ->
+  ?deadline:float ->
   ?on_fragment:(id:string -> status:status -> string -> unit) ->
   Spec.t ->
   (outcome, string) result
@@ -91,10 +91,12 @@ val run :
     [?stop_after:k] stops before executing the [k+1]-th {e fresh} job —
     the test hook that simulates an interrupt.
 
-    [?cancel] is polled at job boundaries only: a job in flight always
-    completes, is journaled, and counts; the run then stops with
+    [?deadline] is an absolute wall-clock time ([Unix.gettimeofday]
+    seconds), polled at job boundaries only: once it has passed, the
+    next job does not start.  A job in flight always completes, is
+    journaled, and counts; the run then stops with
     [interrupted = true] (it does not raise).  Combined with
-    [?journal], a cancelled batch is indistinguishable from a crashed
+    [?journal], a batch stopped this way is indistinguishable from a crashed
     one — a later run resumes it.  This is how the serve daemon
     enforces per-request deadlines without ever tearing a manifest.
 

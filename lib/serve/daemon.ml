@@ -10,9 +10,8 @@
      and the connection closes.  Nothing ever blocks waiting for a
      slot, so saturation degrades loudly, never into a hang.
 
-   - Deadlines: a request's [(deadline-s S)] becomes a Par.Cancel token
-     with an absolute deadline, polled by the batch runner at job
-     boundaries.  An expired request stops cleanly between jobs, keeps
+   - Deadlines: a request's [(deadline-s S)] becomes an absolute
+     deadline, polled by the batch runner at job boundaries.  An expired request stops cleanly between jobs, keeps
      its journal, and answers ["deadline"]; resubmitting the same id
      resumes instead of recomputing.
 
@@ -214,9 +213,6 @@ let execute d (t : ticket) =
       (Protocol.error ~rid ~message:(Printexc.to_string e))
       "failed"
   | Ok spec ->
-    let cancel =
-      Option.map (fun dl -> Par.Cancel.create ~deadline:dl) t.deadline
-    in
     (* private metrics shard: the registry is not thread-safe, so the
        request records locally and merges under mlock at the end *)
     let robs = Obs.shard d.obs in
@@ -228,7 +224,8 @@ let execute d (t : ticket) =
     in
     let result =
       match
-        Runner.run ~ctx:rctx ~journal:(journal_path d.cfg rid) ?cancel
+        Runner.run ~ctx:rctx ~journal:(journal_path d.cfg rid)
+          ?deadline:t.deadline
           ~on_fragment spec
       with
       | r -> r

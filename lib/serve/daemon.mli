@@ -6,8 +6,9 @@
       submit that finds it full receives an explicit ["rejected"] event
       (reason ["queue full"]) and the connection closes — saturation
       never blocks or crashes the daemon.
-    - {b Deadlines}: a request's [(deadline-s S)] becomes a
-      {!Par.Cancel} token polled at job boundaries; an expired request
+    - {b Deadlines}: a request's [(deadline-s S)] becomes an absolute
+      [?deadline] of {!Runner.run}, polled at job boundaries; an expired
+      request
       answers ["deadline"], keeps its journal, and resubmission
       resumes.
     - {b Crash recovery}: requests are spooled ([<id>.spec]) before

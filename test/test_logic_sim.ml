@@ -96,6 +96,59 @@ let test_eval_ints_errors () =
        "Circuit.pack_ints: group 0 (width 2) cannot hold value -1")
     (fun () -> ignore (L.eval_ints c [ (2, -1); (2, 0) ]))
 
+(* [Circuit.pack_ints] as it was first written, one list per group:
+   the oracle for the list-free packer, its messages included *)
+let pack_ints_lists c groups =
+  let n_inputs = Array.length (Netlist.Circuit.inputs c) in
+  let total = List.fold_left (fun acc (w, _) -> acc + w) 0 groups in
+  if total <> n_inputs then
+    invalid_arg
+      (Printf.sprintf
+         "Circuit.pack_ints: widths [%s] cover %d bit(s) but the circuit \
+          has %d primary inputs"
+         (String.concat "; " (List.map (fun (w, _) -> string_of_int w) groups))
+         total n_inputs);
+  groups
+  |> List.mapi (fun i (w, v) ->
+         if w < 0 || v < 0 || (w < Sys.int_size - 1 && v lsr max w 0 <> 0) then
+           invalid_arg
+             (Printf.sprintf
+                "Circuit.pack_ints: group %d (width %d) cannot hold value %d" i
+                w v);
+         Array.to_list (S.bits_of_int ~width:w v))
+  |> List.concat |> Array.of_list
+
+(* random groups on a 4-input circuit: half of them split the inputs
+   exactly, so packings, too-large and negative values and width
+   mismatches all come up *)
+let prop_pack_ints_matches_lists =
+  let c = Fixtures.adder_circuit 2 in
+  let gen =
+    QCheck.Gen.(
+      let value = oneof [ int_range (-3) 20; int_range 0 3 ] in
+      bool >>= fun exact ->
+      if exact then
+        oneof
+          [ return [ 4 ]; return [ 2; 2 ]; return [ 1; 3 ]; return [ 1; 1; 2 ];
+            return [ 5; -1 ]; return [ 0; 4; 0 ] ]
+        >>= fun widths ->
+        flatten_l (List.map (fun w -> map (fun v -> (w, v)) value) widths)
+      else list_size (int_range 0 4) (pair (int_range (-2) 6) value))
+  in
+  QCheck.Test.make ~count:500 ~name:"pack_ints = the list pipeline, errors too"
+    (QCheck.make
+       ~print:(fun gs ->
+         String.concat "; "
+           (List.map (fun (w, v) -> Printf.sprintf "(%d, %d)" w v) gs))
+       gen)
+    (fun groups ->
+      let outcome f =
+        match f c groups with
+        | bits -> Ok (Array.map S.to_char bits)
+        | exception Invalid_argument m -> Error m
+      in
+      outcome Netlist.Circuit.pack_ints = outcome pack_ints_lists)
+
 let test_chain_fixtures () =
   let ch = Fixtures.chain 4 in
   let c = ch.Circuits.Chain.circuit in
@@ -199,4 +252,5 @@ let suite =
     Prop.to_alcotest prop_kogge_stone_matches_reference;
     Prop.to_alcotest prop_adder_matches_reference;
     Prop.to_alcotest prop_multiplier_matches_reference;
-    Prop.to_alcotest prop_activity_symmetric ]
+    Prop.to_alcotest prop_activity_symmetric;
+    Prop.to_alcotest prop_pack_ints_matches_lists ]

@@ -226,15 +226,6 @@ let test_nested_busy_within_wall () =
       done)
     [ 1; 2 ]
 
-(* --- Deadline tokens -------------------------------------------------- *)
-
-let test_cancel_token_basics () =
-  let past = Par.Cancel.create ~deadline:(Unix.gettimeofday () -. 1.0) in
-  Alcotest.(check bool) "past deadline cancels" true (Par.Cancel.cancelled past);
-  let far = Par.Cancel.create ~deadline:(Unix.gettimeofday () +. 3600.0) in
-  Alcotest.(check bool) "future deadline is live" false
-    (Par.Cancel.cancelled far)
-
 let suite =
   [ Alcotest.test_case "map = sequential for jobs 1/2/8" `Quick
       test_map_matches_sequential;
@@ -252,5 +243,4 @@ let suite =
     Alcotest.test_case "scored-zero distinct from nothing-switches" `Quick
       test_scored_zero_distinct_from_quiet_zero;
     Alcotest.test_case "nested pools: busy within wall" `Quick
-      test_nested_busy_within_wall;
-    Alcotest.test_case "cancel token basics" `Quick test_cancel_token_basics ]
+      test_nested_busy_within_wall ]

@@ -288,8 +288,10 @@ let prop_hunt_reproducible =
    constants and a memo of rail equilibria.  None of it may leave a
    trace: a vector list run cold (a W/L no earlier case used), in
    reverse, interleaved with another circuit and config, on 4 Par.Pool
-   domains and on 2 systhreads gives the same bits every time: each
-   net's waveform, the events, vx peak, peak current and rail solves. *)
+   domains, on 2 systhreads, and again after more distinct (context,
+   set) keys than the memo's 4,096 slots gives the same bits every
+   time: each net's waveform, the events, vx peak, peak current and
+   rail solves. *)
 let prop_bp_history_free =
   QCheck.Test.make ~count:6
     ~name:"bp: answers do not depend on call history (memo, caches)"
@@ -341,9 +343,9 @@ let prop_bp_history_free =
         String.concat " " (List.map (Printf.sprintf "%h") floats)
       in
       let n = Array.length vectors in
-      List.for_all
-        (fun config ->
-          let cold = Array.map (run config) vectors in
+      let colds = List.map (fun config -> Array.map (run config) vectors) configs in
+      List.for_all2
+        (fun config cold ->
           let reverse =
             Array.init n (fun i -> run config vectors.(n - 1 - i))
           in
@@ -375,7 +377,57 @@ let prop_bp_history_free =
           Array.for_all2 ( = ) cold
             (Array.init n (fun i -> reverse.(n - 1 - i)))
           && cold = interleaved && cold = domains && cold = threads)
-        configs)
+        configs colds
+      &&
+      (* the overflow: each simulation below has a sleep W/L of its own,
+         so its context is new and every one that solves a rail adds at
+         least one key; 5,000 of them overwrite most slots *)
+      let obs = Obs.create () in
+      let solves () = Obs.Metrics.count (Obs.metrics obs) "bp.rail_solves" in
+      let solved = ref 0 and k = ref 0 in
+      while !solved < 5_000 && (!k < n || !solved > 0) do
+        let before, after = vectors.(!k mod n) in
+        let config = footer (8.0 +. (float_of_int !k /. 1e4)) in
+        let s0 = solves () in
+        ignore (BP.simulate_ints ~config ~obs c ~before ~after);
+        if solves () > s0 then incr solved;
+        incr k
+      done;
+      List.for_all2
+        (fun config cold -> Array.map (run config) vectors = cold)
+        configs colds)
+
+(* [BP.net_delay] walks the recorded points instead of building the
+   waveform; on every net of random DAGs, primary inputs included
+   (their pre-step anchor is recorded out of time order, so those take
+   the fallback), it equals the measurement of [BP.waveform] bit for
+   bit *)
+let prop_bp_net_delay_points =
+  QCheck.Test.make ~count:20
+    ~name:"bp: net_delay from points = Measure.net_delay of the waveform"
+    (QCheck.make
+       ~print:(fun (seed, gates, wl) ->
+         Printf.sprintf "Random_logic seed %d, %d gates, W/L %g" seed gates wl)
+       QCheck.Gen.(
+         triple (int_range 1 100_000) (int_range 5 60)
+           (oneofl [ 0.0; 0.3; 3.0; 40.0 ])))
+    (fun (seed, gates, wl) ->
+      let c = Fixtures.random_circuit ~seed ~inputs:6 ~gates () in
+      let config =
+        if wl = 0.0 then BP.default_config else BP.mtcmos_config tech ~wl
+      in
+      let vdd = tech.Device.Tech.vdd in
+      let bits = Option.map Int64.bits_of_float in
+      List.for_all
+        (fun (before, after) ->
+          let r = BP.simulate_ints ~config c ~before ~after in
+          List.for_all
+            (fun n ->
+              bits (BP.net_delay r n)
+              = bits
+                  (Spice.Measure.net_delay (BP.waveform r n) ~vdd ~t_start:0.0))
+            (List.init (Netlist.Circuit.num_nets c) Fun.id))
+        (Mtcmos.Vectors.random_pairs ~seed ~widths:[ 6 ] 6))
 
 (* every QCheck suite below draws from an explicitly seeded generator:
    a run is reproducible from the source alone, with no dependence on
@@ -396,4 +448,5 @@ let suite =
     seeded prop_hierarchy_blocks_cover;
     seeded prop_score_jobs_invariant;
     seeded prop_hunt_reproducible;
-    seeded prop_bp_history_free ]
+    seeded prop_bp_history_free;
+    seeded prop_bp_net_delay_points ]

@@ -278,8 +278,10 @@ let test_catalog_round_trips () =
 
 (* --- Exec: isolation and manifest shape ----------------------------- *)
 
-let run_exn ?ctx ?journal ?fresh ?stop_after ?cancel ?on_fragment spec =
-  match Runner.run ?ctx ?journal ?fresh ?stop_after ?cancel ?on_fragment spec with
+let run_exn ?ctx ?journal ?fresh ?stop_after ?deadline ?on_fragment spec =
+  match
+    Runner.run ?ctx ?journal ?fresh ?stop_after ?deadline ?on_fragment spec
+  with
   | Ok o -> o
   | Error e -> Alcotest.failf "runner failed: %s" e
 
@@ -377,8 +379,8 @@ let test_cancel_and_streaming () =
       let s = spec () in
       let reference = (run_exn s).Runner.manifest in
       (* an expired deadline: nothing executes, nothing raises *)
-      let c = Par.Cancel.create ~deadline:(Unix.gettimeofday () -. 1.0) in
-      let o = run_exn ~journal:path ~fresh:true ~cancel:c s in
+      let deadline = Unix.gettimeofday () -. 1.0 in
+      let o = run_exn ~journal:path ~fresh:true ~deadline s in
       Alcotest.(check int) "cancelled before start" 0 o.Runner.executed;
       Alcotest.(check bool) "interrupted" true o.Runner.interrupted;
       (* resume with streaming: all fragments arrive, in manifest order,
@@ -406,6 +408,18 @@ let test_cancel_and_streaming () =
           in
           Alcotest.(check bool) "fragment appears verbatim" true (find 0))
         !seen)
+
+(* The deadline alone, without a journal: one already past stops the
+   run before its first job, and one far ahead lets every job run. *)
+let test_deadline_basics () =
+  let s = spec () in
+  let past = run_exn ~deadline:(Unix.gettimeofday () -. 1.0) s in
+  Alcotest.(check bool) "past deadline cancels" true past.Runner.interrupted;
+  Alcotest.(check int) "past deadline runs nothing" 0 past.Runner.executed;
+  let far = run_exn ~deadline:(Unix.gettimeofday () +. 3600.0) s in
+  Alcotest.(check bool) "future deadline is live" false far.Runner.interrupted;
+  Alcotest.(check int) "future deadline runs every job" far.Runner.total
+    far.Runner.executed
 
 let test_runner_metrics () =
   let obs = Obs.create () in
@@ -486,6 +500,7 @@ let suite =
       test_size_without_switching_fails;
     Alcotest.test_case "cancel at job boundary + fragment streaming"
       `Quick test_cancel_and_streaming;
+    Alcotest.test_case "deadline basics" `Quick test_deadline_basics;
     Alcotest.test_case "runner obs metrics" `Quick test_runner_metrics;
     Alcotest.test_case "manifest invariant under jobs and warm cache" `Quick
       test_manifest_jobs_cache_invariant;
