@@ -3,15 +3,29 @@ type t = Buffer.t
 let create () = Buffer.create 256
 let raw b s = Buffer.add_string b s
 
+(* [string_of_int i] appended, written without the C formatter: every
+   key frames its lengths and ints this way.  The digits come from
+   [n <= 0], so [min_int] needs no special case. *)
+let decimal b i =
+  let rec digits n =
+    if n <= -10 then digits (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+  in
+  if i < 0 then begin
+    Buffer.add_char b '-';
+    digits i
+  end
+  else digits (-i)
+
 let string b s =
   Buffer.add_char b 's';
-  Buffer.add_string b (string_of_int (String.length s));
+  decimal b (String.length s);
   Buffer.add_char b ':';
   Buffer.add_string b s
 
 let int b i =
   Buffer.add_char b 'i';
-  Buffer.add_string b (string_of_int i);
+  decimal b i;
   Buffer.add_char b ';'
 
 let bool b v = Buffer.add_char b (if v then 'T' else 'F')

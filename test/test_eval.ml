@@ -73,6 +73,25 @@ let prop_key_float_is_printf =
       K.float k (Int64.float_of_bits bits);
       K.contents k = Printf.sprintf "f%Lx;" bits)
 
+(* Key.int and the length of Key.string write the digits string_of_int
+   gives, so a cache file saved by a build that used it still hits *)
+let prop_key_int_is_string_of_int =
+  QCheck.Test.make ~count:2000 ~name:"key: Key.int = string_of_int"
+    QCheck.(
+      make ~print:string_of_int
+        Gen.(
+          oneof
+            [ oneofl [ 0; -1; 9; 10; -10; max_int; min_int; min_int + 1 ];
+              int;
+              int_range (-1000) 1000 ]))
+    (fun i ->
+      let k = K.create () in
+      K.int k i;
+      let s = String.make (abs (i mod 300)) 'x' in
+      K.string k s;
+      K.contents k
+      = Printf.sprintf "i%s;s%d:%s" (string_of_int i) (String.length s) s)
+
 (* distinct evaluation points must get distinct digests: sweep a corpus
    of circuits / techs / sleep sizes / configs / vectors and check no
    two keys collide *)
@@ -676,4 +695,5 @@ let suite =
     Alcotest.test_case "search invariant under cache and jobs" `Slow
       test_search_cache_and_jobs_invariant;
     Prop.to_alcotest prop_cache_invisible;
-    Prop.to_alcotest prop_key_float_is_printf ]
+    Prop.to_alcotest prop_key_float_is_printf;
+    Prop.to_alcotest prop_key_int_is_string_of_int ]
